@@ -17,18 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import NegativeLambda, ZeroDistance
-from ..phase import lcm_order
-from .graph import (
-    NORMALIZED,
-    RAW,
-    DefectGraph,
-    edge_weights,
-    penalized_weight,
-    winding_difference,
-)
+from .graph import NORMALIZED, RAW, DefectGraph, edge_weight, edge_weights, winding_difference
 from .matching import Matching, min_weight_perfect_matching
 
 
@@ -41,17 +32,6 @@ class RiskReport:
     matching_size: int
     mode: str
     beta: float
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "drg_toy": self.drg_toy,
-            "drg_pm": self.drg_pm,
-            "total_cost": self.total_cost,
-            "matching_size": self.matching_size,
-            "mode": self.mode,
-            "beta": self.beta,
-        }
 
 
 def drg_toy(pairs, lam: float) -> float:
@@ -84,10 +64,7 @@ def drg_pm(g: DefectGraph, lam: float, beta: float, mode: str = RAW) -> float:
             continue
         if not e.d > 0.0:
             raise ZeroDistance(f"DRG_pm needs positive distances, got edge {e}")
-        dk = winding_difference(u, v)
-        L = 1 if (u.is_virtual_boundary or v.is_virtual_boundary) else lcm_order(u.a, v.a)
-        ratio = penalized_weight(e.d, dk, L, lam, mode) / e.d
-        entries.append((e.d, ratio))
+        entries.append((e.d, edge_weight(g, e, lam, mode) / e.d))
     if not entries:
         return 0.0
     zs = [math.exp(-beta * d) for d, _ in entries]
@@ -100,7 +77,6 @@ def masd_decode(
     lam: float,
     mode: str = NORMALIZED,
     beta: float = 1.0,
-    require_exact: bool = False,
 ) -> tuple[Matching, RiskReport]:
     """Decode a defect graph under lambda-penalized weights.
 
@@ -109,7 +85,7 @@ def masd_decode(
     whole edge set (DRG_pm).
     """
     weights = edge_weights(g, lam, mode)
-    matching = min_weight_perfect_matching(g, weights, require_exact=require_exact)
+    matching = min_weight_perfect_matching(g, weights)
 
     distances = {frozenset((e.u, e.v)): e.d for e in g.edges}
     toy_pairs = []

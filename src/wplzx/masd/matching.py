@@ -1,22 +1,24 @@
 """Minimum-weight perfect matching on defect graphs.
 
-Instances with at most :data:`DP_VERTEX_CAP` real defects are solved exactly
+Instances with at most :data:`DP_VERTEX_CAP` DP vertices are solved exactly
 by an O(n^2 2^n) subset DP; beyond the cap a greedy nearest-pair heuristic is
-used and the result is flagged approximate.  Virtual boundary vertices in the
-one-virtual-per-defect pattern are folded into per-vertex retirement costs,
-so only the real defects enter the DP mask.
+used and the result is flagged approximate.  When virtual boundary vertices
+follow the one-virtual-per-defect pattern, each virtual is folded into its
+real defect's retirement cost, so only the real defects enter the DP mask and
+the unused virtuals pair up among themselves afterwards.  Any other virtual
+layout puts every vertex into the same DP with an infinite retirement cost.
 
-Kernel selection happens at import: the compiled extension is preferred, the
-pure-Python kernel in ``_dp`` is the fallback, and setting WPLZX_FORCE_PURE=1
-forces the fallback (used by the benchmark for comparison).
+Kernel selection happens at import: the compiled extension is preferred and
+the pure-Python kernel in ``_dp`` is the fallback.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
+
+import numpy as np
 
 from ..errors import OddVertexCount, TooLargeForExact
 from . import _dp
@@ -24,13 +26,10 @@ from .graph import DefectGraph, VertexId
 
 DP_VERTEX_CAP = 16
 
-if os.environ.get("WPLZX_FORCE_PURE") == "1":
+try:
+    from . import _dpmatch as _kernel  # type: ignore[no-redef]
+except ImportError:
     _kernel = _dp
-else:
-    try:
-        from . import _dpmatch as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _dp
 
 
 def kernel_name() -> str:
@@ -38,18 +37,12 @@ def kernel_name() -> str:
     return "compiled" if _kernel.__name__.endswith("_dpmatch") else "pure"
 
 
-WeightSource = Union[Mapping, Callable[[VertexId, VertexId], float]]
-
-
-def _weight_fn(weights: WeightSource) -> Callable[[VertexId, VertexId], float]:
-    if callable(weights):
-        return weights
+def _weight_fn(weights: Mapping) -> Callable[[VertexId, VertexId], float]:
+    """Edge-cost lookup over a frozenset({u, v})-keyed table; missing edges
+    cost +inf."""
 
     def lookup(u: VertexId, v: VertexId) -> float:
-        for key in (frozenset((u, v)), (u, v), (v, u)):
-            if key in weights:
-                return float(weights[key])
-        return math.inf
+        return float(weights.get(frozenset((u, v)), math.inf))
 
     return lookup
 
@@ -65,12 +58,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def covers(self, vertex_ids) -> bool:
-        seen = [v for pair in self.pairs for v in pair]
-        return sorted(seen, key=repr) == sorted(vertex_ids, key=repr) and len(
-            set(seen)
-        ) == len(seen)
 
 
 def _own_virtual_map(g: DefectGraph, wf) -> dict | None:
@@ -100,39 +87,38 @@ def _own_virtual_map(g: DefectGraph, wf) -> dict | None:
 
 def min_weight_perfect_matching(
     g: DefectGraph,
-    weights: WeightSource,
+    weights: Mapping,
     require_exact: bool = False,
 ) -> Matching:
     """Match all vertices of g at minimum total weight.
 
-    Exact (subset DP) when the number of real defects is within the cap,
-    greedy otherwise; ``require_exact`` turns the fallback into an error.
-    Raises OddVertexCount when no perfect matching can exist.
+    ``weights`` maps frozenset({u, v}) to the edge cost, as built by
+    ``edge_weights``.  Exact (subset DP) when the DP vertex count is within
+    the cap, greedy otherwise; ``require_exact`` turns the fallback into an
+    error.  Raises OddVertexCount when no perfect matching can exist.
     """
     wf = _weight_fn(weights)
-    reals = [v.id for v in g.real_vertices]
+    ids = [v.id for v in g.real_vertices]  # the DP vertices
     virts = [v.id for v in g.virtual_vertices]
-    if (len(reals) + len(virts)) % 2 != 0:
-        raise OddVertexCount(f"{len(reals) + len(virts)} vertices cannot be perfectly matched")
+    if (len(ids) + len(virts)) % 2 != 0:
+        raise OddVertexCount(f"{len(ids) + len(virts)} vertices cannot be perfectly matched")
 
     own = _own_virtual_map(g, wf) if virts else {}
-    if virts and own is None:
-        # Arbitrary virtual layout: treat every vertex uniformly.
-        return _match_flat(g, wf, require_exact)
+    if own is None:
+        # Arbitrary virtual layout: every vertex enters the DP, none retires.
+        ids, virts, own = [v.id for v in g.vertices], [], {}
 
-    n = len(reals)
+    n = len(ids)
     if n > DP_VERTEX_CAP:
         if require_exact:
-            raise TooLargeForExact(f"{n} real defects exceed the exact cap {DP_VERTEX_CAP}")
-        return _greedy(reals, virts, wf, own)
-
-    import numpy as np
+            raise TooLargeForExact(f"{n} DP vertices exceed the exact cap {DP_VERTEX_CAP}")
+        return _greedy(ids, virts, wf, own)
 
     w = np.full((n, n), np.inf)
     for i in range(n):
         for j in range(i + 1, n):
-            w[i, j] = w[j, i] = wf(reals[i], reals[j])
-    boundary = np.array([own.get(r, (None, np.inf))[1] for r in reals])
+            w[i, j] = w[j, i] = wf(ids[i], ids[j])
+    boundary = np.array([own.get(r, (None, np.inf))[1] for r in ids])
     cost, choice = _kernel.solve_dense(w, boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
@@ -141,37 +127,15 @@ def min_weight_perfect_matching(
     used_virts = set()
     for i, j in moves:
         if j == -1:
-            virt = own[reals[i]][0]
-            pairs.append((reals[i], virt))
+            virt = own[ids[i]][0]
+            pairs.append((ids[i], virt))
             used_virts.add(virt)
         else:
-            pairs.append((reals[i], reals[j]))
+            pairs.append((ids[i], ids[j]))
     leftover = sorted((v for v in virts if v not in used_virts), key=repr)
     for i in range(0, len(leftover), 2):
         pairs.append((leftover[i], leftover[i + 1]))
     return Matching(tuple(pairs), cost, exact=True)
-
-
-def _match_flat(g: DefectGraph, wf, require_exact: bool) -> Matching:
-    ids = [v.id for v in g.vertices]
-    n = len(ids)
-    if n > DP_VERTEX_CAP:
-        if require_exact:
-            raise TooLargeForExact(f"{n} vertices exceed the exact cap {DP_VERTEX_CAP}")
-        return _greedy(ids, [], wf, {})
-    import numpy as np
-
-    w = np.full((n, n), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = wf(ids[i], ids[j])
-    boundary = np.full(n, np.inf)
-    cost, choice = _kernel.solve_dense(w, boundary)
-    if not math.isfinite(cost):
-        raise OddVertexCount("graph admits no finite-cost perfect matching")
-    moves = _dp.reconstruct(choice, n)
-    pairs = tuple((ids[i], ids[j]) for i, j in moves)
-    return Matching(pairs, cost, exact=True)
 
 
 def _greedy(reals, virts, wf, own) -> Matching:

@@ -337,24 +337,31 @@ def lambda_sweep(
     """Decode every instance at each lambda; one aggregate row per lambda.
 
     Rows carry the logical error rate and mean DRG/cost statistics; results
-    are deterministic given the instances.
+    are deterministic given the instances.  All instances must share one
+    distance and one p_phys (the row labels), and ``code``, when given, must
+    have that distance.
     """
     if not instances or not list(lambdas):
         raise ConfigInvalid("lambda_sweep needs instances and a lambda grid")
-    codes: dict[int, RotatedSurfaceCode] = {}
-    if code is not None:
-        codes[code.distance] = code
+    first = instances[0][0]
+    if any(
+        sample.distance != first.distance or sample.p_phys != first.p_phys
+        for sample, _ in instances
+    ):
+        raise ConfigInvalid("lambda_sweep instances must share one distance and p_phys")
+    if code is None:
+        code = build_code(first.distance)
+    elif code.distance != first.distance:
+        raise ConfigInvalid(
+            f"code distance {code.distance} does not match instance distance {first.distance}"
+        )
     rows = []
     for lam in lambdas:
         failures = 0
         toys, pms, costs = [], [], []
         for sample, graph in instances:
-            c = codes.get(sample.distance)
-            if c is None:
-                c = build_code(sample.distance)
-                codes[sample.distance] = c
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
-            if logical_failure(c, sample, matching):
+            if logical_failure(code, sample, matching):
                 failures += 1
             toys.append(report.drg_toy)
             pms.append(report.drg_pm)
@@ -362,8 +369,8 @@ def lambda_sweep(
         rows.append(
             {
                 "lambda": lam,
-                "p_phys": instances[0][0].p_phys,
-                "distance": instances[0][0].distance,
+                "p_phys": first.p_phys,
+                "distance": first.distance,
                 "trials": len(instances),
                 "logical_error_rate": failures / len(instances),
                 "drg_toy_mean": float(np.mean(toys)),

@@ -239,6 +239,53 @@ def test_matching_with_boundary_costs_matches_bruteforce():
         assert covered == sorted(str(v.id) for v in g.vertices)
 
 
+def test_matching_arbitrary_virtual_layout_matches_bruteforce():
+    # Virtual layouts outside the one-per-defect pattern: fewer virtuals than
+    # reals, or one virtual adjacent to two reals.  Every vertex is matched.
+    for seed in range(80):
+        rng = np.random.default_rng(3000 + seed)
+        n_real = int(rng.integers(3, 7))
+        if seed % 2:  # fewer virtuals than reals, same parity
+            n_virt = int(rng.choice(range(2 - n_real % 2, n_real, 2)))
+        else:
+            n_virt = n_real + (2 if n_real < 5 and rng.random() < 0.5 else 0)
+        reals = [vert(i, 1, 0) for i in range(n_real)]
+        virts = [vert(f"b{i}", 1, 0, virtual=True) for i in range(n_virt)]
+        wmap = {}
+        for i in range(n_real):
+            for j in range(i + 1, n_real):
+                wmap[frozenset((i, j))] = float(rng.uniform(0.1, 4.0))
+        for b in range(n_virt):
+            if b == 0:
+                touched = rng.choice(n_real, size=2, replace=False)
+            else:
+                touched = np.flatnonzero(rng.random(n_real) < 0.4)
+            for r in touched:
+                wmap[frozenset((int(r), f"b{b}"))] = float(rng.uniform(0.1, 4.0))
+            for c in range(b + 1, n_virt):
+                if rng.random() < 0.8:
+                    wmap[frozenset((f"b{b}", f"b{c}"))] = float(rng.uniform(0.0, 0.5))
+        edges = tuple(DefectEdge(*sorted(k, key=str), d) for k, d in wmap.items())
+        g = DefectGraph(tuple(reals + virts), edges)
+        ids = [v.id for v in g.vertices]
+        assert (n_real + n_virt) % 2 == 0
+
+        def weight(u, v):
+            return wmap.get(frozenset((u, v)), math.inf)
+
+        _, want = brute_force_min_matching(ids, weight)
+        if not math.isfinite(want):
+            with pytest.raises(OddVertexCount):
+                min_weight_perfect_matching(g, wmap)
+            continue
+        m = min_weight_perfect_matching(g, wmap)
+        assert m.exact
+        assert m.total_cost == pytest.approx(want)
+        assert sum(weight(u, v) for u, v in m.pairs) == pytest.approx(want)
+        covered = sorted(str(x) for p in m.pairs for x in p)
+        assert covered == sorted(str(i) for i in ids)
+
+
 def _pairings(ids):
     if not ids:
         yield []

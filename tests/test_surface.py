@@ -182,3 +182,13 @@ def test_lambda_sweep_baseline_only():
 def test_lambda_sweep_validates_inputs():
     with pytest.raises(ConfigInvalid):
         lambda_sweep([], [0.1])
+    d3 = [sample_surface_code(3, 0.05, seed=4, trial=t) for t in range(3)]
+    d5 = sample_surface_code(5, 0.05, seed=4, trial=3)
+    other_p = sample_surface_code(3, 0.1, seed=4, trial=3)
+    with pytest.raises(ConfigInvalid):
+        lambda_sweep(d3 + [d5], [0.1])  # mixed distances
+    with pytest.raises(ConfigInvalid):
+        lambda_sweep(d3 + [other_p], [0.1])  # mixed p_phys
+    with pytest.raises(ConfigInvalid):
+        lambda_sweep(d3, [0.1], code=build_code(5))  # code of another distance
+    assert len(lambda_sweep(d3, [0.1], code=build_code(3))) == 1
