@@ -71,9 +71,6 @@ class Circuit:
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.name == CX)
 
-    def rotation_angles(self) -> list[float]:
-        return [g.angle_radians() for g in self.gates if g.name in ROTATIONS]
-
 
 def serialize_circuit(c: Circuit) -> str:
     lines = [f"qubits {c.n_qubits}"]

@@ -24,9 +24,10 @@ fields.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     BoundarySlotConflict,
@@ -80,11 +81,6 @@ class Node:
 
     def is_spider(self) -> bool:
         return self.kind in SPIDER_KINDS
-
-    def port_side(self, port: int) -> str:
-        if not 0 <= port < self.degree:
-            raise ValueError(f"port {port} out of range for node {self.id}")
-        return IN if port < self.ins else OUT
 
 
 @dataclass(frozen=True)
@@ -281,6 +277,19 @@ def connected_components(d: Diagram) -> list[tuple[frozenset[NodeId], tuple[int,
     return comps
 
 
+def same_color_pairs(d: Diagram) -> Iterator[tuple[NodeId, NodeId]]:
+    """(u, v) for every wire joining two distinct spiders of one color.
+
+    One pair per wire, so parallel wires repeat it; u precedes v in id order.
+    """
+    for w in d.wires:
+        a, b = w.a, w.b
+        if isinstance(a, NodePort) and isinstance(b, NodePort) and a.node != b.node:
+            u, v = d.node(a.node), d.node(b.node)
+            if u.is_spider() and u.kind == v.kind:
+                yield a.node, b.node
+
+
 def monochrome_regions(d: Diagram) -> list[frozenset[NodeId]]:
     """Maximal sets of same-color spiders connected by direct wires.
 
@@ -288,30 +297,34 @@ def monochrome_regions(d: Diagram) -> list[frozenset[NodeId]]:
     entirely through spiders of that color; Hadamard nodes and opposite-color
     spiders break regions.
     """
-    parent: dict[NodeId, NodeId] = {n.id: n.id for n in d.nodes if n.is_spider()}
+    return [frozenset(order) for order in region_orders(d)]
 
-    def find(x: NodeId) -> NodeId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for w in d.wires:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-        if len(ids) != 2 or ids[0] == ids[1]:
+def region_orders(d: Diagram) -> list[list[NodeId]]:
+    """Each monochrome region's spiders, regions by smallest id r.
+
+    Members come in smallest-id-first frontier order from r: next is always
+    the smallest-id member wired to one already listed.  Pairwise fusion of
+    a region absorbs its spiders into r in exactly this order.
+    """
+    adjacent: dict = {n.id: set() for n in d.spiders}
+    for u, v in same_color_pairs(d):
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    orders, seen = [], set()
+    for r in adjacent:
+        if r in seen:
             continue
-        u, v = d.node(ids[0]), d.node(ids[1])
-        if u.is_spider() and v.is_spider() and u.kind == v.kind:
-            ru, rv = find(u.id), find(v.id)
-            if ru != rv:
-                parent[rv] = ru
-
-    groups: dict[NodeId, set[NodeId]] = {}
-    for nid in parent:
-        groups.setdefault(find(nid), set()).add(nid)
-    regions = [frozenset(g) for g in groups.values()]
-    regions.sort(key=lambda r: min(_id_key(m) for m in r))
-    return regions
+        seen.add(r)
+        order, frontier = [], [(_id_key(r), r)]
+        while frontier:
+            _, u = heapq.heappop(frontier)
+            order.append(u)
+            for v in adjacent[u] - seen:
+                seen.add(v)
+                heapq.heappush(frontier, (_id_key(v), v))
+        orders.append(order)
+    return orders
 
 
 # --- serialization ---

@@ -91,9 +91,6 @@ class RotatedSurfaceCode:
     def n_data(self) -> int:
         return self.distance * self.distance
 
-    def qubit_index(self, r: int, c: int) -> int:
-        return r * self.distance + c
-
     def z_syndrome(self, x_errors: np.ndarray) -> tuple[int, ...]:
         """Indices of Z checks with odd overlap with the error support."""
         flipped = {int(q) for q in np.flatnonzero(x_errors)}

@@ -9,7 +9,10 @@ fusion scope.
 Fusion lifts labels to the common refinement grid with index arithmetic that
 preserves angle values exactly: the fused base phase is alpha_u + alpha_v and
 the fused winding is (L/a_u) k_u + (L/a_v) k_v, which together reproduce
-theta_u + theta_v.  Every rewrite is recorded in a replayable trace.
+theta_u + theta_v.  The lifting is associative, so one routine fuses a whole
+group in one step: ``fuse_pair`` passes two spiders, the normalizer every
+region in the order pairwise fusion would absorb it.  Every rewrite is
+recorded, pairwise, in a replayable trace.
 """
 
 from __future__ import annotations
@@ -153,11 +156,6 @@ def fuse_pair(d: Diagram, u, v, cap: int = GRID_ORDER_CAP) -> Diagram:
     All c connecting wires are removed (total arity drops by 2c); surviving
     legs re-attach to the merged spider, which keeps u's id.
     """
-    d_new, _ = _fuse_pair_impl(d, u, v, cap)
-    return d_new
-
-
-def _fuse_pair_impl(d: Diagram, u, v, cap: int) -> tuple[Diagram, Node]:
     if u == v or not (d.has_node(u) and d.has_node(v)):
         raise NotConnected(f"cannot fuse {u!r} with {v!r}")
     nu, nv = d.node(u), d.node(v)
@@ -165,45 +163,55 @@ def _fuse_pair_impl(d: Diagram, u, v, cap: int) -> tuple[Diagram, Node]:
         raise ColorMismatch("fusion applies to spiders only")
     if nu.kind != nv.kind:
         raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
-    connecting = set(d.wires_between(u, v))
-    if not connecting:
+    if not d.wires_between(u, v):
         raise NotConnected(f"{u!r} and {v!r} share no wire")
+    nodes, wires = _fuse_groups(d, [[u, v]], cap)
+    return build(nodes, wires, d.n_inputs, d.n_outputs)
 
-    L = lcm_order(nu.label.grid, nv.label.grid, cap=cap)
-    alpha = (nu.label.alpha + nv.label.alpha).mod1()
-    ku = nu.label.winding.fraction * (L // nu.label.grid)
-    kv = nv.label.winding.fraction * (L // nv.label.grid)
-    label = SpiderLabel(L, alpha, RationalAngle.from_fraction(ku + kv))
 
-    # Ports consumed by connecting wires disappear; survivors are renumbered
-    # input-side first (u's ports before v's on each side).
-    consumed: set[tuple] = set()
-    for i in connecting:
-        for ep in d.wires[i].endpoints():
-            consumed.add((ep.node, ep.port))
-    survivors_in, survivors_out = [], []
-    for node in (nu, nv):
-        for p in range(node.degree):
-            if (node.id, p) in consumed:
-                continue
-            (survivors_in if node.port_side(p) == dg.IN else survivors_out).append(
-                (node.id, p)
-            )
-    port_map = {old: i for i, old in enumerate(survivors_in + survivors_out)}
-    merged = Node(u, nu.kind, label, len(survivors_in), len(survivors_out))
+def _fuse_groups(d: Diagram, groups, cap: int) -> tuple[list[Node], list[Wire]]:
+    """Fuse each group of connected same-color spiders, listed in absorption
+    order, into one spider with the first member's id; returns the node and
+    wire lists for one ``build``.
 
-    def remap(ep):
-        if isinstance(ep, NodePort) and ep.node in (u, v):
-            return NodePort(u, port_map[(ep.node, ep.port)])
-        return ep
+    The result equals fusing the members pairwise in that order: the label
+    folds L = lcm of grids, alpha = sum mod 1 and k = sum of k_i * L / a_i;
+    wires between distinct members are consumed; surviving legs are
+    renumbered inputs first, each side by member, then by port.
+    """
+    owner = {m: g[0] for g in groups for m in g}
+    kept, consumed = [], set()
+    for w in d.wires:
+        a, b = w.endpoints()
+        inner = isinstance(a, NodePort) and isinstance(b, NodePort) and a.node != b.node
+        if inner and a.node in owner and owner[a.node] == owner.get(b.node):
+            consumed.update((a, b))
+        else:
+            kept.append(w)
 
-    wires = [
-        Wire(remap(w.a), remap(w.b))
-        for i, w in enumerate(d.wires)
-        if i not in connecting
-    ]
-    nodes = [n for n in d.nodes if n.id not in (u, v)] + [merged]
-    return build(nodes, wires, d.n_inputs, d.n_outputs), merged
+    merged, port_map = [], {}
+    for group in groups:
+        members = [d.node(m) for m in group]
+        first = members[0].label
+        L, alpha, k = first.grid, first.alpha, first.winding.fraction
+        for lab in (n.label for n in members[1:]):
+            L_new = lcm_order(L, lab.grid, cap=cap)
+            k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
+            alpha = (alpha + lab.alpha).mod1()
+            L = L_new
+        ins, outs = [], []
+        for n in members:
+            for p in range(n.degree):
+                if NodePort(n.id, p) not in consumed:
+                    (ins if p < n.ins else outs).append(NodePort(n.id, p))
+        port_map.update(
+            (old, NodePort(group[0], i)) for i, old in enumerate(ins + outs)
+        )
+        label = SpiderLabel(L, alpha, RationalAngle.from_fraction(k))
+        merged.append(Node(group[0], members[0].kind, label, len(ins), len(outs)))
+
+    wires = [Wire(port_map.get(w.a, w.a), port_map.get(w.b, w.b)) for w in kept]
+    return [n for n in d.nodes if n.id not in owner] + merged, wires
 
 
 def identity_removal(d: Diagram, node_id) -> Diagram:
@@ -329,11 +337,6 @@ def canonical_label(
     )
 
 
-def _canonical_form_of_node(node: Node) -> SpiderLabel:
-    theta = node_total_angle(node)
-    return SpiderLabel(node.label.grid, theta.turns, RationalAngle(0))
-
-
 def _replace_label(d: Diagram, node_id, label: SpiderLabel) -> Diagram:
     old = d.node(node_id)
     replacement = Node(node_id, old.kind, label, old.ins, old.outs)
@@ -346,53 +349,38 @@ def wzcc_normalize(
 ) -> tuple[Diagram, list[CanonicalLabel], RewriteTrace]:
     """Collapse every maximal monochrome region to one canonical spider.
 
+    All regions are fused in one ``_fuse_groups`` call and one ``build``,
+    each in ``diagram.region_orders`` order, which is the order pairwise
+    fusion would absorb its spiders; per region, the trace records those
+    pairwise fusions, then the label normalization.
+
     Returns the normalized diagram, one CanonicalLabel per region (ordered by
     the smallest node id in the region) and the replayable trace.  Hadamard
     nodes and wiring between regions are untouched; the result is idempotent
     under repeated normalization.
     """
+    orders = dg.region_orders(d)
+    nodes, wires = _fuse_groups(d, [o for o in orders if len(o) > 1], cap)
+    by_id = {n.id: n for n in nodes}
     trace = RewriteTrace()
-    cur = d
     labels: list[CanonicalLabel] = []
-    for region in dg.monochrome_regions(d):
-        remaining = sorted(region, key=dg._id_key)
-        region_set = set(remaining)
-        region_labels = [d.node(r).label for r in remaining]
-        while len(remaining) > 1:
-            # one wire scan finds the smallest connected in-region pair
-            pair = None
-            for w in cur.wires:
-                ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-                if len(ids) != 2 or ids[0] == ids[1]:
-                    continue
-                if ids[0] in region_set and ids[1] in region_set:
-                    cand = tuple(sorted(ids, key=dg._id_key))
-                    if pair is None or (dg._id_key(cand[0]), dg._id_key(cand[1])) < (
-                        dg._id_key(pair[0]),
-                        dg._id_key(pair[1]),
-                    ):
-                        pair = cand
-            if pair is None:  # pragma: no cover - regions are connected
-                raise NotConnected(f"region {sorted(region)!r} is not connected")
-            u, v = pair
-            cur, _ = _fuse_pair_impl(cur, u, v, cap)
-            trace.append(TraceEntry("fuse", (u, v), (u,)))
-            remaining.remove(v)
-            region_set.discard(v)
-        rep = remaining[0]
-        node = cur.node(rep)
-        canon = _canonical_form_of_node(node)
+    for order in orders:
+        rep = order[0]
+        for v in order[1:]:
+            trace.append(TraceEntry("fuse", (rep, v), (rep,)))
+        node = by_id[rep]
+        canon = SpiderLabel(node.label.grid, node_total_angle(node).turns, RationalAngle(0))
         if canon != node.label:
-            cur = _replace_label(cur, rep, canon)
+            by_id[rep] = Node(rep, node.kind, canon, node.ins, node.outs)
             trace.append(
                 TraceEntry(
                     "normalize-label", (rep,), (rep,), {"label": canon.to_json()}
                 )
             )
         labels.append(
-            canonical_label(region_labels, node.ins, node.outs, cap=cap)
+            canonical_label([d.node(m).label for m in order], node.ins, node.outs, cap=cap)
         )
-    return cur, labels, trace
+    return build(by_id.values(), wires, d.n_inputs, d.n_outputs), labels, trace
 
 
 def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> Diagram:
@@ -424,14 +412,7 @@ def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> D
 def potential(d: Diagram, eps: float = POTENTIAL_EPS) -> float:
     """Termination potential: curvature mismatch over adjacent same-color
     pairs plus eps per spider.  Strictly decreases under accepted fusions."""
-    pairs = set()
-    for w in d.wires:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-        if len(ids) != 2 or ids[0] == ids[1]:
-            continue
-        a, b = d.node(ids[0]), d.node(ids[1])
-        if a.is_spider() and b.is_spider() and a.kind == b.kind:
-            pairs.add(frozenset((a.id, b.id)))
+    pairs = {frozenset(p) for p in dg.same_color_pairs(d)}
     total = 0.0
     for pair in pairs:
         u, v = tuple(pair)
@@ -451,14 +432,7 @@ def curvature_guided_normalize(
     cur = d
     phi = potential(cur, eps)
     while True:
-        candidates = set()
-        for w in cur.wires:
-            ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-            if len(ids) != 2 or ids[0] == ids[1]:
-                continue
-            a, b = cur.node(ids[0]), cur.node(ids[1])
-            if a.is_spider() and b.is_spider() and a.kind == b.kind:
-                candidates.add(tuple(sorted((a.id, b.id), key=dg._id_key)))
+        candidates = set(dg.same_color_pairs(cur))
         progressed = False
         for u, v in sorted(candidates, key=lambda p: (dg._id_key(p[0]), dg._id_key(p[1]))):
             trial = fuse_pair(cur, u, v, cap=cap)

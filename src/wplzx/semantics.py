@@ -257,6 +257,34 @@ def evaluate(
     return t.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
 
 
+def phase_free_magnitude(d: dg.Diagram) -> float:
+    """Largest entry of d's matrix with all phases 0 and |H| for H.
+
+    It bounds every product the true contraction sums, so each entry's
+    rounding error is about node count x machine epsilon x this magnitude.
+    |H| has rank one, so H nodes (1/sqrt 2) and X spiders (2^(1 - degree/2))
+    are constant tensors, a wire between two of them sums to 2, and each Z
+    region is a copy tensor: 2 with no boundary leg, else at most 1.
+    """
+    log2 = 0.0
+    at_boundary = set()
+    for w in d.wires:
+        ids = [ep.node for ep in w.endpoints() if isinstance(ep, dg.NodePort)]
+        if len(ids) == 1:
+            at_boundary.add(ids[0])
+        elif len(ids) == 2 and all(d.node(i).kind != dg.Z for i in ids):
+            log2 += 1
+    for n in d.nodes:
+        if n.kind == dg.X:
+            log2 += 1 - n.degree / 2
+        elif n.kind == dg.H:
+            log2 -= 0.5
+    for region in dg.monochrome_regions(d):
+        if d.node(next(iter(region))).kind == dg.Z and not region & at_boundary:
+            log2 += 1
+    return math.inf if log2 >= 1024 else 2.0 ** log2
+
+
 # --- comparison predicates ---
 
 
@@ -314,35 +342,6 @@ def max_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # --- states, density matrices, channels ---
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Debug export: nested lists of [re, im] pairs (not a stable format)."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def check_state(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    n = psi.size
-    if n == 0 or n & (n - 1):
-        raise DimensionMismatch(f"state length {n} is not a power of 2")
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
-        raise ValueError("state vector is not normalized")
-    return psi
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError("density matrix trace is not 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
-        raise ValueError("density matrix is not positive semidefinite")
-    return rho
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,25 @@ def test_verify_corrupted_trace_unsound(tmp_path, capsys):
     assert "verdict UNSOUND" in capsys.readouterr().out
 
 
+def test_verify_numerically_zero_matrix_is_inconclusive(tmp_path, capsys):
+    # d1-main seed 7 instance 000 contracts to entries of about 3e-20 on both
+    # sides, far below the rounding bound of its phases, so the deviation
+    # between them says nothing about soundness.
+    gen_dir = tmp_path / "g"
+    assert run(["gen", "--preset", "d1-main", "--seed", "7", "--out", str(gen_dir)]) == 0
+    src = gen_dir / "d1-main-s7-000.diagram.json"
+    norm = tmp_path / "n"
+    assert run(["normalize", "--input", str(src), "--out", str(norm)]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--trace", str(norm / "trace.jsonl")]):
+        assert run(["verify", "--input", str(src)] + extra) == 3
+        out = capsys.readouterr().out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "verdict", "method", "oracle_instability", "tol"
+        ]
+        assert out.startswith("verdict INCONCLUSIVE\n")
+
+
 def test_verify_oversize_exit_3(tmp_path, capsys):
     gen_dir = tmp_path / "g"
     run(["gen", "--preset", "d1-main", "--seed", "5", "--qubits", "4",
@@ -238,11 +257,15 @@ def test_verify_inconclusive_on_unstable_oracle(tmp_path, capsys):
 
 def test_normalize_grid_overflow_exit_3(tmp_path):
     from wplzx.diagram import serialize
-    from conftest import chain, spider
+    from conftest import chain, path_region, spider
     from wplzx import diagram as dg
+    from wplzx.phase import SpiderLabel
 
     d = chain(spider(0, dg.Z, a=2**11, alpha=(0, 1)),
               spider(1, dg.Z, a=2**10 + 1, alpha=(0, 1)))
-    src = tmp_path / "big.diagram.json"
-    src.write_text(serialize(d))
-    assert run(["normalize", "--input", str(src), "--out", str(tmp_path / "o")]) == 3
+    # lcm(1024, 1021) fits under 2**20; folding in the grid 3 does not
+    late = path_region([SpiderLabel(1024), SpiderLabel(1021), SpiderLabel(3)])
+    for diagram in (d, late):
+        src = tmp_path / "big.diagram.json"
+        src.write_text(serialize(diagram))
+        assert run(["normalize", "--input", str(src), "--out", str(tmp_path / "o")]) == 3

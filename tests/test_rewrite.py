@@ -379,6 +379,44 @@ def test_normalize_trace_replays():
         assert apply_trace(d, trace) == norm
 
 
+def test_normalize_fuses_in_smallest_id_frontier_order():
+    # chain in -> 0 -> 5 -> 1 -> 3 -> out: the region grows from 0 through
+    # its smallest-id neighbour, not in plain id order
+    d = chain(*(spider(i, dg.Z, a=2, alpha=(1, 4)) for i in (0, 5, 1, 3)))
+    norm, _, trace = wzcc_normalize(d)
+    assert [e.consumed for e in trace.entries if e.rule == "fuse"] == [
+        (0, 5), (0, 1), (0, 3)
+    ]
+    assert apply_trace(d, trace) == norm
+
+
+def test_normalize_builds_a_fixed_number_of_times(monkeypatch):
+    import wplzx.rewrite as rw
+
+    calls = []
+    real_build = rw.build
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(rw, "build", counting_build)
+    for n in (2, 9, 60):
+        d = path_region([SpiderLabel(4, RA(1, 4), RA(1))] * n)
+        calls.clear()
+        norm, _, trace = wzcc_normalize(d)
+        assert len(norm.spiders) == 1
+        assert sum(e.rule == "fuse" for e in trace.entries) == n - 1
+        assert len(calls) <= 2
+
+
+def test_normalize_region_over_grid_cap_raises():
+    # lcm(1024, 1021) fits under 2**20; folding in the grid 3 does not
+    d = path_region([SpiderLabel(1024), SpiderLabel(1021), SpiderLabel(3)])
+    with pytest.raises(GridOverflow, match="exceeds grid-order cap"):
+        wzcc_normalize(d)
+
+
 def test_corrupted_trace_fails_replay():
     d = chain(spider(0, dg.Z, alpha=(1, 8)), spider(1, dg.Z, alpha=(1, 5)))
     _, _, trace = wzcc_normalize(d)

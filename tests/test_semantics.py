@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain, spider
+from conftest import chain, random_small_diagram, spider
 from wplzx import diagram as dg
 from wplzx.diagram import BoundaryPort, Node, NodePort, Wire, build
 from wplzx.errors import (
@@ -28,6 +28,7 @@ from wplzx.semantics import (
     fidelity,
     hadamard,
     phase_damping,
+    phase_free_magnitude,
     spider_matrix,
     uhlmann,
 )
@@ -213,6 +214,27 @@ def test_monoidality_tensor_and_compose(rng):
         comp = build(list(d1.nodes) + nodes[len(d1.nodes):] + relay_nodes, final_wires, 2, 2)
         want_c = evaluate(d2) @ evaluate(d1)
         assert np.max(np.abs(evaluate(comp) - want_c)) < 1e-9
+
+
+def test_phase_free_magnitude_matches_absolute_contraction(monkeypatch):
+    import wplzx.semantics as sem
+    from wplzx.rewrite import color_change
+
+    # the closed form against a real contraction with |H| and zero phases;
+    # a color change adds Hadamard nodes
+    monkeypatch.setattr(sem, "_H", np.abs(sem._H))
+    diagrams = []
+    for seed in range(40):
+        d = random_small_diagram(seed, max_spiders=10, max_qubits=4)
+        diagrams += [d, color_change(d, d.spiders[0].id)]
+    for d in diagrams:
+        flat = build(
+            [Node(n.id, n.kind, SpiderLabel(1) if n.is_spider() else None, n.ins, n.outs)
+             for n in d.nodes],
+            d.wires, d.n_inputs, d.n_outputs,
+        )
+        want = float(np.max(np.abs(evaluate(flat))))
+        assert phase_free_magnitude(d) == pytest.approx(want, rel=1e-12)
 
 
 def test_equal_up_to_global_phase():
