@@ -11,6 +11,12 @@ formula w_i = d_i + lambda |delta_k_i|; DRG_pm uses whichever mode the decode
 ran with, recorded in the report.  Zero-distance edges (virtual-virtual
 bookkeeping pairs) are excluded from both metrics since their relative
 inflation is undefined.
+
+Both metrics are linear in lambda.  DRG_pm equals lambda * S with
+S = sum_e p(e) slope_e / d_e (slope as in ``edge_terms``), and S is computed
+once per graph, mode and beta and cached on the graph; so is the (d, raw
+delta_k) lookup that DRG_toy reads for the matched pairs.  A lambda grid on
+one instance therefore pays for the exact winding arithmetic once.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import NegativeLambda, ZeroDistance
-from .graph import NORMALIZED, RAW, DefectGraph, edge_weight, edge_weights, winding_difference
+from .graph import NORMALIZED, RAW, DefectGraph, edge_terms, edge_weights
 from .matching import Matching, min_weight_perfect_matching
 
 
@@ -52,24 +58,43 @@ def drg_toy(pairs, lam: float) -> float:
 
 def drg_pm(g: DefectGraph, lam: float, beta: float, mode: str = RAW) -> float:
     """Boltzmann-weighted risk sum_e p(e) w_lam(e)/w_0(e) - 1 over all edges
-    of g with d > 0, p(e) proportional to exp(-beta d_e)."""
+    of g with d > 0, p(e) proportional to exp(-beta d_e).  Since
+    w_lam(e)/w_0(e) = 1 + lam * slope_e / d_e, this is lam times a per-graph
+    slope, cached per (mode, beta)."""
     if lam < 0.0:
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    entries = []
-    for e in g.edges:
-        u, v = g.vertex(e.u), g.vertex(e.v)
-        if u.is_virtual_boundary and v.is_virtual_boundary:
-            continue
-        if not e.d > 0.0:
-            raise ZeroDistance(f"DRG_pm needs positive distances, got edge {e}")
-        entries.append((e.d, edge_weight(g, e, lam, mode) / e.d))
-    if not entries:
-        return 0.0
-    zs = [math.exp(-beta * d) for d, _ in entries]
-    z = sum(zs)
-    return sum(p * ratio for p, (_, ratio) in zip(zs, entries)) / z - 1.0
+    return lam * _drg_pm_slope(g, beta, mode)
+
+
+def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
+    """sum_e p(e) slope_e / d_e over edges with a real end; cached on g."""
+    terms = edge_terms(g, mode)
+    key = ("drg_pm", mode, beta)
+    slope = g._cache.get(key)
+    if slope is None:
+        ps, ratios = [], []
+        for e, (_, d, s, vv) in zip(g.edges, terms):
+            if vv:
+                continue
+            if not d > 0.0:
+                raise ZeroDistance(f"DRG_pm needs positive distances, got edge {e}")
+            ps.append(math.exp(-beta * d))
+            ratios.append(s / d)
+        slope = sum(p * r for p, r in zip(ps, ratios)) / sum(ps) if ps else 0.0
+        g._cache[key] = slope
+    return slope
+
+
+def _toy_terms(g: DefectGraph) -> dict:
+    """frozenset({u, v}) -> (d, raw delta_k) for every edge with a real end;
+    cached per graph."""
+    toy = g._cache.get("toy")
+    if toy is None:
+        toy = {key: (d, dk) for key, d, dk, vv in edge_terms(g, RAW) if not vv}
+        g._cache["toy"] = toy
+    return toy
 
 
 def masd_decode(
@@ -87,16 +112,12 @@ def masd_decode(
     weights = edge_weights(g, lam, mode)
     matching = min_weight_perfect_matching(g, weights)
 
-    distances = {frozenset((e.u, e.v)): e.d for e in g.edges}
+    toy = _toy_terms(g)
     toy_pairs = []
-    for u, v in matching.pairs:
-        vu, vv = g.vertex(u), g.vertex(v)
-        if vu.is_virtual_boundary and vv.is_virtual_boundary:
-            continue
-        d = distances.get(frozenset((u, v)))
-        if not d:
-            continue
-        toy_pairs.append((d, winding_difference(vu, vv)))
+    for pair in matching.pairs:
+        term = toy.get(frozenset(pair))
+        if term is not None and term[0]:
+            toy_pairs.append(term)
     report = RiskReport(
         lam=lam,
         drg_toy=drg_toy(toy_pairs, lam),

@@ -10,6 +10,14 @@ computed exactly in rational arithmetic.  Virtual boundary vertices pair up
 unmatched defects; they carry k = 0 and contribute zero winding difference by
 construction.
 
+An edge's MASD weight d + lam * slope is linear in lambda, with slope = delta_k
+(raw) or delta_k / L (normalized).  ``edge_terms`` computes the
+lambda-independent part, (key, d, slope, virtual-virtual?) for every edge, once
+per graph and mode and caches it on the graph, so scoring a lambda grid does
+the exact rational arithmetic once per instance and only d + lam * slope per
+lambda.  The decoder caches its other lambda-independent terms (DRG_pm slope,
+DRG_toy lookup, DP layout) on the same per-graph dict.
+
 Serialized form (JSON)::
 
     {"vertices": [{"id", "pos": [r, c], "a", "k", "virtual": bool}, ...],
@@ -73,6 +81,8 @@ class DefectGraph:
     edges: tuple[DefectEdge, ...]
     complete: bool = True
     _by_id: dict = field(default=None, compare=False, repr=False)
+    # Lambda-independent decoding terms, filled on first use (see edge_terms).
+    _cache: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         by_id = {}
@@ -84,6 +94,7 @@ class DefectGraph:
             if e.u not in by_id or e.v not in by_id:
                 raise ValueError(f"edge ({e.u!r}, {e.v!r}) references missing vertex")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_cache", {})
 
     def vertex(self, vid: VertexId) -> DefectVertex:
         return self._by_id[vid]
@@ -152,29 +163,53 @@ def winding_difference(u: DefectVertex, v: DefectVertex) -> Fraction:
     return L * abs(Fraction(u.k, u.a) - Fraction(v.k, v.a))
 
 
-def penalized_weight(
-    d: float, delta_k: Fraction, L: int, lam: float, mode: str = NORMALIZED
-) -> float:
-    """d + lam * delta_k (raw) or d + lam * delta_k / L (normalized)."""
+def _check_weight_args(lam: float, mode: str) -> None:
     if lam < 0.0:
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _slope(u: DefectVertex, v: DefectVertex, mode: str) -> float:
+    """Lambda's coefficient in the weight of edge (u, v): delta_k (raw) or
+    delta_k / L (normalized); zero when either end is virtual."""
+    if u.is_virtual_boundary or v.is_virtual_boundary:
+        return 0.0
+    dk = winding_difference(u, v)
     if mode == RAW:
-        return d + lam * float(delta_k)
-    return d + lam * float(Fraction(delta_k, L))
+        return float(dk)
+    return float(Fraction(dk, lcm_order(u.a, v.a)))
+
+
+def edge_terms(g: DefectGraph, mode: str) -> tuple:
+    """(frozenset({u, v}), d, slope, both ends virtual) for every edge of g,
+    in edge order; the weight at lambda is d + lambda * slope.
+
+    Computed once per graph and mode and cached on the graph.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    terms = g._cache.get(mode)
+    if terms is None:
+        rows = []
+        for e in g.edges:
+            u, v = g.vertex(e.u), g.vertex(e.v)
+            vv = u.is_virtual_boundary and v.is_virtual_boundary
+            rows.append((frozenset((e.u, e.v)), e.d, _slope(u, v, mode), vv))
+        terms = g._cache[mode] = tuple(rows)
+    return terms
 
 
 def edge_weight(
     g: DefectGraph, e: DefectEdge, lam: float, mode: str = NORMALIZED
 ) -> float:
-    """MASD cost of one edge; lam = 0 recovers the plain distance d."""
-    u, v = g.vertex(e.u), g.vertex(e.v)
-    dk = winding_difference(u, v)
-    L = 1 if (u.is_virtual_boundary or v.is_virtual_boundary) else lcm_order(u.a, v.a)
-    return penalized_weight(e.d, dk, L, lam, mode)
+    """MASD cost of one edge, d + lam * delta_k (raw) or d + lam * delta_k / L
+    (normalized); lam = 0 recovers the plain distance d."""
+    _check_weight_args(lam, mode)
+    return e.d + lam * _slope(g.vertex(e.u), g.vertex(e.v), mode)
 
 
 def edge_weights(g: DefectGraph, lam: float, mode: str = NORMALIZED) -> dict:
     """Weight table keyed by frozenset({u, v}) for all edges of g."""
-    return {frozenset((e.u, e.v)): edge_weight(g, e, lam, mode) for e in g.edges}
+    _check_weight_args(lam, mode)
+    return {key: d + lam * slope for key, d, slope, _ in edge_terms(g, mode)}

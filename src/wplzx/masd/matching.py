@@ -8,6 +8,11 @@ real defect's retirement cost, so only the real defects enter the DP mask and
 the unused virtuals pair up among themselves afterwards.  Any other virtual
 layout puts every vertex into the same DP with an infinite retirement cost.
 
+Which layout applies, the DP vertex order, each real defect's retirement
+candidates and the edge keys of the DP matrix depend only on the graph, so
+they are computed once per graph and cached on it; each call only looks up
+that call's weights.  A graph with no vertices skips the kernel.
+
 Kernel selection happens at import: the compiled extension is preferred and
 the pure-Python kernel in ``_dp`` is the fallback.
 """
@@ -60,11 +65,10 @@ class Matching:
         return len(self.pairs)
 
 
-def _own_virtual_map(g: DefectGraph, wf) -> dict | None:
-    """Map real id -> (virtual id, cost) when virtuals follow the
-    one-per-defect pattern (each virtual adjacent to at most one real)."""
-    reals = [v.id for v in g.real_vertices]
-    virts = [v.id for v in g.virtual_vertices]
+def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> dict | None:
+    """Map real id -> [(virtual id, edge key), ...], its retirement
+    candidates in order, when virtuals follow the one-per-defect pattern
+    (each virtual adjacent to at most one real); None otherwise."""
     if len(virts) < len(reals):
         return None
     real_set = set(reals)
@@ -76,13 +80,29 @@ def _own_virtual_map(g: DefectGraph, wf) -> dict | None:
             attached[e.u].append(e.v)
     if any(len(r) > 1 for r in attached.values()):
         return None
-    out: dict[VertexId, tuple] = {}
+    out: dict[VertexId, list] = {}
     for virt, rs in attached.items():
         for r in rs:
-            cost = wf(r, virt)
-            if r not in out or cost < out[r][1]:
-                out[r] = (virt, cost)
+            out.setdefault(r, []).append((virt, frozenset((r, virt))))
     return out
+
+
+def _layout(g: DefectGraph) -> tuple:
+    """(DP vertex ids, virtual ids left to pair among themselves, retirement
+    candidates per real id, row indices, column indices and edge keys of the
+    DP matrix's upper triangle); computed once per graph and cached on it."""
+    layout = g._cache.get("layout")
+    if layout is None:
+        ids = [v.id for v in g.real_vertices]
+        virts = [v.id for v in g.virtual_vertices]
+        retire = _own_virtuals(g, ids, virts) if virts else {}
+        if retire is None:
+            # Arbitrary virtual layout: every vertex enters the DP, none retires.
+            ids, virts, retire = [v.id for v in g.vertices], [], {}
+        rows, cols = np.triu_indices(len(ids), 1)
+        keys = [frozenset((ids[i], ids[j])) for i, j in zip(rows, cols)]
+        layout = g._cache["layout"] = (ids, virts, retire, rows, cols, keys)
+    return layout
 
 
 def min_weight_perfect_matching(
@@ -97,27 +117,28 @@ def min_weight_perfect_matching(
     the cap, greedy otherwise; ``require_exact`` turns the fallback into an
     error.  Raises OddVertexCount when no perfect matching can exist.
     """
-    wf = _weight_fn(weights)
-    ids = [v.id for v in g.real_vertices]  # the DP vertices
-    virts = [v.id for v in g.virtual_vertices]
-    if (len(ids) + len(virts)) % 2 != 0:
-        raise OddVertexCount(f"{len(ids) + len(virts)} vertices cannot be perfectly matched")
-
-    own = _own_virtual_map(g, wf) if virts else {}
-    if own is None:
-        # Arbitrary virtual layout: every vertex enters the DP, none retires.
-        ids, virts, own = [v.id for v in g.vertices], [], {}
+    if len(g.vertices) % 2 != 0:
+        raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
+    if not g.vertices:
+        return Matching((), 0.0, exact=True)
+    ids, virts, retire, rows, cols, keys = _layout(g)
+    own: dict[VertexId, tuple] = {}  # real id -> (virtual id, retirement cost)
+    for r, candidates in retire.items():
+        for virt, key in candidates:
+            cost = float(weights.get(key, math.inf))
+            if r not in own or cost < own[r][1]:
+                own[r] = (virt, cost)
 
     n = len(ids)
     if n > DP_VERTEX_CAP:
         if require_exact:
             raise TooLargeForExact(f"{n} DP vertices exceed the exact cap {DP_VERTEX_CAP}")
-        return _greedy(ids, virts, wf, own)
+        return _greedy(ids, virts, _weight_fn(weights), own)
 
     w = np.full((n, n), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = wf(ids[i], ids[j])
+    costs = [weights.get(key, math.inf) for key in keys]
+    w[rows, cols] = costs
+    w[cols, rows] = costs
     boundary = np.array([own.get(r, (None, np.inf))[1] for r in ids])
     cost, choice = _kernel.solve_dense(w, boundary)
     if not math.isfinite(cost):

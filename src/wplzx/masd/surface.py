@@ -291,12 +291,18 @@ def sample_surface_code(
     return sample, graph
 
 
-def correction_from_matching(code: RotatedSurfaceCode, matching: Matching) -> set[int]:
-    """Error chain realizing the matched pairing (XOR of witness paths)."""
+def correction_from_matching(
+    code: RotatedSurfaceCode, matching: Matching, graph: DefectGraph
+) -> set[int]:
+    """Error chain realizing the matched pairing (XOR of witness paths).
+
+    ``graph`` is the decoded defect graph; its ``is_virtual_boundary`` flags
+    tell which end of a pair is a boundary partner.
+    """
     correction: set[int] = set()
     for u, v in matching.pairs:
-        u_virtual = isinstance(u, str)
-        v_virtual = isinstance(v, str)
+        u_virtual = graph.vertex(u).is_virtual_boundary
+        v_virtual = graph.vertex(v).is_virtual_boundary
         if u_virtual and v_virtual:
             continue
         if u_virtual or v_virtual:
@@ -309,14 +315,21 @@ def correction_from_matching(code: RotatedSurfaceCode, matching: Matching) -> se
 
 
 def logical_failure(
-    code: RotatedSurfaceCode, sample: SurfaceSample, matching: Matching
+    code: RotatedSurfaceCode,
+    sample: SurfaceSample,
+    matching: Matching,
+    graph: DefectGraph | None = None,
 ) -> bool:
     """True when error + correction flips the logical operator.
 
-    The composite is syndrome-free by construction; failure is odd overlap
-    with the logical Z row (an odd number of lattice crossings).
+    ``graph`` is the defect graph the matching was decoded on; it defaults to
+    the one ``sample_surface_code`` builds for the sample's syndrome.  The
+    composite is syndrome-free by construction; failure is odd overlap with
+    the logical Z row (an odd number of lattice crossings).
     """
-    composite = set(sample.x_errors) ^ correction_from_matching(code, matching)
+    if graph is None:
+        graph = defect_graph_for(code, sample.syndrome, WindingModel(kind=CONSTANT), None)
+    composite = set(sample.x_errors) ^ correction_from_matching(code, matching, graph)
     flipped = np.zeros(code.n_data, dtype=bool)
     for q in composite:
         flipped[q] = True
@@ -358,7 +371,7 @@ def lambda_sweep(
         toys, pms, costs = [], [], []
         for sample, graph in instances:
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
-            if logical_failure(code, sample, matching):
+            if logical_failure(code, sample, matching, graph):
                 failures += 1
             toys.append(report.drg_toy)
             pms.append(report.drg_pm)

@@ -412,10 +412,12 @@ def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> D
 def potential(d: Diagram, eps: float = POTENTIAL_EPS) -> float:
     """Termination potential: curvature mismatch over adjacent same-color
     pairs plus eps per spider.  Strictly decreases under accepted fusions."""
-    pairs = {frozenset(p) for p in dg.same_color_pairs(d)}
+    # Summed in id order: set order follows PYTHONHASHSEED for string ids.
+    pairs = sorted(
+        set(dg.same_color_pairs(d)), key=lambda p: (dg._id_key(p[0]), dg._id_key(p[1]))
+    )
     total = 0.0
-    for pair in pairs:
-        u, v = tuple(pair)
+    for u, v in pairs:
         au, av = d.node(u).label.grid, d.node(v).label.grid
         total += abs(2.0 / au**2 - 2.0 / av**2)
     return total + eps * len(d.spiders)

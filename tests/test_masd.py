@@ -418,6 +418,91 @@ def test_drg_monotone_nondecreasing_in_lambda():
             assert pms[-1] > 0.0
 
 
+def _random_decoding_graph(rng, layout: int) -> DefectGraph:
+    """Random reals with (a, k) labels and their virtual partners.
+
+    layout 0: one virtual per real (the sampled pattern); 1: one or two
+    virtuals, each adjacent to two reals (an arbitrary layout); 2: no
+    virtuals; 3: 17 reals with one virtual each, past DP_VERTEX_CAP.
+    Virtuals are pairwise joined, at zero or positive distance, so every
+    layout admits a perfect matching.
+    """
+    n_real = {2: 2 * int(rng.integers(1, 4)), 3: 17}.get(layout, int(rng.integers(2, 7)))
+    n_virt = {1: n_real % 2 or 2, 2: 0}.get(layout, n_real)
+    reals = [vert(i, int(rng.integers(1, 10)), int(rng.integers(0, 7))) for i in range(n_real)]
+    virts = [vert(f"b{i}", int(rng.integers(1, 4)), 0, virtual=True) for i in range(n_virt)]
+    edges = [
+        DefectEdge(i, j, float(rng.uniform(0.2, 4.0)))
+        for i in range(n_real) for j in range(i + 1, n_real)
+    ]
+    for b in range(n_virt):
+        touched = rng.choice(n_real, size=2, replace=False) if layout == 1 else [b]
+        edges += [DefectEdge(int(r), f"b{b}", float(rng.uniform(0.2, 4.0))) for r in touched]
+        for c in range(b + 1, n_virt):
+            edges.append(DefectEdge(f"b{b}", f"b{c}", float(rng.choice([0.0, 0.5]))))
+    return DefectGraph(tuple(reals + virts), tuple(edges))
+
+
+def _boltzmann_mean_ratio(g: DefectGraph, lam: float, beta: float, mode: str) -> float:
+    """sum_e p(e) w_lam(e)/w_0(e) over edges with a real end, edge by edge
+    from the definition; DRG_pm is this minus 1."""
+    num = z = 0.0
+    for e in g.edges:
+        u, v = g.vertex(e.u), g.vertex(e.v)
+        if u.is_virtual_boundary and v.is_virtual_boundary:
+            continue
+        penalty = 0.0
+        if not (u.is_virtual_boundary or v.is_virtual_boundary):
+            grid = math.lcm(u.a, v.a)
+            dk = grid * abs(Fraction(u.k, u.a) - Fraction(v.k, v.a))
+            penalty = float(dk if mode == RAW else dk / grid)
+        p = math.exp(-beta * e.d)
+        num += p * (e.d + lam * penalty) / e.d
+        z += p
+    return num / z
+
+
+def test_cached_terms_give_fresh_results():
+    """Decoding one graph at repeated, shuffled lambdas gives what a fresh copy
+    gives at each lambda, and every check still fires on a warm cache."""
+    for seed in range(100):
+        rng = np.random.default_rng(5000 + seed)
+        g = _random_decoding_graph(rng, seed % 4)
+        text, digest = g.serialize(), hash(g)
+        for mode in (RAW, NORMALIZED):
+            for beta in (0.5, 1.0):
+                fresh, want = {}, {}
+                for lam in (0.0, 0.25, 0.5):
+                    copy = DefectGraph.deserialize(text)
+                    fresh[lam] = masd_decode(copy, lam, mode=mode, beta=beta)
+                    want[lam] = _boltzmann_mean_ratio(copy, lam, beta, mode)
+                for lam in (0.5, 0.0, 0.25, 0.0, 0.5):
+                    m, rep = masd_decode(g, lam, mode=mode, beta=beta)
+                    m_fresh, rep_fresh = fresh[lam]
+                    assert (m.pairs, m.exact, m.total_cost) == (
+                        m_fresh.pairs, m_fresh.exact, m_fresh.total_cost
+                    )
+                    assert rep == rep_fresh
+                    assert m.exact == (seed % 4 != 3)
+                    assert rep.drg_pm + 1.0 == pytest.approx(want[lam], rel=1e-12, abs=0.0)
+                    if lam == 0.0:
+                        assert rep.drg_pm == 0.0
+        for _ in range(2):
+            with pytest.raises(NegativeLambda):
+                masd_decode(g, -0.1)
+            with pytest.raises(NegativeLambda):
+                edge_weights(g, -0.1, RAW)
+            with pytest.raises(NegativeLambda):
+                drg_pm(g, -0.1, 1.0)
+            with pytest.raises(ValueError):
+                edge_weights(g, 0.1, "bogus")
+        zero = DefectGraph(g.vertices, (DefectEdge(0, 1, 0.0),) + g.edges[1:])
+        for _ in range(2):
+            with pytest.raises(ZeroDistance):
+                masd_decode(zero, 0.5, mode=RAW)
+        assert hash(g) == digest and g == DefectGraph.deserialize(text)
+
+
 def test_defect_graph_serialization_roundtrip():
     vs = [vert(0, 8, 2, pos=(0.5, 1.5)), vert("b0", 1, 0, virtual=True, pos=(0.5, -0.5))]
     g = DefectGraph(tuple(vs), (DefectEdge(0, "b0", 1.0),))

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -509,6 +513,43 @@ def test_potential_on_canonical_diagram():
 def test_potential_curvature_term():
     d = chain(spider(0, dg.Z, a=2), spider(1, dg.Z, a=4))
     assert potential(d) == pytest.approx(abs(0.5 - 0.125) + 2e-6)
+
+
+_POTENTIAL_DIGEST = """
+import hashlib
+from conftest import random_small_diagram
+from wplzx import diagram as dg
+from wplzx.rewrite import potential
+
+reprs = []
+for seed in range(40):
+    obj = dg.to_json_obj(random_small_diagram(seed))
+    for node in obj["nodes"]:
+        node["id"] = f"n{node['id']}"
+    for wire in obj["wires"]:
+        for ep in wire:
+            if "node" in ep:
+                ep["node"] = f"n{ep['node']}"
+    reprs.append(repr(potential(dg.from_json_obj(obj))))
+print(hashlib.sha256(" ".join(reprs).encode()).hexdigest())
+"""
+
+
+def test_potential_independent_of_hash_seed():
+    """With string node ids, set iteration order follows PYTHONHASHSEED; the
+    potential must not (curvature_guided_normalize compares it with <)."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    digests = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _POTENTIAL_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_potential_decreases_under_accepted_guided_fusions():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wplzx.errors import ConfigInvalid, InvalidDistance
 from wplzx.masd import (
+    DefectEdge,
+    DefectGraph,
     WindingModel,
     build_code,
     correction_from_matching,
@@ -84,14 +88,22 @@ def test_bfs_distances_match_manhattan_in_bulk():
                 assert bfs == int(round(manhattan))
 
 
-def test_p_zero_no_defects_trivial_decode(code3):
+def test_p_zero_no_defects_trivial_decode(code3, monkeypatch):
+    from wplzx.masd import matching as matching_module
+
+    kernel = matching_module._kernel
+    solve, calls = kernel.solve_dense, []
+    monkeypatch.setattr(kernel, "solve_dense", lambda *args: calls.append(1) or solve(*args))
     for trial in range(50):
         sample, graph = sample_surface_code(3, 0.0, seed=123, trial=trial)
         assert sample.syndrome == ()
         assert len(graph.vertices) == 0
         matching, report = masd_decode(graph, 0.5)
-        assert matching.pairs == ()
+        assert matching == matching_module.Matching((), 0.0, exact=True)
         assert not logical_failure(code3, sample, matching)
+    assert calls == []  # no defects, no kernel call
+    masd_decode(sample_surface_code(3, 0.2, seed=123, trial=1)[1], 0.5)
+    assert calls == [1]
 
 
 def test_sampling_deterministic_per_seed():
@@ -107,7 +119,7 @@ def test_correction_clears_syndrome(code3):
     for trial in range(80):
         sample, graph = sample_surface_code(3, 0.12, seed=77, trial=trial)
         matching, _ = masd_decode(graph, 0.2)
-        corr = correction_from_matching(code3, matching)
+        corr = correction_from_matching(code3, matching, graph)
         composite = set(sample.x_errors) ^ corr
         errs = np.zeros(9, dtype=bool)
         for q in composite:
@@ -115,6 +127,42 @@ def test_correction_clears_syndrome(code3):
         assert code3.z_syndrome(errs) == ()
         # logical_failure runs its own residual assertion internally
         logical_failure(code3, sample, matching)
+
+
+def test_correction_reads_virtual_flags_not_id_types():
+    """Boundary partners renamed to int ids decode and correct exactly like
+    the sampled "b<check>" ids."""
+    code = build_code(5)
+
+    def new_id(vid):
+        return 100 + int(vid[1:]) if isinstance(vid, str) else vid
+
+    def renamed(graph):
+        return DefectGraph(
+            tuple(dataclasses.replace(v, id=new_id(v.id)) for v in graph.vertices),
+            tuple(DefectEdge(new_id(e.u), new_id(e.v), e.d) for e in graph.edges),
+        )
+
+    def real_pairs(matching, graph):
+        return {
+            frozenset(map(new_id, pair))
+            for pair in matching.pairs
+            if not all(graph.vertex(x).is_virtual_boundary for x in pair)
+        }
+
+    instances = [sample_surface_code(5, 0.12, seed=41, trial=t) for t in range(40)]
+    twins = [(sample, renamed(graph)) for sample, graph in instances]
+    for (sample, graph), (_, twin) in zip(instances, twins):
+        m, _ = masd_decode(graph, 0.25)
+        m_twin, _ = masd_decode(twin, 0.25)
+        assert m_twin.total_cost == m.total_cost
+        assert real_pairs(m_twin, twin) == real_pairs(m, graph)
+        assert correction_from_matching(code, m_twin, twin) == correction_from_matching(
+            code, m, graph
+        )
+        assert logical_failure(code, sample, m_twin, twin) == logical_failure(code, sample, m)
+    lams = [0.0, 0.25]
+    assert lambda_sweep(twins, lams, code=code) == lambda_sweep(instances, lams, code=code)
 
 
 def test_single_error_always_corrected(code3):
