@@ -11,10 +11,8 @@ layout puts every vertex into the same DP with an infinite retirement cost.
 Which layout applies, the DP vertex order, each real defect's retirement
 candidates and the edge keys of the DP matrix depend only on the graph, so
 they are computed once per graph and cached on it; each call only looks up
-that call's weights.  A graph with no vertices skips the kernel.
-
-Kernel selection happens at import: the compiled extension is preferred and
-the pure-Python kernel in ``_dp`` is the fallback.
+that call's weights, as Python lists for the pure-Python kernel in ``_dp``.
+A graph with no vertices skips the kernel.
 """
 
 from __future__ import annotations
@@ -23,23 +21,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import numpy as np
-
 from ..errors import OddVertexCount, TooLargeForExact
 from . import _dp
 from .graph import DefectGraph, VertexId
 
 DP_VERTEX_CAP = 16
 
-try:
-    from . import _dpmatch as _kernel  # type: ignore[no-redef]
-except ImportError:
-    _kernel = _dp
+# The kernel module under the name profilers and tests patch ``solve_dense`` on.
+_kernel = _dp
 
 
 def kernel_name() -> str:
-    """Which DP kernel is active: 'compiled' or 'pure'."""
-    return "compiled" if _kernel.__name__.endswith("_dpmatch") else "pure"
+    """The DP kernel in use: always 'pure', the pure-Python subset DP in
+    ``_dp``."""
+    return "pure"
 
 
 def _weight_fn(weights: Mapping) -> Callable[[VertexId, VertexId], float]:
@@ -89,8 +84,8 @@ def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> dict | None:
 
 def _layout(g: DefectGraph) -> tuple:
     """(DP vertex ids, virtual ids left to pair among themselves, retirement
-    candidates per real id, row indices, column indices and edge keys of the
-    DP matrix's upper triangle); computed once per graph and cached on it."""
+    candidates per real id, (i, j) cells and edge keys of the DP matrix's
+    upper triangle); computed once per graph and cached on it."""
     layout = g._cache.get("layout")
     if layout is None:
         ids = [v.id for v in g.real_vertices]
@@ -99,9 +94,10 @@ def _layout(g: DefectGraph) -> tuple:
         if retire is None:
             # Arbitrary virtual layout: every vertex enters the DP, none retires.
             ids, virts, retire = [v.id for v in g.vertices], [], {}
-        rows, cols = np.triu_indices(len(ids), 1)
-        keys = [frozenset((ids[i], ids[j])) for i, j in zip(rows, cols)]
-        layout = g._cache["layout"] = (ids, virts, retire, rows, cols, keys)
+        n = len(ids)
+        cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keys = [frozenset((ids[i], ids[j])) for i, j in cells]
+        layout = g._cache["layout"] = (ids, virts, retire, cells, keys)
     return layout
 
 
@@ -121,7 +117,7 @@ def min_weight_perfect_matching(
         raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
     if not g.vertices:
         return Matching((), 0.0, exact=True)
-    ids, virts, retire, rows, cols, keys = _layout(g)
+    ids, virts, retire, cells, keys = _layout(g)
     own: dict[VertexId, tuple] = {}  # real id -> (virtual id, retirement cost)
     for r, candidates in retire.items():
         for virt, key in candidates:
@@ -135,12 +131,11 @@ def min_weight_perfect_matching(
             raise TooLargeForExact(f"{n} DP vertices exceed the exact cap {DP_VERTEX_CAP}")
         return _greedy(ids, virts, _weight_fn(weights), own)
 
-    w = np.full((n, n), np.inf)
-    costs = [weights.get(key, math.inf) for key in keys]
-    w[rows, cols] = costs
-    w[cols, rows] = costs
-    boundary = np.array([own.get(r, (None, np.inf))[1] for r in ids])
-    cost, choice = _kernel.solve_dense(w, boundary)
+    w = [[math.inf] * n for _ in range(n)]
+    for (i, j), key in zip(cells, keys):
+        w[i][j] = w[j][i] = weights.get(key, math.inf)
+    boundary = [own[r][1] if r in own else math.inf for r in ids]
+    cost, choice = _dp.solve_dense(w, boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
     moves = _dp.reconstruct(choice, n)

@@ -93,7 +93,10 @@ class RotatedSurfaceCode:
 
     def z_syndrome(self, x_errors: np.ndarray) -> tuple[int, ...]:
         """Indices of Z checks with odd overlap with the error support."""
-        flipped = {int(q) for q in np.flatnonzero(x_errors)}
+        return self._odd_z_checks({int(q) for q in np.flatnonzero(x_errors)})
+
+    def _odd_z_checks(self, flipped: set[int]) -> tuple[int, ...]:
+        """Indices of Z checks with odd overlap with a set of flipped qubits."""
         return tuple(
             p.index for p in self.z_checks if len(p.qubits & flipped) % 2 == 1
         )
@@ -330,10 +333,7 @@ def logical_failure(
     if graph is None:
         graph = defect_graph_for(code, sample.syndrome, WindingModel(kind=CONSTANT), None)
     composite = set(sample.x_errors) ^ correction_from_matching(code, matching, graph)
-    flipped = np.zeros(code.n_data, dtype=bool)
-    for q in composite:
-        flipped[q] = True
-    assert not code.z_syndrome(flipped), "correction left residual syndrome"
+    assert not code._odd_z_checks(composite), "correction left residual syndrome"
     return len(composite & code.logical_z_row) % 2 == 1
 
 

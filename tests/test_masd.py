@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +33,7 @@ from wplzx.masd import (
     min_weight_perfect_matching,
     winding_difference,
 )
+from wplzx.masd import _dp
 from wplzx.masd.matching import _greedy, _weight_fn
 
 
@@ -310,22 +313,174 @@ def test_matching_cap_and_greedy_flag():
     assert sorted(x for p in m.pairs for x in p) == list(range(n))
 
 
-def test_compiled_and_pure_kernels_agree():
-    from wplzx.masd import _dp
+def _kernel_instance(kind, n, seed):
+    """Seeded DP kernel input as lists: (n x n weights, n retirement costs).
 
-    try:
-        from wplzx.masd import _dpmatch
-    except ImportError:
-        pytest.skip("compiled kernel unavailable")
-    rng = np.random.default_rng(17)
-    for n in (2, 4, 6, 8, 10, 12):
-        w = rng.uniform(0.1, 9.0, size=(n, n))
-        w = (w + w.T) / 2
-        boundary = rng.uniform(0.1, 9.0, size=n)
-        c1, ch1 = _dp.solve_dense(w, boundary)
-        c2, ch2 = _dpmatch.solve_dense(w, boundary)
-        assert c1 == pytest.approx(c2, abs=1e-12)
-        assert np.array_equal(ch1, ch2)
+    uniform: real weights in [0.1, 9); ties: integers 0..3, so many matchings
+    tie; inf: integers with about 30% of edges and 40% of retirements +inf;
+    none: only vertex 0 can be covered, so there is no perfect cover.
+    """
+    rng = random.Random(f"{kind}-{n}-{seed}")
+    if kind == "none":
+        return [[math.inf] * n for _ in range(n)], [1.0] + [math.inf] * (n - 1)
+
+    def draw():
+        return rng.uniform(0.1, 9.0) if kind == "uniform" else float(rng.randint(0, 3))
+
+    w = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw()
+            if kind == "inf" and rng.random() < 0.3:
+                x = math.inf
+            w[i][j] = w[j][i] = x
+    boundary = [draw() for _ in range(n)]
+    if kind == "inf":
+        boundary = [math.inf if rng.random() < 0.4 else b for b in boundary]
+    return w, boundary
+
+
+# (kind, n, seed, repr(cost), sha256 of repr([int(c) for c in choice]),
+# reconstruct's moves or None when it finds no perfect cover).  Produced by the
+# numpy-array kernel that the list kernel replaced; both must agree bit for bit.
+KERNEL_GOLDEN = [
+    ('uniform', 1, 0, '4.114488460700486',
+     '0f2dd137fb3962dc6a7823f62bf9c67f2b4312e075df89f04af7adb266d61080',
+     [(0, -1)]),
+    ('uniform', 2, 0, '8.62516644385257',
+     '35f30372e247c1ca7c445b18756027e972482cdd4cb0d848a77fb16b705c5ec9',
+     [(0, 1)]),
+    ('uniform', 3, 0, '3.5526824100574586',
+     '10c2e52fd9375d2f298ed6445d74eda9619e6c973484420ecd31a346baa26165',
+     [(0, 2), (1, -1)]),
+    ('uniform', 4, 0, '3.3746165110157404',
+     'af9fa4fa82294571e91fe1b6add837e1ac4f7db3343c7171e231fbb0246b8f45',
+     [(0, 3), (1, 2)]),
+    ('uniform', 5, 0, '7.1786020054272175',
+     '735bd55ad6612b842d3effcab38f936530c567e902346106976c133c48a18683',
+     [(0, 3), (1, 2), (4, -1)]),
+    ('uniform', 6, 0, '10.37745893954593',
+     '76c8f0a9b4ae0c1382d633d6a176bf65972854e0b6c664d3f9187fdcd35cd47d',
+     [(0, 1), (2, 5), (3, -1), (4, -1)]),
+    ('uniform', 7, 0, '6.49937212086811',
+     'a71133c0340fda4e9479f7a069d7b9b0b5d16d54cfb1a5da4ae27d41c2231467',
+     [(0, -1), (1, 4), (2, 6), (3, 5)]),
+    ('uniform', 8, 0, '8.032075780140957',
+     'bb8d6d74d070b05477cce0af303857c31e25ef06e0bdd9f9fefc6544ff0319fd',
+     [(0, 4), (1, 2), (3, 5), (6, 7)]),
+    ('uniform', 9, 0, '7.7431846542011655',
+     '2dbd999eb8580b39a25c80c8eba438682b75609bc7285c4df8d44a035a84eda0',
+     [(0, 3), (1, 6), (2, 8), (4, -1), (5, 7)]),
+    ('uniform', 10, 0, '4.5709705299839705',
+     'b230f6bf18d2ee19f1e30f430f5e3212f3356a8649707ea6e2772e8befbe5352',
+     [(0, 4), (1, 3), (2, 9), (5, 7), (6, 8)]),
+    ('uniform', 11, 0, '6.2784245001967385',
+     'fbe49fca3b7e85cdeb4add14717684681b6675489e236d0ce6315f7070ae77fa',
+     [(0, 10), (1, 6), (2, 9), (3, 8), (4, 7), (5, -1)]),
+    ('uniform', 12, 0, '8.713993951634698',
+     'e80d2110ac7c3ac6c6e332de1662146bc80a8eb6edaad27360e3b8dffcdd777e',
+     [(0, 1), (2, 7), (3, 8), (4, 6), (5, 11), (9, 10)]),
+    ('uniform', 13, 0, '10.991656966913329',
+     '65d872f10c2d7fd2caf1abe3a1dd11b7680ed987bede92f680c9ad0b60bd647f',
+     [(0, 3), (1, 11), (2, 4), (5, 8), (6, 7), (9, -1), (10, 12)]),
+    ('uniform', 14, 0, '5.373178946977953',
+     '9007f9d9082b4aa8a66aaf53745a00fa4f9e85a8a6abf885b573e0be5c826cf5',
+     [(0, 6), (1, 4), (2, 5), (3, 7), (8, 12), (9, 10), (11, 13)]),
+    ('uniform', 15, 0, '6.326378577000794',
+     '2ea2b92828d1598b18c01e4808d7c2a4386e1d67fb43e9f9b2778a8e0ecfa8f1',
+     [(0, 2), (1, 7), (3, 12), (4, 10), (5, 13), (6, 14), (8, 11), (9, -1)]),
+    ('uniform', 16, 0, '5.485412501873937',
+     '09378d380b363f8f9fcdd09a28fee7948bc3efd3758a12768ff9fd92539c275c',
+     [(0, 1), (2, 3), (4, 6), (5, 11), (7, 9), (8, 12), (10, 13), (14, 15)]),
+    ('ties', 2, 1, '0.0',
+     '35f30372e247c1ca7c445b18756027e972482cdd4cb0d848a77fb16b705c5ec9',
+     [(0, 1)]),
+    ('ties', 3, 1, '3.0',
+     '04afe9cc768974d5a4844ca0072ba60f4dfd514f4dc2e95e5d010d8d6add53da',
+     [(0, -1), (1, 2)]),
+    ('ties', 4, 1, '1.0',
+     '0d1a59300588b3343826aecc26bfe627ad0b57a892f18e92dff850017b86b808',
+     [(0, 2), (1, 3)]),
+    ('ties', 5, 1, '0.0',
+     'c9a8532ab6de9517b8fa071bf808d372b00261e3b85495aeed89ec92b0c7cbee',
+     [(0, 3), (1, 4), (2, -1)]),
+    ('ties', 6, 1, '2.0',
+     'a29a84f6d6a9167cf5981e870fcf723fa1e74c2a6a8c6c0a86cef7a54ad0b560',
+     [(0, 2), (1, 5), (3, 4)]),
+    ('ties', 7, 1, '2.0',
+     'e7b64ee8e36186e6cf9a82f8c565f617ec26e1da2c5665163817044a96ec9614',
+     [(0, 2), (1, 4), (3, 6), (5, -1)]),
+    ('ties', 8, 1, '0.0',
+     '4892467897bfa6cc82a137da5e43dff48f8c1e373c19f475adf98dc054a84fad',
+     [(0, -1), (1, -1), (2, 6), (3, 4), (5, 7)]),
+    ('ties', 9, 1, '1.0',
+     'aac89ce681d7c560afc5a560d2300aa9a71876e74b10cf78adb3e97fdc32ade0',
+     [(0, 1), (2, 8), (3, 6), (4, -1), (5, 7)]),
+    ('ties', 10, 1, '0.0',
+     '3ef128a0d03b6522f310aafb23b55b0eee3c737b96b7a3e1ec7644ccc96d6cf9',
+     [(0, 2), (1, 5), (3, 6), (4, -1), (7, -1), (8, 9)]),
+    ('ties', 12, 1, '1.0',
+     '5f6b34704db6751279fee3e686b7124ed6149902a5730bc3dc111ac0b951020a',
+     [(0, 4), (1, 3), (2, -1), (5, 6), (7, -1), (8, 10), (9, 11)]),
+    ('ties', 14, 1, '1.0',
+     'b98ca1f58ea7820618ce18843db09a561ff42d2dc771f2549971c9bf6a6f4524',
+     [(0, 8), (1, 7), (2, 9), (3, 5), (4, 10), (6, 12), (11, 13)]),
+    ('ties', 16, 1, '0.0',
+     '34dc48109d148266b756b772f808c3759d7643e68c6fbb7c3854c476d840b2e5',
+     [(0, 11), (1, 2), (3, 4), (5, 7), (6, 14), (8, 12), (9, 13), (10, 15)]),
+    ('inf', 2, 2, '1.0',
+     'f593bee6e243c0cecf5de74d4458da6fb9bd3088aa367ac8bfd98030e1645061',
+     [(0, -1), (1, -1)]),
+    ('inf', 3, 2, '5.0',
+     '136d40e2a47b0ab06786a49d81eed7a4664b570ee49d48561053a6348dc55115',
+     [(0, -1), (1, 2)]),
+    ('inf', 4, 2, '2.0',
+     '4b8c04074bfd3671d23597c64fa2e70a9dbac1c2c506a9b5d67d0eb24b8cb080',
+     [(0, 2), (1, 3)]),
+    ('inf', 5, 2, '2.0',
+     'ab63bd456bf9b3827d7cfdb0b68cc66aada7ab3874ff75e6ba19c517349d06cb',
+     [(0, 2), (1, 3), (4, -1)]),
+    ('inf', 6, 2, '5.0',
+     '934dcd28a65db17edace084b08f672bd533e44ef5ca9d59d7b2b11c9058aedbb',
+     [(0, 2), (1, 4), (3, 5)]),
+    ('inf', 7, 2, '1.0',
+     '4f2b90deee1fb7ace98e9aaaca0b214e5cab29ae9232683eb5da261220e39495',
+     [(0, 2), (1, 6), (3, 5), (4, -1)]),
+    ('inf', 8, 2, '1.0',
+     '585fc58a0958c3d4f4807f9a495ab0359c0d3070707a9de4a7dc92df04321069',
+     [(0, 4), (1, 2), (3, 7), (5, 6)]),
+    ('inf', 10, 2, '3.0',
+     '5f09434e52a737aa7129682c2c12f6fc252504a624a5ab26857f7f06c7346394',
+     [(0, 7), (1, 3), (2, 6), (4, 5), (8, 9)]),
+    ('inf', 12, 2, '1.0',
+     '86d313899c2ab215925d7ff5be78978509eb2cc1f68b0f722b99db9d7a09c1cb',
+     [(0, 4), (1, 10), (2, 3), (5, 6), (7, 8), (9, 11)]),
+    ('inf', 15, 2, '2.0',
+     'a4a2fa03587e65e78590e9c21258daf16f987c2a3e0772ec9dc0e0de84076bcb',
+     [(0, 8), (1, 7), (2, -1), (3, 11), (4, 9), (5, 10), (6, 12), (13, 14)]),
+    ('inf', 16, 2, '1.0',
+     'a94798061f52969e65285e71004a2c76c48963a8d924f575f956796f7b1d07f9',
+     [(0, 14), (1, 11), (2, -1), (3, 12), (4, 9), (5, -1), (6, 8), (7, 13), (10, -1), (15, -1)]),
+    ('none', 3, 3, 'inf',
+     'd74608920775336de0d125f446018b990d234af1690774a266bc145046fd9f54',
+     None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,seed,cost,choice_sha,moves", KERNEL_GOLDEN, ids=[f"{c[0]}-{c[1]}" for c in KERNEL_GOLDEN]
+)
+def test_kernel_golden_output(kind, n, seed, cost, choice_sha, moves):
+    w, boundary = _kernel_instance(kind, n, seed)
+    got_cost, choice = _dp.solve_dense(w, boundary)
+    assert repr(got_cost) == cost
+    digest = hashlib.sha256(repr([int(c) for c in choice]).encode()).hexdigest()
+    assert digest == choice_sha
+    if moves is None:
+        with pytest.raises(ValueError):
+            _dp.reconstruct(choice, n)
+    else:
+        assert _dp.reconstruct(choice, n) == moves
 
 
 # --- decode and risk metrics ---

@@ -129,6 +129,30 @@ def test_correction_clears_syndrome(code3):
         logical_failure(code3, sample, matching)
 
 
+def test_logical_failure_rejects_residual_syndrome(code3, monkeypatch):
+    """Every data qubit sits in at least one Z check, so a correction missing
+    one qubit leaves a syndrome, and logical_failure's check must fire."""
+    from wplzx.masd import surface
+
+    full = surface.correction_from_matching
+
+    def drop_one(code, matching, graph):
+        corr = full(code, matching, graph)
+        return corr - {min(corr)}
+
+    monkeypatch.setattr(surface, "correction_from_matching", drop_one)
+    fired = 0
+    for trial in range(40):
+        sample, graph = sample_surface_code(3, 0.12, seed=77, trial=trial)
+        matching, _ = masd_decode(graph, 0.2)
+        if not full(code3, matching, graph):
+            continue
+        with pytest.raises(AssertionError, match="residual syndrome"):
+            logical_failure(code3, sample, matching, graph)
+        fired += 1
+    assert fired > 0
+
+
 def test_correction_reads_virtual_flags_not_id_types():
     """Boundary partners renamed to int ids decode and correct exactly like
     the sampled "b<check>" ids."""
