@@ -469,7 +469,12 @@ def main(argv=None) -> int:
             cfg_path = argv[idx + 1]
         except IndexError:
             parser.error("--config needs a path")
-        overrides = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+        try:
+            overrides = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {cfg_path}: {exc}")
+        if not isinstance(overrides, dict):
+            parser.error(f"--config {cfg_path}: top-level value must be an object")
         for sp in SUBPARSERS.values():
             known = {a.dest for a in sp._actions}
             sp.set_defaults(**{k: v for k, v in overrides.items() if k in known})

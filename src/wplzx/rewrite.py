@@ -13,6 +13,11 @@ theta_u + theta_v.  The lifting is associative, so one routine fuses a whole
 group in one step: ``fuse_pair`` passes two spiders, the normalizer every
 region in the order pairwise fusion would absorb it.  Every rewrite is
 recorded, pairwise, in a replayable trace.
+
+Replay (``apply_trace``) batches the same way: each run of consecutive
+``fuse`` and ``normalize-label`` entries becomes one group fusion and one
+``build``, so replay is linear in the trace, while every entry is still
+checked on its own against the state the entries before it left.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import (
     ColorMismatch,
     NotConnected,
     NotIdentity,
+    ParseError,
     TraceReplayError,
 )
 from .phase import (
@@ -96,12 +102,19 @@ class TraceEntry:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> TraceEntry:
+    def from_json(cls, obj) -> TraceEntry:
+        if not isinstance(obj, dict):
+            raise ParseError("trace entry must be an object")
+        if "rule" not in obj:
+            raise ParseError("trace entry needs a 'rule'")
+        for key in ("consumed", "produced"):
+            if not isinstance(obj.get(key), list):
+                raise ParseError(f"trace entry needs a '{key}' list")
+        detail = obj.get("detail", {})
+        if not isinstance(detail, dict):
+            raise ParseError("trace entry 'detail' must be an object")
         return cls(
-            str(obj["rule"]),
-            tuple(obj["consumed"]),
-            tuple(obj["produced"]),
-            dict(obj.get("detail", {})),
+            str(obj["rule"]), tuple(obj["consumed"]), tuple(obj["produced"]), dict(detail)
         )
 
 
@@ -122,11 +135,23 @@ class RewriteTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> RewriteTrace:
+        """Parse one entry per non-blank line; raises ParseError naming the
+        1-based line of the first malformed one."""
         entries = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
-            if line:
-                entries.append(TraceEntry.from_json(json.loads(line)))
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(
+                    f"trace line {lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
+                ) from exc
+            try:
+                entries.append(TraceEntry.from_json(obj))
+            except ParseError as exc:
+                raise ParseError(f"trace line {lineno}: {exc}") from exc
         return cls(entries)
 
     def __len__(self) -> int:
@@ -135,19 +160,6 @@ class RewriteTrace:
 
 def node_total_angle(node: Node) -> TotalAngle:
     return total_angle(node.label)
-
-
-def fusion_consistent(u: SpiderLabel, v: SpiderLabel) -> bool:
-    """Holonomy-compatibility predicate alpha_u/a_u = alpha_v/a_v mod 1/lcm.
-
-    Advisory only: exact lifting makes every fusion well-defined, and almost
-    all valid fusions fail this test (any two distinct textbook phases do),
-    so it is exposed for diagnostics rather than enforced by fuse_pair.
-    """
-    L = lcm_order(u.grid, v.grid)
-    lhs = u.alpha.fraction / u.grid
-    rhs = v.alpha.fraction / v.grid
-    return (lhs - rhs) % Fraction(1, L) == 0
 
 
 def fuse_pair(d: Diagram, u, v, cap: int = GRID_ORDER_CAP) -> Diagram:
@@ -337,13 +349,6 @@ def canonical_label(
     )
 
 
-def _replace_label(d: Diagram, node_id, label: SpiderLabel) -> Diagram:
-    old = d.node(node_id)
-    replacement = Node(node_id, old.kind, label, old.ins, old.outs)
-    nodes = [replacement if n.id == node_id else n for n in d.nodes]
-    return build(nodes, d.wires, d.n_inputs, d.n_outputs)
-
-
 def wzcc_normalize(
     d: Diagram, cap: int = GRID_ORDER_CAP
 ) -> tuple[Diagram, list[CanonicalLabel], RewriteTrace]:
@@ -383,30 +388,128 @@ def wzcc_normalize(
     return build(by_id.values(), wires, d.n_inputs, d.n_outputs), labels, trace
 
 
+class _FusionRun:
+    """Pairwise fusions and label replacements on one diagram, checked one
+    step at a time and applied together with one ``_fuse_groups`` call and
+    one ``build``.
+
+    Each step is checked against the state the steps before it left, so it
+    fails exactly where stepwise rewriting would: an absorbed spider is
+    gone, a survivor is wired to whatever its group is wired to, and its lcm
+    grid is folded under the cap as each spider joins.  A relabelled spider
+    must not be fused later in the same run; start a new run instead.
+    """
+
+    def __init__(self, d: Diagram, cap: int) -> None:
+        self.d, self.cap = d, cap
+        self.absorbed: dict = {}  # survivor -> spiders it absorbed, in order
+        self.grid: dict = {}  # survivor -> lcm grid of its group
+        self.gone: set = set()
+        self.labels: dict = {}  # node id -> replacement label
+        # survivor -> same-color survivors wired to its group
+        self.wired = {n.id: set() for n in d.spiders}
+        for a, b in dg.same_color_pairs(d):
+            self.wired[a].add(b)
+            self.wired[b].add(a)
+
+    def _alive(self, nid) -> bool:
+        return nid not in self.gone and self.d.has_node(nid)
+
+    def fuse(self, u, v) -> None:
+        """Absorb v's group into u's group."""
+        if u == v or not (self._alive(u) and self._alive(v)):
+            raise NotConnected(f"cannot fuse {u!r} with {v!r}")
+        nu, nv = self.d.node(u), self.d.node(v)
+        if not (nu.is_spider() and nv.is_spider()):
+            raise ColorMismatch("fusion applies to spiders only")
+        if nu.kind != nv.kind:
+            raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
+        if v not in self.wired[u]:
+            raise NotConnected(f"{u!r} and {v!r} share no wire")
+        self.grid[u] = lcm_order(
+            self.grid.get(u, nu.label.grid), self.grid.get(v, nv.label.grid), cap=self.cap
+        )
+        # The wires between the two groups are consumed; v's other
+        # neighbours now neighbour u.
+        wired_u, wired_v = self.wired[u], self.wired.pop(v)
+        wired_u.discard(v)
+        wired_v.discard(u)
+        for w in wired_v:
+            self.wired[w].discard(v)
+            self.wired[w].add(u)
+        wired_u |= wired_v
+        self.absorbed.setdefault(u, []).append(v)
+        self.gone.add(v)
+
+    def relabel(self, nid, label: SpiderLabel) -> None:
+        """Replace a live node's label."""
+        if nid in self.gone:
+            raise KeyError(nid)  # as Diagram.node does for an id it lacks
+        node = self.d.node(nid)
+        Node(nid, node.kind, label, node.ins, node.outs)  # rejects Hadamard nodes
+        self.labels[nid] = label
+
+    def diagram(self) -> Diagram:
+        if not (self.absorbed or self.labels):
+            return self.d
+        groups = []
+        for root in self.absorbed:
+            if root in self.gone:
+                continue
+            # A spider's group is itself, then each group it absorbed, in
+            # order: the member order pairwise fusion leaves its legs in.
+            order, stack = [], [root]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                stack.extend(reversed(self.absorbed.get(u, ())))
+            groups.append(order)
+        nodes, wires = _fuse_groups(self.d, groups, self.cap)
+        nodes = [
+            Node(n.id, n.kind, self.labels[n.id], n.ins, n.outs) if n.id in self.labels else n
+            for n in nodes
+        ]
+        return build(nodes, wires, self.d.n_inputs, self.d.n_outputs)
+
+
 def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> Diagram:
-    """Replay a trace on a diagram, reproducing the recorded rewrite."""
-    cur = d
+    """Replay a trace on a diagram, reproducing the recorded rewrite.
+
+    Each maximal run of ``fuse`` and ``normalize-label`` entries is applied
+    with one ``_fuse_groups`` call and one ``build``, so replay is linear in
+    the number of entries; a ``fuse`` touching a spider relabelled earlier in
+    the run starts a new run, so it sees the new label.  ``identity-removal``
+    and ``color-change`` apply one entry at a time.  Every entry is checked
+    in trace order against the state all earlier entries left: a ``fuse``
+    needs two live spiders of one color whose groups share a wire and whose
+    lcm grid stays under ``cap``; a ``normalize-label`` needs a live node
+    that accepts the label.  The first entry that fails raises
+    TraceReplayError naming it.
+    """
+    run = _FusionRun(d, cap)
     for entry in trace.entries:
         try:
             if entry.rule == "fuse":
                 u, v = entry.consumed
-                cur = fuse_pair(cur, u, v, cap=cap)
+                if u in run.labels or v in run.labels:
+                    run = _FusionRun(run.diagram(), cap)
+                run.fuse(u, v)
             elif entry.rule == "normalize-label":
                 (nid,) = entry.consumed
-                cur = _replace_label(cur, nid, SpiderLabel.from_json(entry.detail["label"]))
+                run.relabel(nid, SpiderLabel.from_json(entry.detail["label"]))
             elif entry.rule == "identity-removal":
                 (nid,) = entry.consumed
-                cur = identity_removal(cur, nid)
+                run = _FusionRun(identity_removal(run.diagram(), nid), cap)
             elif entry.rule == "color-change":
                 (nid,) = entry.consumed
-                cur = color_change(cur, nid)
+                run = _FusionRun(color_change(run.diagram(), nid), cap)
             else:
                 raise TraceReplayError(f"unknown rule {entry.rule!r}")
         except TraceReplayError:
             raise
         except Exception as exc:
             raise TraceReplayError(f"trace entry {entry} failed: {exc}") from exc
-    return cur
+    return run.diagram()
 
 
 def potential(d: Diagram, eps: float = POTENTIAL_EPS) -> float:

@@ -269,3 +269,40 @@ def test_normalize_grid_overflow_exit_3(tmp_path):
         src = tmp_path / "big.diagram.json"
         src.write_text(serialize(diagram))
         assert run(["normalize", "--input", str(src), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"rule": "fuse", "consumed": [0, 1]',
+        "[1,2]",
+        '{"rule": "fuse", "produced": [0]}',
+        '{"rule": "fuse", "consumed": 0, "produced": [0]}',
+    ],
+    ids=["invalid-json", "not-an-object", "no-consumed", "consumed-not-a-list"],
+)
+def test_verify_malformed_trace_line_exit_1(tmp_path, capsys, line):
+    from conftest import chain, spider
+    from wplzx import diagram as dg
+    from wplzx.diagram import serialize
+
+    src = tmp_path / "d.diagram.json"
+    src.write_text(serialize(chain(spider(0, dg.Z), spider(1, dg.Z))))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"rule": "fuse", "consumed": [0, 1], "produced": [0]}\n' + line + "\n")
+    assert run(["verify", "--input", str(src), "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 2: ")
+
+
+@pytest.mark.parametrize(
+    "content", [None, "{broken", "[1,2]"], ids=["missing", "invalid-json", "not-an-object"]
+)
+def test_config_file_errors_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        run(["decode", "--graph", str(tmp_path / "g.json"), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"error: --config {cfg}: " in capsys.readouterr().err

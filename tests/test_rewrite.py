@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import chain, clique_region, path_region, random_small_diagram, spider
+from test_normalize_golden import COUNT as GOLDEN_COUNT
+from test_normalize_golden import EXPECTED as GOLDEN
 from wplzx import diagram as dg
 from wplzx.diagram import (
     BoundaryPort,
@@ -27,6 +30,8 @@ from wplzx.diagram import (
 from wplzx.errors import ColorMismatch, GridOverflow, NotConnected, NotIdentity, TraceReplayError
 from wplzx.phase import RationalAngle, SpiderLabel, total_angle
 from wplzx.rewrite import (
+    RewriteTrace,
+    TraceEntry,
     apply_trace,
     canonical_label,
     color_change,
@@ -659,13 +664,236 @@ def test_zx_fragment_conservativity():
         assert labels[0].L == 1
 
 
-def test_fusion_consistency_predicate_is_advisory():
-    from wplzx.rewrite import fusion_consistent
+# --- trace replay ---
 
-    # compatible: both phases are the same multiple of their own grid step
-    assert fusion_consistent(SpiderLabel(4, RA(0)), SpiderLabel(6, RA(0)))
-    # a pair of perfectly fusable textbook phases fails the condition,
-    # which is why fuse_pair does not enforce it
-    assert not fusion_consistent(SpiderLabel(4, RA(1, 4)), SpiderLabel(6, RA(1, 6)))
-    d = chain(spider(0, dg.Z, a=4, alpha=(1, 4)), spider(1, dg.Z, a=6, alpha=(1, 6)))
-    fuse_pair(d, 0, 1)  # still fuses fine
+
+def _replay_stepwise(d, trace):
+    """Reference replay: one rewrite and one ``build`` per trace entry."""
+    cur = d
+    for entry in trace.entries:
+        try:
+            if entry.rule == "fuse":
+                u, v = entry.consumed
+                cur = fuse_pair(cur, u, v)
+            elif entry.rule == "normalize-label":
+                (nid,) = entry.consumed
+                label = SpiderLabel.from_json(entry.detail["label"])
+                old = cur.node(nid)
+                new = Node(nid, old.kind, label, old.ins, old.outs)
+                nodes = [new if n.id == nid else n for n in cur.nodes]
+                cur = build(nodes, cur.wires, cur.n_inputs, cur.n_outputs)
+            elif entry.rule == "identity-removal":
+                (nid,) = entry.consumed
+                cur = identity_removal(cur, nid)
+            elif entry.rule == "color-change":
+                (nid,) = entry.consumed
+                cur = color_change(cur, nid)
+            else:
+                raise TraceReplayError(f"unknown rule {entry.rule!r}")
+        except TraceReplayError:
+            raise
+        except Exception as exc:
+            raise TraceReplayError(f"trace entry {entry} failed: {exc}") from exc
+    return cur
+
+
+def _trace(*steps) -> RewriteTrace:
+    """("fuse", u, v), ("label", id, SpiderLabel), ("identity", id), ("color", id)."""
+    entries = []
+    for rule, *args in steps:
+        if rule == "fuse":
+            entries.append(TraceEntry("fuse", tuple(args), tuple(args[:1])))
+        elif rule == "label":
+            nid, label = args
+            entries.append(
+                TraceEntry("normalize-label", (nid,), (nid,), {"label": label.to_json()})
+            )
+        else:
+            rule = {"identity": "identity-removal", "color": "color-change"}.get(rule, rule)
+            entries.append(TraceEntry(rule, tuple(args), tuple(args)))
+    return RewriteTrace(entries)
+
+
+def _random_trace(d, seed, steps=16) -> RewriteTrace:
+    """Valid trace of random pairwise fusions in either direction, label
+    replacements, color changes and identity removals."""
+    r = np.random.default_rng(seed)
+    cur, entries = d, []
+    for _ in range(steps):
+        pairs = sorted(
+            set(dg.same_color_pairs(cur)), key=lambda p: (dg._id_key(p[0]), dg._id_key(p[1]))
+        )
+        spiders = cur.spiders
+        roll = r.random()
+        if pairs and roll < 0.55:
+            u, v = pairs[int(r.integers(len(pairs)))]
+            step = ("fuse", u, v) if r.random() < 0.5 else ("fuse", v, u)
+        elif spiders and roll < 0.85:
+            nid = spiders[int(r.integers(len(spiders)))].id
+            a = int(r.choice([1, 2, 3, 4, 6]))
+            label = SpiderLabel(a, RA(int(r.integers(0, 8)), 8), RA(int(r.integers(-2, 3))))
+            if r.random() < 0.3:
+                label = SpiderLabel(a)  # zero total angle: a removable identity
+            step = ("label", nid, label)
+        elif spiders and roll < 0.93:
+            step = ("color", spiders[int(r.integers(len(spiders)))].id)
+        else:
+            ids = [n.id for n in spiders if (n.ins, n.outs) == (1, 1)]
+            step = ("identity", ids[int(r.integers(len(ids)))]) if ids else None
+        if step is None:
+            continue
+        (entry,) = _trace(step).entries
+        try:
+            cur = _replay_stepwise(cur, RewriteTrace([entry]))
+        except TraceReplayError:
+            continue  # e.g. an identity removal on a nonzero angle
+        entries.append(entry)
+    return RewriteTrace(entries)
+
+
+def _assert_replays_like_reference(d, trace):
+    assert serialize(apply_trace(d, trace)) == serialize(_replay_stepwise(d, trace))
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def golden_corpus(request):
+    """The d1-main corpora whose normalize outputs test_normalize_golden pins,
+    with their normalize traces."""
+    from wplzx import datasets
+
+    cfg = datasets.preset("d1-main", seed=request.param)
+    items = []
+    for i in range(GOLDEN_COUNT):
+        d = datasets.gen_random_wplzx(cfg, instance=i)
+        _, _, trace = wzcc_normalize(d)
+        items.append((f"{i:03d}", d, RewriteTrace.from_jsonl(trace.to_jsonl())))
+    return request.param, items
+
+
+def test_replay_reproduces_golden_normalize_digests(golden_corpus):
+    seed, items = golden_corpus
+    for instance, d, trace in items:
+        text = serialize(apply_trace(d, trace))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[seed][instance][0]
+
+
+def test_replay_matches_stepwise_reference_on_d1_main(golden_corpus):
+    _, items = golden_corpus
+    for _, d, trace in items:
+        _assert_replays_like_reference(d, trace)
+
+
+def test_replay_matches_stepwise_reference_on_random_traces():
+    for seed in range(40):
+        d = random_small_diagram(seed)
+        _assert_replays_like_reference(d, wzcc_normalize(d)[2])
+        trace = _random_trace(d, seed)
+        assert trace.entries
+        _assert_replays_like_reference(d, trace)
+
+
+def _mixed_chain():
+    # in -> Z0 -> Z1 -> Z2 -> X3 -> X4 -> Z5 -> H -> Z6 -> out
+    return chain(
+        spider(0, dg.Z, a=4, alpha=(1, 4), k=(1, 1)),
+        spider(1, dg.Z, a=6, alpha=(1, 6)),
+        spider(2, dg.Z, a=2, k=(1, 2)),
+        spider(3, dg.X, a=3, alpha=(1, 3)),
+        spider(4, dg.X, alpha=(1, 5)),
+        spider(5, dg.Z, a=8, alpha=(3, 8)),
+        Node("h", dg.H, None, 1, 1),
+        spider(6, dg.Z),
+    )
+
+
+LAB_A = SpiderLabel(12, RA(5, 12), RA(0))
+LAB_B = SpiderLabel(3, RA(1, 3), RA(2))
+
+
+@pytest.mark.parametrize(
+    "d, steps",
+    [
+        # a survivor absorbs spiders that had already absorbed others
+        (
+            clique_region([SpiderLabel(a, RA(1, a), RA(1)) for a in (2, 3, 4, 6)]),
+            [("fuse", 3, 2), ("fuse", 1, 0), ("fuse", 1, 3)],
+        ),
+        (_mixed_chain(), [("fuse", 2, 1), ("fuse", 0, 2), ("fuse", 4, 3)]),
+        # a fuse after a label replacement of either end starts a new run
+        (_mixed_chain(), [("fuse", 0, 1), ("label", 0, LAB_A), ("fuse", 0, 2)]),
+        (_mixed_chain(), [("label", 2, LAB_B), ("fuse", 1, 2), ("fuse", 1, 0)]),
+        # repeated label replacement: the last one wins
+        (_mixed_chain(), [("label", 5, LAB_A), ("label", 5, LAB_B), ("label", 5, LAB_A)]),
+        # interleaved regions, split by per-entry rules
+        (
+            _mixed_chain(),
+            [
+                ("fuse", 1, 0), ("label", 1, LAB_A), ("color", 5), ("fuse", 3, 4),
+                ("label", 3, LAB_B), ("label", 6, SpiderLabel(4)), ("identity", 6),
+                ("fuse", 1, 2), ("label", 1, LAB_B),
+            ],
+        ),
+    ],
+)
+def test_replay_matches_stepwise_reference_on_crafted_traces(d, steps):
+    _assert_replays_like_reference(d, _trace(*steps))
+
+
+@pytest.mark.parametrize(
+    "d, steps, bad",
+    [
+        # an absorbed spider is gone: as a fusion end and as a label target
+        (_mixed_chain(), [("fuse", 0, 1), ("fuse", 2, 1)], 1),
+        (_mixed_chain(), [("fuse", 1, 2), ("fuse", 0, 1), ("label", 2, LAB_A)], 2),
+        # an id the diagram never had
+        (_mixed_chain(), [("fuse", 0, 1), ("fuse", 0, 99)], 1),
+        (_mixed_chain(), [("label", 99, LAB_A)], 0),
+        # wrong colour, and a Hadamard node as fusion end or label target
+        (_mixed_chain(), [("fuse", 1, 0), ("fuse", 1, 2), ("fuse", 1, 3)], 2),
+        (_mixed_chain(), [("fuse", 6, "h")], 0),
+        (_mixed_chain(), [("fuse", 0, 1), ("label", "h", LAB_A)], 1),
+        # no shared wire, also between groups that grew
+        (_mixed_chain(), [("fuse", 0, 2)], 0),
+        (_mixed_chain(), [("fuse", 0, 1), ("fuse", 3, 4), ("fuse", 0, 5)], 2),
+        (_mixed_chain(), [("fuse", 0, 1), ("fuse", 0, 2), ("fuse", 0, 1)], 2),
+        # the lcm grid passes the cap on the entry that folds it in
+        (path_region([SpiderLabel(1024), SpiderLabel(1021), SpiderLabel(3)]),
+         [("fuse", 0, 1), ("fuse", 0, 2)], 1),
+        (path_region([SpiderLabel(1024), SpiderLabel(1021), SpiderLabel(3)]),
+         [("fuse", 1, 2), ("fuse", 0, 1)], 1),
+        (_mixed_chain(), [("fuse", 0, 1), ("bogus", 0)], 1),
+    ],
+)
+def test_replay_fails_on_the_same_entry_as_reference(d, steps, bad):
+    trace = _trace(*steps)
+    with pytest.raises(TraceReplayError) as want:
+        _replay_stepwise(d, trace)
+    with pytest.raises(TraceReplayError) as got:
+        apply_trace(d, trace)
+    assert str(got.value) == str(want.value)
+    if steps[bad][0] != "bogus":
+        assert str(got.value).startswith(f"trace entry {trace.entries[bad]} failed: ")
+
+
+def test_replay_builds_once_per_run(monkeypatch):
+    import wplzx.rewrite as rw
+
+    calls = []
+    real_build = rw.build
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(rw, "build", counting_build)
+    for n in (2, 9, 60):
+        d = path_region([SpiderLabel(4, RA(1, 4), RA(1))] * n)
+        norm, _, trace = wzcc_normalize(d)
+        assert sum(e.rule == "fuse" for e in trace.entries) == n - 1
+        calls.clear()
+        assert apply_trace(d, trace) == norm
+        assert len(calls) == 1
+    # fusing a relabelled spider closes the first run
+    calls.clear()
+    apply_trace(d, _trace(("fuse", 0, 1), ("label", 0, LAB_A), ("fuse", 0, 2)))
+    assert len(calls) == 2
