@@ -485,7 +485,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         log(f"resource cap: {exc}")
         return 3
-    except WplzxError as exc:
+    except (WplzxError, OSError) as exc:
         log(f"error: {exc}")
         return 1
 

@@ -2,19 +2,20 @@
 
 Each vertex carries (a_v, k_v): the local grid order and an integer winding
 index.  The winding discrepancy between two vertices is measured on their
-common refinement grid,
+common refinement grid L = lcm(a_u, a_v),
 
-    delta_k(u, v) = lcm(a_u, a_v) * |k_u/a_u - k_v/a_v|,
+    delta_k(u, v) = L * |k_u/a_u - k_v/a_v| = |k_u * (L/a_u) - k_v * (L/a_v)|,
 
-computed exactly in rational arithmetic.  Virtual boundary vertices pair up
-unmatched defects; they carry k = 0 and contribute zero winding difference by
-construction.
+an integer, computed exactly in integer arithmetic on the lcm grid.  Virtual
+boundary vertices pair up unmatched defects; they carry k = 0 and contribute
+zero winding difference by construction.
 
 An edge's MASD weight d + lam * slope is linear in lambda, with slope = delta_k
-(raw) or delta_k / L (normalized).  ``edge_terms`` computes the
-lambda-independent part, (key, d, slope, virtual-virtual?) for every edge, once
-per graph and mode and caches it on the graph, so scoring a lambda grid does
-the exact rational arithmetic once per instance and only d + lam * slope per
+(raw) or delta_k / L (normalized); both are the correctly rounded floats of
+the exact values.  ``edge_terms`` computes the lambda-independent part,
+(key, d, slope, virtual-virtual?) for every edge, for both modes in one pass
+per graph and caches it on the graph, so scoring a lambda grid does the
+integer winding arithmetic once per instance and only d + lam * slope per
 lambda.  The decoder caches its other lambda-independent terms (DRG_pm slope,
 DRG_toy lookup, DP layout) on the same per-graph dict.
 
@@ -155,12 +156,18 @@ class DefectGraph:
         return cls.from_json_obj(obj)
 
 
+def _winding_gap(u: DefectVertex, v: DefectVertex) -> tuple[int, int]:
+    """(delta_k, L) for two real vertices: the integer winding gap on their
+    common grid L = lcm(a_u, a_v), which raises GridOverflow past the cap."""
+    L = lcm_order(u.a, v.a)
+    return abs(u.k * (L // u.a) - v.k * (L // v.a)), L
+
+
 def winding_difference(u: DefectVertex, v: DefectVertex) -> Fraction:
     """Exact winding discrepancy on the lcm(a_u, a_v) refinement grid."""
     if u.is_virtual_boundary or v.is_virtual_boundary:
         return Fraction(0)
-    L = lcm_order(u.a, v.a)
-    return L * abs(Fraction(u.k, u.a) - Fraction(v.k, v.a))
+    return Fraction(_winding_gap(u, v)[0])
 
 
 def _check_weight_args(lam: float, mode: str) -> None:
@@ -170,33 +177,37 @@ def _check_weight_args(lam: float, mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _slope(u: DefectVertex, v: DefectVertex, mode: str) -> float:
-    """Lambda's coefficient in the weight of edge (u, v): delta_k (raw) or
-    delta_k / L (normalized); zero when either end is virtual."""
+def _slopes(u: DefectVertex, v: DefectVertex) -> tuple[float, float]:
+    """Lambda's coefficient in the weight of edge (u, v), as (raw, normalized):
+    delta_k and delta_k / L, correctly rounded (int / int division is); zero
+    when either end is virtual."""
     if u.is_virtual_boundary or v.is_virtual_boundary:
-        return 0.0
-    dk = winding_difference(u, v)
-    if mode == RAW:
-        return float(dk)
-    return float(Fraction(dk, lcm_order(u.a, v.a)))
+        return 0.0, 0.0
+    dk, L = _winding_gap(u, v)
+    return float(dk), dk / L
 
 
 def edge_terms(g: DefectGraph, mode: str) -> tuple:
     """(frozenset({u, v}), d, slope, both ends virtual) for every edge of g,
     in edge order; the weight at lambda is d + lambda * slope.
 
-    Computed once per graph and mode and cached on the graph.
+    Computed for both modes in one pass on first use and cached on the graph.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     terms = g._cache.get(mode)
     if terms is None:
-        rows = []
+        raw, normalized = [], []
         for e in g.edges:
             u, v = g.vertex(e.u), g.vertex(e.v)
+            key = frozenset((e.u, e.v))
             vv = u.is_virtual_boundary and v.is_virtual_boundary
-            rows.append((frozenset((e.u, e.v)), e.d, _slope(u, v, mode), vv))
-        terms = g._cache[mode] = tuple(rows)
+            s_raw, s_norm = _slopes(u, v)
+            raw.append((key, e.d, s_raw, vv))
+            normalized.append((key, e.d, s_norm, vv))
+        g._cache[RAW] = tuple(raw)
+        g._cache[NORMALIZED] = tuple(normalized)
+        terms = g._cache[mode]
     return terms
 
 
@@ -206,7 +217,8 @@ def edge_weight(
     """MASD cost of one edge, d + lam * delta_k (raw) or d + lam * delta_k / L
     (normalized); lam = 0 recovers the plain distance d."""
     _check_weight_args(lam, mode)
-    return e.d + lam * _slope(g.vertex(e.u), g.vertex(e.v), mode)
+    s_raw, s_norm = _slopes(g.vertex(e.u), g.vertex(e.v))
+    return e.d + lam * (s_raw if mode == RAW else s_norm)
 
 
 def edge_weights(g: DefectGraph, lam: float, mode: str = NORMALIZED) -> dict:

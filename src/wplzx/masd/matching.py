@@ -1,8 +1,9 @@
 """Minimum-weight perfect matching on defect graphs.
 
 Instances with at most :data:`DP_VERTEX_CAP` DP vertices are solved exactly
-by an O(n^2 2^n) subset DP; beyond the cap a greedy nearest-pair heuristic is
-used and the result is flagged approximate.  When virtual boundary vertices
+by a subset DP over the F(n+2) masks reachable from the empty one (Fibonacci,
+at most n relaxations each); beyond the cap a greedy nearest-pair heuristic
+is used and the result is flagged approximate.  When virtual boundary vertices
 follow the one-virtual-per-defect pattern, each virtual is folded into its
 real defect's retirement cost, so only the real defects enter the DP mask and
 the unused virtuals pair up among themselves afterwards.  Any other virtual

@@ -306,3 +306,19 @@ def test_config_file_errors_exit_2(tmp_path, capsys, content):
         run(["decode", "--graph", str(tmp_path / "g.json"), "--config", str(cfg)])
     assert exc.value.code == 2
     assert f"error: --config {cfg}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["verify", "decode", "sweep"], ids=["verify-input", "decode-graph", "sweep-out"]
+)
+def test_unreadable_path_exit_1(tmp_path, capsys, command):
+    missing = tmp_path / "no" / "such"
+    argv = {
+        "verify": ["verify", "--input", str(missing / "d.diagram.json")],
+        "decode": ["decode", "--graph", str(missing / "g.json")],
+        "sweep": ["sweep", "--lambdas", "0", "--trials", "1", "--out", str(missing / "x.csv")],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()

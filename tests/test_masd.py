@@ -13,6 +13,7 @@ import pytest
 
 from conftest import brute_force_min_matching
 from wplzx.errors import (
+    GridOverflow,
     NegativeLambda,
     OddVertexCount,
     ParseError,
@@ -34,6 +35,7 @@ from wplzx.masd import (
     winding_difference,
 )
 from wplzx.masd import _dp
+from wplzx.masd.graph import edge_terms
 from wplzx.masd.matching import _greedy, _weight_fn
 
 
@@ -118,6 +120,73 @@ def test_edge_weight_negative_lambda():
     g = complete_graph([vert(0, 8, 2), vert(1, 12, 5)], lambda u, v: 1.0)
     with pytest.raises(NegativeLambda):
         edge_weight(g, g.edges[0], -0.1)
+
+
+def _fraction_winding(u, v):
+    """Reference delta_k and L from rational arithmetic on the lcm grid."""
+    L = math.lcm(u.a, v.a)
+    return L * abs(Fraction(u.k, u.a) - Fraction(v.k, v.a)), L
+
+
+def _random_labelled_graph(rng, n):
+    """Complete graph on n vertices whose grids are a base order in
+    1..65536, its divisors and orders up to 16 (so every pairwise lcm stays
+    within the cap), with small or +-1e30-sized windings and some virtual
+    ends."""
+    base = rng.randint(1, 65536)
+    divisors = [q for q in range(1, 257) if base % q == 0] + [base]
+    vs = []
+    for i in range(n):
+        a = rng.choice([base, rng.choice(divisors), rng.randint(1, 16)])
+        if rng.random() < 0.2:
+            vs.append(vert(i, a, 0, virtual=True))
+            continue
+        k = rng.choice([rng.randint(-9, 9), rng.randint(-(10**30), 10**30)])
+        vs.append(vert(i, a, k))
+    return complete_graph(vs, lambda u, v: rng.uniform(0.1, 5.0))
+
+
+def test_edge_terms_match_rational_slopes_bit_for_bit():
+    rng = random.Random("integer-winding-terms")
+    edges = 0
+    for _ in range(150):
+        g = _random_labelled_graph(rng, rng.randint(2, 9))
+        copies = (g, DefectGraph(g.vertices, g.edges))
+        # Fill one copy's cold cache from each mode first; both must agree.
+        edge_terms(copies[0], RAW)
+        edge_terms(copies[1], NORMALIZED)
+        for k, e in enumerate(g.edges):
+            u, v = g.vertex(e.u), g.vertex(e.v)
+            raw = norm = 0.0
+            if not (u.is_virtual_boundary or v.is_virtual_boundary):
+                dk, L = _fraction_winding(u, v)
+                assert winding_difference(u, v) == dk
+                raw, norm = float(dk), float(Fraction(dk, L))
+            for graph in copies:
+                for mode, want in ((RAW, raw), (NORMALIZED, norm)):
+                    key, d, slope, vv = edge_terms(graph, mode)[k]
+                    assert key == frozenset((e.u, e.v)) and d == e.d
+                    assert vv == (u.is_virtual_boundary and v.is_virtual_boundary)
+                    assert slope.hex() == want.hex()
+            lam = rng.uniform(0.0, 2.0)
+            assert edge_weight(g, e, lam, RAW).hex() == (e.d + lam * raw).hex()
+            assert edge_weight(g, e, lam, NORMALIZED).hex() == (e.d + lam * norm).hex()
+            edges += 1
+    assert edges > 2000
+
+
+def test_edge_terms_grid_overflow_message():
+    vs = [vert(0, 4, 1), vert(1, 2**20, 5), vert(2, 3, 2)]
+    g = complete_graph(vs, lambda u, v: 1.0)
+    message = "lcm(1048576, 3) = 3145728 exceeds grid-order cap 1048576"
+    for mode in (RAW, NORMALIZED, RAW):  # nothing is cached after a failure
+        with pytest.raises(GridOverflow) as exc:
+            edge_terms(g, mode)
+        assert str(exc.value) == message
+    with pytest.raises(GridOverflow, match=r"^lcm\(1048576, 3\) = 3145728 "):
+        winding_difference(vs[1], vs[2])
+    with pytest.raises(GridOverflow, match=r"^lcm\(1048576, 3\) = 3145728 "):
+        edge_weight(g, g.edges[2], 0.5, NORMALIZED)
 
 
 def test_induced_shortest_path_metric():
@@ -481,6 +550,84 @@ def test_kernel_golden_output(kind, n, seed, cost, choice_sha, moves):
             _dp.reconstruct(choice, n)
     else:
         assert _dp.reconstruct(choice, n) == moves
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _full_scan_reachable(n):
+    """Masks a scan of all 2^n masks relaxes from the empty one."""
+    top = (1 << n) - 1
+    reached = {0}
+    for mask in range(top):
+        if mask not in reached:
+            continue
+        nm = mask | (~mask & (mask + 1))
+        reached.add(nm)
+        free = top ^ nm
+        while free:
+            bit = free & -free
+            free ^= bit
+            reached.add(nm | bit)
+    return reached
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_kernel_table_lists_the_reachable_masks(n):
+    table = _dp.transitions(n)
+    masks = [row[0] for row in table]
+    top = (1 << n) - 1
+    # The full mask is reached but has no moves, so the table leaves it out.
+    assert masks == sorted(set(masks)) and top not in masks
+    assert set(masks) | {top} == _full_scan_reachable(n)
+    assert len(masks) + 1 == _fibonacci(n + 2)
+
+
+def _solve_dense_full_scan(w, boundary):
+    """The kernel's loop over all 2^n masks, kept as the reference."""
+    n = len(boundary)
+    full = 1 << n
+    top = full - 1
+    dp = [math.inf] * full
+    dp[0] = 0.0
+    choice = [-1] * full
+    for mask in range(top):
+        cost = dp[mask]
+        if not math.isfinite(cost):
+            continue
+        bit_i = ~mask & (mask + 1)
+        i = bit_i.bit_length() - 1
+        nm = mask | bit_i
+        cand = cost + boundary[i]
+        if cand < dp[nm]:
+            dp[nm] = cand
+            choice[nm] = (i << 32) | _dp.RETIRE
+        free = top ^ nm
+        while free:
+            bit_j = free & -free
+            free ^= bit_j
+            j = bit_j.bit_length() - 1
+            cand = cost + w[i][j]
+            if cand < dp[nm | bit_j]:
+                dp[nm | bit_j] = cand
+                choice[nm | bit_j] = (i << 32) | j
+    return dp[top], choice
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties", "inf", "none"])
+def test_kernel_table_matches_full_scan(kind):
+    start = 1 if kind == "none" else 0  # "none" instances need a vertex 0
+    cases = [(n, seed) for n in range(start, 13) for seed in range(4)] + [(14, 0), (16, 0)]
+    for n, seed in cases:
+        w, boundary = _kernel_instance(kind, n, f"scan-{seed}")
+        cost, choice = _dp.solve_dense(w, boundary)
+        want_cost, want_choice = _solve_dense_full_scan(w, boundary)
+        assert repr(cost) == repr(want_cost)
+        assert choice == want_choice
 
 
 # --- decode and risk metrics ---
