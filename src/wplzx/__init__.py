@@ -1,7 +1,7 @@
 """Exact phase-grid arithmetic, weighted spider diagram rewriting with a
 matrix-semantics oracle, and winding-aware surface-code decoding."""
 
-from .diagram import Diagram, Node, Wire, build, connected_components, monochrome_regions
+from .diagram import Diagram, Node, Wire, build, monochrome_regions
 from .phase import (
     GRID_ORDER_CAP,
     RationalAngle,
@@ -9,21 +9,16 @@ from .phase import (
     TotalAngle,
     add_on_lcm,
     lcm_order,
-    lift_to_grid,
-    monodromy_phase,
     snap_to_grid,
     total_angle,
-    winding_decompose,
 )
 from .rewrite import (
     CanonicalLabel,
     RewriteTrace,
     canonical_label,
     color_change,
-    curvature_guided_normalize,
     fuse_pair,
     identity_removal,
-    potential,
     wzcc_normalize,
 )
 from .semantics import (
@@ -49,21 +44,15 @@ __all__ = [
     "build",
     "canonical_label",
     "color_change",
-    "connected_components",
-    "curvature_guided_normalize",
     "equal_up_to_global_phase",
     "equal_up_to_global_scalar",
     "evaluate",
     "fuse_pair",
     "identity_removal",
     "lcm_order",
-    "lift_to_grid",
     "monochrome_regions",
-    "monodromy_phase",
-    "potential",
     "snap_to_grid",
     "spider_matrix",
     "total_angle",
-    "winding_decompose",
     "wzcc_normalize",
 ]

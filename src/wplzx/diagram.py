@@ -229,54 +229,6 @@ def build(
     return d
 
 
-def connected_components(d: Diagram) -> list[tuple[frozenset[NodeId], tuple[int, ...]]]:
-    """Partition into (node-id set, wire-index tuple) components.
-
-    Boundary-only wires form singleton components with an empty node set;
-    isolated nodes form components with no wires.  The partition is exhaustive
-    and disjoint, and deterministic under node-id renaming only up to the
-    renaming itself.
-    """
-    parent: dict[NodeId, NodeId] = {n.id: n.id for n in d.nodes}
-
-    def find(x: NodeId) -> NodeId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: NodeId, y: NodeId) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for w in d.wires:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-        if len(ids) == 2:
-            union(ids[0], ids[1])
-
-    groups: dict[NodeId, list[NodeId]] = {}
-    for n in d.nodes:
-        groups.setdefault(find(n.id), []).append(n.id)
-
-    comp_wires: dict[NodeId, list[int]] = {root: [] for root in groups}
-    boundary_only: list[int] = []
-    for i, w in enumerate(d.wires):
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-        if ids:
-            comp_wires[find(ids[0])].append(i)
-        else:
-            boundary_only.append(i)
-
-    comps = [
-        (frozenset(members), tuple(comp_wires[root]))
-        for root, members in groups.items()
-    ]
-    comps.extend((frozenset(), (i,)) for i in boundary_only)
-    comps.sort(key=lambda c: min((_id_key(m) for m in c[0]), default=(2, "", c[1][0])))
-    return comps
-
-
 def same_color_pairs(d: Diagram) -> Iterator[tuple[NodeId, NodeId]]:
     """(u, v) for every wire joining two distinct spiders of one color.
 

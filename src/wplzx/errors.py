@@ -70,14 +70,6 @@ class DimensionMismatch(WplzxError):
     """Operands have incompatible shapes."""
 
 
-class ParameterOutOfRange(WplzxError):
-    """Channel or metric parameter outside its legal interval."""
-
-
-class IndexOutOfRange(WplzxError):
-    """Qubit index outside the register."""
-
-
 # --- metrics ---
 
 class DegenerateVariance(WplzxError):

@@ -28,18 +28,6 @@ class MetricReport:
     raw_cnots: int
     opt_cnots: int
 
-    def to_json(self) -> dict:
-        return {
-            "pqvr": self.pqvr,
-            "csc_total": self.csc_total,
-            "csc_cnot": self.csc_cnot,
-            "fp": self.fp,
-            "raw_gates": self.raw_gates,
-            "opt_gates": self.opt_gates,
-            "raw_cnots": self.raw_cnots,
-            "opt_cnots": self.opt_cnots,
-        }
-
 
 def wrap_angle(x: float) -> float:
     """Wrap radians into (-pi, pi]."""

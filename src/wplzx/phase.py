@@ -4,7 +4,7 @@ Angles are stored as exact rationals in units of *turns* (fractions of a full
 2*pi rotation), so grid membership, lifting and modular addition are exact
 statements rather than floating-point approximations.  Radians appear only at
 the boundary to numerical code (:func:`RationalAngle.radians`,
-:func:`snap_to_grid`, :func:`winding_decompose`).
+:func:`snap_to_grid`).
 
 The grid of order ``a`` is the cyclic set ``{n/a turns}``; a phase is
 *grid-compliant* with ``a`` when its reduced denominator divides ``a``.
@@ -140,9 +140,6 @@ class SpiderLabel:
             and self.winding.is_grid_compliant(self.grid)
         )
 
-    def has_integer_winding(self) -> bool:
-        return self.winding.den == 1
-
     def to_json(self) -> dict:
         return {"a": self.grid, "alpha": self.alpha.to_json(), "k": self.winding.to_json()}
 
@@ -188,20 +185,6 @@ def total_angle(label: SpiderLabel) -> TotalAngle:
     return TotalAngle(RationalAngle.from_fraction((label.alpha.fraction + k_turns) % 1))
 
 
-def lift_to_grid(phase: RationalAngle, a: int, target: int) -> RationalAngle:
-    """Embed a phase on the order-``a`` grid into the order-``target`` grid.
-
-    The index is multiplied by target/a, which preserves the angle value
-    exactly; in reduced form the returned rational equals the input.
-    """
-    check_grid_order(a)
-    check_grid_order(target)
-    if target % a != 0:
-        raise NotARefinement(f"{a} does not divide {target}")
-    n = phase.index_on(a)
-    return RationalAngle(n * (target // a), target)
-
-
 def add_on_lcm(
     alpha: RationalAngle, a: int, beta: RationalAngle, b: int, cap: int = GRID_ORDER_CAP
 ) -> RationalAngle:
@@ -226,21 +209,3 @@ def snap_to_grid(theta: float, a: int) -> RationalAngle:
         raise ValueError("snap_to_grid requires a finite angle")
     n = round(a * theta / TWO_PI)
     return RationalAngle(n % a, a)
-
-
-def winding_decompose(theta: float) -> tuple[float, int]:
-    """Split an accumulated phase into (residual in [0, 2*pi), whole turns)."""
-    if not math.isfinite(theta):
-        raise ValueError("winding_decompose requires a finite angle")
-    k = math.floor(theta / TWO_PI)
-    return theta - TWO_PI * k, k
-
-
-def monodromy_phase(w: RationalAngle, L: int) -> complex:
-    """The holonomy e^{2*pi*i*w} of a winding class; an L-th root of unity."""
-    check_grid_order(L)
-    if not w.is_grid_compliant(L):
-        raise NotARefinement(f"winding {w} is not a multiple of 1/{L}")
-    # Reduce mod 1 first so the float argument stays small.
-    r = w.mod1()
-    return complex(math.cos(TWO_PI * r.num / r.den), math.sin(TWO_PI * r.num / r.den))

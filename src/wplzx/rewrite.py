@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import diagram as dg
 from .diagram import Diagram, Node, NodePort, Wire, build
@@ -33,6 +32,7 @@ from .errors import (
     NotConnected,
     NotIdentity,
     ParseError,
+    ResourceCapError,
     TraceReplayError,
 )
 from .phase import (
@@ -43,8 +43,6 @@ from .phase import (
     lcm_order,
     total_angle,
 )
-
-POTENTIAL_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,17 +71,6 @@ class CanonicalLabel:
             "on_grid": self.on_grid,
             "winding_sum": self.winding_sum.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> CanonicalLabel:
-        return cls(
-            int(obj["L"]),
-            TotalAngle(RationalAngle.from_json(obj["theta"])),
-            int(obj["in_arity"]),
-            int(obj["out_arity"]),
-            bool(obj["on_grid"]),
-            RationalAngle.from_json(obj["winding_sum"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -181,15 +168,33 @@ def fuse_pair(d: Diagram, u, v, cap: int = GRID_ORDER_CAP) -> Diagram:
     return build(nodes, wires, d.n_inputs, d.n_outputs)
 
 
+def _fold(labels, cap: int) -> SpiderLabel:
+    """The label of spiders fused in the given order: L = lcm of the grids,
+    alpha = sum mod 1 and k = sum of k_i * L / a_i.
+
+    The lcm is folded from the first label's grid on, so GridOverflow names
+    the running grid and the grid that first takes it over ``cap``, as
+    pairwise fusion does.
+    """
+    first = labels[0]
+    L, alpha, k = first.grid, first.alpha, first.winding.fraction
+    for lab in labels[1:]:
+        L_new = lcm_order(L, lab.grid, cap=cap)
+        k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
+        alpha = (alpha + lab.alpha).mod1()
+        L = L_new
+    return SpiderLabel(L, alpha, RationalAngle.from_fraction(k))
+
+
 def _fuse_groups(d: Diagram, groups, cap: int) -> tuple[list[Node], list[Wire]]:
     """Fuse each group of connected same-color spiders, listed in absorption
     order, into one spider with the first member's id; returns the node and
     wire lists for one ``build``.
 
     The result equals fusing the members pairwise in that order: the label
-    folds L = lcm of grids, alpha = sum mod 1 and k = sum of k_i * L / a_i;
-    wires between distinct members are consumed; surviving legs are
-    renumbered inputs first, each side by member, then by port.
+    is their ``_fold``; wires between distinct members are consumed;
+    surviving legs are renumbered inputs first, each side by member, then by
+    port.
     """
     owner = {m: g[0] for g in groups for m in g}
     kept, consumed = [], set()
@@ -204,13 +209,7 @@ def _fuse_groups(d: Diagram, groups, cap: int) -> tuple[list[Node], list[Wire]]:
     merged, port_map = [], {}
     for group in groups:
         members = [d.node(m) for m in group]
-        first = members[0].label
-        L, alpha, k = first.grid, first.alpha, first.winding.fraction
-        for lab in (n.label for n in members[1:]):
-            L_new = lcm_order(L, lab.grid, cap=cap)
-            k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
-            alpha = (alpha + lab.alpha).mod1()
-            L = L_new
+        label = _fold([n.label for n in members], cap)
         ins, outs = [], []
         for n in members:
             for p in range(n.degree):
@@ -219,7 +218,6 @@ def _fuse_groups(d: Diagram, groups, cap: int) -> tuple[list[Node], list[Wire]]:
         port_map.update(
             (old, NodePort(group[0], i)) for i, old in enumerate(ins + outs)
         )
-        label = SpiderLabel(L, alpha, RationalAngle.from_fraction(k))
         merged.append(Node(group[0], members[0].kind, label, len(ins), len(outs)))
 
     wires = [Wire(port_map.get(w.a, w.a), port_map.get(w.b, w.b)) for w in kept]
@@ -316,6 +314,24 @@ def color_change(d: Diagram, node_id, negate: bool = False) -> Diagram:
     return build(nodes, new_wires, d.n_inputs, d.n_outputs)
 
 
+def _canonical(label: SpiderLabel, in_arity: int, out_arity: int, cap: int) -> CanonicalLabel:
+    """CanonicalLabel of a region whose spiders fuse to ``label``.
+
+    The region's grid must fit under ``cap`` even when it is one spider's
+    own grid; GridOverflow then reads lcm(1, a).
+    """
+    L = lcm_order(1, label.grid, cap=cap)
+    turns = total_angle(label).turns
+    return CanonicalLabel(
+        L=L,
+        theta=TotalAngle(turns),
+        in_arity=in_arity,
+        out_arity=out_arity,
+        on_grid=turns.is_grid_compliant(L),
+        winding_sum=label.winding,
+    )
+
+
 def canonical_label(
     labels,
     in_arity: int = 0,
@@ -330,23 +346,9 @@ def canonical_label(
     labels = list(labels)
     if not labels:
         raise ValueError("canonical_label needs at least one spider label")
-    L = 1
-    for lab in labels:
-        L = lcm_order(L, lab.grid, cap=cap)
-    theta = Fraction(0)
-    wind = Fraction(0)
-    for lab in labels:
-        theta += total_angle(lab).turns.fraction
-        wind += lab.winding.fraction * (L // lab.grid)
-    turns = RationalAngle.from_fraction(theta % 1)
-    return CanonicalLabel(
-        L=L,
-        theta=TotalAngle(turns),
-        in_arity=in_arity,
-        out_arity=out_arity,
-        on_grid=turns.is_grid_compliant(L),
-        winding_sum=RationalAngle.from_fraction(wind),
-    )
+    # Folding from the grid-1 zero label checks the first grid against the
+    # cap too, as lcm(1, a).
+    return _canonical(_fold([SpiderLabel(1), *labels], cap), in_arity, out_arity, cap)
 
 
 def wzcc_normalize(
@@ -382,9 +384,7 @@ def wzcc_normalize(
                     "normalize-label", (rep,), (rep,), {"label": canon.to_json()}
                 )
             )
-        labels.append(
-            canonical_label([d.node(m).label for m in order], node.ins, node.outs, cap=cap)
-        )
+        labels.append(_canonical(node.label, node.ins, node.outs, cap))
     return build(by_id.values(), wires, d.n_inputs, d.n_outputs), labels, trace
 
 
@@ -484,7 +484,8 @@ def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> D
     needs two live spiders of one color whose groups share a wire and whose
     lcm grid stays under ``cap``; a ``normalize-label`` needs a live node
     that accepts the label.  The first entry that fails raises
-    TraceReplayError naming it.
+    TraceReplayError naming it, or, when it passes a resource cap, the cap's
+    own error (GridOverflow) with the same message.
     """
     run = _FusionRun(d, cap)
     for entry in trace.entries:
@@ -507,44 +508,8 @@ def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> D
                 raise TraceReplayError(f"unknown rule {entry.rule!r}")
         except TraceReplayError:
             raise
+        except ResourceCapError as exc:
+            raise type(exc)(f"trace entry {entry} failed: {exc}") from exc
         except Exception as exc:
             raise TraceReplayError(f"trace entry {entry} failed: {exc}") from exc
     return run.diagram()
-
-
-def potential(d: Diagram, eps: float = POTENTIAL_EPS) -> float:
-    """Termination potential: curvature mismatch over adjacent same-color
-    pairs plus eps per spider.  Strictly decreases under accepted fusions."""
-    # Summed in id order: set order follows PYTHONHASHSEED for string ids.
-    pairs = sorted(
-        set(dg.same_color_pairs(d)), key=lambda p: (dg._id_key(p[0]), dg._id_key(p[1]))
-    )
-    total = 0.0
-    for u, v in pairs:
-        au, av = d.node(u).label.grid, d.node(v).label.grid
-        total += abs(2.0 / au**2 - 2.0 / av**2)
-    return total + eps * len(d.spiders)
-
-
-def curvature_guided_normalize(
-    d: Diagram, cap: int = GRID_ORDER_CAP, eps: float = POTENTIAL_EPS
-) -> Diagram:
-    """Greedy fusion loop accepting only potential-decreasing steps.
-
-    Candidates are scanned in ascending (id, id) order for reproducibility;
-    the fixpoint has no potential-decreasing fusion left.
-    """
-    cur = d
-    phi = potential(cur, eps)
-    while True:
-        candidates = set(dg.same_color_pairs(cur))
-        progressed = False
-        for u, v in sorted(candidates, key=lambda p: (dg._id_key(p[0]), dg._id_key(p[1]))):
-            trial = fuse_pair(cur, u, v, cap=cap)
-            phi_trial = potential(trial, eps)
-            if phi_trial < phi:
-                cur, phi = trial, phi_trial
-                progressed = True
-                break
-        if not progressed:
-            return cur

@@ -134,33 +134,7 @@ def brute_force_min_matching(ids, weight):
     return best, best_cost
 
 
-# --- BFS component oracle (independent of the union-find implementation) ---
-
-
-def bfs_components(d: dg.Diagram):
-    """Node-id partition by wire connectivity, found by plain BFS."""
-    adj: dict = {n.id: set() for n in d.nodes}
-    for w in d.wires:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-        if len(ids) == 2:
-            adj[ids[0]].add(ids[1])
-            adj[ids[1]].add(ids[0])
-    seen = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adj[cur] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+# --- BFS region oracle (independent of diagram.region_orders) ---
 
 
 def bfs_color_regions(d: dg.Diagram):

@@ -271,6 +271,28 @@ def test_normalize_grid_overflow_exit_3(tmp_path):
         assert run(["normalize", "--input", str(src), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_verify_trace_grid_overflow_exit_3(tmp_path, capsys):
+    from conftest import path_region
+    from wplzx.diagram import serialize
+    from wplzx.phase import SpiderLabel
+
+    # lcm(1024, 1021) fits under 2**20; folding in the grid 3 does not
+    src = tmp_path / "big.diagram.json"
+    src.write_text(serialize(path_region([SpiderLabel(1024), SpiderLabel(1021), SpiderLabel(3)])))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        '{"rule": "fuse", "consumed": [0, 1], "produced": [0]}\n'
+        '{"rule": "fuse", "consumed": [0, 2], "produced": [0]}\n'
+    )
+    assert run(["verify", "--input", str(src), "--trace", str(trace)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: trace entry ")
+    assert captured.err.rstrip().endswith(
+        "failed: lcm(1045504, 3) = 3136512 exceeds grid-order cap 1048576"
+    )
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -80,7 +80,7 @@ def test_d1_labels_on_whitelisted_grids():
         for n in d.spiders:
             assert n.label.grid in cfg.grid_orders
             assert n.label.is_grid_compliant()
-            assert n.label.has_integer_winding()
+            assert n.label.winding.den == 1
             seen.add(n.label.grid)
     assert seen == set(cfg.grid_orders)
 

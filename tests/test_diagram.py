@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bfs_color_regions, bfs_components, chain, spider
+from conftest import bfs_color_regions, chain, spider
 from wplzx import diagram as dg
 from wplzx.datasets import GenConfig, gen_random_wplzx
 from wplzx.diagram import (
@@ -13,7 +13,6 @@ from wplzx.diagram import (
     NodePort,
     Wire,
     build,
-    connected_components,
     deserialize,
     monochrome_regions,
     serialize,
@@ -91,52 +90,6 @@ def test_self_loop_allowed_on_spider():
     assert len(d.wires) == 1
 
 
-def test_connected_components_basic():
-    two = build(
-        [spider(0, dg.Z, ins=0, outs=1), spider(1, dg.X, ins=1, outs=0)],
-        [
-            Wire(NodePort(0, 0), BoundaryPort(dg.OUT, 0)),
-            Wire(BoundaryPort(dg.IN, 0), NodePort(1, 0)),
-        ],
-        1,
-        1,
-    )
-    comps = connected_components(two)
-    assert len(comps) == 2
-
-    euler = chain(spider(0, dg.Z), spider(1, dg.X), spider(2, dg.Z))
-    assert len(connected_components(euler)) == 1
-
-
-def test_boundary_only_wire_is_own_component():
-    d = build(
-        [spider(0, dg.Z)],
-        [
-            Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)),
-            Wire(NodePort(0, 1), BoundaryPort(dg.OUT, 0)),
-            Wire(BoundaryPort(dg.IN, 1), BoundaryPort(dg.OUT, 1)),
-        ],
-        2,
-        2,
-    )
-    comps = connected_components(d)
-    assert len(comps) == 2
-    empty = [c for c in comps if not c[0]]
-    assert len(empty) == 1 and len(empty[0][1]) == 1
-
-
-def test_components_match_bfs_oracle():
-    for seed in range(25):
-        d = gen_random_wplzx(
-            GenConfig(seed=seed, spiders_min=5, spiders_max=25, qubits=4), instance=0
-        )
-        got = {c[0] for c in connected_components(d) if c[0]}
-        assert got == set(bfs_components(d))
-        # every wire lands in exactly one component
-        all_wires = sorted(i for c in connected_components(d) for i in c[1])
-        assert all_wires == list(range(len(d.wires)))
-
-
 def test_monochrome_regions_examples():
     zz = chain(spider(0, dg.Z, alpha=(1, 8)), spider(1, dg.Z, alpha=(1, 5)))
     assert monochrome_regions(zz) == [frozenset({0, 1})]
@@ -174,8 +127,6 @@ def test_partition_invariant_under_renaming():
     renamed = chain(spider(10, dg.Z), spider(11, dg.Z), spider(12, dg.X))
     f = lambda s: frozenset(x + 10 for x in s)
     assert set(map(f, monochrome_regions(d))) == set(monochrome_regions(renamed))
-    got = {f(c[0]) for c in connected_components(d)}
-    assert got == {c[0] for c in connected_components(renamed)}
 
 
 def test_boundary_order_is_identity():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -15,11 +14,8 @@ from wplzx.phase import (
     TotalAngle,
     add_on_lcm,
     lcm_order,
-    lift_to_grid,
-    monodromy_phase,
     snap_to_grid,
     total_angle,
-    winding_decompose,
 )
 
 RA = RationalAngle
@@ -95,23 +91,13 @@ def test_total_angle_range_invariant():
         TotalAngle(RA(-1, 4))
 
 
-def test_lift_to_grid_examples():
-    # pi/2 on G_4 lifted to G_12 is index 3 of 12 (same angle)
-    lifted = lift_to_grid(RA(1, 4), 4, 12)
-    assert lifted == RA(3, 12) == RA(1, 4)
-    assert lift_to_grid(RA(0), 5, 20) == RA(0)
-    assert lift_to_grid(RA(1, 6), 6, 12) == RA(2, 12)
-    with pytest.raises(NotARefinement):
-        lift_to_grid(RA(1, 4), 4, 10)
-    with pytest.raises(NotARefinement):
-        lift_to_grid(RA(1, 3), 4, 12)  # not on G_4 at all
-
-
 def test_add_on_lcm_worked_example():
     # pi/2 (G_4) + pi/3 (G_6) = 5pi/6 on G_12, exactly
     out = add_on_lcm(RA(1, 4), 4, RA(1, 6), 6)
     assert out == RA(5, 12)
     assert out.is_grid_compliant(12)
+    with pytest.raises(NotARefinement):
+        add_on_lcm(RA(1, 3), 4, RA(0), 1)  # not on G_4 at all
 
 
 def test_add_on_lcm_identity_and_wraparound():
@@ -182,36 +168,8 @@ def test_snap_to_grid_ties_round_even():
     assert snap_to_grid(3 * math.pi / 2, 2) == RA(0)
 
 
-def test_winding_decompose():
-    assert winding_decompose(0.0) == (0.0, 0)
-    res, k = winding_decompose(5 * math.pi)
-    assert k == 2 and math.isclose(res, math.pi)
-    res, k = winding_decompose(-math.pi / 2)
-    assert k == -1 and math.isclose(res, 3 * math.pi / 2)
-    for theta in (-7.3, -0.1, 0.4, 12.9):
-        res, k = winding_decompose(theta)
-        assert 0 <= res < 2 * math.pi
-        assert math.isclose(res + 2 * math.pi * k, theta)
-
-
-def test_monodromy_phase():
-    assert monodromy_phase(RA(0), 4) == 1
-    assert cmath.isclose(monodromy_phase(RA(1, 2), 2), -1)
-    # winding 5/6 on Z_6 gives e^{5 pi i / 3}
-    got = monodromy_phase(RA(5, 6), 6)
-    assert cmath.isclose(got, cmath.exp(5j * math.pi / 3))
-    # always an L-th root of unity
-    for num in range(12):
-        z = monodromy_phase(RA(num, 12), 12)
-        assert cmath.isclose(z**12, 1)
-    with pytest.raises(NotARefinement):
-        monodromy_phase(RA(1, 5), 6)
-
-
 def test_spider_label_compliance_flags():
     ok = SpiderLabel(6, RA(1, 3), RA(1, 2))
     assert ok.is_grid_compliant()
-    assert not ok.has_integer_winding()
     off = SpiderLabel(4, RA(1, 3), RA(0))
     assert not off.is_grid_compliant()
-    assert off.has_integer_winding()
