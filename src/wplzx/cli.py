@@ -162,37 +162,23 @@ def cmd_verify(args) -> int:
     else:
         candidate, _, _ = rewrite.wzcc_normalize(d)
         how = "normalization"
-    before = semantics.evaluate(d, max_open_wires=args.max_wires)
-    after = semantics.evaluate(candidate, max_open_wires=args.max_wires)
-
-    # The oracle must agree with itself across contraction orders before its
-    # verdict means anything (big interference-heavy networks can exhaust
-    # double precision).
-    before_seq = semantics.evaluate(d, max_open_wires=args.max_wires, order="sequential")
-    scale = max(float(np.max(np.abs(before))), float(np.max(np.abs(after))), 1e-300)
-    instability = float(np.max(np.abs(before - before_seq))) / scale
-    why = "matrix oracle is not order-stable at this scale; shrink the diagram"
-    deviation = semantics.max_phase_deviation(after / scale, before / scale)
-    if instability <= args.tol < deviation:
-        # Both orders share the rounded phases, so matrices that are zero in
-        # exact arithmetic pass the order check yet differ by rounding.
-        eps = sys.float_info.epsilon
-        instability = sum(
-            len(x.nodes) * eps * semantics.phase_free_magnitude(x) for x in (d, candidate)
-        ) / scale
-        why = "matrix entries are within the rounding bound of zero"
-    if instability > args.tol:
-        sys.stdout.write(
-            f"verdict INCONCLUSIVE\nmethod {how}\noracle_instability {instability!r}\n"
-            f"tol {args.tol!r}\n"
-        )
-        log(why)
+    # Exact check: both matrices' residues mod two primes, compared up to an
+    # n-th root of unity.  Only a resource cap leaves the question open.
+    n = semantics.phase_order(d, candidate)
+    try:
+        primes = semantics.exact_primes(n)
+        before = semantics.evaluate(d, max_open_wires=args.max_wires, primes=primes)
+        after = semantics.evaluate(candidate, max_open_wires=args.max_wires, primes=primes)
+    except ResourceCapError as exc:
+        sys.stdout.write(f"verdict INCONCLUSIVE\nmethod {how}\n")
+        log(f"resource cap: {exc}")
         return 3
-
-    sound = deviation <= args.tol
-    verdict = "SOUND" if sound else "UNSOUND"
+    congruent = semantics.congruent_up_to_root_of_unity
+    sound = all(congruent(a, b, p, n) for a, b, p in zip(after, before, primes))
+    zero_map = not any(b.any() for b in before)
     sys.stdout.write(
-        f"verdict {verdict}\nmethod {how}\nmax_deviation {deviation!r}\ntol {args.tol!r}\n"
+        f"verdict {'SOUND' if sound else 'UNSOUND'}\nmethod {how}\n"
+        f"primes {primes[0]},{primes[1]}\nzero_map {str(zero_map).lower()}\n"
     )
     return 0 if sound else 1
 
@@ -404,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="matrix-check a normalization or trace replay")
     v.add_argument("--input", required=True)
     v.add_argument("--trace")
-    v.add_argument("--tol", type=float, default=1e-9)
     v.add_argument("--max-wires", type=int, default=semantics.MAX_OPEN_WIRES)
     v.set_defaults(func=cmd_verify)
 

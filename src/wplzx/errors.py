@@ -100,10 +100,6 @@ class OddVertexCount(WplzxError):
     """Perfect matching requested on an odd number of vertices."""
 
 
-class TooLargeForExact(ResourceCapError):
-    """Exact matching requested beyond the subset-DP vertex cap."""
-
-
 class ZeroDistance(WplzxError):
     """Decoder-risk metric undefined for a zero-length edge."""
 

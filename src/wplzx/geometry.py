@@ -1,9 +1,7 @@
 """Curvature diagnostics for weighted phase-space geometry.
 
 The metric family has closed-form scalar curvature R = 2/b^2 in the effective
-weight b.  How hardware anisotropy parameters map to b is configuration: the
-default map is b = lambda_par / lambda_perp, and any other callable can be
-plugged in without touching the gradient machinery.
+weight b = lambda_par / lambda_perp of the hardware anisotropy parameters.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import NonPositiveWeight, StepTooLarge
 from .phase import check_grid_order
@@ -42,28 +39,17 @@ class WeightPair:
         check_grid_order(self.b)
 
 
-WeightMap = Callable[[float, float], float]
-
-
-def default_weight_map(lambda_perp: float, lambda_par: float) -> float:
-    return lambda_par / lambda_perp
-
-
 def scalar_curvature(b_eff: float) -> float:
     if not (b_eff > 0.0) or not math.isfinite(b_eff):
         raise NonPositiveWeight(f"effective weight must be positive, got {b_eff}")
     return 2.0 / (b_eff * b_eff)
 
 
-def effective_weight(p: AnisotropyParams, weight_map: WeightMap = default_weight_map) -> float:
-    return weight_map(p.lambda_perp, p.lambda_par)
+def effective_weight(p: AnisotropyParams) -> float:
+    return p.lambda_par / p.lambda_perp
 
 
-def curvature_gradient_norm(
-    p: AnisotropyParams,
-    h: float = DEFAULT_GRAD_STEP,
-    weight_map: WeightMap = default_weight_map,
-) -> float:
+def curvature_gradient_norm(p: AnisotropyParams, h: float = DEFAULT_GRAD_STEP) -> float:
     """Euclidean norm of the central-difference gradient of R over the params.
 
     The map is evaluated on the open positive quadrant, so the only interior
@@ -78,7 +64,7 @@ def curvature_gradient_norm(
         )
 
     def r(lp: float, ll: float) -> float:
-        return scalar_curvature(weight_map(lp, ll))
+        return scalar_curvature(ll / lp)
 
     d_perp = (r(p.lambda_perp + h, p.lambda_par) - r(p.lambda_perp - h, p.lambda_par)) / (2 * h)
     d_par = (r(p.lambda_perp, p.lambda_par + h) - r(p.lambda_perp, p.lambda_par - h)) / (2 * h)
@@ -86,7 +72,7 @@ def curvature_gradient_norm(
 
 
 def default_map_gradient(p: AnisotropyParams) -> tuple[float, float]:
-    """Analytic gradient of R = 2 lp^2 / ll^2 under the default map."""
+    """Analytic gradient of R = 2 lp^2 / ll^2."""
     lp, ll = p.lambda_perp, p.lambda_par
     return 4.0 * lp / ll**2, -4.0 * lp**2 / ll**3
 
@@ -96,25 +82,20 @@ def orbifold_euler_characteristic(w: WeightPair) -> Fraction:
     return Fraction(1, w.a) + Fraction(1, w.b)
 
 
-def curvature_sweep(
-    perp_values,
-    par_values,
-    h: float = DEFAULT_GRAD_STEP,
-    weight_map: WeightMap = default_weight_map,
-) -> list[dict]:
+def curvature_sweep(perp_values, par_values, h: float = DEFAULT_GRAD_STEP) -> list[dict]:
     """Landscape table rows: lambda_perp, lambda_par, b_eff, R, grad_norm."""
     rows = []
     for lp in perp_values:
         for ll in par_values:
             p = AnisotropyParams(lp, ll)
-            b = effective_weight(p, weight_map)
+            b = effective_weight(p)
             rows.append(
                 {
                     "lambda_perp": lp,
                     "lambda_par": ll,
                     "b_eff": b,
                     "R": scalar_curvature(b),
-                    "grad_norm": curvature_gradient_norm(p, h, weight_map),
+                    "grad_norm": curvature_gradient_norm(p, h),
                 }
             )
     return rows

@@ -73,14 +73,12 @@ class DefectEdge:
 class DefectGraph:
     """Vertices plus distance-weighted edges.
 
-    ``complete`` means every pair of real (non-virtual) defects has an edge;
-    virtual vertices follow the own-boundary pattern (one per real defect)
-    in generated graphs but arbitrary layouts can be loaded from files.
+    Virtual vertices follow the own-boundary pattern (one per real defect)
+    in generated graphs, but arbitrary layouts can be loaded from files.
     """
 
     vertices: tuple[DefectVertex, ...]
     edges: tuple[DefectEdge, ...]
-    complete: bool = True
     _by_id: dict = field(default=None, compare=False, repr=False)
     # Lambda-independent decoding terms, filled on first use (see edge_terms).
     _cache: dict = field(default=None, compare=False, repr=False)
@@ -145,7 +143,7 @@ class DefectGraph:
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ParseError(f"malformed defect graph: {exc}") from exc
-        return cls(vertices, edges, bool(obj.get("complete", True)))
+        return cls(vertices, edges)
 
     @classmethod
     def deserialize(cls, text: str) -> DefectGraph:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..errors import OddVertexCount, TooLargeForExact
+from ..errors import OddVertexCount
 from . import _dp
 from .graph import DefectGraph, VertexId
 
@@ -102,17 +102,13 @@ def _layout(g: DefectGraph) -> tuple:
     return layout
 
 
-def min_weight_perfect_matching(
-    g: DefectGraph,
-    weights: Mapping,
-    require_exact: bool = False,
-) -> Matching:
+def min_weight_perfect_matching(g: DefectGraph, weights: Mapping) -> Matching:
     """Match all vertices of g at minimum total weight.
 
     ``weights`` maps frozenset({u, v}) to the edge cost, as built by
     ``edge_weights``.  Exact (subset DP) when the DP vertex count is within
-    the cap, greedy otherwise; ``require_exact`` turns the fallback into an
-    error.  Raises OddVertexCount when no perfect matching can exist.
+    the cap, greedy otherwise (flagged ``exact=False``).  Raises
+    OddVertexCount when no perfect matching can exist.
     """
     if len(g.vertices) % 2 != 0:
         raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
@@ -128,8 +124,6 @@ def min_weight_perfect_matching(
 
     n = len(ids)
     if n > DP_VERTEX_CAP:
-        if require_exact:
-            raise TooLargeForExact(f"{n} DP vertices exceed the exact cap {DP_VERTEX_CAP}")
         return _greedy(ids, virts, _weight_fn(weights), own)
 
     w = [[math.inf] * n for _ in range(n)]

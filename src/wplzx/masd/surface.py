@@ -260,7 +260,7 @@ def defect_graph_for(
     for i, u in enumerate(syndrome):
         for v in syndrome[i + 1 :]:
             edges.append(DefectEdge(f"b{u}", f"b{v}", 0.0))
-    return DefectGraph(tuple(vertices), tuple(edges), complete=True)
+    return DefectGraph(tuple(vertices), tuple(edges))
 
 
 def sample_surface_code(

@@ -270,22 +270,16 @@ def _fresh_ids(d: Diagram, prefix: str, count: int) -> list[str]:
     return out
 
 
-def color_change(d: Diagram, node_id, negate: bool = False) -> Diagram:
+def color_change(d: Diagram, node_id) -> Diagram:
     """Flip a spider's color, inserting a Hadamard node on every leg.
 
-    The label (a, alpha, k) is preserved, which is the matrix-sound variant
-    of the rule; ``negate=True`` switches to the sign-flipping variant
-    (alpha, k) -> (-alpha, -k), which is *not* semantics-preserving and is
-    excluded from soundness checks.
+    The label (a, alpha, k) is preserved, which keeps the matrix.
     """
     node = d.node(node_id)
     if not node.is_spider():
         raise ColorMismatch("color change applies to spiders")
-    lab = node.label
-    if negate:
-        lab = SpiderLabel(lab.grid, (-lab.alpha).mod1(), -lab.winding)
     flipped = Node(
-        node_id, dg.X if node.kind == dg.Z else dg.Z, lab, node.ins, node.outs
+        node_id, dg.X if node.kind == dg.Z else dg.Z, node.label, node.ins, node.outs
     )
 
     legs = [(i, ep) for i, ep in d.incident(node_id)]

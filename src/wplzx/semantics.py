@@ -1,45 +1,143 @@
 """Dense matrix semantics of diagrams, plus phase comparisons and state fidelity.
 
-This is the numerical oracle for every rewrite: a diagram denotes a linear
-map from its inputs to its outputs, computed by tensor-network contraction.
-Only the total angle of a spider label is visible here; the (a, alpha, k)
-decomposition is metadata.
+This is the oracle for every rewrite: a diagram denotes a linear map from its
+inputs to its outputs, computed by tensor-network contraction, by default in
+complex double precision.  Only the total angle of a spider label is visible
+here.  When every total angle's denominator divides M, the matrix entries lie
+in Z[zeta_M, 1/sqrt 2], and for a prime p = 1 (mod lcm(M, 8)) reduction mod p
+is a ring map into F_p: ``evaluate(primes=...)`` computes these residues
+exactly, along the same contraction schedule, for ``verify``.
 
 Conventions: qubit 0 is the most significant bit; a diagram with m inputs and
-n outputs evaluates to a 2^n x 2^m matrix.  Equality checks use the fixed
-tolerance EQ_TOL = 1e-9 unless told otherwise.
+n outputs evaluates to a 2^n x 2^m matrix.  Float equality checks use the
+fixed tolerance EQ_TOL = 1e-9 unless told otherwise.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagram as dg
-from .errors import DimensionMismatch, DimensionOverflow
-from .phase import TotalAngle, total_angle
+from .errors import DimensionMismatch, DimensionOverflow, GridOverflow
+from .phase import ZERO, RationalAngle, TotalAngle, total_angle
 
 EQ_TOL = 1e-9
 
 MAX_OPEN_WIRES = 12
 MAX_TENSOR_ENTRIES = 1 << 24
 MAX_SPIDER_LEGS = 20
+PRIME_BOUND = 1 << 20  # exact-mode primes stay below it, so products stay below 2^40
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _SPLIT_DEGREE = 8  # spiders above this degree are chained before contraction
+_INT64_MAX = (1 << 63) - 1
 
 
 def hadamard() -> np.ndarray:
     return _H.copy()
 
 
-def _kron_pow(mat: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for _ in range(k):
-        out = np.kron(out, mat)
-    return out
+# --- number systems ---
+
+
+def _unit(theta: float) -> complex:
+    return complex(math.cos(theta), math.sin(theta))
+
+
+class _Complex:
+    """Complex numbers in double precision."""
+
+    dtype, h = complex, _H
+    dot = staticmethod(np.tensordot)
+    phase = staticmethod(lambda turns: _unit(turns.radians()))
+    mod = staticmethod(lambda t: t)
+
+
+class _Residues:
+    """Residues mod a prime p = 1 (mod 8), as int64, reduced after every product.
+
+    zeta_M maps to g^((p - 1) / M) for every M dividing p - 1, with g the least
+    generator of F_p^*.  One generator for all M keeps the maps of different
+    diagrams consistent (zeta_M^(M/K) = zeta_K).  sqrt 2 = zeta_8 + zeta_8^-1,
+    so 1/sqrt 2 exists mod p.
+    """
+
+    dtype = np.int64
+
+    def __init__(self, p: int):
+        self.p = p
+        self.g = _least_generator(p)
+        z8 = pow(self.g, (p - 1) // 8, p)
+        s = pow(z8 + pow(z8, -1, p), -1, p)
+        self.h = np.array([[s, s], [s, p - s]], dtype=np.int64)
+        # Products per int64 sum that keep it below 2^63: 2^23 when p < 2^20.
+        self.terms = max(1, _INT64_MAX // (p - 1) ** 2)
+
+    def phase(self, turns: RationalAngle) -> int:
+        if (self.p - 1) % turns.den:
+            raise ValueError(f"F_{self.p} has no primitive {turns.den}-th root of unity")
+        return pow(self.g, (self.p - 1) // turns.den * turns.num, self.p)
+
+    def mod(self, t):
+        return t % self.p
+
+    def dot(self, a, b, axes):
+        """``tensordot`` as one matrix product, summed in chunks of
+        ``self.terms`` products, each chunk reduced before it is added."""
+        ax_a, ax_b = axes
+        free_a = [k for k in range(a.ndim) if k not in ax_a]
+        free_b = [k for k in range(b.ndim) if k not in ax_b]
+        m = a.transpose(free_a + ax_a).reshape(-1, 1 << len(ax_a))
+        n = b.transpose(ax_b + free_b).reshape(1 << len(ax_b), -1)
+        chunks = range(0, m.shape[1], self.terms)
+        out = sum(m[:, s : s + self.terms] @ n[s : s + self.terms] % self.p for s in chunks)
+        return (out % self.p).reshape((2,) * (len(free_a) + len(free_b)))
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _least_generator(p: int) -> int:
+    """Least generator of the multiplicative group mod the prime p."""
+    small = [k for k in range(1, math.isqrt(p) + 1) if (p - 1) % k == 0]
+    factors = {q for k in small for q in (k, (p - 1) // k) if _is_prime(q)}
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def phase_order(*diagrams: dg.Diagram) -> int:
+    """lcm(8, every total-angle denominator of the diagrams): their matrix
+    entries lie in Z[zeta_n, 1/sqrt 2]."""
+    return math.lcm(8, *(total_angle(n.label).turns.den for d in diagrams for n in d.spiders))
+
+
+def exact_primes(n: int) -> tuple[int, int]:
+    """The two largest primes p < PRIME_BOUND with p = 1 (mod n), so F_p holds
+    the n-th roots of unity; GridOverflow when fewer than two exist."""
+    candidates = range((PRIME_BOUND - 2) // n * n + 1, 1, -n)
+    found = list(itertools.islice(filter(_is_prime, candidates), 2))
+    if len(found) < 2:
+        raise GridOverflow(f"phase order {n}: no two primes p = 1 (mod n) below {PRIME_BOUND}")
+    return found[0], found[1]
+
+
+def _spider_tensor(kind: str, degree: int, phase, ring=_Complex) -> np.ndarray:
+    """Rank-``degree`` tensor of a spider (symmetric in its legs), whose
+    phase factor e^{i theta} is ``phase`` in ``ring``."""
+    if degree == 0:
+        return np.array(ring.mod(1 + phase), dtype=ring.dtype)
+    t = np.zeros((2,) * degree, dtype=ring.dtype)
+    t[(0,) * degree] = 1
+    t[(1,) * degree] = phase
+    if kind == dg.X:
+        for ax in range(degree):
+            t = ring.mod(np.tensordot(t, ring.h, axes=([ax], [0])))
+            t = np.moveaxis(t, -1, ax)
+    return t
 
 
 def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float, *,
@@ -56,126 +154,16 @@ def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float, *,
     if m + n > max_legs:
         raise DimensionOverflow(f"spider with {m + n} legs exceeds cap {max_legs}")
     th = theta.radians() if isinstance(theta, TotalAngle) else float(theta)
-    phase = complex(math.cos(th), math.sin(th))
-    if m == 0 and n == 0:
-        out = np.array([[1.0 + phase]], dtype=complex)
-    else:
-        out = np.zeros((2 ** n, 2 ** m), dtype=complex)
-        out[0, 0] = 1.0
-        out[-1, -1] = phase
-    if kind == dg.X:
-        out = _kron_pow(_H, n) @ out @ _kron_pow(_H, m)
-    return out
+    return _spider_tensor(kind, m + n, _unit(th)).reshape(2 ** n, 2 ** m)
 
 
-def _spider_tensor(kind: str, degree: int, theta_radians: float) -> np.ndarray:
-    """Rank-``degree`` tensor of a spider (symmetric in its legs)."""
-    phase = complex(math.cos(theta_radians), math.sin(theta_radians))
-    if degree == 0:
-        return np.array(1.0 + phase, dtype=complex)
-    t = np.zeros((2,) * degree, dtype=complex)
-    t[(0,) * degree] = 1.0
-    t[(1,) * degree] = phase
-    if kind == dg.X:
-        for ax in range(degree):
-            t = np.tensordot(t, _H, axes=([ax], [0]))
-            t = np.moveaxis(t, -1, ax)
-    return t
-
-
-@dataclass
-class _Blob:
-    tensor: np.ndarray
-    axes: list  # axis labels, parallel to tensor dims
-
-
-def _node_blobs(node: dg.Node, port_labels: list) -> list[_Blob]:
-    """Tensors for one node; high-degree spiders are split into exact chains.
-
-    Splitting relies on the spider fusion law (chaining same-color spiders
-    through single wires reproduces the big spider exactly), keeping every
-    materialized tensor small.
-    """
-    if node.kind == dg.H:
-        return [_Blob(_H.copy(), list(port_labels))]
-    theta = total_angle(node.label).radians()
-    deg = node.degree
-    if deg <= _SPLIT_DEGREE:
-        return [_Blob(_spider_tensor(node.kind, deg, theta), list(port_labels))]
-    blobs = []
-    chunk = _SPLIT_DEGREE - 2
-    remaining = list(port_labels)
-    first = True
-    prev_bond = None
-    idx = 0
-    while remaining:
-        take, remaining = remaining[:chunk], remaining[chunk:]
-        labels = list(take)
-        if prev_bond is not None:
-            labels.append(prev_bond)
-        if remaining:
-            bond = ("bond", node.id, idx)
-            labels.append(bond)
-            prev_bond = bond
-            idx += 1
-        th = theta if first else 0.0
-        blobs.append(_Blob(_spider_tensor(node.kind, len(labels), th), labels))
-        first = False
-    return blobs
-
-
-def _contract_pair(a: _Blob, b: _Blob, max_entries: int) -> _Blob:
-    shared = [lab for lab in a.axes if lab in b.axes]
-    ax_a = [a.axes.index(lab) for lab in shared]
-    ax_b = [b.axes.index(lab) for lab in shared]
-    size = 2 ** (len(a.axes) + len(b.axes) - 2 * len(shared))
-    if size > max_entries:
-        raise DimensionOverflow(
-            f"intermediate tensor of {size} entries exceeds cap {max_entries}"
-        )
-    t = np.tensordot(a.tensor, b.tensor, axes=(ax_a, ax_b))
-    axes = [lab for lab in a.axes if lab not in shared] + [
-        lab for lab in b.axes if lab not in shared
-    ]
-    return _Blob(t, axes)
-
-
-def _trace_self(blob: _Blob) -> _Blob:
-    while True:
-        dup = None
-        for lab in blob.axes:
-            if blob.axes.count(lab) == 2:
-                dup = lab
-                break
-        if dup is None:
-            return blob
-        i = blob.axes.index(dup)
-        j = blob.axes.index(dup, i + 1)
-        blob.tensor = np.trace(blob.tensor, axis1=i, axis2=j)
-        blob.axes = [lab for k, lab in enumerate(blob.axes) if k not in (i, j)]
-
-
-def evaluate(
-    d: dg.Diagram,
-    *,
-    max_open_wires: int = MAX_OPEN_WIRES,
-    max_entries: int = MAX_TENSOR_ENTRIES,
-    order: str = "greedy",
-) -> np.ndarray:
-    """Contract the diagram to its 2^{outputs} x 2^{inputs} matrix.
-
-    ``order`` selects the contraction schedule: "greedy" picks the pair with
-    the smallest resulting tensor first, "sequential" contracts in a fixed
-    deterministic order.  Both must agree (used as a cross-check).
-    """
-    if d.n_inputs + d.n_outputs > max_open_wires:
-        raise DimensionOverflow(
-            f"{d.n_inputs + d.n_outputs} open wires exceed cap {max_open_wires}"
-        )
-
-    # Label each wire; boundary endpoints become open axes.
+def _network(d: dg.Diagram) -> list[tuple]:
+    """One (kind, total angle in turns, axis labels) piece per tensor of d;
+    kind "I" is a bare boundary-to-boundary wire, and boundary endpoints are
+    open ("b", side, pos) axes.  A spider above the split degree becomes an
+    exact chain of smaller ones (spider fusion), its angle on the first."""
     port_label: dict[tuple, object] = {}
-    blobs: list[_Blob] = []
+    pieces = []
     for i, w in enumerate(d.wires):
         a, b = w.endpoints()
         if isinstance(a, dg.NodePort) and isinstance(b, dg.NodePort):
@@ -186,97 +174,144 @@ def evaluate(
             node_end, bound_end = (a, b) if isinstance(a, dg.NodePort) else (b, a)
             port_label[(node_end.node, node_end.port)] = ("b", bound_end.side, bound_end.pos)
         else:
-            ident = np.eye(2, dtype=complex)
-            blobs.append(
-                _Blob(ident, [("b", a.side, a.pos), ("b", b.side, b.pos)])
-            )
+            pieces.append(("I", None, [("b", a.side, a.pos), ("b", b.side, b.pos)]))
 
     for node in d.nodes:
         labels = [port_label[(node.id, p)] for p in range(node.degree)]
-        blobs.extend(_node_blobs(node, labels))
+        if node.kind == dg.H:
+            pieces.append((dg.H, None, labels))
+            continue
+        turns = total_angle(node.label).turns
+        if node.degree <= _SPLIT_DEGREE:
+            pieces.append((node.kind, turns, labels))
+            continue
+        chunk = _SPLIT_DEGREE - 2
+        for idx, start in enumerate(range(0, node.degree, chunk)):
+            axes = labels[start : start + chunk]
+            if idx:
+                axes.append(("bond", node.id, idx - 1))
+            if start + chunk < node.degree:
+                axes.append(("bond", node.id, idx))
+            pieces.append((node.kind, turns if idx == 0 else ZERO, axes))
+    return pieces
 
-    if not blobs:
-        return np.eye(1, dtype=complex)
 
-    blobs = [_trace_self(b) for b in blobs]
+def _schedule(d: dg.Diagram, max_open_wires: int, max_entries: int, order: str) -> tuple:
+    """Plan the contraction of d from its wire labels alone; DimensionOverflow
+    comes before any arithmetic.  Returns (pieces, traces, pairs, perm): the
+    ``_network`` pieces, numbered in order; their (piece, axis, axis)
+    self-loops; the (a, b, axes of a, axes of b) contractions, each result
+    numbered next; and the transpose of the outer product of what is left into
+    matrix order.  "greedy" contracts the pair with the smallest result first,
+    then the lowest numbers; "sequential" the pair whose later tensor has the
+    lowest number."""
+    if d.n_inputs + d.n_outputs > max_open_wires:
+        raise DimensionOverflow(
+            f"{d.n_inputs + d.n_outputs} open wires exceed cap {max_open_wires}"
+        )
+    pieces = _network(d)
+    # live: tensor number -> its axis labels; holders: wire label -> its two tensors
+    live, holders, traces = {}, {}, []
+    for k, piece in enumerate(pieces):
+        ax = live[k] = list(piece[2])
+        while (dup := next((lab for lab in ax if ax.count(lab) == 2), None)) is not None:
+            i = ax.index(dup)
+            j = ax.index(dup, i + 1)
+            traces.append((k, i, j))
+            del ax[j], ax[i]
+        for lab in ax:
+            if lab[0] != "b":
+                holders.setdefault(lab, []).append(k)
 
-    def is_open(lab) -> bool:
-        return lab[0] == "b"
+    sequential = order == "sequential"
+    heap: list = []
 
-    while True:
-        # Candidate pairs are blobs sharing a contracted label; scan via a
-        # label index instead of all blob pairs.
-        owner: dict = {}
-        best = None
-        for i, blob in enumerate(blobs):
-            for lab in blob.axes:
-                if is_open(lab):
-                    continue
-                j = owner.get(lab)
-                if j is None:
-                    owner[lab] = i
-                elif j != i:
-                    shared = set(blobs[j].axes) & set(blob.axes)
-                    cost = len(blobs[j].axes) + len(blob.axes) - 2 * len(shared)
-                    key = (cost, j, i)
-                    if best is None or key < best:
-                        best = key
-            if order == "sequential" and best is not None:
-                break
-        if best is None:
-            break
-        _, i, j = best
-        merged = _contract_pair(blobs[i], blobs[j], max_entries)
-        blobs = [b for k, b in enumerate(blobs) if k not in (i, j)]
-        blobs.append(_trace_self(merged))
+    def push(a: int, b: int) -> None:
+        cost = len(live[a]) + len(live[b]) - 2 * len(set(live[a]) & set(live[b]))
+        heapq.heappush(heap, (b, cost, a) if sequential else (cost, a, b))
 
-    # Remaining blobs are disconnected; take their outer product.
-    total = blobs[0]
-    for b in blobs[1:]:
-        size = 2 ** (len(total.axes) + len(b.axes))
+    for a, b in holders.values():
+        push(a, b)
+    pairs = []
+    while heap:
+        key = heapq.heappop(heap)
+        a, b = (key[2], key[0]) if sequential else key[1:]
+        if a not in live or b not in live:
+            continue  # stale: one of them is contracted already
+        ax_a, ax_b = live.pop(a), live.pop(b)
+        shared = [lab for lab in ax_a if lab in ax_b]
+        size = 2 ** (len(ax_a) + len(ax_b) - 2 * len(shared))
         if size > max_entries:
             raise DimensionOverflow(
-                f"final tensor of {size} entries exceeds cap {max_entries}"
+                f"intermediate tensor of {size} entries exceeds cap {max_entries}"
             )
-        total = _Blob(
-            np.tensordot(total.tensor, b.tensor, axes=0), total.axes + b.axes
-        )
+        pairs.append((a, b, [ax_a.index(x) for x in shared], [ax_b.index(x) for x in shared]))
+        new = len(pieces) + len(pairs) - 1
+        live[new] = [lab for lab in ax_a + ax_b if lab not in shared]
+        for lab in live[new]:
+            if lab[0] != "b":
+                holders[lab] = [k for k in holders[lab] if k not in (a, b)] + [new]
+                push(holders[lab][0], new)
 
-    assert all(is_open(lab) for lab in total.axes)
+    # What is left is unconnected and has only open axes: outer products.
+    total = [lab for ax in live.values() for lab in ax]
+    if (size := 2 ** len(total)) > max_entries:
+        raise DimensionOverflow(f"final tensor of {size} entries exceeds cap {max_entries}")
     want = [("b", dg.OUT, p) for p in range(d.n_outputs)] + [
         ("b", dg.IN, p) for p in range(d.n_inputs)
     ]
-    perm = [total.axes.index(lab) for lab in want]
-    t = np.transpose(total.tensor, perm) if perm else total.tensor
+    assert all(lab[0] == "b" for lab in total)
+    perm = [total.index(lab) for lab in want]
+    return pieces, traces, pairs, perm
+
+
+def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
+    """Follow d's contraction plan in ``ring``."""
+    pieces, traces, pairs, perm = plan
+    if not pieces:
+        return np.eye(1, dtype=ring.dtype)
+    ts, made = {}, {}  # spiders of one kind, degree and angle share a tensor
+    for k, (kind, turns, axes) in enumerate(pieces):
+        if kind == "I":
+            ts[k] = np.eye(2, dtype=ring.dtype)
+        elif kind == dg.H:
+            ts[k] = ring.h
+        else:
+            key = (kind, len(axes), turns)
+            if key not in made:
+                made[key] = _spider_tensor(kind, len(axes), ring.phase(turns), ring)
+            ts[k] = made[key]
+    for k, i, j in traces:
+        ts[k] = ring.mod(np.trace(ts[k], axis1=i, axis2=j))
+    for new, (a, b, ax_a, ax_b) in enumerate(pairs, start=len(pieces)):
+        ts[new] = ring.dot(ts.pop(a), ts.pop(b), (ax_a, ax_b))
+    total, *rest = ts.values()
+    for t in rest:
+        total = ring.mod(np.tensordot(total, t, axes=0))
+    t = np.transpose(total, perm) if perm else total
     return t.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
 
 
-def phase_free_magnitude(d: dg.Diagram) -> float:
-    """Largest entry of d's matrix with all phases 0 and |H| for H.
+def evaluate(
+    d: dg.Diagram,
+    *,
+    max_open_wires: int = MAX_OPEN_WIRES,
+    max_entries: int = MAX_TENSOR_ENTRIES,
+    order: str = "greedy",
+    primes: tuple[int, ...] = (),
+):
+    """Contract the diagram to its 2^{outputs} x 2^{inputs} matrix.
 
-    It bounds every product the true contraction sums, so each entry's
-    rounding error is about node count x machine epsilon x this magnitude.
-    |H| has rank one, so H nodes (1/sqrt 2) and X spiders (2^(1 - degree/2))
-    are constant tensors, a wire between two of them sums to 2, and each Z
-    region is a copy tensor: 2 with no boundary leg, else at most 1.
+    Without ``primes``, a complex matrix in double precision.  With them, a
+    list of int64 matrices, the exact matrix's residues mod each prime; every
+    p must be 1 mod 8 and mod each total-angle denominator of d, as
+    ``exact_primes(phase_order(d))`` picks them.  ``order`` selects the
+    schedule (see ``_schedule``); it is planned once for all primes.
     """
-    log2 = 0.0
-    at_boundary = set()
-    for w in d.wires:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, dg.NodePort)]
-        if len(ids) == 1:
-            at_boundary.add(ids[0])
-        elif len(ids) == 2 and all(d.node(i).kind != dg.Z for i in ids):
-            log2 += 1
-    for n in d.nodes:
-        if n.kind == dg.X:
-            log2 += 1 - n.degree / 2
-        elif n.kind == dg.H:
-            log2 -= 0.5
-    for region in dg.monochrome_regions(d):
-        if d.node(next(iter(region))).kind == dg.Z and not region & at_boundary:
-            log2 += 1
-    return math.inf if log2 >= 1024 else 2.0 ** log2
+    plan = _schedule(d, max_open_wires, max_entries, order)
+    if not primes:
+        return _contract(d, plan, _Complex)
+    return [_contract(d, plan, _Residues(p)) for p in primes]
 
 
 # --- comparison predicates ---
@@ -311,6 +346,20 @@ def equal_up_to_global_scalar(a: np.ndarray, b: np.ndarray, tol: float = EQ_TOL)
         return False
     scale = max(1.0, float(np.max(np.abs(a))))
     return float(np.max(np.abs(a - c * b))) <= tol * scale
+
+
+def congruent_up_to_root_of_unity(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
+    """True iff a = c*b (mod p) for some c with c^n = 1 (mod p), on residue
+    matrices from ``evaluate(primes=...)``: equality up to a global phase
+    among the n-th roots of unity.  A zero matrix matches only a zero one."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
+    nonzero = np.flatnonzero(b)
+    if not nonzero.size:
+        return not a.any()
+    k = nonzero[0]
+    c = int(a.flat[k]) * pow(int(b.flat[k]), -1, p) % p
+    return pow(c, n, p) == 1 and np.array_equal(b * c % p, a)
 
 
 def max_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:

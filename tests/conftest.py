@@ -7,6 +7,7 @@ code path with the implementations they check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -132,6 +133,69 @@ def brute_force_min_matching(ids, weight):
         if cost < best_cost:
             best, best_cost = m, cost
     return best, best_cost
+
+
+# --- exact state-sum oracle (residues mod p) ---
+
+
+@functools.lru_cache(maxsize=None)
+def least_generator(p: int) -> int:
+    """Least g of multiplicative order p - 1: no proper divisor k of p - 1
+    has g^k = 1 mod p."""
+    divisors = [k for k in range(1, p - 1) if (p - 1) % k == 0]
+    return next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in divisors))
+
+
+def state_sum_mod(d: dg.Diagram, p: int) -> list[list[int]]:
+    """Matrix of d mod the prime p, by summing the product of node tensor
+    entries over every 0/1 assignment to its wires, in Python integers.
+
+    Phase e^{2 pi i t} maps to g^((p - 1) t) for the least generator g mod p,
+    and 1/sqrt 2 to the inverse of zeta_8 + 1/zeta_8; Z spiders are 1 on all
+    legs 0 and the phase on all legs 1, X spiders s^deg (1 + phase (-1)^|x|),
+    H nodes s (-1)^(x0 x1).
+    """
+    from fractions import Fraction
+
+    g = least_generator(p)
+    z8 = pow(g, (p - 1) // 8, p)
+    s = pow((z8 + pow(z8, p - 2, p)) % p, p - 2, p)
+    legs = {n.id: [None] * n.degree for n in d.nodes}
+    rows, cols = [None] * d.n_outputs, [None] * d.n_inputs
+    for w_idx, w in enumerate(d.wires):
+        for ep in w.endpoints():
+            if isinstance(ep, NodePort):
+                legs[ep.node][ep.port] = w_idx
+            elif ep.side == dg.OUT:
+                rows[ep.pos] = w_idx
+            else:
+                cols[ep.pos] = w_idx
+
+    def factor(node, x) -> int:
+        if node.kind == dg.H:
+            return s * (-1) ** (x[0] * x[1])
+        lab = node.label
+        t = (Fraction(lab.alpha.num, lab.alpha.den)
+             + Fraction(lab.winding.num, lab.winding.den * lab.grid)) % 1
+        assert ((p - 1) * t).denominator == 1
+        phase = pow(g, int((p - 1) * t), p)
+        if node.kind == dg.X:
+            return s ** len(x) * (1 + phase * (-1) ** sum(x))
+        if not x:
+            return 1 + phase
+        return 1 if not any(x) else phase if all(x) else 0
+
+    out = [[0] * 2 ** d.n_inputs for _ in range(2 ** d.n_outputs)]
+    for bits in itertools.product((0, 1), repeat=len(d.wires)):
+        term = 1
+        for n in d.nodes:
+            term = term * factor(n, [bits[w] for w in legs[n.id]]) % p
+            if not term:
+                break
+        r = int("".join(str(bits[w]) for w in rows) or "0", 2)
+        c = int("".join(str(bits[w]) for w in cols) or "0", 2)
+        out[r][c] = (out[r][c] + term) % p
+    return out
 
 
 # --- BFS region oracle (independent of diagram.region_orders) ---

@@ -103,23 +103,38 @@ def test_verify_corrupted_trace_unsound(tmp_path, capsys):
     assert "verdict UNSOUND" in capsys.readouterr().out
 
 
-def test_verify_numerically_zero_matrix_is_inconclusive(tmp_path, capsys):
-    # d1-main seed 7 instance 000 contracts to entries of about 3e-20 on both
-    # sides, far below the rounding bound of its phases, so the deviation
-    # between them says nothing about soundness.
+def test_verify_zero_map_is_sound(tmp_path, capsys):
+    # d1-main seed 7 instance 000 denotes the zero map: the float oracle saw
+    # entries of about 3e-20 and could not decide it; the residues are exactly 0
     gen_dir = tmp_path / "g"
     assert run(["gen", "--preset", "d1-main", "--seed", "7", "--out", str(gen_dir)]) == 0
     src = gen_dir / "d1-main-s7-000.diagram.json"
     norm = tmp_path / "n"
     assert run(["normalize", "--input", str(src), "--out", str(norm)]) == 0
     capsys.readouterr()
-    for extra in ([], ["--trace", str(norm / "trace.jsonl")]):
+    for extra, how in (([], "normalization"), (["--trace", str(norm / "trace.jsonl")], "trace replay")):
+        assert run(["verify", "--input", str(src)] + extra) == 0
+        assert capsys.readouterr().out == (
+            f"verdict SOUND\nmethod {how}\nprimes 1048273,1048129\nzero_map true\n"
+        )
+
+
+def test_verify_without_usable_prime_is_inconclusive(tmp_path, capsys):
+    from conftest import chain, spider
+    from wplzx import diagram as dg
+    from wplzx.diagram import serialize
+
+    # phase order 2^21: no prime p = 1 (mod 2^21) lies below 2^20
+    src = tmp_path / "d.diagram.json"
+    src.write_text(serialize(chain(spider(0, dg.Z, alpha=(1, 2**21)), spider(1, dg.Z))))
+    norm = tmp_path / "n"
+    assert run(["normalize", "--input", str(src), "--out", str(norm)]) == 0
+    capsys.readouterr()
+    for extra, how in (([], "normalization"), (["--trace", str(norm / "trace.jsonl")], "trace replay")):
         assert run(["verify", "--input", str(src)] + extra) == 3
-        out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] == [
-            "verdict", "method", "oracle_instability", "tol"
-        ]
-        assert out.startswith("verdict INCONCLUSIVE\n")
+        captured = capsys.readouterr()
+        assert captured.out == f"verdict INCONCLUSIVE\nmethod {how}\n"
+        assert captured.err.startswith("resource cap: phase order 2097152: ")
 
 
 def test_verify_oversize_exit_3(tmp_path, capsys):
@@ -239,20 +254,16 @@ def test_parse_error_exit_1(tmp_path):
     assert run(["normalize", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_verify_inconclusive_on_unstable_oracle(tmp_path, capsys):
-    # a full-size interference-heavy diagram exhausts double precision; the
-    # verifier must refuse to give a verdict rather than pass vacuously
+def test_verify_decides_float_unstable_diagram(tmp_path, capsys):
+    # a full-size interference-heavy diagram on which double precision was not
+    # order-stable, so the float oracle printed INCONCLUSIVE; the exact check
+    # decides it
     gen_dir = tmp_path / "g"
     run(["gen", "--preset", "d1-main", "--seed", "3", "--qubits", "4",
          "--out", str(gen_dir)])
     src = next(gen_dir.glob("*.diagram.json"))
-    code = run(["verify", "--input", str(src)])
-    out = capsys.readouterr().out
-    if code == 0:
-        assert "verdict SOUND" in out  # small enough to stay stable
-    else:
-        assert code == 3
-        assert "verdict INCONCLUSIVE" in out
+    assert run(["verify", "--input", str(src)]) == 0
+    assert "verdict SOUND\n" in capsys.readouterr().out
 
 
 def test_normalize_grid_overflow_exit_3(tmp_path):

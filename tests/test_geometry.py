@@ -55,17 +55,6 @@ def test_anisotropy_domain():
         AnisotropyParams(0.5, 1.5)
 
 
-def test_plugged_map_changes_r_not_machinery():
-    p = AnisotropyParams(0.4, 0.8)
-    const = lambda lp, ll: 3.0
-    assert curvature_gradient_norm(p, weight_map=const) == pytest.approx(0.0, abs=1e-9)
-    alt = lambda lp, ll: lp + ll
-    assert scalar_curvature(alt(*[p.lambda_perp, p.lambda_par])) != pytest.approx(
-        scalar_curvature(effective_weight(p))
-    )
-    assert curvature_gradient_norm(p, weight_map=alt) > 0.0
-
-
 def test_gradient_matches_analytic_on_grid():
     # R(lp, ll) = 2 lp^2 / ll^2 under the default map.  Central differences
     # at h = 1e-5 reach 1e-6 absolutely away from the lambda_par -> 0 blowup

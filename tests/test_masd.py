@@ -17,7 +17,6 @@ from wplzx.errors import (
     NegativeLambda,
     OddVertexCount,
     ParseError,
-    TooLargeForExact,
     ZeroDistance,
 )
 from wplzx.masd import (
@@ -374,10 +373,7 @@ def test_matching_cap_and_greedy_flag():
     vs = [vert(i, 1, 0) for i in range(n)]
     rng = np.random.default_rng(0)
     g = complete_graph(vs, lambda u, v: float(rng.uniform(1, 2)))
-    w = edge_weights(g, 0.0)
-    with pytest.raises(TooLargeForExact):
-        min_weight_perfect_matching(g, w, require_exact=True)
-    m = min_weight_perfect_matching(g, w)
+    m = min_weight_perfect_matching(g, edge_weights(g, 0.0))
     assert not m.exact
     assert sorted(x for p in m.pairs for x in p) == list(range(n))
 

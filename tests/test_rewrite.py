@@ -251,14 +251,6 @@ def test_color_change_double_application_semantically_identity():
     assert equal_up_to_global_phase(evaluate(twice), before)
 
 
-def test_color_change_negating_variant_changes_semantics():
-    d = chain(spider(0, dg.Z, a=3, alpha=(1, 3)))
-    flipped = color_change(d, 0, negate=True)
-    (node,) = flipped.spiders
-    assert node.label.alpha == RA(2, 3)  # -1/3 mod 1
-    assert not equal_up_to_global_phase(evaluate(flipped), evaluate(d))
-
-
 def test_color_change_multi_leg_and_self_loop():
     n = Node(0, dg.Z, SpiderLabel(4, RA(1, 4)), 2, 2)
     wires = [

@@ -7,18 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain, random_small_diagram, spider
+from conftest import chain, least_generator, random_small_diagram, spider, state_sum_mod
 from wplzx import diagram as dg
 from wplzx.diagram import BoundaryPort, Node, NodePort, Wire, build
-from wplzx.errors import DimensionMismatch, DimensionOverflow
+from wplzx.errors import DimensionMismatch, DimensionOverflow, GridOverflow
 from wplzx.phase import RationalAngle, SpiderLabel, TotalAngle
+from wplzx.rewrite import color_change
 from wplzx.semantics import (
+    _Residues,
+    congruent_up_to_root_of_unity,
     equal_up_to_global_phase,
     equal_up_to_global_scalar,
     evaluate,
+    exact_primes,
     fidelity,
     hadamard,
-    phase_free_magnitude,
+    phase_order,
     spider_matrix,
 )
 
@@ -133,6 +137,59 @@ def test_contraction_order_independence():
         assert np.max(np.abs(a - b)) < 1e-9
 
 
+def _rescan_order(pieces, order):
+    """Contraction steps as (labels of a, labels of b) by rescanning every
+    tensor at each step: the least (result size, earlier position, later
+    position) among tensors sharing a label; "sequential" stops at the first
+    tensor that has an earlier partner."""
+    tensors = []
+    for _, _, axes in pieces:
+        axes = list(axes)
+        for lab in set(axes):
+            if axes.count(lab) == 2:
+                axes = [x for x in axes if x != lab]
+        tensors.append(axes)
+    steps = []
+    while True:
+        best = None
+        for i, b in enumerate(tensors):
+            for j, a in enumerate(tensors[:i]):
+                shared = [x for x in a if x in b and x[0] != "b"]
+                if shared:
+                    key = (len(a) + len(b) - 2 * len(shared), j, i)
+                    best = key if best is None or key < best else best
+            if order == "sequential" and best is not None:
+                break
+        if best is None:
+            return steps
+        _, j, i = best
+        a, b = tensors[j], tensors[i]
+        steps.append((tuple(a), tuple(b)))
+        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)]
+        tensors.append([x for x in a + b if not (x in a and x in b)])
+
+
+def test_schedule_keeps_rescan_pair_order():
+    from wplzx.datasets import GenConfig, gen_random_wplzx
+    from wplzx.semantics import _schedule
+
+    for seed in range(12):
+        d = gen_random_wplzx(
+            GenConfig(seed=seed, spiders_min=10, spiders_max=60, qubits=4), instance=0
+        )
+        for order in ("greedy", "sequential"):
+            pieces, traces, pairs, _ = _schedule(d, 12, 1 << 24, order)
+            live = {k: list(axes) for k, (_, _, axes) in enumerate(pieces)}
+            for k, i, j in traces:
+                del live[k][j], live[k][i]
+            steps = []
+            for new, (a, b, _, _) in enumerate(pairs, start=len(pieces)):
+                steps.append((tuple(live[a]), tuple(live[b])))
+                shared = set(live[a]) & set(live[b])
+                live[new] = [x for x in live.pop(a) + live.pop(b) if x not in shared]
+            assert steps == _rescan_order(pieces, order), (seed, order)
+
+
 def test_monoidality_tensor_and_compose(rng):
     from wplzx.datasets import GenConfig, gen_random_wplzx
 
@@ -205,25 +262,72 @@ def test_monoidality_tensor_and_compose(rng):
         assert np.max(np.abs(evaluate(comp) - want_c)) < 1e-9
 
 
-def test_phase_free_magnitude_matches_absolute_contraction(monkeypatch):
-    import wplzx.semantics as sem
-    from wplzx.rewrite import color_change
-
-    # the closed form against a real contraction with |H| and zero phases;
-    # a color change adds Hadamard nodes
-    monkeypatch.setattr(sem, "_H", np.abs(sem._H))
-    diagrams = []
+def _exact_cases():
+    """random_small_diagram cases with at most 12 internal wires, plus a
+    color change (Hadamard nodes), a self-loop and a split 10-leg spider."""
+    cases = []
     for seed in range(40):
-        d = random_small_diagram(seed, max_spiders=10, max_qubits=4)
-        diagrams += [d, color_change(d, d.spiders[0].id)]
-    for d in diagrams:
-        flat = build(
-            [Node(n.id, n.kind, SpiderLabel(1) if n.is_spider() else None, n.ins, n.outs)
-             for n in d.nodes],
-            d.wires, d.n_inputs, d.n_outputs,
-        )
-        want = float(np.max(np.abs(evaluate(flat))))
-        assert phase_free_magnitude(d) == pytest.approx(want, rel=1e-12)
+        d = random_small_diagram(seed, max_spiders=10, max_qubits=3)
+        internal = sum(all(isinstance(e, NodePort) for e in w.endpoints()) for w in d.wires)
+        if internal <= 12 and len(d.wires) <= 12:
+            cases.append(d)
+    cases.append(color_change(cases[0], cases[0].spiders[0].id))
+    loop = spider(0, dg.Z, a=4, alpha=(1, 4), ins=1, outs=2)
+    cases.append(build([loop], [Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)),
+                                Wire(NodePort(0, 1), NodePort(0, 2))], 1, 0))
+    big = Node(0, dg.X, SpiderLabel(8, RationalAngle(3, 8)), 5, 5)
+    wires = [Wire(BoundaryPort(dg.IN, i), NodePort(0, i)) for i in range(5)]
+    wires += [Wire(NodePort(0, 5 + i), BoundaryPort(dg.OUT, i)) for i in range(5)]
+    cases.append(build([big], wires, 5, 5))
+    return cases
+
+
+def test_exact_residues_match_state_sum():
+    cases = _exact_cases()
+    assert len(cases) >= 20
+    for d in cases:
+        primes = (exact_primes(phase_order(d))[0], 97)
+        for p, got in zip(primes, evaluate(d, primes=primes)):
+            assert got.dtype == np.int64
+            assert got.tolist() == state_sum_mod(d, p)
+
+
+def test_exact_primes_and_generator():
+    assert exact_primes(24) == (1048273, 1048129)
+    assert all((p - 1) % 24 == 0 for p in exact_primes(24))
+    for p in (97, 1048273):
+        assert _Residues(p).g == least_generator(p)
+    with pytest.raises(GridOverflow):
+        exact_primes(2**21)
+
+
+def test_residue_contraction_keeps_sums_in_int64():
+    # many shared axes of residues near p: near 2^31, one unchunked sum of
+    # 2^12 products of ~2^62 each would wrap around int64; the verify prime
+    # sums its 2^18 products in one chunk
+    rng = np.random.default_rng(3)
+    for p, shared in ((2147483497, 12), (1048273, 18)):
+        ring = _Residues(p)
+        a = rng.integers(p - 1000, p, size=(2,) * (shared + 1), dtype=np.int64)
+        b = rng.integers(p - 1000, p, size=(2,) * (shared + 2), dtype=np.int64)
+        axes = (list(range(1, shared + 1)), list(range(2, shared + 2))[::-1])
+        want = np.tensordot(a.astype(object), b.astype(object), axes=axes) % p
+        assert ring.dot(a, b, axes).tolist() == want.tolist()
+
+
+def test_congruent_up_to_root_of_unity():
+    p, n = 97, 24
+    zeta = pow(least_generator(p), (p - 1) // n, p)
+    b = np.array([[0, 5], [7, 96]], dtype=np.int64)
+    assert congruent_up_to_root_of_unity(b * zeta % p, b, p, n)
+    assert not congruent_up_to_root_of_unity(b * 2 % p, b, p, n)  # 2 is no 24th root
+    off = b.copy()
+    off[1, 1] = 1
+    assert not congruent_up_to_root_of_unity(off, b, p, n)
+    zero = np.zeros_like(b)
+    assert congruent_up_to_root_of_unity(zero, zero, p, n)
+    assert not congruent_up_to_root_of_unity(zero, b, p, n)
+    assert not congruent_up_to_root_of_unity(b, zero, p, n)
 
 
 def test_equal_up_to_global_phase():
