@@ -202,27 +202,29 @@ def _pair_files(raw: str, opt: str) -> list[tuple[Path, Path]]:
 
 
 def _state_of(d: diagram.Diagram) -> np.ndarray | None:
-    """|0..0>-column state, or None when it cannot be trusted.
-
-    Untrusted means: too many open wires, contraction over the size cap, or
-    an order-unstable contraction (cancellation-heavy networks where double
-    precision cannot support a fidelity number).
-    """
-    if d.n_inputs + d.n_outputs > semantics.MAX_OPEN_WIRES:
-        return None
+    """The normalized |0..0>-column state of d, contracted in double
+    precision, or None past a resource cap.  The column must be nonzero, as
+    it is for a circuit's diagram, a nonzero multiple of a unitary."""
     try:
-        mat = semantics.evaluate(d)
-        mat_seq = semantics.evaluate(d, order="sequential")
-    except semantics.DimensionOverflow:
+        state = semantics.evaluate(d)[:, 0]
+    except ResourceCapError:
         return None
-    scale = float(np.max(np.abs(mat)))
-    if scale < 1e-300 or np.max(np.abs(mat - mat_seq)) > 1e-6 * scale:
+    return state / np.linalg.norm(state)
+
+
+def _proven_state_of(d: diagram.Diagram) -> np.ndarray | None:
+    """``_state_of(d)`` when d's |0..0> column is proven nonzero: its exact
+    residues under ``exact_primes(phase_order(d))`` are not all zero.  None
+    when they are all zero, when no such primes exist or past a resource
+    cap."""
+    try:
+        primes = semantics.exact_primes(semantics.phase_order(d))
+        residues = semantics.evaluate(d, primes=primes)
+    except ResourceCapError:
         return None
-    state = mat[:, 0]
-    norm = np.linalg.norm(state)
-    if norm < 1e-9 * scale:
+    if not any(r[:, 0].any() for r in residues):
         return None
-    return state / norm
+    return _state_of(d)
 
 
 def _metric_row(idx: int, raw_path: Path, opt_path: Path, grid: int) -> dict:
@@ -264,8 +266,8 @@ def _metric_row(idx: int, raw_path: Path, opt_path: Path, grid: int) -> dict:
             len(opt_d.spiders),
             0,
             0,
-            _state_of(raw_d),
-            _state_of(opt_d),
+            _proven_state_of(raw_d),
+            _proven_state_of(opt_d),
         )
         n_qubits = raw_d.n_inputs
         n_spiders = len(raw_d.spiders)
@@ -292,9 +294,7 @@ def cmd_metrics(args) -> int:
     for col in numeric:
         vals = [row[col] for row in rows if not np.isnan(row[col])]
         footer_mean[col] = float(np.mean(vals)) if vals else float("nan")
-        footer_std[col] = (
-            statistics.pstdev(vals) if len(vals) > 1 else 0.0
-        )
+        footer_std[col] = statistics.pstdev(vals) if vals else float("nan")
     text += ",".join(_fmt(footer_mean[c]) for c in METRIC_COLUMNS) + "\n"
     text += ",".join(_fmt(footer_std[c]) for c in METRIC_COLUMNS) + "\n"
     _write_text(args.out, text)

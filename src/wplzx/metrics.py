@@ -83,7 +83,8 @@ def report(
     """Assemble a MetricReport, tolerating degenerate inputs.
 
     PQVR falls back to 1.0 when there are too few phases or zero raw variance
-    (nothing to misalign); csc_cnot falls back to 0.0 for CNOT-free baselines.
+    (nothing to misalign); csc_cnot falls back to 0.0 for CNOT-free baselines;
+    FP is nan unless both states are given.
     """
     try:
         p = pqvr(raw_phases, snapped_phases)
@@ -91,5 +92,8 @@ def report(
         p = 1.0
     c_total = csc(raw_gates, opt_gates)
     c_cnot = csc(raw_cnots, opt_cnots) if raw_cnots >= 1 else 0.0
-    f = fp(raw_state, opt_state) if raw_state is not None else float("nan")
+    if raw_state is None or opt_state is None:
+        f = float("nan")
+    else:
+        f = fp(raw_state, opt_state)
     return MetricReport(p, c_total, c_cnot, f, raw_gates, opt_gates, raw_cnots, opt_cnots)

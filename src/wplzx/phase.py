@@ -20,8 +20,8 @@ from .errors import GridOverflow, NotARefinement
 
 TWO_PI = 2.0 * math.pi
 
-# Default cap on grid orders produced by LCM refinement.  Exceeding the cap
-# raises GridOverflow rather than silently truncating.
+# Cap on grid orders produced by LCM refinement.  Exceeding the cap raises
+# GridOverflow rather than silently truncating.
 GRID_ORDER_CAP = 1 << 20
 
 
@@ -169,13 +169,16 @@ class TotalAngle:
         return self.turns.num == 0
 
 
-def lcm_order(a: int, b: int, cap: int = GRID_ORDER_CAP) -> int:
-    """LCM refinement of two grid orders; commutative, associative, idempotent."""
+def lcm_order(a: int, b: int) -> int:
+    """LCM refinement of two grid orders; commutative, associative, idempotent.
+
+    GridOverflow when the result exceeds GRID_ORDER_CAP.
+    """
     check_grid_order(a)
     check_grid_order(b)
     out = math.lcm(a, b)
-    if out > cap:
-        raise GridOverflow(f"lcm({a}, {b}) = {out} exceeds grid-order cap {cap}")
+    if out > GRID_ORDER_CAP:
+        raise GridOverflow(f"lcm({a}, {b}) = {out} exceeds grid-order cap {GRID_ORDER_CAP}")
     return out
 
 
@@ -185,14 +188,12 @@ def total_angle(label: SpiderLabel) -> TotalAngle:
     return TotalAngle(RationalAngle.from_fraction((label.alpha.fraction + k_turns) % 1))
 
 
-def add_on_lcm(
-    alpha: RationalAngle, a: int, beta: RationalAngle, b: int, cap: int = GRID_ORDER_CAP
-) -> RationalAngle:
+def add_on_lcm(alpha: RationalAngle, a: int, beta: RationalAngle, b: int) -> RationalAngle:
     """Add two grid phases exactly; the result lies on the lcm(a, b) grid.
 
     Pure index arithmetic on the refined grid: i*(L/a) + j*(L/b) mod L.
     """
-    target = lcm_order(a, b, cap=cap)
+    target = lcm_order(a, b)
     i = alpha.index_on(a)
     j = beta.index_on(b)
     return RationalAngle((i * (target // a) + j * (target // b)) % target, target)

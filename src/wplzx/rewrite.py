@@ -35,14 +35,7 @@ from .errors import (
     ResourceCapError,
     TraceReplayError,
 )
-from .phase import (
-    GRID_ORDER_CAP,
-    RationalAngle,
-    SpiderLabel,
-    TotalAngle,
-    lcm_order,
-    total_angle,
-)
+from .phase import RationalAngle, SpiderLabel, TotalAngle, lcm_order, total_angle
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ def node_total_angle(node: Node) -> TotalAngle:
     return total_angle(node.label)
 
 
-def fuse_pair(d: Diagram, u, v, cap: int = GRID_ORDER_CAP) -> Diagram:
+def fuse_pair(d: Diagram, u, v) -> Diagram:
     """Fuse two connected same-color spiders into one on the LCM grid.
 
     All c connecting wires are removed (total arity drops by 2c); surviving
@@ -164,29 +157,29 @@ def fuse_pair(d: Diagram, u, v, cap: int = GRID_ORDER_CAP) -> Diagram:
         raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
     if not d.wires_between(u, v):
         raise NotConnected(f"{u!r} and {v!r} share no wire")
-    nodes, wires = _fuse_groups(d, [[u, v]], cap)
+    nodes, wires = _fuse_groups(d, [[u, v]])
     return build(nodes, wires, d.n_inputs, d.n_outputs)
 
 
-def _fold(labels, cap: int) -> SpiderLabel:
+def _fold(labels) -> SpiderLabel:
     """The label of spiders fused in the given order: L = lcm of the grids,
     alpha = sum mod 1 and k = sum of k_i * L / a_i.
 
     The lcm is folded from the first label's grid on, so GridOverflow names
-    the running grid and the grid that first takes it over ``cap``, as
+    the running grid and the grid that first takes it over GRID_ORDER_CAP, as
     pairwise fusion does.
     """
     first = labels[0]
     L, alpha, k = first.grid, first.alpha, first.winding.fraction
     for lab in labels[1:]:
-        L_new = lcm_order(L, lab.grid, cap=cap)
+        L_new = lcm_order(L, lab.grid)
         k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
         alpha = (alpha + lab.alpha).mod1()
         L = L_new
     return SpiderLabel(L, alpha, RationalAngle.from_fraction(k))
 
 
-def _fuse_groups(d: Diagram, groups, cap: int) -> tuple[list[Node], list[Wire]]:
+def _fuse_groups(d: Diagram, groups) -> tuple[list[Node], list[Wire]]:
     """Fuse each group of connected same-color spiders, listed in absorption
     order, into one spider with the first member's id; returns the node and
     wire lists for one ``build``.
@@ -209,7 +202,7 @@ def _fuse_groups(d: Diagram, groups, cap: int) -> tuple[list[Node], list[Wire]]:
     merged, port_map = [], {}
     for group in groups:
         members = [d.node(m) for m in group]
-        label = _fold([n.label for n in members], cap)
+        label = _fold([n.label for n in members])
         ins, outs = [], []
         for n in members:
             for p in range(n.degree):
@@ -308,13 +301,13 @@ def color_change(d: Diagram, node_id) -> Diagram:
     return build(nodes, new_wires, d.n_inputs, d.n_outputs)
 
 
-def _canonical(label: SpiderLabel, in_arity: int, out_arity: int, cap: int) -> CanonicalLabel:
+def _canonical(label: SpiderLabel, in_arity: int, out_arity: int) -> CanonicalLabel:
     """CanonicalLabel of a region whose spiders fuse to ``label``.
 
-    The region's grid must fit under ``cap`` even when it is one spider's
-    own grid; GridOverflow then reads lcm(1, a).
+    The region's grid must fit under GRID_ORDER_CAP even when it is one
+    spider's own grid; GridOverflow then reads lcm(1, a).
     """
-    L = lcm_order(1, label.grid, cap=cap)
+    L = lcm_order(1, label.grid)
     turns = total_angle(label).turns
     return CanonicalLabel(
         L=L,
@@ -326,13 +319,9 @@ def _canonical(label: SpiderLabel, in_arity: int, out_arity: int, cap: int) -> C
     )
 
 
-def canonical_label(
-    labels,
-    in_arity: int = 0,
-    out_arity: int = 0,
-    cap: int = GRID_ORDER_CAP,
-) -> CanonicalLabel:
-    """Label-level normal form of a non-empty same-color region.
+def canonical_label(labels) -> CanonicalLabel:
+    """Label-level normal form of a non-empty same-color region, with zero
+    arities.
 
     L is the LCM of all grid orders and theta the exact sum of total angles
     mod one turn; both are independent of enumeration order.
@@ -342,12 +331,10 @@ def canonical_label(
         raise ValueError("canonical_label needs at least one spider label")
     # Folding from the grid-1 zero label checks the first grid against the
     # cap too, as lcm(1, a).
-    return _canonical(_fold([SpiderLabel(1), *labels], cap), in_arity, out_arity, cap)
+    return _canonical(_fold([SpiderLabel(1), *labels]), 0, 0)
 
 
-def wzcc_normalize(
-    d: Diagram, cap: int = GRID_ORDER_CAP
-) -> tuple[Diagram, list[CanonicalLabel], RewriteTrace]:
+def wzcc_normalize(d: Diagram) -> tuple[Diagram, list[CanonicalLabel], RewriteTrace]:
     """Collapse every maximal monochrome region to one canonical spider.
 
     All regions are fused in one ``_fuse_groups`` call and one ``build``,
@@ -361,7 +348,7 @@ def wzcc_normalize(
     under repeated normalization.
     """
     orders = dg.region_orders(d)
-    nodes, wires = _fuse_groups(d, [o for o in orders if len(o) > 1], cap)
+    nodes, wires = _fuse_groups(d, [o for o in orders if len(o) > 1])
     by_id = {n.id: n for n in nodes}
     trace = RewriteTrace()
     labels: list[CanonicalLabel] = []
@@ -378,7 +365,7 @@ def wzcc_normalize(
                     "normalize-label", (rep,), (rep,), {"label": canon.to_json()}
                 )
             )
-        labels.append(_canonical(node.label, node.ins, node.outs, cap))
+        labels.append(_canonical(node.label, node.ins, node.outs))
     return build(by_id.values(), wires, d.n_inputs, d.n_outputs), labels, trace
 
 
@@ -394,8 +381,8 @@ class _FusionRun:
     must not be fused later in the same run; start a new run instead.
     """
 
-    def __init__(self, d: Diagram, cap: int) -> None:
-        self.d, self.cap = d, cap
+    def __init__(self, d: Diagram) -> None:
+        self.d = d
         self.absorbed: dict = {}  # survivor -> spiders it absorbed, in order
         self.grid: dict = {}  # survivor -> lcm grid of its group
         self.gone: set = set()
@@ -420,9 +407,7 @@ class _FusionRun:
             raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
         if v not in self.wired[u]:
             raise NotConnected(f"{u!r} and {v!r} share no wire")
-        self.grid[u] = lcm_order(
-            self.grid.get(u, nu.label.grid), self.grid.get(v, nv.label.grid), cap=self.cap
-        )
+        self.grid[u] = lcm_order(self.grid.get(u, nu.label.grid), self.grid.get(v, nv.label.grid))
         # The wires between the two groups are consumed; v's other
         # neighbours now neighbour u.
         wired_u, wired_v = self.wired[u], self.wired.pop(v)
@@ -458,7 +443,7 @@ class _FusionRun:
                 order.append(u)
                 stack.extend(reversed(self.absorbed.get(u, ())))
             groups.append(order)
-        nodes, wires = _fuse_groups(self.d, groups, self.cap)
+        nodes, wires = _fuse_groups(self.d, groups)
         nodes = [
             Node(n.id, n.kind, self.labels[n.id], n.ins, n.outs) if n.id in self.labels else n
             for n in nodes
@@ -466,7 +451,7 @@ class _FusionRun:
         return build(nodes, wires, self.d.n_inputs, self.d.n_outputs)
 
 
-def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> Diagram:
+def apply_trace(d: Diagram, trace: RewriteTrace) -> Diagram:
     """Replay a trace on a diagram, reproducing the recorded rewrite.
 
     Each maximal run of ``fuse`` and ``normalize-label`` entries is applied
@@ -476,28 +461,28 @@ def apply_trace(d: Diagram, trace: RewriteTrace, cap: int = GRID_ORDER_CAP) -> D
     and ``color-change`` apply one entry at a time.  Every entry is checked
     in trace order against the state all earlier entries left: a ``fuse``
     needs two live spiders of one color whose groups share a wire and whose
-    lcm grid stays under ``cap``; a ``normalize-label`` needs a live node
-    that accepts the label.  The first entry that fails raises
+    lcm grid stays under GRID_ORDER_CAP; a ``normalize-label`` needs a live
+    node that accepts the label.  The first entry that fails raises
     TraceReplayError naming it, or, when it passes a resource cap, the cap's
     own error (GridOverflow) with the same message.
     """
-    run = _FusionRun(d, cap)
+    run = _FusionRun(d)
     for entry in trace.entries:
         try:
             if entry.rule == "fuse":
                 u, v = entry.consumed
                 if u in run.labels or v in run.labels:
-                    run = _FusionRun(run.diagram(), cap)
+                    run = _FusionRun(run.diagram())
                 run.fuse(u, v)
             elif entry.rule == "normalize-label":
                 (nid,) = entry.consumed
                 run.relabel(nid, SpiderLabel.from_json(entry.detail["label"]))
             elif entry.rule == "identity-removal":
                 (nid,) = entry.consumed
-                run = _FusionRun(identity_removal(run.diagram(), nid), cap)
+                run = _FusionRun(identity_removal(run.diagram(), nid))
             elif entry.rule == "color-change":
                 (nid,) = entry.consumed
-                run = _FusionRun(color_change(run.diagram(), nid), cap)
+                run = _FusionRun(color_change(run.diagram(), nid))
             else:
                 raise TraceReplayError(f"unknown rule {entry.rule!r}")
         except TraceReplayError:

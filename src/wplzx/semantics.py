@@ -10,7 +10,7 @@ exactly, along the same contraction schedule, for ``verify``.
 
 Conventions: qubit 0 is the most significant bit; a diagram with m inputs and
 n outputs evaluates to a 2^n x 2^m matrix.  Float equality checks use the
-fixed tolerance EQ_TOL = 1e-9 unless told otherwise.
+fixed tolerance EQ_TOL = 1e-9.
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ def _spider_tensor(kind: str, degree: int, phase, ring=_Complex) -> np.ndarray:
     return t
 
 
-def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float, *,
-                  max_legs: int = MAX_SPIDER_LEGS) -> np.ndarray:
+def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.ndarray:
     """Matrix of a single spider with m inputs and n outputs.
 
     Z: |0..0><0..0| + e^{i theta} |1..1><1..1|; X is the Hadamard conjugate.
@@ -151,8 +150,8 @@ def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float, *,
         raise ValueError(f"spider_matrix needs a spider kind, got {kind!r}")
     if m < 0 or n < 0:
         raise ValueError("arities must be non-negative")
-    if m + n > max_legs:
-        raise DimensionOverflow(f"spider with {m + n} legs exceeds cap {max_legs}")
+    if m + n > MAX_SPIDER_LEGS:
+        raise DimensionOverflow(f"spider with {m + n} legs exceeds cap {MAX_SPIDER_LEGS}")
     th = theta.radians() if isinstance(theta, TotalAngle) else float(theta)
     return _spider_tensor(kind, m + n, _unit(th)).reshape(2 ** n, 2 ** m)
 
@@ -196,15 +195,15 @@ def _network(d: dg.Diagram) -> list[tuple]:
     return pieces
 
 
-def _schedule(d: dg.Diagram, max_open_wires: int, max_entries: int, order: str) -> tuple:
+def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
     """Plan the contraction of d from its wire labels alone; DimensionOverflow
     comes before any arithmetic.  Returns (pieces, traces, pairs, perm): the
     ``_network`` pieces, numbered in order; their (piece, axis, axis)
     self-loops; the (a, b, axes of a, axes of b) contractions, each result
     numbered next; and the transpose of the outer product of what is left into
-    matrix order.  "greedy" contracts the pair with the smallest result first,
-    then the lowest numbers; "sequential" the pair whose later tensor has the
-    lowest number."""
+    matrix order.  Greedy: the pair with the smallest result comes first, then
+    the pair with the lowest numbers; every intermediate tensor stays within
+    MAX_TENSOR_ENTRIES."""
     if d.n_inputs + d.n_outputs > max_open_wires:
         raise DimensionOverflow(
             f"{d.n_inputs + d.n_outputs} open wires exceed cap {max_open_wires}"
@@ -223,27 +222,25 @@ def _schedule(d: dg.Diagram, max_open_wires: int, max_entries: int, order: str) 
             if lab[0] != "b":
                 holders.setdefault(lab, []).append(k)
 
-    sequential = order == "sequential"
     heap: list = []
 
     def push(a: int, b: int) -> None:
         cost = len(live[a]) + len(live[b]) - 2 * len(set(live[a]) & set(live[b]))
-        heapq.heappush(heap, (b, cost, a) if sequential else (cost, a, b))
+        heapq.heappush(heap, (cost, a, b))
 
     for a, b in holders.values():
         push(a, b)
     pairs = []
     while heap:
-        key = heapq.heappop(heap)
-        a, b = (key[2], key[0]) if sequential else key[1:]
+        _, a, b = heapq.heappop(heap)
         if a not in live or b not in live:
             continue  # stale: one of them is contracted already
         ax_a, ax_b = live.pop(a), live.pop(b)
         shared = [lab for lab in ax_a if lab in ax_b]
         size = 2 ** (len(ax_a) + len(ax_b) - 2 * len(shared))
-        if size > max_entries:
+        if size > MAX_TENSOR_ENTRIES:
             raise DimensionOverflow(
-                f"intermediate tensor of {size} entries exceeds cap {max_entries}"
+                f"intermediate tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
             )
         pairs.append((a, b, [ax_a.index(x) for x in shared], [ax_b.index(x) for x in shared]))
         new = len(pieces) + len(pairs) - 1
@@ -255,8 +252,10 @@ def _schedule(d: dg.Diagram, max_open_wires: int, max_entries: int, order: str) 
 
     # What is left is unconnected and has only open axes: outer products.
     total = [lab for ax in live.values() for lab in ax]
-    if (size := 2 ** len(total)) > max_entries:
-        raise DimensionOverflow(f"final tensor of {size} entries exceeds cap {max_entries}")
+    if (size := 2 ** len(total)) > MAX_TENSOR_ENTRIES:
+        raise DimensionOverflow(
+            f"final tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
+        )
     want = [("b", dg.OUT, p) for p in range(d.n_outputs)] + [
         ("b", dg.IN, p) for p in range(d.n_inputs)
     ]
@@ -296,8 +295,6 @@ def evaluate(
     d: dg.Diagram,
     *,
     max_open_wires: int = MAX_OPEN_WIRES,
-    max_entries: int = MAX_TENSOR_ENTRIES,
-    order: str = "greedy",
     primes: tuple[int, ...] = (),
 ):
     """Contract the diagram to its 2^{outputs} x 2^{inputs} matrix.
@@ -305,10 +302,10 @@ def evaluate(
     Without ``primes``, a complex matrix in double precision.  With them, a
     list of int64 matrices, the exact matrix's residues mod each prime; every
     p must be 1 mod 8 and mod each total-angle denominator of d, as
-    ``exact_primes(phase_order(d))`` picks them.  ``order`` selects the
-    schedule (see ``_schedule``); it is planned once for all primes.
+    ``exact_primes(phase_order(d))`` picks them.  The contraction schedule
+    (see ``_schedule``) is planned once for all primes.
     """
-    plan = _schedule(d, max_open_wires, max_entries, order)
+    plan = _schedule(d, max_open_wires)
     if not primes:
         return _contract(d, plan, _Complex)
     return [_contract(d, plan, _Residues(p)) for p in primes]
@@ -317,16 +314,16 @@ def evaluate(
 # --- comparison predicates ---
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = EQ_TOL) -> bool:
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff a = c*b for some unit complex c, in max norm.
 
     The phase estimate comes from the largest-magnitude entry of b; this is
-    ``max_phase_deviation(a, b) <= tol``.
+    ``max_phase_deviation(a, b) <= EQ_TOL``.
     """
-    return max_phase_deviation(a, b) <= tol
+    return max_phase_deviation(a, b) <= EQ_TOL
 
 
-def equal_up_to_global_scalar(a: np.ndarray, b: np.ndarray, tol: float = EQ_TOL) -> bool:
+def equal_up_to_global_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff a = c*b for some nonzero complex c (magnitude ignored).
 
     Used where rewrite rules are only scalar-sound (bialgebra, Hopf, gate
@@ -340,12 +337,12 @@ def equal_up_to_global_scalar(a: np.ndarray, b: np.ndarray, tol: float = EQ_TOL)
         return True
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     if abs(b[idx]) == 0.0:
-        return float(np.max(np.abs(a), initial=0.0)) <= tol
+        return float(np.max(np.abs(a), initial=0.0)) <= EQ_TOL
     c = a[idx] / b[idx]
     if c == 0.0:
         return False
     scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a - c * b))) <= tol * scale
+    return float(np.max(np.abs(a - c * b))) <= EQ_TOL * scale
 
 
 def congruent_up_to_root_of_unity(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:

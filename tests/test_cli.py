@@ -119,6 +119,43 @@ def test_verify_zero_map_is_sound(tmp_path, capsys):
         )
 
 
+def test_verify_decides_snapped_circuits(tmp_path, capsys):
+    # d2-main circuits snapped to grid 8 denote nonzero multiples of unitaries,
+    # so SOUND here is not the zero-map case, and a 1/8-turn phase shift in
+    # the trace must read UNSOUND
+    from fractions import Fraction
+
+    from wplzx import datasets
+    from wplzx.diagram import serialize
+
+    for seed in (1, 2, 3):
+        cfg = datasets.preset("d2-main", seed=seed)
+        for i in range(5):
+            c = datasets.gen_hea(cfg, instance=i)
+            src = tmp_path / f"s{seed}-{i}.diagram.json"
+            d = datasets.circuit_to_diagram(c, grid_map=lambda q: 8, snap=True)
+            src.write_text(serialize(d))
+            norm = tmp_path / f"n{seed}-{i}"
+            assert run(["normalize", "--input", str(src), "--out", str(norm)]) == 0
+            trace = norm / "trace.jsonl"
+            capsys.readouterr()
+            methods = (([], "normalization"), (["--trace", str(trace)], "trace replay"))
+            for extra, how in methods:
+                assert run(["verify", "--input", str(src)] + extra) == 0, (seed, i, how)
+                out = capsys.readouterr().out
+                assert out.startswith(f"verdict SOUND\nmethod {how}\n"), (seed, i, out)
+                assert out.endswith("zero_map false\n"), (seed, i, out)
+
+            entries = [json.loads(line) for line in trace.read_text().splitlines()]
+            first = next(e for e in entries if e["rule"] == "normalize-label")
+            alpha = first["detail"]["label"]["alpha"]
+            shifted = (Fraction(alpha["num"], alpha["den"]) + Fraction(1, 8)) % 1
+            alpha.update(num=shifted.numerator, den=shifted.denominator)
+            trace.write_text("".join(json.dumps(e) + "\n" for e in entries))
+            assert run(["verify", "--input", str(src), "--trace", str(trace)]) == 1, (seed, i)
+            assert capsys.readouterr().out.startswith("verdict UNSOUND\n")
+
+
 def test_verify_without_usable_prime_is_inconclusive(tmp_path, capsys):
     from conftest import chain, spider
     from wplzx import diagram as dg
@@ -190,6 +227,55 @@ def test_metrics_pairing_mismatch(tmp_path):
     opt_dir.mkdir()
     (raw_dir / "a.circuit.txt").write_text("qubits 1\nRZ q0 1/4\n")
     assert run(["metrics", "--raw", str(raw_dir), "--opt", str(opt_dir)]) == 1
+
+
+@pytest.fixture(scope="module")
+def seed7_pairs(tmp_path_factory):
+    """d1-main seed 7, 20 raw diagrams and their normalized forms under the
+    same names, in directories ``raw`` and ``opt``."""
+    root = tmp_path_factory.mktemp("seed7")
+    raw, opt = root / "raw", root / "opt"
+    assert run(["gen", "--preset", "d1-main", "--seed", "7", "--count", "20",
+                "--out", str(raw)]) == 0
+    opt.mkdir()
+    for src in sorted(raw.glob("*.diagram.json")):
+        assert run(["normalize", "--input", str(src), "--out", str(root / "n")]) == 0
+        (opt / src.name).write_bytes((root / "n" / "normalized.diagram.json").read_bytes())
+    return raw, opt
+
+
+def _metric_lines(tmp_path, raw, opt) -> list[str]:
+    out_csv = tmp_path / "m.csv"
+    assert run(["metrics", "--raw", str(raw), "--opt", str(opt), "--out", str(out_csv)]) == 0
+    return out_csv.read_text().splitlines()
+
+
+def test_metrics_fp_only_for_proven_nonzero_states(tmp_path, seed7_pairs):
+    # Row 000 denotes the exact zero map (its float entries are rounding
+    # noise); only rows 002, 010 and 012 have a nonzero |0..0> column on
+    # both sides.
+    fp = [line.rsplit(",", 1)[1] for line in _metric_lines(tmp_path, *seed7_pairs)[1:-2]]
+    trusted = {2: "0.9999999999999998", 10: "1.0", 12: "1.0000000000000009"}
+    assert fp == [trusted.get(i, "nan") for i in range(20)]
+
+
+def test_metrics_untrusted_optimized_state_gives_nan(tmp_path, seed7_pairs):
+    # raw instance 002 has a proven nonzero state, the normalized form of
+    # instance 001 has none: the row reads nan instead of failing the run
+    raw, opt = seed7_pairs
+    lines = _metric_lines(
+        tmp_path, raw / "d1-main-s7-002.diagram.json", opt / "d1-main-s7-001.diagram.json"
+    )
+    assert lines[1] == "7,4,30,1.0,-1.9333333333333331,0.0,nan"
+
+
+def test_metrics_footer_nan_without_numeric_values(tmp_path, seed7_pairs):
+    raw, opt = seed7_pairs
+    name = "d1-main-s7-018.diagram.json"
+    lines = _metric_lines(tmp_path, raw / name, opt / name)
+    assert lines[1].endswith(",nan")
+    assert lines[2].startswith("mean,") and lines[2].endswith(",nan")
+    assert lines[3].startswith("stddev,") and lines[3].endswith(",nan")
 
 
 def test_decode_reproduces_worked_edge_weight(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_lcm_order_properties():
 
 def test_lcm_order_cap():
     with pytest.raises(GridOverflow):
-        lcm_order(2**11, 2**10 + 1, cap=2**20)
+        lcm_order(2**11, 2**10 + 1)
 
 
 def test_total_angle_examples():

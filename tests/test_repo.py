@@ -1,5 +1,6 @@
-"""Repository hygiene: no tracked file is one that .gitignore excludes, and
-no public definition in src/wplzx is dead code."""
+"""Repository hygiene: no tracked file is one that .gitignore excludes, no
+public definition in src/wplzx is dead code, and no default parameter of a
+public function is one that no caller sets."""
 
 from __future__ import annotations
 
@@ -77,3 +78,62 @@ def test_every_public_name_is_reached():
     assert not dead, "public definitions nothing reaches:\n" + "\n".join(dead)
     stale = sorted(set(REACH_ALLOWLIST) - set(unreached))
     assert not stale, f"allowlisted names that are now reached or gone: {stale}"
+
+
+# Default parameters kept although no call in src/, perfbench/ or the
+# acceptance tests sets them, as "function(parameter)", each with its reason.
+KEYWORD_ALLOWLIST: dict[str, str] = {}
+
+
+def _public_functions():
+    for path in sorted((ROOT / "src" / "wplzx").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not stmt.name.startswith("_"):
+                    yield path.relative_to(ROOT), stmt
+
+
+def test_every_keyword_parameter_is_set():
+    """Each parameter with a default, of each public top-level function in
+    src/wplzx, is set by keyword or by position in some call to a function
+    of that name in src/, perfbench/ or the acceptance tests.
+
+    A call that passes ``*args`` or ``**kwargs`` counts as setting them all.
+    Otherwise the parameter is a fixed policy and belongs in a constant.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    paths = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "perfbench").rglob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    unset = {}
+    for path, fn in _public_functions():
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        # (position or None for keyword-only, name) of each defaulted parameter
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        for index, param in defaulted:
+            if not any(
+                any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg in (None, param) for kw in call.keywords)
+                or (index is not None and len(call.args) > index)
+                for call in calls.get(fn.name, ())
+            ):
+                key = f"{fn.name}({param})"
+                unset[key] = f"{path}:{fn.lineno} {key}"
+    fixed = [where for key, where in unset.items() if key not in KEYWORD_ALLOWLIST]
+    assert not fixed, "default parameters no caller sets:\n" + "\n".join(fixed)
+    stale = sorted(set(KEYWORD_ALLOWLIST) - set(unset))
+    assert not stale, f"allowlisted parameters that are now set or gone: {stale}"

@@ -125,23 +125,63 @@ def test_evaluate_high_degree_spider_split():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_contraction_order_independence():
-    from wplzx.datasets import GenConfig, gen_random_wplzx
+def _steps(plan, rename=lambda lab: lab):
+    """A contraction plan's steps as (labels of a, labels of b), each label
+    passed through ``rename``."""
+    pieces, traces, pairs, _ = plan
+    live = {k: [rename(lab) for lab in axes] for k, (_, _, axes) in enumerate(pieces)}
+    for k, i, j in traces:
+        del live[k][j], live[k][i]
+    steps = []
+    for new, (a, b, _, _) in enumerate(pairs, start=len(pieces)):
+        steps.append((tuple(live[a]), tuple(live[b])))
+        shared = set(live[a]) & set(live[b])
+        live[new] = [x for x in live.pop(a) + live.pop(b) if x not in shared]
+    return steps
 
+
+def test_contraction_order_independence():
+    # Reversed node ids renumber the pieces, so the greedy schedule breaks
+    # its ties differently; the matrix must not change.
+    from wplzx.datasets import GenConfig, gen_random_wplzx
+    from wplzx.semantics import _schedule
+
+    differ = 0
     for seed in range(10):
         d = gen_random_wplzx(
             GenConfig(seed=seed, spiders_min=4, spiders_max=10, qubits=3), instance=0
         )
-        a = evaluate(d, order="greedy")
-        b = evaluate(d, order="sequential")
-        assert np.max(np.abs(a - b)) < 1e-9
+        ids = [n.id for n in d.nodes]
+        new = dict(zip(ids, reversed(range(len(ids)))))
+        old = {v: k for k, v in new.items()}
+
+        def rename(ep, ids):
+            return NodePort(ids[ep.node], ep.port) if isinstance(ep, NodePort) else ep
+
+        r = build(
+            [Node(new[n.id], n.kind, n.label, n.ins, n.outs) for n in d.nodes],
+            [Wire(rename(w.a, new), rename(w.b, new)) for w in d.wires],
+            d.n_inputs,
+            d.n_outputs,
+        )
+        index = {w: i for i, w in enumerate(d.wires)}
+        wire_back = [index[Wire(rename(w.a, old), rename(w.b, old))] for w in r.wires]
+
+        def back(lab):  # r's axis label in d's terms
+            if lab[0] == "w":
+                return ("w", wire_back[lab[1]])
+            return ("bond", old[lab[1]], lab[2]) if lab[0] == "bond" else lab
+
+        canon = lambda steps: [frozenset(map(frozenset, step)) for step in steps]
+        differ += canon(_steps(_schedule(d, 12))) != canon(_steps(_schedule(r, 12), back))
+        assert np.max(np.abs(evaluate(d) - evaluate(r))) < 1e-9
+    assert differ
 
 
-def _rescan_order(pieces, order):
+def _rescan_order(pieces):
     """Contraction steps as (labels of a, labels of b) by rescanning every
     tensor at each step: the least (result size, earlier position, later
-    position) among tensors sharing a label; "sequential" stops at the first
-    tensor that has an earlier partner."""
+    position) among tensors sharing a label."""
     tensors = []
     for _, _, axes in pieces:
         axes = list(axes)
@@ -158,8 +198,6 @@ def _rescan_order(pieces, order):
                 if shared:
                     key = (len(a) + len(b) - 2 * len(shared), j, i)
                     best = key if best is None or key < best else best
-            if order == "sequential" and best is not None:
-                break
         if best is None:
             return steps
         _, j, i = best
@@ -177,17 +215,8 @@ def test_schedule_keeps_rescan_pair_order():
         d = gen_random_wplzx(
             GenConfig(seed=seed, spiders_min=10, spiders_max=60, qubits=4), instance=0
         )
-        for order in ("greedy", "sequential"):
-            pieces, traces, pairs, _ = _schedule(d, 12, 1 << 24, order)
-            live = {k: list(axes) for k, (_, _, axes) in enumerate(pieces)}
-            for k, i, j in traces:
-                del live[k][j], live[k][i]
-            steps = []
-            for new, (a, b, _, _) in enumerate(pairs, start=len(pieces)):
-                steps.append((tuple(live[a]), tuple(live[b])))
-                shared = set(live[a]) & set(live[b])
-                live[new] = [x for x in live.pop(a) + live.pop(b) if x not in shared]
-            assert steps == _rescan_order(pieces, order), (seed, order)
+        plan = _schedule(d, 12)
+        assert _steps(plan) == _rescan_order(plan[0]), seed
 
 
 def test_monoidality_tensor_and_compose(rng):
@@ -337,7 +366,7 @@ def test_equal_up_to_global_phase():
     zpi = spider_matrix(dg.Z, 1, 1, TA(1, 2))
     assert not equal_up_to_global_phase(zpi, z0)
     noisy = np.exp(1j * 1.1) * m + 1e-12
-    assert equal_up_to_global_phase(noisy, m, tol=1e-9)
+    assert equal_up_to_global_phase(noisy, m)
     with pytest.raises(DimensionMismatch):
         equal_up_to_global_phase(np.eye(2), np.eye(4))
     # magnitude changes are NOT phases
