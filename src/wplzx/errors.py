@@ -100,6 +100,10 @@ class OddVertexCount(WplzxError):
     """Perfect matching requested on an odd number of vertices."""
 
 
+class MatchingOverflow(ResourceCapError):
+    """A matching needs more subset-DP vertices than the configured cap."""
+
+
 class ZeroDistance(WplzxError):
     """Decoder-risk metric undefined for a zero-length edge."""
 

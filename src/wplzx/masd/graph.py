@@ -127,6 +127,9 @@ class DefectGraph:
     @classmethod
     def from_json_obj(cls, obj: dict) -> DefectGraph:
         try:
+            for i, entry in enumerate(obj["vertices"]):
+                if not isinstance(entry["id"], (int, str)):
+                    raise ParseError(f"vertices[{i}]: id must be int or str")
             vertices = tuple(
                 DefectVertex(
                     entry["id"],
@@ -141,9 +144,9 @@ class DefectGraph:
                 DefectEdge(entry["u"], entry["v"], float(entry["d"]))
                 for entry in obj["edges"]
             )
+            return cls(vertices, edges)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ParseError(f"malformed defect graph: {exc}") from exc
-        return cls(vertices, edges)
 
     @classmethod
     def deserialize(cls, text: str) -> DefectGraph:

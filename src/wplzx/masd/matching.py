@@ -1,13 +1,15 @@
 """Minimum-weight perfect matching on defect graphs.
 
-Instances with at most :data:`DP_VERTEX_CAP` DP vertices are solved exactly
-by a subset DP over the F(n+2) masks reachable from the empty one (Fibonacci,
-at most n relaxations each); beyond the cap a greedy nearest-pair heuristic
-is used and the result is flagged approximate.  When virtual boundary vertices
-follow the one-virtual-per-defect pattern, each virtual is folded into its
-real defect's retirement cost, so only the real defects enter the DP mask and
-the unused virtuals pair up among themselves afterwards.  Any other virtual
-layout puts every vertex into the same DP with an infinite retirement cost.
+Every matching is exact: a subset DP over the F(n+2) masks reachable from
+the empty one (Fibonacci, at most n relaxations each).  The DP takes at most
+:data:`DP_VERTEX_CAP` = 24 vertices, the Z-check count of the largest
+supported surface code, so every graph ``sweep`` samples fits; a larger
+graph raises MatchingOverflow instead of being matched approximately.  When
+virtual boundary vertices follow the one-virtual-per-defect pattern, each
+virtual is folded into its real defect's retirement cost, so only the real
+defects enter the DP mask and the unused virtuals pair up among themselves
+afterwards.  Any other virtual layout puts every vertex into the same DP with
+an infinite retirement cost.
 
 Which layout applies, the DP vertex order, each real defect's retirement
 candidates and the edge keys of the DP matrix depend only on the graph, so
@@ -22,11 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..errors import OddVertexCount
+from ..errors import MatchingOverflow, OddVertexCount
 from . import _dp
 from .graph import DefectGraph, VertexId
 
-DP_VERTEX_CAP = 16
+DP_VERTEX_CAP = 24
 
 # The kernel module under the name profilers and tests patch ``solve_dense`` on.
 _kernel = _dp
@@ -50,7 +52,8 @@ def _weight_fn(weights: Mapping) -> Callable[[VertexId, VertexId], float]:
 
 @dataclass(frozen=True)
 class Matching:
-    """A perfect matching: vertex-id pairs, its cost, and an exactness flag."""
+    """A perfect matching: vertex-id pairs, its cost, and an exactness flag
+    (always true: every matching is a minimum-weight one)."""
 
     pairs: tuple[tuple[VertexId, VertexId], ...]
     total_cost: float
@@ -106,25 +109,23 @@ def min_weight_perfect_matching(g: DefectGraph, weights: Mapping) -> Matching:
     """Match all vertices of g at minimum total weight.
 
     ``weights`` maps frozenset({u, v}) to the edge cost, as built by
-    ``edge_weights``.  Exact (subset DP) when the DP vertex count is within
-    the cap, greedy otherwise (flagged ``exact=False``).  Raises
-    OddVertexCount when no perfect matching can exist.
+    ``edge_weights``.  Raises OddVertexCount when no perfect matching can
+    exist and MatchingOverflow past DP_VERTEX_CAP DP vertices.
     """
     if len(g.vertices) % 2 != 0:
         raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
     if not g.vertices:
         return Matching((), 0.0, exact=True)
     ids, virts, retire, cells, keys = _layout(g)
+    n = len(ids)
+    if n > DP_VERTEX_CAP:
+        raise MatchingOverflow(f"{n} DP vertices exceed cap {DP_VERTEX_CAP}")
     own: dict[VertexId, tuple] = {}  # real id -> (virtual id, retirement cost)
     for r, candidates in retire.items():
         for virt, key in candidates:
             cost = float(weights.get(key, math.inf))
             if r not in own or cost < own[r][1]:
                 own[r] = (virt, cost)
-
-    n = len(ids)
-    if n > DP_VERTEX_CAP:
-        return _greedy(ids, virts, _weight_fn(weights), own)
 
     w = [[math.inf] * n for _ in range(n)]
     for (i, j), key in zip(cells, keys):
@@ -147,34 +148,3 @@ def min_weight_perfect_matching(g: DefectGraph, weights: Mapping) -> Matching:
     for i in range(0, len(leftover), 2):
         pairs.append((leftover[i], leftover[i + 1]))
     return Matching(tuple(pairs), cost, exact=True)
-
-
-def _greedy(reals, virts, wf, own) -> Matching:
-    """Nearest-pair heuristic; output flagged approximate."""
-    candidates = []
-    for i in range(len(reals)):
-        for j in range(i + 1, len(reals)):
-            candidates.append((wf(reals[i], reals[j]), 0, reals[i], reals[j]))
-        if reals[i] in own:
-            virt, cost = own[reals[i]]
-            candidates.append((cost, 1, reals[i], virt))
-    candidates.sort(key=lambda c: (c[0], c[1], repr(c[2]), repr(c[3])))
-    matched: set[VertexId] = set()
-    pairs: list[tuple[VertexId, VertexId]] = []
-    total = 0.0
-    for cost, _, u, v in candidates:
-        if u in matched or v in matched or not math.isfinite(cost):
-            continue
-        pairs.append((u, v))
-        matched.update((u, v))
-        total += cost
-    unmatched_reals = [r for r in reals if r not in matched]
-    for i in range(0, len(unmatched_reals) - 1, 2):
-        u, v = unmatched_reals[i], unmatched_reals[i + 1]
-        pairs.append((u, v))
-        total += wf(u, v)
-        matched.update((u, v))
-    leftover = sorted((v for v in virts if v not in matched), key=repr)
-    for i in range(0, len(leftover) - 1, 2):
-        pairs.append((leftover[i], leftover[i + 1]))
-    return Matching(tuple(pairs), total, exact=False)

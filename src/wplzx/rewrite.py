@@ -304,17 +304,17 @@ def color_change(d: Diagram, node_id) -> Diagram:
 def _canonical(label: SpiderLabel, in_arity: int, out_arity: int) -> CanonicalLabel:
     """CanonicalLabel of a region whose spiders fuse to ``label``.
 
-    The region's grid must fit under GRID_ORDER_CAP even when it is one
-    spider's own grid; GridOverflow then reads lcm(1, a).
+    The grid is taken as it is: GRID_ORDER_CAP bounds only the lcm
+    refinements of fusion, so a lone spider keeps its own grid whatever its
+    size.
     """
-    L = lcm_order(1, label.grid)
     turns = total_angle(label).turns
     return CanonicalLabel(
-        L=L,
+        L=label.grid,
         theta=TotalAngle(turns),
         in_arity=in_arity,
         out_arity=out_arity,
-        on_grid=turns.is_grid_compliant(L),
+        on_grid=turns.is_grid_compliant(label.grid),
         winding_sum=label.winding,
     )
 
@@ -329,9 +329,7 @@ def canonical_label(labels) -> CanonicalLabel:
     labels = list(labels)
     if not labels:
         raise ValueError("canonical_label needs at least one spider label")
-    # Folding from the grid-1 zero label checks the first grid against the
-    # cap too, as lcm(1, a).
-    return _canonical(_fold([SpiderLabel(1), *labels]), 0, 0)
+    return _canonical(_fold(labels), 0, 0)
 
 
 def wzcc_normalize(d: Diagram) -> tuple[Diagram, list[CanonicalLabel], RewriteTrace]:

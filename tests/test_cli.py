@@ -174,6 +174,22 @@ def test_verify_without_usable_prime_is_inconclusive(tmp_path, capsys):
         assert captured.err.startswith("resource cap: phase order 2097152: ")
 
 
+def test_lone_large_grid_spider_is_not_capped(tmp_path, capsys):
+    from conftest import chain, spider
+    from wplzx import diagram as dg
+    from wplzx.diagram import serialize
+
+    # grid 2^21 exceeds GRID_ORDER_CAP, but a lone spider refines nothing
+    src = tmp_path / "d.diagram.json"
+    src.write_text(serialize(chain(spider(0, dg.Z, a=2**21, alpha=(1, 4)))))
+    assert run(["normalize", "--input", str(src), "--out", str(tmp_path / "n")]) == 0
+    labels = json.loads((tmp_path / "n" / "labels.json").read_text())
+    assert [lab["L"] for lab in labels] == [2**21]
+    capsys.readouterr()
+    assert run(["verify", "--input", str(src)]) == 0
+    assert capsys.readouterr().out.startswith("verdict SOUND\n")
+
+
 def test_verify_oversize_exit_3(tmp_path, capsys):
     gen_dir = tmp_path / "g"
     run(["gen", "--preset", "d1-main", "--seed", "5", "--qubits", "4",
@@ -291,6 +307,43 @@ def test_decode_reproduces_worked_edge_weight(tmp_path, capsys):
     assert run(["decode", "--graph", str(path), "--lambda", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "total_cost 1.1875" in out
+
+
+def _toy_graph_vertices(ids):
+    return [{"id": i, "pos": [0, 0], "a": 1, "k": 0, "virtual": False} for i in ids]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": _toy_graph_vertices([0, 1]), "edges": [{"u": 0, "v": 2, "d": 1.0}]},
+        {"vertices": _toy_graph_vertices([0, 0]), "edges": []},
+        {"vertices": _toy_graph_vertices([[0], 1]), "edges": []},
+    ],
+    ids=["missing-vertex", "duplicate-id", "list-id"],
+)
+def test_decode_malformed_graph_exit_1(tmp_path, capsys, graph):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    assert run(["decode", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_decode_past_dp_cap_exit_3(tmp_path, capsys):
+    # 25 reals, each with its own boundary virtual: 25 DP vertices
+    graph = {
+        "vertices": _toy_graph_vertices(range(25))
+        + [{"id": f"b{i}", "pos": [0, 0], "a": 1, "k": 0, "virtual": True} for i in range(25)],
+        "edges": [{"u": i, "v": f"b{i}", "d": 1.0} for i in range(25)],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(graph))
+    assert run(["decode", "--graph", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: 25 DP vertices exceed cap 24\n"
 
 
 def test_sweep_reproducible_and_monotone(tmp_path):

@@ -14,12 +14,14 @@ import pytest
 from conftest import brute_force_min_matching
 from wplzx.errors import (
     GridOverflow,
+    MatchingOverflow,
     NegativeLambda,
     OddVertexCount,
     ParseError,
     ZeroDistance,
 )
 from wplzx.masd import (
+    DP_VERTEX_CAP,
     NORMALIZED,
     RAW,
     DefectEdge,
@@ -35,7 +37,8 @@ from wplzx.masd import (
 )
 from wplzx.masd import _dp
 from wplzx.masd.graph import edge_terms
-from wplzx.masd.matching import _greedy, _weight_fn
+from wplzx.masd.matching import _weight_fn
+from wplzx.masd.surface import SUPPORTED_DISTANCES, build_code
 
 
 def vert(vid, a, k, virtual=False, pos=(0.0, 0.0)):
@@ -228,8 +231,8 @@ def test_matching_odd_count_rejected():
 
 
 def test_matching_beats_greedy():
-    # greedy grabs the cheapest edge (0-1) and is forced into 2-3; optimum
-    # pairs 0-2 / 1-3
+    # a nearest-pair heuristic grabs the cheapest edge (0-1) and is forced
+    # into 2-3, at cost 11; the optimum pairs 0-2 / 1-3
     w = {
         frozenset((0, 1)): 1.0,
         frozenset((2, 3)): 10.0,
@@ -242,10 +245,9 @@ def test_matching_beats_greedy():
     es = tuple(DefectEdge(i, j, w[frozenset((i, j))]) for i in range(4) for j in range(i + 1, 4))
     g = DefectGraph(tuple(vs), es)
     m = min_weight_perfect_matching(g, w)
+    assert m.pairs == ((0, 2), (1, 3))
     assert m.total_cost == pytest.approx(2.2)
-    greedy = _greedy([v.id for v in vs], [], _weight_fn(w), {})
-    assert greedy.total_cost == pytest.approx(11.0)
-    assert not greedy.exact
+    assert m.exact
     # brute force agrees
     _, want = brute_force_min_matching(range(4), lambda u, v: w[frozenset((u, v))])
     assert m.total_cost == pytest.approx(want)
@@ -368,14 +370,67 @@ def _pairings(ids):
             yield [(first, ids[j])] + sub
 
 
-def test_matching_cap_and_greedy_flag():
-    n = 18
-    vs = [vert(i, 1, 0) for i in range(n)]
+def test_matching_exact_up_to_cap_and_raises_past_it():
     rng = np.random.default_rng(0)
-    g = complete_graph(vs, lambda u, v: float(rng.uniform(1, 2)))
+    g = complete_graph([vert(i, 1, 0) for i in range(18)], lambda u, v: float(rng.uniform(1, 2)))
     m = min_weight_perfect_matching(g, edge_weights(g, 0.0))
-    assert not m.exact
-    assert sorted(x for p in m.pairs for x in p) == list(range(n))
+    assert m.exact
+    assert sorted(x for p in m.pairs for x in p) == list(range(18))
+    # 25 reals with one virtual each: 25 DP vertices, one past the cap
+    n = DP_VERTEX_CAP + 1
+    reals = [vert(i, 1, 0) for i in range(n)]
+    virts = [vert(f"b{i}", 1, 0, virtual=True) for i in range(n)]
+    g = DefectGraph(tuple(reals + virts), tuple(DefectEdge(i, f"b{i}", 1.0) for i in range(n)))
+    with pytest.raises(MatchingOverflow, match="25 DP vertices exceed cap 24"):
+        min_weight_perfect_matching(g, edge_weights(g, 0.0))
+
+
+def test_dp_cap_covers_every_supported_distance():
+    # A syndrome has at most one defect per Z check, so every sampled graph
+    # fits the DP; lifting the supported distances must revisit the cap.
+    assert DP_VERTEX_CAP == max(len(build_code(d).z_checks) for d in SUPPORTED_DISTANCES)
+
+
+def _networkx_instance(rng, layout, n):
+    """Random weights on n DP vertices: ``own`` has n reals with one virtual
+    each and a zero-cost virtual clique; ``arbitrary`` (n even) has n - 2
+    reals and 2 virtuals, the first adjacent to two reals.  About a fifth of
+    the real-real edges are missing."""
+    n_real = n if layout == "own" else n - 2
+    n_virt = n if layout == "own" else 2
+    wmap = {
+        frozenset((i, j)): rng.uniform(0.1, 4.0)
+        for i in range(n_real) for j in range(i + 1, n_real) if rng.random() < 0.8
+    }
+    for b in range(n_virt):
+        touched = [b] if layout == "own" else rng.sample(range(n_real), 2 - b)
+        wmap.update({frozenset((r, f"b{b}")): rng.uniform(0.1, 4.0) for r in touched})
+        for c in range(b + 1, n_virt):
+            wmap[frozenset((f"b{b}", f"b{c}"))] = 0.0 if layout == "own" else rng.uniform(0.0, 0.5)
+    reals = [vert(i, 1, 0) for i in range(n_real)]
+    virts = [vert(f"b{b}", 1, 0, virtual=True) for b in range(n_virt)]
+    edges = tuple(DefectEdge(*sorted(k, key=str), d) for k, d in wmap.items())
+    return DefectGraph(tuple(reals + virts), edges), wmap
+
+
+def test_matching_matches_networkx_past_16_dp_vertices(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    # A private table cache, emptied after each size: the n = 24 table alone
+    # holds about 120 MB.
+    monkeypatch.setattr(_dp, "_TABLES", {})
+    for n in range(17, DP_VERTEX_CAP + 1):
+        for layout in ("own", "arbitrary") if n % 2 == 0 else ("own",):
+            g, wmap = _networkx_instance(random.Random(f"{layout}-{n}"), layout, n)
+            ref = nx.Graph()
+            ref.add_weighted_edges_from((*sorted(k, key=str), d) for k, d in wmap.items())
+            want = sum(wmap[frozenset(p)] for p in nx.min_weight_matching(ref))
+            m = min_weight_perfect_matching(g, wmap)
+            assert m.exact
+            assert m.total_cost == pytest.approx(want, rel=1e-12), (layout, n)
+            assert sum(wmap[frozenset(p)] for p in m.pairs) == pytest.approx(want, rel=1e-12)
+            covered = sorted(str(x) for p in m.pairs for x in p)
+            assert covered == sorted(str(v.id) for v in g.vertices)
+        _dp._TABLES.clear()
 
 
 def _kernel_instance(kind, n, seed):
@@ -405,9 +460,10 @@ def _kernel_instance(kind, n, seed):
     return w, boundary
 
 
-# (kind, n, seed, repr(cost), sha256 of repr([int(c) for c in choice]),
-# reconstruct's moves or None when it finds no perfect cover).  Produced by the
-# numpy-array kernel that the list kernel replaced; both must agree bit for bit.
+# (kind, n, seed, repr(cost), sha256 of repr([int(c) for c in choice]) with
+# choice spread over all 2^n masks by _by_mask, reconstruct's moves or None
+# when it finds no perfect cover).  Produced by the numpy-array kernel that the
+# list kernel replaced; both must agree bit for bit.
 KERNEL_GOLDEN = [
     ('uniform', 1, 0, '4.114488460700486',
      '0f2dd137fb3962dc6a7823f62bf9c67f2b4312e075df89f04af7adb266d61080',
@@ -532,6 +588,16 @@ KERNEL_GOLDEN = [
 ]
 
 
+def _by_mask(choice, n):
+    """The kernel's choice list, indexed by position among the reachable
+    masks, spread over all 2^n masks with -1 at the unreachable ones: the
+    list a mask-indexed kernel returns."""
+    out = [-1] * (1 << n)
+    for mask, pos in _dp.transitions(n)[1].items():
+        out[mask] = choice[pos]
+    return out
+
+
 @pytest.mark.parametrize(
     "kind,n,seed,cost,choice_sha,moves", KERNEL_GOLDEN, ids=[f"{c[0]}-{c[1]}" for c in KERNEL_GOLDEN]
 )
@@ -539,8 +605,8 @@ def test_kernel_golden_output(kind, n, seed, cost, choice_sha, moves):
     w, boundary = _kernel_instance(kind, n, seed)
     got_cost, choice = _dp.solve_dense(w, boundary)
     assert repr(got_cost) == cost
-    digest = hashlib.sha256(repr([int(c) for c in choice]).encode()).hexdigest()
-    assert digest == choice_sha
+    spread = [int(c) for c in _by_mask(choice, n)]
+    assert hashlib.sha256(repr(spread).encode()).hexdigest() == choice_sha
     if moves is None:
         with pytest.raises(ValueError):
             _dp.reconstruct(choice, n)
@@ -574,13 +640,21 @@ def _full_scan_reachable(n):
 
 @pytest.mark.parametrize("n", range(17))
 def test_kernel_table_lists_the_reachable_masks(n):
-    table = _dp.transitions(n)
-    masks = [row[0] for row in table]
-    top = (1 << n) - 1
-    # The full mask is reached but has no moves, so the table leaves it out.
-    assert masks == sorted(set(masks)) and top not in masks
-    assert set(masks) | {top} == _full_scan_reachable(n)
-    assert len(masks) + 1 == _fibonacci(n + 2)
+    rows, position = _dp.transitions(n)
+    masks = list(position)
+    assert masks == sorted(set(masks)) and position == {m: p for p, m in enumerate(masks)}
+    assert set(masks) == _full_scan_reachable(n)
+    assert len(masks) == _fibonacci(n + 2)
+    # The full mask is reached last and has no moves, so it has no row.
+    assert masks[-1] == (1 << n) - 1 and len(rows) == len(masks) - 1
+    for mask, (i, retired, retire, pairs) in zip(masks, rows):
+        nm = mask | 1 << i
+        assert i == (~mask & (mask + 1)).bit_length() - 1
+        assert (masks[retired], retire) == (nm, (i << 32) | _dp.RETIRE)
+        free = [j for j in range(n) if not nm >> j & 1]
+        assert [(j, masks[p], mv) for j, p, mv in pairs] == [
+            (j, nm | 1 << j, (i << 32) | j) for j in free
+        ]
 
 
 def _solve_dense_full_scan(w, boundary):
@@ -623,7 +697,7 @@ def test_kernel_table_matches_full_scan(kind):
         cost, choice = _dp.solve_dense(w, boundary)
         want_cost, want_choice = _solve_dense_full_scan(w, boundary)
         assert repr(cost) == repr(want_cost)
-        assert choice == want_choice
+        assert _by_mask(choice, n) == want_choice
 
 
 # --- decode and risk metrics ---
@@ -721,7 +795,7 @@ def _random_decoding_graph(rng, layout: int) -> DefectGraph:
 
     layout 0: one virtual per real (the sampled pattern); 1: one or two
     virtuals, each adjacent to two reals (an arbitrary layout); 2: no
-    virtuals; 3: 17 reals with one virtual each, past DP_VERTEX_CAP.
+    virtuals; 3: 17 reals with one virtual each.
     Virtuals are pairwise joined, at zero or positive distance, so every
     layout admits a perfect matching.
     """
@@ -781,7 +855,7 @@ def test_cached_terms_give_fresh_results():
                         m_fresh.pairs, m_fresh.exact, m_fresh.total_cost
                     )
                     assert rep == rep_fresh
-                    assert m.exact == (seed % 4 != 3)
+                    assert m.exact
                     assert rep.drg_pm + 1.0 == pytest.approx(want[lam], rel=1e-12, abs=0.0)
                     if lam == 0.0:
                         assert rep.drg_pm == 0.0

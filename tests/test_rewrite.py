@@ -274,6 +274,8 @@ def test_canonical_label_single_spider():
     assert out.L == 6
     assert out.theta == total_angle(lab)
     assert out.on_grid
+    # A lone grid is taken as it is; only lcm refinement checks the cap.
+    assert canonical_label([SpiderLabel(2**21)]).L == 2**21
 
 
 def test_canonical_label_mixed_grid_pair():
