@@ -93,7 +93,11 @@ class StepTooLarge(WplzxError):
 # --- masd ---
 
 class NegativeLambda(WplzxError):
-    """Winding penalty strength must be non-negative."""
+    """Winding penalty strength must be finite and non-negative."""
+
+
+class InvalidBeta(WplzxError):
+    """Boltzmann inverse temperature must be finite and positive."""
 
 
 class OddVertexCount(WplzxError):

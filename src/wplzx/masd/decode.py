@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import NegativeLambda, ZeroDistance
-from .graph import NORMALIZED, RAW, DefectGraph, edge_terms, edge_weights
+from ..errors import InvalidBeta, ZeroDistance
+from .graph import NORMALIZED, RAW, DefectGraph, check_lambda, edge_terms, edge_weights
 from .matching import Matching, min_weight_perfect_matching
 
 
@@ -43,8 +43,7 @@ class RiskReport:
 def drg_toy(pairs, lam: float) -> float:
     """Mean relative inflation (1/N) sum (w_lam - w_0)/w_0 over (d, delta_k)
     pairs, with w_lam = d + lam |delta_k| (raw convention)."""
-    if lam < 0.0:
-        raise NegativeLambda(f"lambda must be >= 0, got {lam}")
+    check_lambda(lam)
     pairs = list(pairs)
     if not pairs:
         return 0.0
@@ -61,28 +60,34 @@ def drg_pm(g: DefectGraph, lam: float, beta: float, mode: str = RAW) -> float:
     of g with d > 0, p(e) proportional to exp(-beta d_e).  Since
     w_lam(e)/w_0(e) = 1 + lam * slope_e / d_e, this is lam times a per-graph
     slope, cached per (mode, beta)."""
-    if lam < 0.0:
-        raise NegativeLambda(f"lambda must be >= 0, got {lam}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_lambda(lam)
+    if not 0.0 < beta < math.inf:
+        raise InvalidBeta(f"beta must be finite and > 0, got {beta}")
     return lam * _drg_pm_slope(g, beta, mode)
 
 
 def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
-    """sum_e p(e) slope_e / d_e over edges with a real end; cached on g."""
+    """sum_e p(e) slope_e / d_e over edges with a real end; cached on g.
+
+    The weights are exp(-beta (d_e - d_min)), the same p(e) once normalized,
+    so the normalizer is at least 1 however large beta is."""
     terms = edge_terms(g, mode)
     key = ("drg_pm", mode, beta)
     slope = g._cache.get(key)
     if slope is None:
-        ps, ratios = [], []
+        ds, ratios = [], []
         for e, (_, d, s, vv) in zip(g.edges, terms):
             if vv:
                 continue
             if not d > 0.0:
                 raise ZeroDistance(f"DRG_pm needs positive distances, got edge {e}")
-            ps.append(math.exp(-beta * d))
+            ds.append(d)
             ratios.append(s / d)
-        slope = sum(p * r for p, r in zip(ps, ratios)) / sum(ps) if ps else 0.0
+        slope = 0.0
+        if ds:
+            d_min = min(ds)
+            ps = [math.exp(-beta * (d - d_min)) for d in ds]
+            slope = sum(p * r for p, r in zip(ps, ratios)) / sum(ps)
         g._cache[key] = slope
     return slope
 

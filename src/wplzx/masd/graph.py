@@ -28,6 +28,7 @@ Serialized form (JSON)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -171,9 +172,14 @@ def winding_difference(u: DefectVertex, v: DefectVertex) -> Fraction:
     return Fraction(_winding_gap(u, v)[0])
 
 
+def check_lambda(lam: float) -> None:
+    """NegativeLambda unless the penalty strength lam is finite and >= 0."""
+    if not 0.0 <= lam < math.inf:
+        raise NegativeLambda(f"lambda must be finite and >= 0, got {lam}")
+
+
 def _check_weight_args(lam: float, mode: str) -> None:
-    if lam < 0.0:
-        raise NegativeLambda(f"lambda must be >= 0, got {lam}")
+    check_lambda(lam)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 

@@ -49,11 +49,9 @@ class RationalAngle:
         if den < 0:
             num, den = -num, -den
         g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if g > 1 or den != self.den:
+            object.__setattr__(self, "num", num // g)
+            object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> RationalAngle:
@@ -73,16 +71,6 @@ class RationalAngle:
 
     def is_grid_compliant(self, a: int) -> bool:
         return check_grid_order(a) % self.den == 0
-
-    def index_on(self, a: int) -> int:
-        """Integer index ``n`` with ``self == n/a`` turns.
-
-        Raises NotARefinement when the angle does not lie on the grid.
-        """
-        check_grid_order(a)
-        if a % self.den != 0:
-            raise NotARefinement(f"{self} does not lie on the order-{a} grid")
-        return self.num * (a // self.den)
 
     def mod1(self) -> RationalAngle:
         """Reduce into the fundamental domain [0, 1) turns."""
@@ -159,7 +147,7 @@ class TotalAngle:
     turns: RationalAngle
 
     def __post_init__(self) -> None:
-        if not (0 <= self.turns.fraction < 1):
+        if not 0 <= self.turns.num < self.turns.den:
             raise ValueError(f"TotalAngle must lie in [0, 1) turns, got {self.turns}")
 
     def radians(self) -> float:
@@ -183,20 +171,28 @@ def lcm_order(a: int, b: int) -> int:
 
 
 def total_angle(label: SpiderLabel) -> TotalAngle:
-    """alpha + k/a, reduced mod one turn, computed exactly."""
-    k_turns = Fraction(label.winding.num, label.winding.den * label.grid)
-    return TotalAngle(RationalAngle.from_fraction((label.alpha.fraction + k_turns) % 1))
+    """alpha + k/a, reduced mod one turn, computed exactly in integers:
+    over the common denominator alpha.den * k.den * a."""
+    alpha, k, a = label.alpha, label.winding, label.grid
+    den = alpha.den * k.den * a
+    return TotalAngle(RationalAngle((alpha.num * k.den * a + k.num * alpha.den) % den, den))
 
 
 def add_on_lcm(alpha: RationalAngle, a: int, beta: RationalAngle, b: int) -> RationalAngle:
     """Add two grid phases exactly; the result lies on the lcm(a, b) grid.
 
-    Pure index arithmetic on the refined grid: i*(L/a) + j*(L/b) mod L.
+    Pure index arithmetic on the refined grid: alpha = i/a turns lies at
+    index i*(L/a) = alpha.num*(L/alpha.den) of the order-L grid, and the
+    indices add mod L.  NotARefinement when alpha is off the order-a grid or
+    beta off the order-b grid.
     """
     target = lcm_order(a, b)
-    i = alpha.index_on(a)
-    j = beta.index_on(b)
-    return RationalAngle((i * (target // a) + j * (target // b)) % target, target)
+    if a % alpha.den or b % beta.den:
+        angle, order = (alpha, a) if a % alpha.den else (beta, b)
+        raise NotARefinement(f"{angle} does not lie on the order-{order} grid")
+    return RationalAngle(
+        (alpha.num * (target // alpha.den) + beta.num * (target // beta.den)) % target, target
+    )
 
 
 def snap_to_grid(theta: float, a: int) -> RationalAngle:

@@ -6,7 +6,9 @@ complex double precision.  Only the total angle of a spider label is visible
 here.  When every total angle's denominator divides M, the matrix entries lie
 in Z[zeta_M, 1/sqrt 2], and for a prime p = 1 (mod lcm(M, 8)) reduction mod p
 is a ring map into F_p: ``evaluate(primes=...)`` computes these residues
-exactly, along the same contraction schedule, for ``verify``.
+exactly, along the same contraction schedule, for ``verify``.  One pass
+carries every prime: each tensor has a leading batch axis, one slice per
+prime, and the complex ring is a batch of one.
 
 Conventions: qubit 0 is the most significant bit; a diagram with m inputs and
 n outputs evaluates to a 2^n x 2^m matrix.  Float equality checks use the
@@ -49,16 +51,23 @@ def _unit(theta: float) -> complex:
 
 
 class _Complex:
-    """Complex numbers in double precision."""
+    """Complex numbers in double precision, as a batch of one: every tensor
+    has a leading axis of length 1, and ``dot`` is ``np.tensordot`` on the
+    slice, so the result is bit for bit the unbatched contraction."""
 
-    dtype, h = complex, _H
-    dot = staticmethod(np.tensordot)
-    phase = staticmethod(lambda turns: _unit(turns.radians()))
+    dtype, h, batch = complex, _H[None], 1
+    phase = staticmethod(lambda turns: np.array([_unit(turns.radians())]))
     mod = staticmethod(lambda t: t)
+
+    @staticmethod
+    def dot(a, b, axes):
+        return np.tensordot(a[0], b[0], axes)[None]
 
 
 class _Residues:
-    """Residues mod a prime p = 1 (mod 8), as int64, reduced after every product.
+    """Residues mod a batch of primes p = 1 (mod 8), as int64, reduced after
+    every product.  Every tensor has a leading prime axis, and one contraction
+    carries all the primes.
 
     zeta_M maps to g^((p - 1) / M) for every M dividing p - 1, with g the least
     generator of F_p^*.  One generator for all M keeps the maps of different
@@ -68,34 +77,48 @@ class _Residues:
 
     dtype = np.int64
 
-    def __init__(self, p: int):
-        self.p = p
-        self.g = _least_generator(p)
-        z8 = pow(self.g, (p - 1) // 8, p)
-        s = pow(z8 + pow(z8, -1, p), -1, p)
-        self.h = np.array([[s, s], [s, p - s]], dtype=np.int64)
-        # Products per int64 sum that keep it below 2^63: 2^23 when p < 2^20.
-        self.terms = max(1, _INT64_MAX // (p - 1) ** 2)
+    def __init__(self, primes: tuple[int, ...]):
+        self.primes, self.batch = primes, len(primes)
+        self.p = np.array(primes, dtype=np.int64)[:, None, None]
+        self.g = [_least_generator(p) for p in primes]
+        h = []
+        for p, g in zip(primes, self.g):
+            z8 = pow(g, (p - 1) // 8, p)
+            s = pow(z8 + pow(z8, -1, p), -1, p)
+            h.append([[s, s], [s, p - s]])
+        self.h = np.array(h, dtype=np.int64)
+        # Products per int64 sum that keep it below 2^63, for the largest
+        # prime: 2^23 when every p < 2^20.
+        self.terms = max(1, _INT64_MAX // (max(primes) - 1) ** 2)
 
-    def phase(self, turns: RationalAngle) -> int:
-        if (self.p - 1) % turns.den:
-            raise ValueError(f"F_{self.p} has no primitive {turns.den}-th root of unity")
-        return pow(self.g, (self.p - 1) // turns.den * turns.num, self.p)
+    def phase(self, turns: RationalAngle) -> np.ndarray:
+        out = []
+        for p, g in zip(self.primes, self.g):
+            if (p - 1) % turns.den:
+                raise ValueError(f"F_{p} has no primitive {turns.den}-th root of unity")
+            out.append(pow(g, (p - 1) // turns.den * turns.num, p))
+        return np.array(out, dtype=np.int64)
 
     def mod(self, t):
-        return t % self.p
+        return t % self.p.reshape((-1,) + (1,) * (t.ndim - 1))
 
     def dot(self, a, b, axes):
-        """``tensordot`` as one matrix product, summed in chunks of
-        ``self.terms`` products, each chunk reduced before it is added."""
-        ax_a, ax_b = axes
-        free_a = [k for k in range(a.ndim) if k not in ax_a]
-        free_b = [k for k in range(b.ndim) if k not in ax_b]
-        m = a.transpose(free_a + ax_a).reshape(-1, 1 << len(ax_a))
-        n = b.transpose(ax_b + free_b).reshape(1 << len(ax_b), -1)
-        chunks = range(0, m.shape[1], self.terms)
-        out = sum(m[:, s : s + self.terms] @ n[s : s + self.terms] % self.p for s in chunks)
-        return (out % self.p).reshape((2,) * (len(free_a) + len(free_b)))
+        """``tensordot`` of each prime's slices as one batched matrix
+        product, summed in chunks of ``self.terms`` products, each chunk
+        reduced before it is added; ``axes`` count the axes after the prime
+        axis."""
+        ax_a, ax_b = ([k + 1 for k in ax] for ax in axes)
+        free_a = [k for k in range(1, a.ndim) if k not in ax_a]
+        free_b = [k for k in range(1, b.ndim) if k not in ax_b]
+        m = a.transpose([0] + free_a + ax_a).reshape(self.batch, -1, 1 << len(ax_a))
+        n = b.transpose([0] + ax_b + free_b).reshape(self.batch, 1 << len(ax_b), -1)
+        if m.shape[2] <= self.terms:
+            out = m @ n % self.p
+        else:
+            t = self.terms
+            chunks = range(0, m.shape[2], t)
+            out = sum(m[:, :, s : s + t] @ n[:, s : s + t] % self.p for s in chunks) % self.p
+        return out.reshape((self.batch,) + (2,) * (len(free_a) + len(free_b)))
 
 
 def _is_prime(n: int) -> bool:
@@ -125,18 +148,18 @@ def exact_primes(n: int) -> tuple[int, int]:
     return found[0], found[1]
 
 
-def _spider_tensor(kind: str, degree: int, phase, ring=_Complex) -> np.ndarray:
-    """Rank-``degree`` tensor of a spider (symmetric in its legs), whose
-    phase factor e^{i theta} is ``phase`` in ``ring``."""
+def _spider_tensor(kind: str, degree: int, phase: np.ndarray, ring) -> np.ndarray:
+    """Rank-``degree`` tensor of a spider (symmetric in its legs) behind the
+    ring's batch axis, whose phase factor e^{i theta} is ``phase`` in
+    ``ring``, one entry per batch slice."""
     if degree == 0:
-        return np.array(ring.mod(1 + phase), dtype=ring.dtype)
-    t = np.zeros((2,) * degree, dtype=ring.dtype)
-    t[(0,) * degree] = 1
-    t[(1,) * degree] = phase
+        return ring.mod(1 + phase).astype(ring.dtype)
+    t = np.zeros((ring.batch,) + (2,) * degree, dtype=ring.dtype)
+    t[(slice(None),) + (0,) * degree] = 1
+    t[(slice(None),) + (1,) * degree] = phase
     if kind == dg.X:
         for ax in range(degree):
-            t = ring.mod(np.tensordot(t, ring.h, axes=([ax], [0])))
-            t = np.moveaxis(t, -1, ax)
+            t = np.moveaxis(ring.dot(t, ring.h, ([ax], [0])), -1, ax + 1)
     return t
 
 
@@ -153,7 +176,7 @@ def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.nd
     if m + n > MAX_SPIDER_LEGS:
         raise DimensionOverflow(f"spider with {m + n} legs exceeds cap {MAX_SPIDER_LEGS}")
     th = theta.radians() if isinstance(theta, TotalAngle) else float(theta)
-    return _spider_tensor(kind, m + n, _unit(th)).reshape(2 ** n, 2 ** m)
+    return _spider_tensor(kind, m + n, np.array([_unit(th)]), _Complex)[0].reshape(2 ** n, 2 ** m)
 
 
 def _network(d: dg.Diagram) -> list[tuple]:
@@ -265,14 +288,16 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
 
 
 def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
-    """Follow d's contraction plan in ``ring``."""
+    """Follow d's contraction plan in ``ring``, every tensor behind the ring's
+    batch axis: a (batch, 2^outputs, 2^inputs) array."""
     pieces, traces, pairs, perm = plan
     if not pieces:
-        return np.eye(1, dtype=ring.dtype)
+        return np.ones((ring.batch, 1, 1), dtype=ring.dtype)
+    eye = np.broadcast_to(np.eye(2, dtype=ring.dtype), (ring.batch, 2, 2))
     ts, made = {}, {}  # spiders of one kind, degree and angle share a tensor
     for k, (kind, turns, axes) in enumerate(pieces):
         if kind == "I":
-            ts[k] = np.eye(2, dtype=ring.dtype)
+            ts[k] = eye
         elif kind == dg.H:
             ts[k] = ring.h
         else:
@@ -281,14 +306,14 @@ def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
                 made[key] = _spider_tensor(kind, len(axes), ring.phase(turns), ring)
             ts[k] = made[key]
     for k, i, j in traces:
-        ts[k] = ring.mod(np.trace(ts[k], axis1=i, axis2=j))
+        ts[k] = ring.mod(np.trace(ts[k], axis1=i + 1, axis2=j + 1))
     for new, (a, b, ax_a, ax_b) in enumerate(pairs, start=len(pieces)):
         ts[new] = ring.dot(ts.pop(a), ts.pop(b), (ax_a, ax_b))
     total, *rest = ts.values()
     for t in rest:
-        total = ring.mod(np.tensordot(total, t, axes=0))
-    t = np.transpose(total, perm) if perm else total
-    return t.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
+        total = ring.dot(total, t, ([], []))  # outer product
+    t = np.transpose(total, [0] + [k + 1 for k in perm]) if perm else total
+    return t.reshape(ring.batch, 2 ** d.n_outputs, 2 ** d.n_inputs)
 
 
 def evaluate(
@@ -303,12 +328,13 @@ def evaluate(
     list of int64 matrices, the exact matrix's residues mod each prime; every
     p must be 1 mod 8 and mod each total-angle denominator of d, as
     ``exact_primes(phase_order(d))`` picks them.  The contraction schedule
-    (see ``_schedule``) is planned once for all primes.
+    (see ``_schedule``) is planned once, and one pass along it carries every
+    prime.
     """
     plan = _schedule(d, max_open_wires)
     if not primes:
-        return _contract(d, plan, _Complex)
-    return [_contract(d, plan, _Residues(p)) for p in primes]
+        return _contract(d, plan, _Complex)[0]
+    return list(_contract(d, plan, _Residues(primes)))
 
 
 # --- comparison predicates ---

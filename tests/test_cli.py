@@ -346,6 +346,55 @@ def test_decode_past_dp_cap_exit_3(tmp_path, capsys):
     assert captured.err == "resource cap: 25 DP vertices exceed cap 24\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "nan"], "lambda must be finite and >= 0, got nan"),
+        (["--lambda", "inf"], "lambda must be finite and >= 0, got inf"),
+        (["--beta", "-1"], "beta must be finite and > 0, got -1.0"),
+        (["--beta", "0"], "beta must be finite and > 0, got 0.0"),
+        (["--beta", "nan"], "beta must be finite and > 0, got nan"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "beta-negative", "beta-zero", "beta-nan"],
+)
+def test_decode_rejects_bad_lambda_or_beta(tmp_path, capsys, flags, message):
+    graph = {"vertices": _toy_graph_vertices([0, 1]), "edges": [{"u": 0, "v": 1, "d": 1.0}]}
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(graph))
+    assert run(["decode", "--graph", str(path)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambdas", "0,inf"], "lambda must be finite and >= 0, got inf"),
+        (["--lambdas", "0,nan"], "lambda must be finite and >= 0, got nan"),
+        (["--beta", "0"], "beta must be finite and > 0, got 0.0"),
+        (["--beta", "inf"], "beta must be finite and > 0, got inf"),
+    ],
+    ids=["lambda-inf", "lambda-nan", "beta-zero", "beta-inf"],
+)
+def test_sweep_rejects_bad_lambda_or_beta(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--lambdas", "0,1", "--distance", "3", "--p", "0.1", "--trials", "5"]
+    assert run(args + flags + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_at_large_beta(tmp_path):
+    # exp(-beta d) underflows for every edge at beta = 1000; the DRG_pm
+    # weights are taken relative to the shortest edge, so they do not
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--lambdas", "0,1", "--distance", "5", "--trials", "20", "--seed", "3"]
+    assert run(args + ["--beta", "1000", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(r[6]) for r in rows] == [0.0, 0.0028125]
+
+
 def test_sweep_reproducible_and_monotone(tmp_path):
     args = ["sweep", "--lambdas", "0,0.1,0.3", "--distance", "3", "--p", "0.05",
             "--trials", "50", "--seed", "1"]

@@ -14,6 +14,7 @@ import pytest
 from conftest import brute_force_min_matching
 from wplzx.errors import (
     GridOverflow,
+    InvalidBeta,
     MatchingOverflow,
     NegativeLambda,
     OddVertexCount,
@@ -767,6 +768,25 @@ def test_drg_pm_single_edge():
     for beta in (0.5, 1.0, 7.0):
         assert drg_pm(g, 0.7, beta, RAW) == pytest.approx(0.7 * 2 / 2.0)
     assert drg_pm(g, 0.0, 1.0) == 0.0
+
+
+def test_drg_pm_rejects_bad_lambda_and_beta_and_survives_large_beta():
+    vs = [vert(0, 4, 1), vert(1, 4, 3), vert(2, 2, 0)]
+    g = complete_graph(vs, lambda u, v: 1.0 + u.id + v.id)
+    for lam in (math.nan, math.inf, -0.5):
+        with pytest.raises(NegativeLambda, match="finite and >= 0"):
+            drg_pm(g, lam, 1.0)
+        with pytest.raises(NegativeLambda, match="finite and >= 0"):
+            drg_toy([(1.0, 1)], lam)
+        with pytest.raises(NegativeLambda, match="finite and >= 0"):
+            edge_weights(g, lam, RAW)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidBeta, match="finite and > 0"):
+            drg_pm(g, 1.0, beta)
+    # every exp(-beta d) underflows at these beta; the weights relative to the
+    # shortest edge (0-1, d = 2, raw delta_k = 2) do not
+    for beta in (1000.0, 1e300):
+        assert drg_pm(g, 1.0, beta, RAW) == 2 / 2.0
 
 
 def test_drg_monotone_nondecreasing_in_lambda():

@@ -84,11 +84,26 @@ def test_total_angle_gauge_invariance():
             assert total_angle(lab) == total_angle(moved)
 
 
+def test_total_angle_matches_fraction_formula():
+    # integer arithmetic over the common denominator against (alpha + k/a) % 1,
+    # with negative, fractional and off-grid alphas and windings
+    alphas = [RA(0), RA(1, 2), RA(-3, 5), RA(7, 3), RA(-1, 24), RA(5, 7)]
+    windings = [RA(n, m) for n in (-7, -2, -1, 0, 1, 3, 25) for m in (1, 2, 3)]
+    for a in range(1, 25):
+        for alpha in alphas + [RA(i, a) for i in (1, a - 1, 2 * a + 1)]:
+            for k in windings:
+                want = (alpha.fraction + k.fraction / a) % 1
+                got = total_angle(SpiderLabel(a, alpha, k)).turns
+                assert got.fraction == want, (a, alpha, k)
+                assert (got.num, got.den) == (want.numerator, want.denominator)
+
+
 def test_total_angle_range_invariant():
-    with pytest.raises(ValueError):
-        TotalAngle(RA(3, 2))
-    with pytest.raises(ValueError):
-        TotalAngle(RA(-1, 4))
+    for turns in (RA(3, 2), RA(-1, 4), RA(1), RA(-1), RA(25, 24)):
+        with pytest.raises(ValueError):
+            TotalAngle(turns)
+    for turns in (RA(0), RA(23, 24), RA(1, 2)):
+        assert TotalAngle(turns).turns == turns
 
 
 def test_add_on_lcm_worked_example():
@@ -96,8 +111,10 @@ def test_add_on_lcm_worked_example():
     out = add_on_lcm(RA(1, 4), 4, RA(1, 6), 6)
     assert out == RA(5, 12)
     assert out.is_grid_compliant(12)
-    with pytest.raises(NotARefinement):
+    with pytest.raises(NotARefinement, match="^1/3 does not lie on the order-4 grid$"):
         add_on_lcm(RA(1, 3), 4, RA(0), 1)  # not on G_4 at all
+    with pytest.raises(NotARefinement, match="^1/4 does not lie on the order-6 grid$"):
+        add_on_lcm(RA(0), 1, RA(1, 4), 6)
 
 
 def test_add_on_lcm_identity_and_wraparound():

@@ -324,8 +324,7 @@ def test_exact_residues_match_state_sum():
 def test_exact_primes_and_generator():
     assert exact_primes(24) == (1048273, 1048129)
     assert all((p - 1) % 24 == 0 for p in exact_primes(24))
-    for p in (97, 1048273):
-        assert _Residues(p).g == least_generator(p)
+    assert _Residues((97, 1048273)).g == [least_generator(97), least_generator(1048273)]
     with pytest.raises(GridOverflow):
         exact_primes(2**21)
 
@@ -336,12 +335,28 @@ def test_residue_contraction_keeps_sums_in_int64():
     # sums its 2^18 products in one chunk
     rng = np.random.default_rng(3)
     for p, shared in ((2147483497, 12), (1048273, 18)):
-        ring = _Residues(p)
+        ring = _Residues((p,))
         a = rng.integers(p - 1000, p, size=(2,) * (shared + 1), dtype=np.int64)
         b = rng.integers(p - 1000, p, size=(2,) * (shared + 2), dtype=np.int64)
         axes = (list(range(1, shared + 1)), list(range(2, shared + 2))[::-1])
         want = np.tensordot(a.astype(object), b.astype(object), axes=axes) % p
-        assert ring.dot(a, b, axes).tolist() == want.tolist()
+        assert ring.dot(a[None], b[None], axes)[0].tolist() == want.tolist()
+
+
+def test_mixed_prime_batch_keeps_sums_in_int64():
+    # the chunk size follows the largest prime of the batch, so the small
+    # prime's slice is summed in chunks as short as the large one's
+    primes, shared = (2147483497, 97), 12
+    ring = _Residues(primes)
+    rng = np.random.default_rng(5)
+    a = np.stack([rng.integers(p - 90, p, size=(2,) * (shared + 1)) for p in primes])
+    b = np.stack([rng.integers(p - 90, p, size=(2,) * (shared + 2)) for p in primes])
+    axes = (list(range(1, shared + 1)), list(range(2, shared + 2))[::-1])
+    got = ring.dot(a, b, axes)
+    assert got.dtype == np.int64 and got.shape == (2,) + (2,) * 3
+    for k, p in enumerate(primes):
+        want = np.tensordot(a[k].astype(object), b[k].astype(object), axes=axes) % p
+        assert got[k].tolist() == want.tolist()
 
 
 def test_congruent_up_to_root_of_unity():
@@ -435,3 +450,57 @@ def test_fidelity_basics():
     assert fidelity(e0, plus) == pytest.approx(0.5)
     with pytest.raises(DimensionMismatch):
         fidelity(e0, np.ones(4))
+
+
+class _OnePrime:
+    """Reference ring for a single prime: Python integers in object arrays,
+    a batch of one, each product reduced after an unchunked ``tensordot``."""
+
+    dtype, batch = object, 1
+
+    def __init__(self, p: int):
+        self.p, g = p, least_generator(p)
+        self.g = g
+        z8 = pow(g, (p - 1) // 8, p)
+        s = pow(z8 + pow(z8, -1, p), -1, p)
+        self.h = np.array([[[s, s], [s, p - s]]], dtype=object)
+
+    def phase(self, turns):
+        return np.array([pow(self.g, (self.p - 1) // turns.den * turns.num, self.p)], dtype=object)
+
+    def mod(self, t):
+        return t % self.p
+
+    def dot(self, a, b, axes):
+        return np.tensordot(a[0], b[0], axes)[None] % self.p
+
+
+def test_batched_residues_match_per_prime_reference():
+    # d1-main seed 7 diagrams with their normal forms, and the snapped d2-main
+    # circuits that verify decides on nonzero maps: one pass over both
+    # primes gives each prime's own contraction
+    from wplzx import datasets
+    from wplzx.rewrite import wzcc_normalize
+    from wplzx.semantics import _contract, _schedule
+
+    cases = []
+    d1 = datasets.preset("d1-main", seed=7)
+    for i in range(20):
+        d = datasets.gen_random_wplzx(d1, instance=i)
+        cases += [d, wzcc_normalize(d)[0]]
+    for seed in (1, 2, 3):
+        cfg = datasets.preset("d2-main", seed=seed)
+        for i in range(5):
+            c = datasets.gen_hea(cfg, instance=i)
+            cases.append(datasets.circuit_to_diagram(c, grid_map=lambda q: 8, snap=True))
+    nonzero = 0
+    for d in cases:
+        primes = exact_primes(phase_order(d))
+        got = evaluate(d, primes=primes)
+        plan = _schedule(d, 12)
+        for p, residues in zip(primes, got):
+            want = _contract(d, plan, _OnePrime(p))[0]
+            assert residues.dtype == np.int64
+            assert residues.tolist() == want.tolist()
+        nonzero += any(r.any() for r in got)
+    assert nonzero >= 15  # every d2 circuit, and some d1-main maps
