@@ -459,9 +459,8 @@ class _OnePrime:
     dtype, batch = object, 1
 
     def __init__(self, p: int):
-        self.p, g = p, least_generator(p)
-        self.g = g
-        z8 = pow(g, (p - 1) // 8, p)
+        self.p, self.g = p, least_generator(p)
+        z8 = pow(self.g, (p - 1) // 8, p)
         s = pow(z8 + pow(z8, -1, p), -1, p)
         self.h = np.array([[[s, s], [s, p - s]]], dtype=object)
 
