@@ -283,6 +283,8 @@ def _metric_row(idx: int, raw_path: Path, opt_path: Path, grid: int) -> dict:
 
 
 def cmd_metrics(args) -> int:
+    if args.grid < 1:
+        raise WplzxError(f"--grid must be >= 1, got {args.grid}")
     pairs = _pair_files(args.raw, args.opt)
     rows = [
         _metric_row(i, rp, op, args.grid) for i, (rp, op) in enumerate(pairs)
@@ -334,6 +336,11 @@ def _winding_model(args) -> WindingModel:
 def cmd_curvature(args) -> int:
     from .geometry import curvature_sweep
 
+    for flag, x in (("--lo", args.lo), ("--hi", args.hi)):
+        if not 0.0 < x <= 1.0:
+            raise WplzxError(f"{flag} must lie in (0, 1], got {x}")
+    if args.points < 0:
+        raise WplzxError(f"--points must be >= 0, got {args.points}")
     vals = [float(x) for x in np.linspace(args.lo, args.hi, args.points)]
     rows = curvature_sweep(vals, vals, h=args.h)
     cols = ["lambda_perp", "lambda_par", "b_eff", "R", "grad_norm"]
@@ -342,8 +349,16 @@ def cmd_curvature(args) -> int:
     return 0
 
 
+def _float_list(text: str) -> list[float]:
+    """A comma-separated list of floats; empty items are skipped."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list: {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
-    lambdas = [float(tok) for tok in args.lambdas.split(",") if tok != ""]
+    lambdas = args.lambdas
     if not lambdas:
         raise WplzxError("empty lambda list")
     code = build_code(args.distance)
@@ -409,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_decode)
 
     s = sub.add_parser("sweep", help="Monte-Carlo lambda sweep on surface codes")
-    s.add_argument("--lambdas", required=True, help="comma-separated lambda grid")
+    s.add_argument(
+        "--lambdas", required=True, type=_float_list, help="comma-separated lambda grid"
+    )
     s.add_argument("--distance", type=int, default=3)
     s.add_argument("--p", type=float, default=0.05)
     s.add_argument("--trials", type=int, default=100)

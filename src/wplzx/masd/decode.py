@@ -14,9 +14,11 @@ inflation is undefined.
 
 Both metrics are linear in lambda.  DRG_pm equals lambda * S with
 S = sum_e p(e) slope_e / d_e (slope as in ``edge_terms``), and S is computed
-once per graph, mode and beta and cached on the graph; so is the (d, raw
-delta_k) lookup that DRG_toy reads for the matched pairs.  A lambda grid on
-one instance therefore pays for the exact winding arithmetic once.
+once per graph, mode and beta and cached on the graph.  DRG_toy reads each
+matched pair's (d, raw delta_k) from the raw ``edge_terms`` row of the last
+edge joining the pair, found through a cached map from frozenset({u, v}) to
+that edge's position in ``g.edges`` (edges with a real end only).  A lambda
+grid on one instance therefore pays for the exact winding arithmetic once.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
     slope = g._cache.get(key)
     if slope is None:
         ds, ratios = [], []
-        for e, (_, d, s, vv) in zip(g.edges, terms):
+        for e, (d, s, vv) in zip(g.edges, terms):
             if vv:
                 continue
             if not d > 0.0:
@@ -92,14 +94,15 @@ def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
     return slope
 
 
-def _toy_terms(g: DefectGraph) -> dict:
-    """frozenset({u, v}) -> (d, raw delta_k) for every edge with a real end;
-    cached per graph."""
-    toy = g._cache.get("toy")
-    if toy is None:
-        toy = {key: (d, dk) for key, d, dk, vv in edge_terms(g, RAW) if not vv}
-        g._cache["toy"] = toy
-    return toy
+def _edge_positions(g: DefectGraph) -> dict:
+    """frozenset({u, v}) -> position of the last edge joining u and v, for
+    edges with a real end; cached on g."""
+    positions = g._cache.get("positions")
+    if positions is None:
+        terms = edge_terms(g, RAW)
+        positions = {frozenset((e.u, e.v)): k for k, e in enumerate(g.edges) if not terms[k][2]}
+        g._cache["positions"] = positions
+    return positions
 
 
 def masd_decode(
@@ -117,12 +120,12 @@ def masd_decode(
     weights = edge_weights(g, lam, mode)
     matching = min_weight_perfect_matching(g, weights)
 
-    toy = _toy_terms(g)
+    raw, positions = edge_terms(g, RAW), _edge_positions(g)
     toy_pairs = []
     for pair in matching.pairs:
-        term = toy.get(frozenset(pair))
-        if term is not None and term[0]:
-            toy_pairs.append(term)
+        k = positions.get(frozenset(pair))
+        if k is not None and raw[k][0]:
+            toy_pairs.append(raw[k][:2])
     report = RiskReport(
         lam=lam,
         drg_toy=drg_toy(toy_pairs, lam),

@@ -12,12 +12,13 @@ zero winding difference by construction.
 
 An edge's MASD weight d + lam * slope is linear in lambda, with slope = delta_k
 (raw) or delta_k / L (normalized); both are the correctly rounded floats of
-the exact values.  ``edge_terms`` computes the lambda-independent part,
-(key, d, slope, virtual-virtual?) for every edge, for both modes in one pass
-per graph and caches it on the graph, so scoring a lambda grid does the
-integer winding arithmetic once per instance and only d + lam * slope per
-lambda.  The decoder caches its other lambda-independent terms (DRG_pm slope,
-DRG_toy lookup, DP layout) on the same per-graph dict.
+the exact values.  The decoder's one weight format is a list aligned with
+``g.edges``: ``edge_terms`` computes the lambda-independent rows
+(d, slope, virtual-virtual?) for both modes in one pass per graph and caches
+them on the graph, and ``edge_weights`` turns them into one float per edge,
+d + lam * slope, so a lambda grid does the integer winding arithmetic once
+per instance.  The decoder caches its other lambda-independent terms
+(DRG_pm slope, edge positions, DP layout) on the same per-graph dict.
 
 Serialized form (JSON)::
 
@@ -195,8 +196,8 @@ def _slopes(u: DefectVertex, v: DefectVertex) -> tuple[float, float]:
 
 
 def edge_terms(g: DefectGraph, mode: str) -> tuple:
-    """(frozenset({u, v}), d, slope, both ends virtual) for every edge of g,
-    in edge order; the weight at lambda is d + lambda * slope.
+    """(d, slope, both ends virtual) for every edge of g, in edge order; the
+    weight at lambda is d + lambda * slope.
 
     Computed for both modes in one pass on first use and cached on the graph.
     """
@@ -207,11 +208,10 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
         raw, normalized = [], []
         for e in g.edges:
             u, v = g.vertex(e.u), g.vertex(e.v)
-            key = frozenset((e.u, e.v))
             vv = u.is_virtual_boundary and v.is_virtual_boundary
             s_raw, s_norm = _slopes(u, v)
-            raw.append((key, e.d, s_raw, vv))
-            normalized.append((key, e.d, s_norm, vv))
+            raw.append((e.d, s_raw, vv))
+            normalized.append((e.d, s_norm, vv))
         g._cache[RAW] = tuple(raw)
         g._cache[NORMALIZED] = tuple(normalized)
         terms = g._cache[mode]
@@ -228,7 +228,7 @@ def edge_weight(
     return e.d + lam * (s_raw if mode == RAW else s_norm)
 
 
-def edge_weights(g: DefectGraph, lam: float, mode: str = NORMALIZED) -> dict:
-    """Weight table keyed by frozenset({u, v}) for all edges of g."""
+def edge_weights(g: DefectGraph, lam: float, mode: str = NORMALIZED) -> list[float]:
+    """The MASD weight d + lam * slope of every edge of g, in g.edges order."""
     _check_weight_args(lam, mode)
-    return {key: d + lam * slope for key, d, slope, _ in edge_terms(g, mode)}
+    return [d + lam * slope for d, slope, _ in edge_terms(g, mode)]

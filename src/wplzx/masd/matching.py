@@ -11,18 +11,20 @@ defects enter the DP mask and the unused virtuals pair up among themselves
 afterwards.  Any other virtual layout puts every vertex into the same DP with
 an infinite retirement cost.
 
-Which layout applies, the DP vertex order, each real defect's retirement
-candidates and the edge keys of the DP matrix depend only on the graph, so
-they are computed once per graph and cached on it; each call only looks up
-that call's weights, as Python lists for the pure-Python kernel in ``_dp``.
-A graph with no vertices skips the kernel.
+Weights arrive as one float per edge, in ``g.edges`` order (see
+``graph.edge_weights``).  Which layout applies, the DP vertex order, each
+real defect's retirement candidates and the positions of the edges that
+fill the DP matrix depend only on the graph, so they are computed once per
+graph and cached on it; each call only reads that call's weights by
+position, into Python lists for the pure-Python kernel in ``_dp``.  A graph
+with no vertices skips the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Sequence
 
 from ..errors import MatchingOverflow, OddVertexCount
 from . import _dp
@@ -40,16 +42,6 @@ def kernel_name() -> str:
     return "pure"
 
 
-def _weight_fn(weights: Mapping) -> Callable[[VertexId, VertexId], float]:
-    """Edge-cost lookup over a frozenset({u, v})-keyed table; missing edges
-    cost +inf."""
-
-    def lookup(u: VertexId, v: VertexId) -> float:
-        return float(weights.get(frozenset((u, v)), math.inf))
-
-    return lookup
-
-
 @dataclass(frozen=True)
 class Matching:
     """A perfect matching: vertex-id pairs, its cost, and an exactness flag
@@ -64,73 +56,77 @@ class Matching:
         return len(self.pairs)
 
 
-def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> dict | None:
-    """Map real id -> [(virtual id, edge key), ...], its retirement
-    candidates in order, when virtuals follow the one-per-defect pattern
-    (each virtual adjacent to at most one real); None otherwise."""
+def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> list | None:
+    """(real id, virtual id, edge position) for each retirement candidate,
+    in virtual order, when virtuals follow the one-per-defect pattern (each
+    virtual joined by at most one edge, to a real); None otherwise."""
     if len(virts) < len(reals):
         return None
     real_set = set(reals)
     attached: dict[VertexId, list] = {v: [] for v in virts}
-    for e in g.edges:
+    for k, e in enumerate(g.edges):
         if e.u in real_set and e.v in attached:
-            attached[e.v].append(e.u)
+            attached[e.v].append((e.u, k))
         elif e.v in real_set and e.u in attached:
-            attached[e.u].append(e.v)
+            attached[e.u].append((e.v, k))
     if any(len(r) > 1 for r in attached.values()):
         return None
-    out: dict[VertexId, list] = {}
-    for virt, rs in attached.items():
-        for r in rs:
-            out.setdefault(r, []).append((virt, frozenset((r, virt))))
-    return out
+    return [(r, virt, k) for virt, rs in attached.items() for r, k in rs]
 
 
 def _layout(g: DefectGraph) -> tuple:
-    """(DP vertex ids, virtual ids left to pair among themselves, retirement
-    candidates per real id, (i, j) cells and edge keys of the DP matrix's
-    upper triangle); computed once per graph and cached on it."""
+    """(DP vertex ids, virtual ids left to pair among themselves, (DP index,
+    virtual id, edge position) per retirement candidate, (i, j, edge
+    position) per edge between DP vertices, in edge order); computed once
+    per graph and cached on it."""
     layout = g._cache.get("layout")
     if layout is None:
         ids = [v.id for v in g.real_vertices]
         virts = [v.id for v in g.virtual_vertices]
-        retire = _own_virtuals(g, ids, virts) if virts else {}
+        retire = _own_virtuals(g, ids, virts) if virts else []
         if retire is None:
             # Arbitrary virtual layout: every vertex enters the DP, none retires.
-            ids, virts, retire = [v.id for v in g.vertices], [], {}
-        n = len(ids)
-        cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        keys = [frozenset((ids[i], ids[j])) for i, j in cells]
-        layout = g._cache["layout"] = (ids, virts, retire, cells, keys)
+            ids, virts, retire = [v.id for v in g.vertices], [], []
+        index = {v: i for i, v in enumerate(ids)}
+        retire = [(index[r], virt, k) for r, virt, k in retire]
+        cells = [
+            (index[e.u], index[e.v], k)
+            for k, e in enumerate(g.edges)
+            if e.u in index and e.v in index
+        ]
+        layout = g._cache["layout"] = (ids, virts, retire, cells)
     return layout
 
 
-def min_weight_perfect_matching(g: DefectGraph, weights: Mapping) -> Matching:
+def min_weight_perfect_matching(g: DefectGraph, weights: Sequence[float]) -> Matching:
     """Match all vertices of g at minimum total weight.
 
-    ``weights`` maps frozenset({u, v}) to the edge cost, as built by
-    ``edge_weights``.  Raises OddVertexCount when no perfect matching can
-    exist and MatchingOverflow past DP_VERTEX_CAP DP vertices.
+    ``weights`` holds one cost per edge of g, in ``g.edges`` order, as built
+    by ``edge_weights``; where edges are parallel, the last one's cost is
+    used.  Raises ValueError when its length differs from the edge count,
+    OddVertexCount when no perfect matching can exist and MatchingOverflow
+    past DP_VERTEX_CAP DP vertices.
     """
+    if len(weights) != len(g.edges):
+        raise ValueError(f"{len(weights)} weights for {len(g.edges)} edges")
     if len(g.vertices) % 2 != 0:
         raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
     if not g.vertices:
         return Matching((), 0.0, exact=True)
-    ids, virts, retire, cells, keys = _layout(g)
+    ids, virts, retire, cells = _layout(g)
     n = len(ids)
     if n > DP_VERTEX_CAP:
         raise MatchingOverflow(f"{n} DP vertices exceed cap {DP_VERTEX_CAP}")
-    own: dict[VertexId, tuple] = {}  # real id -> (virtual id, retirement cost)
-    for r, candidates in retire.items():
-        for virt, key in candidates:
-            cost = float(weights.get(key, math.inf))
-            if r not in own or cost < own[r][1]:
-                own[r] = (virt, cost)
+    boundary = [math.inf] * n
+    owner: list = [None] * n  # DP index -> the virtual it retires onto
+    for i, virt, k in retire:
+        cost = float(weights[k])
+        if owner[i] is None or cost < boundary[i]:
+            boundary[i], owner[i] = cost, virt
 
     w = [[math.inf] * n for _ in range(n)]
-    for (i, j), key in zip(cells, keys):
-        w[i][j] = w[j][i] = weights.get(key, math.inf)
-    boundary = [own[r][1] if r in own else math.inf for r in ids]
+    for i, j, k in cells:
+        w[i][j] = w[j][i] = weights[k]
     cost, choice = _dp.solve_dense(w, boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
@@ -139,9 +135,8 @@ def min_weight_perfect_matching(g: DefectGraph, weights: Mapping) -> Matching:
     used_virts = set()
     for i, j in moves:
         if j == -1:
-            virt = own[ids[i]][0]
-            pairs.append((ids[i], virt))
-            used_virts.add(virt)
+            pairs.append((ids[i], owner[i]))
+            used_virts.add(owner[i])
         else:
             pairs.append((ids[i], ids[j]))
     leftover = sorted((v for v in virts if v not in used_virts), key=repr)

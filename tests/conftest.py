@@ -126,6 +126,17 @@ def all_perfect_matchings(ids):
             yield [(first, ids[j])] + sub
 
 
+def weight_fn(g, weights):
+    """Edge-cost lookup (u, v) -> cost over an edge-ordered weight list; the
+    last of parallel edges wins and missing edges cost +inf."""
+    table = {frozenset((e.u, e.v)): w for e, w in zip(g.edges, weights, strict=True)}
+
+    def lookup(u, v) -> float:
+        return float(table.get(frozenset((u, v)), math.inf))
+
+    return lookup
+
+
 def brute_force_min_matching(ids, weight):
     best, best_cost = None, math.inf
     for m in all_perfect_matchings(ids):

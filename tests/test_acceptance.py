@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_matching, chain, random_small_diagram, spider
+from conftest import brute_force_min_matching, chain, random_small_diagram, spider, weight_fn
 from wplzx import diagram as dg
 from wplzx.datasets import (
     GenConfig,
@@ -46,7 +46,6 @@ from wplzx.masd import (
     sample_surface_code,
     winding_difference,
 )
-from wplzx.masd.matching import _weight_fn
 from wplzx.masd.surface import build_code
 from wplzx.metrics import csc, pqvr
 from wplzx.phase import RationalAngle, SpiderLabel, add_on_lcm, lcm_order, total_angle
@@ -338,7 +337,7 @@ def test_criterion_09_matching_exactness():
         w = edge_weights(g, 0.0)
         got = min_weight_perfect_matching(g, w)
         assert got.exact
-        _, want = brute_force_min_matching(range(n), _weight_fn(w))
+        _, want = brute_force_min_matching(range(n), weight_fn(g, w))
         assert got.total_cost == pytest.approx(want, abs=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

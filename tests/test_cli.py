@@ -385,6 +385,37 @@ def test_sweep_rejects_bad_lambda_or_beta(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--lambdas", "0,abc", "--trials", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: argument --lambdas: invalid float list: '0,abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["metrics", "--grid", "0"], "--grid must be >= 1, got 0"),
+        (["curvature", "--lo", "0"], "--lo must lie in (0, 1], got 0.0"),
+        (["curvature", "--hi", "2"], "--hi must lie in (0, 1], got 2.0"),
+        (["curvature", "--points", "-1"], "--points must be >= 0, got -1"),
+    ],
+    ids=["metrics-grid-zero", "curvature-lo-zero", "curvature-hi-two", "curvature-points-negative"],
+)
+def test_out_of_domain_flag_exit_1(tmp_path, capsys, argv, message):
+    if argv[0] == "metrics":
+        corpus = tmp_path / "corpus"
+        assert run(["gen", "--preset", "d2-main", "--seed", "1", "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        argv = argv + ["--raw", str(corpus), "--opt", str(corpus)]
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_at_large_beta(tmp_path):
     # exp(-beta d) underflows for every edge at beta = 1000; the DRG_pm
     # weights are taken relative to the shortest edge, so they do not

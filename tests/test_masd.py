@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_matching
+from conftest import brute_force_min_matching, weight_fn
 from wplzx.errors import (
     GridOverflow,
     InvalidBeta,
@@ -38,7 +38,6 @@ from wplzx.masd import (
 )
 from wplzx.masd import _dp
 from wplzx.masd.graph import edge_terms
-from wplzx.masd.matching import _weight_fn
 from wplzx.masd.surface import SUPPORTED_DISTANCES, build_code
 
 
@@ -167,8 +166,8 @@ def test_edge_terms_match_rational_slopes_bit_for_bit():
                 raw, norm = float(dk), float(Fraction(dk, L))
             for graph in copies:
                 for mode, want in ((RAW, raw), (NORMALIZED, norm)):
-                    key, d, slope, vv = edge_terms(graph, mode)[k]
-                    assert key == frozenset((e.u, e.v)) and d == e.d
+                    d, slope, vv = edge_terms(graph, mode)[k]
+                    assert d == e.d
                     assert vv == (u.is_virtual_boundary and v.is_virtual_boundary)
                     assert slope.hex() == want.hex()
             lam = rng.uniform(0.0, 2.0)
@@ -202,9 +201,8 @@ def test_induced_shortest_path_metric():
         n = len(vs)
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
-        for key, val in w.items():
-            i, j = sorted(key)
-            dist[i, j] = dist[j, i] = val
+        for e, val in zip(g.edges, w, strict=True):
+            dist[e.u, e.v] = dist[e.v, e.u] = val
         for k in range(n):
             for i in range(n):
                 for j in range(n):
@@ -231,6 +229,14 @@ def test_matching_odd_count_rejected():
         min_weight_perfect_matching(g, edge_weights(g, 0.0))
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_matching_rejects_weights_of_wrong_length(extra):
+    g = complete_graph([vert(i, 1, 0) for i in range(4)], lambda u, v: 1.0)
+    weights = [1.0] * (len(g.edges) + extra)
+    with pytest.raises(ValueError, match=f"^{len(weights)} weights for 6 edges$"):
+        min_weight_perfect_matching(g, weights)
+
+
 def test_matching_beats_greedy():
     # a nearest-pair heuristic grabs the cheapest edge (0-1) and is forced
     # into 2-3, at cost 11; the optimum pairs 0-2 / 1-3
@@ -245,7 +251,7 @@ def test_matching_beats_greedy():
     vs = [vert(i, 1, 0) for i in range(4)]
     es = tuple(DefectEdge(i, j, w[frozenset((i, j))]) for i in range(4) for j in range(i + 1, 4))
     g = DefectGraph(tuple(vs), es)
-    m = min_weight_perfect_matching(g, w)
+    m = min_weight_perfect_matching(g, [e.d for e in es])
     assert m.pairs == ((0, 2), (1, 3))
     assert m.total_cost == pytest.approx(2.2)
     assert m.exact
@@ -263,7 +269,7 @@ def test_matching_matches_bruteforce_on_100_seeds():
         w = edge_weights(g, 0.0)
         m = min_weight_perfect_matching(g, w)
         assert m.exact
-        wf = _weight_fn(w)
+        wf = weight_fn(g, w)
         _, want = brute_force_min_matching(range(n), wf)
         assert m.total_cost == pytest.approx(want)
         covered = sorted(x for p in m.pairs for x in p)
@@ -295,7 +301,7 @@ def test_matching_with_boundary_costs_matches_bruteforce():
                 edges.append(DefectEdge(f"b{i}", f"b{j}", 0.0))
                 wmap[frozenset((f"b{i}", f"b{j}"))] = 0.0
         g = DefectGraph(tuple(vs + virts), tuple(edges))
-        m = min_weight_perfect_matching(g, wmap)
+        m = min_weight_perfect_matching(g, [e.d for e in edges])
         assert m.exact
 
         # oracle: try every subset of reals to pair internally
@@ -350,9 +356,9 @@ def test_matching_arbitrary_virtual_layout_matches_bruteforce():
         _, want = brute_force_min_matching(ids, weight)
         if not math.isfinite(want):
             with pytest.raises(OddVertexCount):
-                min_weight_perfect_matching(g, wmap)
+                min_weight_perfect_matching(g, [e.d for e in edges])
             continue
-        m = min_weight_perfect_matching(g, wmap)
+        m = min_weight_perfect_matching(g, [e.d for e in edges])
         assert m.exact
         assert m.total_cost == pytest.approx(want)
         assert sum(weight(u, v) for u, v in m.pairs) == pytest.approx(want)
@@ -425,7 +431,7 @@ def test_matching_matches_networkx_past_16_dp_vertices(monkeypatch):
             ref = nx.Graph()
             ref.add_weighted_edges_from((*sorted(k, key=str), d) for k, d in wmap.items())
             want = sum(wmap[frozenset(p)] for p in nx.min_weight_matching(ref))
-            m = min_weight_perfect_matching(g, wmap)
+            m = min_weight_perfect_matching(g, [e.d for e in g.edges])
             assert m.exact
             assert m.total_cost == pytest.approx(want, rel=1e-12), (layout, n)
             assert sum(wmap[frozenset(p)] for p in m.pairs) == pytest.approx(want, rel=1e-12)
@@ -709,7 +715,7 @@ def test_decode_lambda_zero_reduces_to_plain_mwm():
     vs = [vert(i, int(rng.integers(1, 9)), int(rng.integers(0, 6))) for i in range(6)]
     g = complete_graph(vs, lambda u, v: float(rng.uniform(0.2, 3.0)))
     m0, rep0 = masd_decode(g, 0.0)
-    plain = min_weight_perfect_matching(g, {frozenset((e.u, e.v)): e.d for e in g.edges})
+    plain = min_weight_perfect_matching(g, [e.d for e in g.edges])
     assert m0.total_cost == pytest.approx(plain.total_cost)
     assert rep0.drg_toy == 0.0 and rep0.drg_pm == 0.0
 
