@@ -71,6 +71,8 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise WplzxError(f"--count must be >= 1, got {args.count}")
     cfg = datasets.preset(args.preset, seed=args.seed)
     overrides = {}
     if args.qubits is not None:
@@ -361,6 +363,8 @@ def cmd_sweep(args) -> int:
     lambdas = args.lambdas
     if not lambdas:
         raise WplzxError("empty lambda list")
+    if args.trials < 1:
+        raise WplzxError(f"--trials must be >= 1, got {args.trials}")
     code = build_code(args.distance)
     model = _winding_model(args)
     instances = []

@@ -13,6 +13,16 @@ over the qubit adjacency of the checks; in the bulk these coincide with
 Manhattan distances in the rotated frame.  Every defect gets one virtual
 boundary partner (k = 0) at its nearest boundary so odd defect sets always
 match, and virtual-virtual pairs are free.
+
+Everything about an instance that depends only on the code is tabulated once
+by ``build_code``: one frozen ``DefectEdge`` per check pair (real-real and
+virtual-virtual), one per check to its own boundary partner, one virtual
+``DefectVertex`` per check, and every qubit set the harness tests parity
+against (the Z-check supports, the witness chains and the logical Z row) as
+an int bitmask with bit q for data qubit q.  ``defect_graph_for`` picks its
+edges from those tables by check index and builds only the real vertices,
+whose winding labels are drawn per trial; syndromes, corrections and the
+logical parity are XORs and ``int.bit_count()`` of the masks.
 """
 
 from __future__ import annotations
@@ -86,6 +96,18 @@ class RotatedSurfaceCode:
     pair_path: dict = field(compare=False, repr=False, default=None)
     boundary_distance: dict = field(compare=False, repr=False, default=None)
     boundary_path: dict = field(compare=False, repr=False, default=None)
+    # The same supports and chains as qubit bitmasks (bit q = data qubit q):
+    check_mask: tuple = field(compare=False, repr=False, default=None)
+    logical_z_mask: int = field(compare=False, repr=False, default=None)
+    pair_mask: dict = field(compare=False, repr=False, default=None)
+    boundary_mask: dict = field(compare=False, repr=False, default=None)
+    # Shared defect-graph parts, indexed by Z check: pair_edge[u][v] and
+    # virtual_pair_edge[u][v] for u < v (None otherwise), boundary_edge[u]
+    # and virtual_vertex[u] for the boundary partner "b<u>".
+    pair_edge: tuple = field(compare=False, repr=False, default=None)
+    virtual_pair_edge: tuple = field(compare=False, repr=False, default=None)
+    boundary_edge: tuple = field(compare=False, repr=False, default=None)
+    virtual_vertex: tuple = field(compare=False, repr=False, default=None)
 
     @property
     def n_data(self) -> int:
@@ -93,13 +115,25 @@ class RotatedSurfaceCode:
 
     def z_syndrome(self, x_errors: np.ndarray) -> tuple[int, ...]:
         """Indices of Z checks with odd overlap with the error support."""
-        return self._odd_z_checks({int(q) for q in np.flatnonzero(x_errors)})
+        packed = np.packbits(x_errors, bitorder="little").tobytes()
+        return self._odd_z_checks(int.from_bytes(packed, "little"))
 
-    def _odd_z_checks(self, flipped: set[int]) -> tuple[int, ...]:
-        """Indices of Z checks with odd overlap with a set of flipped qubits."""
+    def _odd_z_checks(self, flipped: int) -> tuple[int, ...]:
+        """Indices of Z checks with odd overlap with a bitmask of flipped
+        qubits."""
+        if not flipped:
+            return ()
         return tuple(
-            p.index for p in self.z_checks if len(p.qubits & flipped) % 2 == 1
+            i for i, m in enumerate(self.check_mask) if (m & flipped).bit_count() & 1
         )
+
+
+def _mask(qubits: Iterable[int]) -> int:
+    """Bitmask with bit q set for each qubit q."""
+    out = 0
+    for q in qubits:
+        out |= 1 << q
+    return out
 
 
 def build_code(distance: int) -> RotatedSurfaceCode:
@@ -143,6 +177,18 @@ def build_code(distance: int) -> RotatedSurfaceCode:
         assert len(p.qubits & col0) % 2 == 0
 
     pair_dist, pair_path, b_dist, b_path = _bfs_tables(z_list, d)
+    n = len(z_list)
+    pair_edge = tuple(
+        tuple(
+            DefectEdge(u, v, float(pair_dist[(u, v)])) if u < v else None
+            for v in range(n)
+        )
+        for u in range(n)
+    )
+    virtual_pair_edge = tuple(
+        tuple(DefectEdge(f"b{u}", f"b{v}", 0.0) if u < v else None for v in range(n))
+        for u in range(n)
+    )
     return RotatedSurfaceCode(
         distance=d,
         z_checks=tuple(z_list),
@@ -153,6 +199,17 @@ def build_code(distance: int) -> RotatedSurfaceCode:
         pair_path=pair_path,
         boundary_distance=b_dist,
         boundary_path=b_path,
+        check_mask=tuple(_mask(p.qubits) for p in z_list),
+        logical_z_mask=_mask(row0),
+        pair_mask={key: _mask(path) for key, path in pair_path.items()},
+        boundary_mask={u: _mask(path) for u, path in b_path.items()},
+        pair_edge=pair_edge,
+        virtual_pair_edge=virtual_pair_edge,
+        boundary_edge=tuple(DefectEdge(u, f"b{u}", float(b_dist[u])) for u in range(n)),
+        virtual_vertex=tuple(
+            DefectVertex(f"b{p.index}", p.center, 1, 0, is_virtual_boundary=True)
+            for p in z_list
+        ),
     )
 
 
@@ -242,6 +299,11 @@ def defect_graph_for(
     winding: WindingModel,
     rng,
 ) -> DefectGraph:
+    """The defect graph of a syndrome: a real vertex with drawn winding
+    labels and its virtual boundary partner per defect, then, for each
+    defect in check order, its edges to the later defects and to its own
+    partner, then the virtual-virtual edges.  Only the real vertices are
+    built here; every other part is shared from ``code``'s tables."""
     midline = (code.distance - 1) / 2.0
     vertices: list[DefectVertex] = []
     edges: list[DefectEdge] = []
@@ -250,16 +312,14 @@ def defect_graph_for(
         center = code.z_checks[idx].center
         a, k = winding.assign(center, midline, rng)
         vertices.append(DefectVertex(idx, center, a, k, is_virtual_boundary=False))
-        vertices.append(
-            DefectVertex(f"b{idx}", center, 1, 0, is_virtual_boundary=True)
-        )
+        vertices.append(code.virtual_vertex[idx])
     for i, u in enumerate(syndrome):
-        for v in syndrome[i + 1 :]:
-            edges.append(DefectEdge(u, v, float(code.pair_distance[(u, v)])))
-        edges.append(DefectEdge(u, f"b{u}", float(code.boundary_distance[u])))
+        row = code.pair_edge[u]
+        edges.extend([row[v] for v in syndrome[i + 1 :]])
+        edges.append(code.boundary_edge[u])
     for i, u in enumerate(syndrome):
-        for v in syndrome[i + 1 :]:
-            edges.append(DefectEdge(f"b{u}", f"b{v}", 0.0))
+        row = code.virtual_pair_edge[u]
+        edges.extend([row[v] for v in syndrome[i + 1 :]])
     return DefectGraph(tuple(vertices), tuple(edges))
 
 
@@ -288,7 +348,7 @@ def sample_surface_code(
         p_phys=p_phys,
         seed=seed,
         trial=trial,
-        x_errors=tuple(int(q) for q in np.flatnonzero(errs)),
+        x_errors=tuple(np.flatnonzero(errs).tolist()),
         syndrome=syndrome,
     )
     return sample, graph
@@ -297,24 +357,28 @@ def sample_surface_code(
 def correction_from_matching(
     code: RotatedSurfaceCode, matching: Matching, graph: DefectGraph
 ) -> set[int]:
-    """Error chain realizing the matched pairing (XOR of witness paths).
+    """Error chain realizing the matched pairing (XOR of witness paths), as
+    a set of data qubits.
 
     ``graph`` is the decoded defect graph; its ``is_virtual_boundary`` flags
     tell which end of a pair is a boundary partner.
     """
-    correction: set[int] = set()
+    correction = 0
     for u, v in matching.pairs:
         u_virtual = graph.vertex(u).is_virtual_boundary
         v_virtual = graph.vertex(v).is_virtual_boundary
         if u_virtual and v_virtual:
             continue
         if u_virtual or v_virtual:
-            real = v if u_virtual else u
-            path = code.boundary_path[real]
+            correction ^= code.boundary_mask[v if u_virtual else u]
         else:
-            path = code.pair_path[(u, v)]
-        correction ^= set(path)
-    return correction
+            correction ^= code.pair_mask[(u, v)]
+    qubits = set()
+    while correction:
+        low = correction & -correction
+        qubits.add(low.bit_length() - 1)
+        correction ^= low
+    return qubits
 
 
 def logical_failure(
@@ -332,9 +396,9 @@ def logical_failure(
     """
     if graph is None:
         graph = defect_graph_for(code, sample.syndrome, WindingModel(kind=CONSTANT), None)
-    composite = set(sample.x_errors) ^ correction_from_matching(code, matching, graph)
+    composite = _mask(sample.x_errors) ^ _mask(correction_from_matching(code, matching, graph))
     assert not code._odd_z_checks(composite), "correction left residual syndrome"
-    return len(composite & code.logical_z_row) % 2 == 1
+    return (composite & code.logical_z_mask).bit_count() % 2 == 1
 
 
 def lambda_sweep(

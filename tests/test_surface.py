@@ -264,3 +264,53 @@ def test_lambda_sweep_validates_inputs():
     with pytest.raises(ConfigInvalid):
         lambda_sweep(d3, [0.1], code=build_code(5))  # code of another distance
     assert len(lambda_sweep(d3, [0.1], code=build_code(3))) == 1
+
+
+def _bits(mask: int) -> set[int]:
+    return {q for q in range(mask.bit_length()) if mask >> q & 1}
+
+
+@pytest.mark.parametrize("d", (3, 5, 7))
+def test_instance_tables_agree_with_bfs_tables(d):
+    code = build_code(d)
+    n = len(code.z_checks)
+    assert [_bits(m) for m in code.check_mask] == [set(p.qubits) for p in code.z_checks]
+    assert _bits(code.logical_z_mask) == set(code.logical_z_row)
+    assert code.pair_mask.keys() == code.pair_path.keys()
+    for key, path in code.pair_path.items():
+        assert _bits(code.pair_mask[key]) == set(path)
+    for u, path in code.boundary_path.items():
+        assert _bits(code.boundary_mask[u]) == set(path)
+    for u in range(n):
+        for v in range(n):
+            edge, virtual = code.pair_edge[u][v], code.virtual_pair_edge[u][v]
+            if u >= v:
+                assert edge is None and virtual is None
+                continue
+            assert (edge.u, edge.v, edge.d) == (u, v, code.pair_distance[(u, v)])
+            assert (virtual.u, virtual.v, virtual.d) == (f"b{u}", f"b{v}", 0.0)
+        edge = code.boundary_edge[u]
+        assert (edge.u, edge.v, edge.d) == (u, f"b{u}", code.boundary_distance[u])
+        vertex = code.virtual_vertex[u]
+        assert vertex.id == f"b{u}" and vertex.is_virtual_boundary
+        assert vertex.position == code.z_checks[u].center
+    # bitmask syndromes against frozenset parity on random errors
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        errs = rng.random(code.n_data) < 0.2
+        flipped = set(np.flatnonzero(errs).tolist())
+        want = tuple(p.index for p in code.z_checks if len(p.qubits & flipped) % 2)
+        assert code.z_syndrome(errs) == want
+
+
+def test_shared_edges_keep_caches_per_graph():
+    """Two samples of one syndrome share every edge object, yet decoding one
+    leaves the other's lambda-independent cache empty."""
+    code = build_code(5)
+    model = WindingModel(kind="two-sector")
+    sample, graph = sample_surface_code(5, 0.1, seed=3, trial=0, winding=model, code=code)
+    _, twin = sample_surface_code(5, 0.1, seed=3, trial=0, winding=model, code=code)
+    assert sample.syndrome and graph is not twin
+    assert all(a is b for a, b in zip(twin.edges, graph.edges, strict=True))
+    masd_decode(graph, 0.3)
+    assert graph._cache and twin._cache == {}
