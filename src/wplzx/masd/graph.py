@@ -204,8 +204,10 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
 
     Computed for both modes in one pass on first use and cached on the graph.
     The slopes of a real-real edge depend only on its ends' (a, k) labels, so
-    the pass computes them once per distinct label pair; an edge with a
-    virtual end has slope zero.
+    the pass computes them once per distinct label pair; that pays off when
+    labels repeat, as with two-sector or constant windings, and costs a dict
+    lookup per edge when they do not.  An edge with a virtual end has slope
+    zero.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

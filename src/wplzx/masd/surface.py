@@ -91,19 +91,18 @@ class RotatedSurfaceCode:
     x_checks: tuple[Plaquette, ...]
     logical_z_row: frozenset[int]
     logical_x_col: frozenset[int]
-    # BFS tables for the decoded (Z-check) sector:
-    pair_distance: dict = field(compare=False, repr=False, default=None)
-    pair_path: dict = field(compare=False, repr=False, default=None)
-    boundary_distance: dict = field(compare=False, repr=False, default=None)
-    boundary_path: dict = field(compare=False, repr=False, default=None)
-    # The same supports and chains as qubit bitmasks (bit q = data qubit q):
+    # Z-check supports, the logical Z row and the BFS witness chains of the
+    # decoded (Z-check) sector as qubit bitmasks (bit q = data qubit q):
+    # pair_mask[(u, v)] for every ordered pair u != v, boundary_mask[u] from
+    # check u to its nearest boundary.
     check_mask: tuple = field(compare=False, repr=False, default=None)
     logical_z_mask: int = field(compare=False, repr=False, default=None)
     pair_mask: dict = field(compare=False, repr=False, default=None)
     boundary_mask: dict = field(compare=False, repr=False, default=None)
-    # Shared defect-graph parts, indexed by Z check: pair_edge[u][v] and
-    # virtual_pair_edge[u][v] for u < v (None otherwise), boundary_edge[u]
-    # and virtual_vertex[u] for the boundary partner "b<u>".
+    # Shared defect-graph parts, indexed by Z check: for u < v the edges
+    # (u, v) and ("b<u>", "b<v>") are pair_edge[u][v - u - 1] and
+    # virtual_pair_edge[u][v - u - 1]; boundary_edge[u] and virtual_vertex[u]
+    # are check u's edge to its boundary partner "b<u>" and that partner.
     pair_edge: tuple = field(compare=False, repr=False, default=None)
     virtual_pair_edge: tuple = field(compare=False, repr=False, default=None)
     boundary_edge: tuple = field(compare=False, repr=False, default=None)
@@ -115,7 +114,8 @@ class RotatedSurfaceCode:
 
     def z_syndrome(self, x_errors: np.ndarray) -> tuple[int, ...]:
         """Indices of Z checks with odd overlap with the error support."""
-        packed = np.packbits(x_errors, bitorder="little").tobytes()
+        flags = np.asarray(x_errors, dtype=bool)
+        packed = np.packbits(flags, bitorder="little").tobytes()
         return self._odd_z_checks(int.from_bytes(packed, "little"))
 
     def _odd_z_checks(self, flipped: int) -> tuple[int, ...]:
@@ -178,33 +178,24 @@ def build_code(distance: int) -> RotatedSurfaceCode:
 
     pair_dist, pair_path, b_dist, b_path = _bfs_tables(z_list, d)
     n = len(z_list)
-    pair_edge = tuple(
-        tuple(
-            DefectEdge(u, v, float(pair_dist[(u, v)])) if u < v else None
-            for v in range(n)
-        )
-        for u in range(n)
-    )
-    virtual_pair_edge = tuple(
-        tuple(DefectEdge(f"b{u}", f"b{v}", 0.0) if u < v else None for v in range(n))
-        for u in range(n)
-    )
     return RotatedSurfaceCode(
         distance=d,
         z_checks=tuple(z_list),
         x_checks=tuple(x_list),
         logical_z_row=row0,
         logical_x_col=col0,
-        pair_distance=pair_dist,
-        pair_path=pair_path,
-        boundary_distance=b_dist,
-        boundary_path=b_path,
         check_mask=tuple(_mask(p.qubits) for p in z_list),
         logical_z_mask=_mask(row0),
         pair_mask={key: _mask(path) for key, path in pair_path.items()},
         boundary_mask={u: _mask(path) for u, path in b_path.items()},
-        pair_edge=pair_edge,
-        virtual_pair_edge=virtual_pair_edge,
+        pair_edge=tuple(
+            tuple(DefectEdge(u, v, float(pair_dist[(u, v)])) for v in range(u + 1, n))
+            for u in range(n)
+        ),
+        virtual_pair_edge=tuple(
+            tuple(DefectEdge(f"b{u}", f"b{v}", 0.0) for v in range(u + 1, n))
+            for u in range(n)
+        ),
         boundary_edge=tuple(DefectEdge(u, f"b{u}", float(b_dist[u])) for u in range(n)),
         virtual_vertex=tuple(
             DefectVertex(f"b{p.index}", p.center, 1, 0, is_virtual_boundary=True)
@@ -315,11 +306,11 @@ def defect_graph_for(
         vertices.append(code.virtual_vertex[idx])
     for i, u in enumerate(syndrome):
         row = code.pair_edge[u]
-        edges.extend([row[v] for v in syndrome[i + 1 :]])
+        edges.extend([row[v - u - 1] for v in syndrome[i + 1 :]])
         edges.append(code.boundary_edge[u])
     for i, u in enumerate(syndrome):
         row = code.virtual_pair_edge[u]
-        edges.extend([row[v] for v in syndrome[i + 1 :]])
+        edges.extend([row[v - u - 1] for v in syndrome[i + 1 :]])
     return DefectGraph(tuple(vertices), tuple(edges))
 
 

@@ -103,15 +103,6 @@ class RationalAngle:
 ZERO = RationalAngle(0)
 
 
-def _reduced(num: int, den: int) -> RationalAngle:
-    """A RationalAngle from a numerator and a positive denominator that are
-    already coprime, set without the dataclass __init__ and its gcd."""
-    out = object.__new__(RationalAngle)
-    object.__setattr__(out, "num", num)
-    object.__setattr__(out, "den", den)
-    return out
-
-
 @dataclass(frozen=True)
 class SpiderLabel:
     """The (a, alpha, k) triple carried by a weighted spider.
@@ -171,10 +162,8 @@ def lcm_order(a: int, b: int) -> int:
 
     GridOverflow when the result exceeds GRID_ORDER_CAP.
     """
-    if type(a) is not int or a < 1:
-        check_grid_order(a)
-    if type(b) is not int or b < 1:
-        check_grid_order(b)
+    check_grid_order(a)
+    check_grid_order(b)
     out = math.lcm(a, b)
     if out > GRID_ORDER_CAP:
         raise GridOverflow(f"lcm({a}, {b}) = {out} exceeds grid-order cap {GRID_ORDER_CAP}")
@@ -201,9 +190,9 @@ def add_on_lcm(alpha: RationalAngle, a: int, beta: RationalAngle, b: int) -> Rat
     if a % alpha.den or b % beta.den:
         angle, order = (alpha, a) if a % alpha.den else (beta, b)
         raise NotARefinement(f"{angle} does not lie on the order-{order} grid")
-    num = (alpha.num * (target // alpha.den) + beta.num * (target // beta.den)) % target
-    g = math.gcd(num, target)
-    return _reduced(num // g, target // g)
+    return RationalAngle(
+        (alpha.num * (target // alpha.den) + beta.num * (target // beta.den)) % target, target
+    )
 
 
 def snap_to_grid(theta: float, a: int) -> RationalAngle:

@@ -122,25 +122,6 @@ def test_add_on_lcm_identity_and_wraparound():
     assert add_on_lcm(RA(1, 2), 2, RA(1, 2), 2) == RA(0)
 
 
-def test_add_on_lcm_returns_reduced_form():
-    # the sum is built without the constructor; it must match what the
-    # constructor would have made, field for field and in hash
-    for a, b in ((4, 6), (8, 12), (5, 5), (1, 9)):
-        target = lcm_order(a, b)
-        for i in range(a):
-            for j in range(b):
-                s = add_on_lcm(RA(i, a), a, RA(j, b), b)
-                want = RA((i * (target // a) + j * (target // b)) % target, target)
-                assert (s.num, s.den) == (want.num, want.den)
-                assert hash(s) == hash(want)
-                assert math.gcd(s.num, s.den) == 1 and s.den > 0
-    for bad in (0, -3, True, 2.0):
-        with pytest.raises(ValueError):
-            lcm_order(bad, 4)
-        with pytest.raises(ValueError):
-            lcm_order(4, bad)
-
-
 def test_add_on_lcm_closure_exhaustive_small():
     # every pairwise sum lands exactly on the lcm grid
     for a in range(1, 13):

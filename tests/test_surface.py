@@ -19,6 +19,7 @@ from wplzx.masd import (
     masd_decode,
     sample_surface_code,
 )
+from wplzx.masd.surface import _bfs_tables
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,7 @@ def test_single_error_defect_counts(code3):
 
 def test_bfs_distances_match_manhattan_in_bulk():
     code = build_code(5)
+    pair_distance = _bfs_tables(code.z_checks, 5)[0]
     # interior Z checks: distance equals the rotated-frame Manhattan distance
     interior = [p for p in code.z_checks if len(p.qubits) == 4]
     for a in interior:
@@ -82,7 +84,7 @@ def test_bfs_distances_match_manhattan_in_bulk():
             u1, v1 = (i1 + j1) / 2, (i1 - j1) / 2
             u2, v2 = (i2 + j2) / 2, (i2 - j2) / 2
             manhattan = abs(u1 - u2) + abs(v1 - v2)
-            bfs = code.pair_distance[(a.index, b.index)]
+            bfs = pair_distance[(a.index, b.index)]
             assert bfs <= manhattan + 1e-9
             if manhattan <= 2:  # no boundary shortcut can undercut here
                 assert bfs == int(round(manhattan))
@@ -274,23 +276,24 @@ def _bits(mask: int) -> set[int]:
 def test_instance_tables_agree_with_bfs_tables(d):
     code = build_code(d)
     n = len(code.z_checks)
+    pair_distance, pair_path, boundary_distance, boundary_path = _bfs_tables(code.z_checks, d)
     assert [_bits(m) for m in code.check_mask] == [set(p.qubits) for p in code.z_checks]
     assert _bits(code.logical_z_mask) == set(code.logical_z_row)
-    assert code.pair_mask.keys() == code.pair_path.keys()
-    for key, path in code.pair_path.items():
+    assert code.pair_mask.keys() == pair_path.keys()
+    for key, path in pair_path.items():
         assert _bits(code.pair_mask[key]) == set(path)
-    for u, path in code.boundary_path.items():
+    assert code.boundary_mask.keys() == boundary_path.keys()
+    for u, path in boundary_path.items():
         assert _bits(code.boundary_mask[u]) == set(path)
     for u in range(n):
-        for v in range(n):
-            edge, virtual = code.pair_edge[u][v], code.virtual_pair_edge[u][v]
-            if u >= v:
-                assert edge is None and virtual is None
-                continue
-            assert (edge.u, edge.v, edge.d) == (u, v, code.pair_distance[(u, v)])
+        assert len(code.pair_edge[u]) == len(code.virtual_pair_edge[u]) == n - u - 1
+        for v in range(u + 1, n):
+            edge = code.pair_edge[u][v - u - 1]
+            virtual = code.virtual_pair_edge[u][v - u - 1]
+            assert (edge.u, edge.v, edge.d) == (u, v, pair_distance[(u, v)])
             assert (virtual.u, virtual.v, virtual.d) == (f"b{u}", f"b{v}", 0.0)
         edge = code.boundary_edge[u]
-        assert (edge.u, edge.v, edge.d) == (u, f"b{u}", code.boundary_distance[u])
+        assert (edge.u, edge.v, edge.d) == (u, f"b{u}", boundary_distance[u])
         vertex = code.virtual_vertex[u]
         assert vertex.id == f"b{u}" and vertex.is_virtual_boundary
         assert vertex.position == code.z_checks[u].center
@@ -301,6 +304,9 @@ def test_instance_tables_agree_with_bfs_tables(d):
         flipped = set(np.flatnonzero(errs).tolist())
         want = tuple(p.index for p in code.z_checks if len(p.qubits & flipped) % 2)
         assert code.z_syndrome(errs) == want
+        # any nonzero flag counts as an error, whatever the array's dtype
+        assert code.z_syndrome(errs.astype(np.int64)) == want
+        assert code.z_syndrome(errs * 0.5) == want
 
 
 def test_shared_edges_keep_caches_per_graph():
