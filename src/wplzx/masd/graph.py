@@ -17,11 +17,11 @@ the exact values.  The decoder's one weight format is a list aligned with
 (d, slope, virtual-virtual?) for both modes in one pass per graph and caches
 them on the graph, and ``edge_weights`` turns them into one float per edge,
 d + lam * slope, so a lambda grid does the integer winding arithmetic once
-per instance, and once per distinct (a_u, k_u, a_v, k_v) within it.  The
-decoder caches its other lambda-independent terms (DRG_pm slope, edge
-positions, DP layout) on the same per-graph dict.  Vertices and edges are
-frozen and hold no cache, so graphs may share them: the surface-code sampler
-takes every edge and virtual vertex of its graphs from per-code tables.
+per instance.  The decoder caches its other lambda-independent terms
+(DRG_pm slope, edge positions, DP layout) on the same per-graph dict.
+Vertices and edges are frozen and hold no cache, so graphs may share them:
+the surface-code sampler takes every edge and virtual vertex of its graphs
+from per-code tables.
 
 Serialized form (JSON)::
 
@@ -203,18 +203,14 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
     weight at lambda is d + lambda * slope.
 
     Computed for both modes in one pass on first use and cached on the graph.
-    The slopes of a real-real edge depend only on its ends' (a, k) labels, so
-    the pass computes them once per distinct label pair; that pays off when
-    labels repeat, as with two-sector or constant windings, and costs a dict
-    lookup per edge when they do not.  An edge with a virtual end has slope
-    zero.
+    An edge with a virtual end has slope zero and skips the winding
+    arithmetic.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     terms = g._cache.get(mode)
     if terms is None:
         raw, normalized = [], []
-        slopes: dict[tuple[int, int, int, int], tuple[float, float]] = {}
         by_id = g._by_id
         for e in g.edges:
             u, v = by_id[e.u], by_id[e.v]
@@ -223,12 +219,9 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
                 raw.append((e.d, 0.0, vv))
                 normalized.append((e.d, 0.0, vv))
                 continue
-            key = (u.a, u.k, v.a, v.k)
-            pair = slopes.get(key)
-            if pair is None:
-                pair = slopes[key] = _slopes(u, v)
-            raw.append((e.d, pair[0], False))
-            normalized.append((e.d, pair[1], False))
+            s_raw, s_norm = _slopes(u, v)
+            raw.append((e.d, s_raw, False))
+            normalized.append((e.d, s_norm, False))
         g._cache[RAW] = tuple(raw)
         g._cache[NORMALIZED] = tuple(normalized)
         terms = g._cache[mode]
