@@ -110,21 +110,29 @@ Endpoint = Union[NodePort, BoundaryPort]
 
 @dataclass(frozen=True)
 class Wire:
+    """A wire between two endpoints, stored in canonical order: ``a`` has
+    the smaller endpoint key.  The pair of keys is computed once, at
+    construction, and kept (outside equality and repr) for ``key()``."""
+
     a: Endpoint
     b: Endpoint
+    _key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Endpoints are unordered; canonicalize so equality is structural.
-        if self.b.key() < self.a.key():
+        ka, kb = self.a.key(), self.b.key()
+        if kb < ka:
             a, b = self.b, self.a
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
+            ka, kb = kb, ka
+        object.__setattr__(self, "_key", (ka, kb))
 
     def endpoints(self) -> tuple[Endpoint, Endpoint]:
         return (self.a, self.b)
 
     def key(self):
-        return (self.a.key(), self.b.key())
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -183,15 +191,15 @@ def build(
             raise DuplicateId(f"duplicate node id {n.id!r}")
         by_id[n.id] = n
 
-    wire_list = sorted(wires, key=lambda w: w.key())
+    wire_list = sorted(wires, key=Wire.key)
     port_use: dict[tuple[NodeId, int], int] = {}
     slot_use: dict[tuple[str, int], int] = {}
     for w in wire_list:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
-        if len(ids) == 2 and ids[0] == ids[1] and ids[0] in by_id:
-            if not by_id[ids[0]].is_spider():
-                raise DanglingWire(f"self-loop on non-spider node {ids[0]!r}")
-        for ep in w.endpoints():
+        a, b = w.a, w.b
+        if isinstance(a, NodePort) and isinstance(b, NodePort) and a.node == b.node:
+            if a.node in by_id and not by_id[a.node].is_spider():
+                raise DanglingWire(f"self-loop on non-spider node {a.node!r}")
+        for ep in (a, b):
             if isinstance(ep, NodePort):
                 if ep.node not in by_id:
                     raise DanglingWire(f"wire references missing node {ep.node!r}")

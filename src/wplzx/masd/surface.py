@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ConfigInvalid, InvalidDistance
+from ..phase import lcm_order
 from ..rng import trial_generator
 from .decode import masd_decode
 from .graph import NORMALIZED, DefectEdge, DefectGraph, DefectVertex
@@ -66,6 +67,9 @@ class WindingModel:
             raise ConfigInvalid(f"unknown winding model {self.kind!r}")
         if self.a < 1:
             raise ConfigInvalid("winding model grid order must be >= 1")
+        # Every real-real edge refines a with itself, so check that once here,
+        # not at whichever sampled edge comes first.
+        lcm_order(self.a, self.a)
 
     def assign(self, position: tuple[float, float], midline: float, rng) -> tuple[int, int]:
         if self.kind == UNIFORM:

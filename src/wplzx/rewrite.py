@@ -11,7 +11,9 @@ preserves angle values exactly: the fused base phase is alpha_u + alpha_v and
 the fused winding is (L/a_u) k_u + (L/a_v) k_v, which together reproduce
 theta_u + theta_v.  The lifting is associative, so one routine fuses a whole
 group in one step: ``fuse_pair`` passes two spiders, the normalizer every
-region in the order pairwise fusion would absorb it.  Every rewrite is
+region in the order pairwise fusion would absorb it.  Labels fold in
+integers: each sum is a numerator over the lcm of its denominators, as
+``phase.total_angle`` computes, and is reduced once.  Every rewrite is
 recorded, pairwise, in a replayable trace.
 
 Replay (``apply_trace``) batches the same way: each run of consecutive
@@ -23,6 +25,7 @@ checked on its own against the state the entries before it left.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import diagram as dg
@@ -163,20 +166,29 @@ def fuse_pair(d: Diagram, u, v) -> Diagram:
 
 def _fold(labels) -> SpiderLabel:
     """The label of spiders fused in the given order: L = lcm of the grids,
-    alpha = sum mod 1 and k = sum of k_i * L / a_i.
+    alpha = sum mod 1 and k = sum of k_i * L / a_i; a single label is
+    returned as it is, its alpha not reduced mod 1.
 
-    The lcm is folded from the first label's grid on, so GridOverflow names
-    the running grid and the grid that first takes it over GRID_ORDER_CAP, as
-    pairwise fusion does.
+    Both sums are integer numerators over the lcm of their denominators,
+    reduced once, by the ``RationalAngle`` they end in.  The lcm is folded
+    from the first label's grid on, so GridOverflow names the running grid
+    and the grid that first takes it over GRID_ORDER_CAP, as pairwise fusion
+    does.
     """
     first = labels[0]
-    L, alpha, k = first.grid, first.alpha, first.winding.fraction
+    L = first.grid
+    alpha_num, alpha_den = first.alpha.num, first.alpha.den
+    k_num, k_den = first.winding.num, first.winding.den
     for lab in labels[1:]:
         L_new = lcm_order(L, lab.grid)
-        k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
-        alpha = (alpha + lab.alpha).mod1()
-        L = L_new
-    return SpiderLabel(L, alpha, RationalAngle.from_fraction(k))
+        alpha, k = lab.alpha, lab.winding
+        den = math.lcm(alpha_den, alpha.den)
+        alpha_num = (alpha_num * (den // alpha_den) + alpha.num * (den // alpha.den)) % den
+        alpha_den = den
+        den = math.lcm(k_den, k.den)
+        k_num = k_num * (den // k_den) * (L_new // L) + k.num * (den // k.den) * (L_new // lab.grid)
+        k_den, L = den, L_new
+    return SpiderLabel(L, RationalAngle(alpha_num, alpha_den), RationalAngle(k_num, k_den))
 
 
 def _fuse_groups(d: Diagram, groups) -> tuple[list[Node], list[Wire]]:

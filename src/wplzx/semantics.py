@@ -245,33 +245,45 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
             if lab[0] != "b":
                 holders.setdefault(lab, []).append(k)
 
-    heap: list = []
-
-    def push(a: int, b: int) -> None:
-        cost = len(live[a]) + len(live[b]) - 2 * len(set(live[a]) & set(live[b]))
-        heapq.heappush(heap, (cost, a, b))
-
+    # Each wire label joins exactly two tensors, so the wires a pair shares
+    # are counted in one pass over the labels.
+    shared_by: dict = {}
     for a, b in holders.values():
-        push(a, b)
+        shared_by[a, b] = shared_by.get((a, b), 0) + 1
+    heap = [(len(live[a]) + len(live[b]) - 2 * n, a, b) for (a, b), n in shared_by.items()]
+    heapq.heapify(heap)
     pairs = []
     while heap:
         _, a, b = heapq.heappop(heap)
         if a not in live or b not in live:
             continue  # stale: one of them is contracted already
         ax_a, ax_b = live.pop(a), live.pop(b)
-        shared = [lab for lab in ax_a if lab in ax_b]
-        size = 2 ** (len(ax_a) + len(ax_b) - 2 * len(shared))
+        on_a, on_b, kept = [], [], []
+        for i, lab in enumerate(ax_a):
+            if lab in ax_b:
+                on_a.append(i)
+                on_b.append(ax_b.index(lab))
+            else:
+                kept.append(lab)
+        size = 2 ** (len(ax_a) + len(ax_b) - 2 * len(on_a))
         if size > MAX_TENSOR_ENTRIES:
             raise DimensionOverflow(
                 f"intermediate tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
             )
-        pairs.append((a, b, [ax_a.index(x) for x in shared], [ax_b.index(x) for x in shared]))
+        pairs.append((a, b, on_a, on_b))
         new = len(pieces) + len(pairs) - 1
-        live[new] = [lab for lab in ax_a + ax_b if lab not in shared]
-        for lab in live[new]:
+        ax = live[new] = kept + [lab for lab in ax_b if lab not in ax_a]
+        # One heap entry per neighbour, costed by the wires it shares with new.
+        shared_by = {}
+        for lab in ax:
             if lab[0] != "b":
-                holders[lab] = [k for k in holders[lab] if k not in (a, b)] + [new]
-                push(holders[lab][0], new)
+                pair = holders[lab]
+                j = 0 if pair[0] in (a, b) else 1
+                pair[j] = new
+                other = pair[1 - j]
+                shared_by[other] = shared_by.get(other, 0) + 1
+        for other, n in shared_by.items():
+            heapq.heappush(heap, (len(live[other]) + len(ax) - 2 * n, other, new))
 
     # What is left is unconnected and has only open axes: outer products.
     total = [lab for ax in live.values() for lab in ax]

@@ -385,6 +385,23 @@ def test_sweep_rejects_bad_lambda_or_beta(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--distance", "3", "--p", "0.01"], ["--distance", "5", "--p", "0.2"]],
+    ids=["no-defect-pairs", "defect-pairs"],
+)
+def test_sweep_winding_grid_past_cap_exit_3(tmp_path, capsys, flags):
+    # The cap is checked on the flag, not on whichever sampled edge first
+    # refines the grid: at d = 3, p = 0.01 no trial has two defects.
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--lambdas", "0,1", "--winding", "uniform", "--winding-a", "100000000",
+            "--trials", "5", "--seed", "1"]
+    assert run(args + flags + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "resource cap: lcm(100000000, 100000000) = 100000000 exceeds grid-order cap 1048576\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
     out = tmp_path / "s.csv"
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +32,11 @@ from wplzx.errors import (
     ResourceCapError,
     TraceReplayError,
 )
-from wplzx.phase import RationalAngle, SpiderLabel, total_angle
+from wplzx.phase import GRID_ORDER_CAP, RationalAngle, SpiderLabel, lcm_order, total_angle
 from wplzx.rewrite import (
     RewriteTrace,
     TraceEntry,
+    _fold,
     apply_trace,
     canonical_label,
     color_change,
@@ -304,6 +306,64 @@ def test_canonical_label_order_independent():
 def test_canonical_label_empty_rejected():
     with pytest.raises(ValueError):
         canonical_label([])
+
+
+def _fold_reference(labels) -> SpiderLabel:
+    """The fused label in Fraction arithmetic, one label at a time: alpha
+    reduced mod 1 after each addition, the winding rescaled at each lcm."""
+    first = labels[0]
+    L, alpha, k = first.grid, first.alpha, first.winding.fraction
+    for lab in labels[1:]:
+        L_new = lcm_order(L, lab.grid)
+        k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
+        alpha = (alpha + lab.alpha).mod1()
+        L = L_new
+    return SpiderLabel(L, alpha, RA.from_fraction(k))
+
+
+def test_fold_matches_fraction_reference():
+    rng = random.Random("fold")
+    grids = [1, 2, 3, 4, 5, 6, 8, 12, 16, 1021, 1024]
+
+    def label():
+        a = rng.choice(grids)
+        den = rng.choice([1, 2, 3, a, 2 * a])
+        alpha = RA(rng.randrange(-3 * den, 3 * den), den)  # alpha < 0 and >= 1 too
+        return SpiderLabel(a, alpha, RA(rng.randrange(-4, 5), rng.choice([1, 2, 3])))
+
+    def outcome(fold, labels):
+        try:
+            return fold(labels)
+        except GridOverflow as exc:
+            return str(exc)
+
+    outcomes = []
+    for n in [1] * 50 + [2, 3, 4, 6] * 100:
+        labels = [label() for _ in range(n)]
+        outcomes.append(outcome(_fold, labels))
+        assert outcomes[-1] == outcome(_fold_reference, labels), labels
+    assert 0 < sum(isinstance(x, str) for x in outcomes) < len(outcomes) // 4
+    # A lone label comes back as it is, alpha not reduced mod 1.
+    for alpha in (RA(5, 4), RA(-1, 4), RA(7, 2)):
+        lab = SpiderLabel(4, alpha, RA(1, 2))
+        assert _fold([lab]) == lab == _fold_reference([lab])
+    # Mixed grids with a fractional winding.
+    labels = [SpiderLabel(2, RA(3, 2), RA(1, 2)), SpiderLabel(3, RA(-1, 3), RA(1, 2))]
+    assert _fold(labels) == SpiderLabel(6, RA(1, 6), RA(5, 2)) == _fold_reference(labels)
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [[1024, 1021, 3], [1024, 1024, 1021, 3, 5], [2, 1021, 1024, 7], [1 << 20, 3], [3, 1 << 20]],
+)
+def test_fold_overflow_message_matches_reference(grids):
+    labels = [SpiderLabel(a, RA(1, a), RA(1, 2)) for a in grids]
+    with pytest.raises(GridOverflow) as want:
+        _fold_reference(labels)
+    with pytest.raises(GridOverflow) as got:
+        _fold(labels)
+    assert str(got.value) == str(want.value)
+    assert str(GRID_ORDER_CAP) in str(got.value)
 
 
 # --- wzcc_normalize ---

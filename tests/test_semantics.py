@@ -178,45 +178,69 @@ def test_contraction_order_independence():
     assert differ
 
 
-def _rescan_order(pieces):
-    """Contraction steps as (labels of a, labels of b) by rescanning every
-    tensor at each step: the least (result size, earlier position, later
-    position) among tensors sharing a label."""
-    tensors = []
-    for _, _, axes in pieces:
+def _rescan_plan(d):
+    """(traces, pairs, perm) of d's contraction plan, found by rescanning
+    every live tensor at each step: the least (result size, lower number,
+    higher number) among pairs of tensors sharing a wire label."""
+    from wplzx.semantics import _network
+
+    pieces = _network(d)
+    traces, tensors = [], {}
+    for k, (_, _, axes) in enumerate(pieces):
         axes = list(axes)
-        for lab in set(axes):
-            if axes.count(lab) == 2:
-                axes = [x for x in axes if x != lab]
-        tensors.append(axes)
-    steps = []
+        while dups := [x for x in axes if axes.count(x) == 2]:
+            i = axes.index(dups[0])
+            j = axes.index(dups[0], i + 1)
+            traces.append((k, i, j))
+            del axes[j], axes[i]
+        tensors[k] = axes
+    pairs = []
     while True:
+        holders = {}
+        for k, axes in tensors.items():
+            for x in axes:
+                holders.setdefault(x, []).append(k)
         best = None
-        for i, b in enumerate(tensors):
-            for j, a in enumerate(tensors[:i]):
-                shared = [x for x in a if x in b and x[0] != "b"]
-                if shared:
-                    key = (len(a) + len(b) - 2 * len(shared), j, i)
-                    best = key if best is None or key < best else best
+        for a, b in (h for h in holders.values() if len(h) == 2):
+            shared = set(tensors[a]) & set(tensors[b])
+            key = (len(tensors[a]) + len(tensors[b]) - 2 * len(shared), a, b)
+            best = key if best is None or key < best else best
         if best is None:
-            return steps
-        _, j, i = best
-        a, b = tensors[j], tensors[i]
-        steps.append((tuple(a), tuple(b)))
-        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)]
-        tensors.append([x for x in a + b if not (x in a and x in b)])
+            break
+        _, a, b = best
+        ax_a, ax_b = tensors.pop(a), tensors.pop(b)
+        shared = [x for x in ax_a if x in ax_b]
+        pairs.append((a, b, [ax_a.index(x) for x in shared], [ax_b.index(x) for x in shared]))
+        tensors[len(pieces) + len(pairs) - 1] = [x for x in ax_a + ax_b if x not in shared]
+    total = [x for axes in tensors.values() for x in axes]
+    want = [("b", dg.OUT, p) for p in range(d.n_outputs)]
+    want += [("b", dg.IN, p) for p in range(d.n_inputs)]
+    return traces, pairs, [total.index(x) for x in want]
 
 
 def test_schedule_keeps_rescan_pair_order():
-    from wplzx.datasets import GenConfig, gen_random_wplzx
+    from wplzx.datasets import GenConfig, gen_random_wplzx, preset
+    from wplzx.rewrite import wzcc_normalize
     from wplzx.semantics import _schedule
 
-    for seed in range(12):
-        d = gen_random_wplzx(
-            GenConfig(seed=seed, spiders_min=10, spiders_max=60, qubits=4), instance=0
-        )
-        plan = _schedule(d, 12)
-        assert _steps(plan) == _rescan_order(plan[0]), seed
+    cases = [
+        gen_random_wplzx(GenConfig(seed=seed, spiders_min=10, spiders_max=60, qubits=4), 0)
+        for seed in range(12)
+    ]
+    for i in range(20):
+        d = gen_random_wplzx(preset("d1-main", seed=7), instance=i)
+        cases += [d, wzcc_normalize(d)[0]]
+    # Two self-loops on one spider (non-empty traces) and a bare wire.
+    looped = spider(0, dg.Z, a=4, alpha=(1, 4), ins=1, outs=5)
+    wires = [Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)), Wire(NodePort(0, 1), NodePort(0, 2)),
+             Wire(NodePort(0, 3), NodePort(0, 4)), Wire(NodePort(0, 5), NodePort(1, 0)),
+             Wire(NodePort(1, 1), BoundaryPort(dg.OUT, 0)),
+             Wire(BoundaryPort(dg.IN, 1), BoundaryPort(dg.OUT, 1))]
+    cases.append(build([looped, spider(1, dg.X)], wires, 2, 2))
+    assert _schedule(cases[-1], 12)[1]  # traces
+    for n, d in enumerate(cases):
+        _, traces, pairs, perm = _schedule(d, 12)
+        assert (traces, pairs, perm) == _rescan_plan(d), n
 
 
 def test_monoidality_tensor_and_compose(rng):
