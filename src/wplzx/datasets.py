@@ -316,19 +316,7 @@ def diagram_to_circuit(d: Diagram) -> Circuit:
     if d.n_inputs != d.n_outputs:
         raise NotCircuitLike("diagram has unequal input/output counts")
     nq = d.n_inputs
-
-    # Where does each endpoint's wire lead?
-    other_end: dict = {}
-    for w in d.wires:
-        a, b = w.endpoints()
-        ka = a if isinstance(a, BoundaryPort) else (a.node, a.port)
-        kb = b if isinstance(b, BoundaryPort) else (b.node, b.port)
-        if ka in other_end or kb in other_end:
-            raise NotCircuitLike("diagram is not simple enough to extract")
-        other_end[ka] = b
-        other_end[kb] = a
-
-    frontier = [other_end[BoundaryPort(dg.IN, i)] for i in range(nq)]
+    frontier = [d.wire_at(BoundaryPort(dg.IN, i))[1] for i in range(nq)]
     done = [False] * nq
     gates: list[Gate] = []
 
@@ -354,16 +342,16 @@ def diagram_to_circuit(d: Diagram) -> Circuit:
                 if ep.port != 0 and ep.port != 1:
                     raise NotCircuitLike("bad Hadamard wiring")
                 gates.append(Gate(HGATE, (qb,)))
-                frontier[qb] = other_end[(node.id, 1 - ep.port)]
+                frontier[qb] = d.wire_at((node.id, 1 - ep.port))[1]
                 progressed = True
             elif (node.ins, node.outs) == (1, 1):
                 if ep.port != 0:
                     raise NotCircuitLike(f"entered 1-1 spider {node.id!r} backwards")
                 emit_rotation(node.kind, qb, node)
-                frontier[qb] = other_end[(node.id, 1)]
+                frontier[qb] = d.wire_at((node.id, 1))[1]
                 progressed = True
             elif node.kind == dg.Z and (node.ins, node.outs) == (1, 2) and ep.port == 0:
-                hit = _try_emit_cx(d, other_end, frontier, qb, node, gates, emit_rotation)
+                hit = _try_emit_cx(d, frontier, qb, node, gates, emit_rotation)
                 progressed = progressed or hit
             elif node.kind == dg.X and (node.ins, node.outs) == (2, 1):
                 continue  # resolved from the control side
@@ -377,11 +365,11 @@ def diagram_to_circuit(d: Diagram) -> Circuit:
     return Circuit(nq, tuple(gates))
 
 
-def _try_emit_cx(d, other_end, frontier, ctrl_q, ctrl, gates, emit_rotation) -> bool:
+def _try_emit_cx(d, frontier, ctrl_q, ctrl, gates, emit_rotation) -> bool:
     """Try to resolve a Z(1-2) control; returns True when the CX was emitted."""
     partners = []
     for port in (1, 2):
-        far = other_end[(ctrl.id, port)]
+        far = d.wire_at((ctrl.id, port))[1]
         if isinstance(far, NodePort):
             cand = d.node(far.node)
             if cand.kind == dg.X and (cand.ins, cand.outs) == (2, 1) and far.port in (0, 1):
@@ -402,8 +390,8 @@ def _try_emit_cx(d, other_end, frontier, ctrl_q, ctrl, gates, emit_rotation) -> 
     emit_rotation(dg.Z, ctrl_q, ctrl)
     gates.append(Gate(CX, (ctrl_q, tgt_q)))
     emit_rotation(dg.X, tgt_q, tgt)
-    frontier[ctrl_q] = other_end[(ctrl.id, rail_port)]
-    frontier[tgt_q] = other_end[(tgt.id, 2)]
+    frontier[ctrl_q] = d.wire_at((ctrl.id, rail_port))[1]
+    frontier[tgt_q] = d.wire_at((tgt.id, 2))[1]
     return True
 
 

@@ -10,6 +10,14 @@ Wires are an (unordered-endpoint) multiset; parallel wires between two
 spiders are kept explicitly because fusion must count connecting legs.
 Hadamard is a node kind of fixed degree 2, not an edge decoration.
 
+``build`` also keeps a port table: every node port and every boundary slot
+is the end of exactly one wire, and ``Diagram.wire_at`` returns that wire's
+index and the endpoint at its far end.  A node port is looked up as the
+tuple ``(node id, port)`` and a boundary slot as its ``BoundaryPort``, so no
+node id (even ``"in"``) can collide with a slot.  Rewrites, the contraction
+network and circuit extraction read wiring from this table instead of
+scanning the wires.
+
 Serialized form (UTF-8 JSON)::
 
     {"inputs": [0, 1, ...], "outputs": [0, ...],
@@ -142,6 +150,7 @@ class Diagram:
     n_inputs: int
     n_outputs: int
     _by_id: dict = field(default=None, compare=False, repr=False)
+    _ports: dict = field(default=None, compare=False, repr=False)
 
     def node(self, node_id: NodeId) -> Node:
         return self._by_id[node_id]
@@ -153,23 +162,28 @@ class Diagram:
     def spiders(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.is_spider())
 
+    def wire_at(self, port) -> tuple[int, Endpoint]:
+        """(wire index, far endpoint) of the wire at a node port, given as
+        ``(node id, port)``, or at a boundary slot, given as its
+        ``BoundaryPort``.  A self-loop's far endpoint is its other port."""
+        return self._ports[port]
+
     def wires_between(self, u: NodeId, v: NodeId) -> list[int]:
         """Indices of wires joining u and v (u != v)."""
-        out = []
-        for i, w in enumerate(self.wires):
-            ids = {ep.node for ep in w.endpoints() if isinstance(ep, NodePort)}
-            if ids == {u, v}:
-                out.append(i)
-        return out
+        node = self._by_id.get(u)
+        if node is None:
+            return []
+        ends = (self._ports[(u, p)] for p in range(node.degree))
+        return sorted(i for i, far in ends if isinstance(far, NodePort) and far.node == v)
 
     def incident(self, node_id: NodeId) -> list[tuple[int, NodePort]]:
-        """(wire index, endpoint) pairs touching the node, self-loops twice."""
-        out = []
-        for i, w in enumerate(self.wires):
-            for ep in w.endpoints():
-                if isinstance(ep, NodePort) and ep.node == node_id:
-                    out.append((i, ep))
-        return out
+        """(wire index, endpoint) pairs touching the node, by wire index,
+        self-loops twice."""
+        node = self._by_id.get(node_id)
+        if node is None:
+            return []
+        legs = sorted((self._ports[(node_id, p)][0], p) for p in range(node.degree))
+        return [(i, NodePort(node_id, p)) for i, p in legs]
 
 
 def build(
@@ -194,12 +208,13 @@ def build(
     wire_list = sorted(wires, key=Wire.key)
     port_use: dict[tuple[NodeId, int], int] = {}
     slot_use: dict[tuple[str, int], int] = {}
-    for w in wire_list:
+    ports: dict = {}  # (node id, port) or BoundaryPort -> (wire index, far end)
+    for i, w in enumerate(wire_list):
         a, b = w.a, w.b
         if isinstance(a, NodePort) and isinstance(b, NodePort) and a.node == b.node:
             if a.node in by_id and not by_id[a.node].is_spider():
                 raise DanglingWire(f"self-loop on non-spider node {a.node!r}")
-        for ep in (a, b):
+        for ep, far in ((a, b), (b, a)):
             if isinstance(ep, NodePort):
                 if ep.node not in by_id:
                     raise DanglingWire(f"wire references missing node {ep.node!r}")
@@ -209,7 +224,9 @@ def build(
                         f"wire references port {ep.port} of node {ep.node!r} "
                         f"(degree {node.degree})"
                     )
-                port_use[(ep.node, ep.port)] = port_use.get((ep.node, ep.port), 0) + 1
+                key = (ep.node, ep.port)
+                port_use[key] = port_use.get(key, 0) + 1
+                ports[key] = (i, far)
             else:
                 n_slots = inputs if ep.side == IN else outputs
                 if not 0 <= ep.pos < n_slots:
@@ -217,6 +234,7 @@ def build(
                         f"boundary slot {ep.side}[{ep.pos}] out of range"
                     )
                 slot_use[(ep.side, ep.pos)] = slot_use.get((ep.side, ep.pos), 0) + 1
+                ports[ep] = (i, far)
 
     for n in node_list:
         for p in range(n.degree):
@@ -233,8 +251,7 @@ def build(
                     f"{slot_use.get((side, pos), 0)} times (want exactly 1)"
                 )
 
-    d = Diagram(tuple(node_list), tuple(wire_list), inputs, outputs, by_id)
-    return d
+    return Diagram(tuple(node_list), tuple(wire_list), inputs, outputs, by_id, ports)
 
 
 def same_color_pairs(d: Diagram) -> Iterator[tuple[NodeId, NodeId]]:
@@ -260,6 +277,15 @@ def monochrome_regions(d: Diagram) -> list[frozenset[NodeId]]:
     return [frozenset(order) for order in region_orders(d)]
 
 
+def same_color_neighbours(d: Diagram) -> dict[NodeId, set[NodeId]]:
+    """Each spider's id -> the other spiders of its color wired to it."""
+    adjacent: dict = {n.id: set() for n in d.spiders}
+    for u, v in same_color_pairs(d):
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    return adjacent
+
+
 def region_orders(d: Diagram) -> list[list[NodeId]]:
     """Each monochrome region's spiders, regions by smallest id r.
 
@@ -267,10 +293,7 @@ def region_orders(d: Diagram) -> list[list[NodeId]]:
     the smallest-id member wired to one already listed.  Pairwise fusion of
     a region absorbs its spiders into r in exactly this order.
     """
-    adjacent: dict = {n.id: set() for n in d.spiders}
-    for u, v in same_color_pairs(d):
-        adjacent[u].add(v)
-        adjacent[v].add(u)
+    adjacent = same_color_neighbours(d)
     orders, seen = [], set()
     for r in adjacent:
         if r in seen:
@@ -330,6 +353,16 @@ def serialize(d: Diagram) -> str:
 
 def from_json_obj(obj: dict) -> Diagram:
     try:
+        wires = [
+            Wire(_endpoint_from_json(w[0]), _endpoint_from_json(w[1]))
+            for w in obj["wires"]
+        ]
+        # A spider's output arity is recovered from wire incidence.
+        degree: dict = {}
+        for w in wires:
+            for ep in w.endpoints():
+                if isinstance(ep, NodePort):
+                    degree[ep.node] = max(degree.get(ep.node, 0), ep.port + 1)
         nodes = []
         for i, entry in enumerate(obj["nodes"]):
             kind = entry["kind"]
@@ -347,31 +380,8 @@ def from_json_obj(obj: dict) -> Diagram:
                 RationalAngle.from_json(entry["k"]),
             )
             ins = int(entry["ins"])
-            # Output arity is recovered from wire incidence below.
-            nodes.append((nid, kind, label, ins))
-        wires = [
-            Wire(_endpoint_from_json(w[0]), _endpoint_from_json(w[1]))
-            for w in obj["wires"]
-        ]
-        degree: dict = {}
-        for w in wires:
-            for ep in w.endpoints():
-                if isinstance(ep, NodePort):
-                    degree[ep.node] = max(degree.get(ep.node, 0), ep.port + 1)
-        final_nodes = []
-        for n in nodes:
-            if isinstance(n, Node):
-                final_nodes.append(n)
-            else:
-                nid, kind, label, ins = n
-                deg = degree.get(nid, ins)
-                final_nodes.append(Node(nid, kind, label, ins, max(deg - ins, 0)))
-        return build(
-            final_nodes,
-            wires,
-            len(obj["inputs"]),
-            len(obj["outputs"]),
-        )
+            nodes.append(Node(nid, kind, label, ins, max(degree.get(nid, ins) - ins, 0)))
+        return build(nodes, wires, len(obj["inputs"]), len(obj["outputs"]))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

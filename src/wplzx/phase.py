@@ -12,6 +12,7 @@ The grid of order ``a`` is the cyclic set ``{n/a turns}``; a phase is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +129,15 @@ class SpiderLabel:
             and self.winding.is_grid_compliant(self.grid)
         )
 
+    @functools.cached_property
+    def total_angle(self) -> TotalAngle:
+        """alpha + k/a, reduced mod one turn, computed exactly in integers
+        over the common denominator alpha.den * k.den * a, once per label
+        (a cached attribute, outside equality, hashing and repr)."""
+        alpha, k, a = self.alpha, self.winding, self.grid
+        den = alpha.den * k.den * a
+        return TotalAngle(RationalAngle((alpha.num * k.den * a + k.num * alpha.den) % den, den))
+
     def to_json(self) -> dict:
         return {"a": self.grid, "alpha": self.alpha.to_json(), "k": self.winding.to_json()}
 
@@ -171,11 +181,8 @@ def lcm_order(a: int, b: int) -> int:
 
 
 def total_angle(label: SpiderLabel) -> TotalAngle:
-    """alpha + k/a, reduced mod one turn, computed exactly in integers:
-    over the common denominator alpha.den * k.den * a."""
-    alpha, k, a = label.alpha, label.winding, label.grid
-    den = alpha.den * k.den * a
-    return TotalAngle(RationalAngle((alpha.num * k.den * a + k.num * alpha.den) % den, den))
+    """alpha + k/a, reduced mod one turn: ``label.total_angle``."""
+    return label.total_angle
 
 
 def add_on_lcm(alpha: RationalAngle, a: int, beta: RationalAngle, b: int) -> RationalAngle:

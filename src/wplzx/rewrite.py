@@ -199,33 +199,31 @@ def _fuse_groups(d: Diagram, groups) -> tuple[list[Node], list[Wire]]:
     The result equals fusing the members pairwise in that order: the label
     is their ``_fold``; wires between distinct members are consumed;
     surviving legs are renumbered inputs first, each side by member, then by
-    port.
+    port.  Only the wires at members' ports are rebuilt.
     """
     owner = {m: g[0] for g in groups for m in g}
-    kept, consumed = [], set()
-    for w in d.wires:
-        a, b = w.endpoints()
-        inner = isinstance(a, NodePort) and isinstance(b, NodePort) and a.node != b.node
-        if inner and a.node in owner and owner[a.node] == owner.get(b.node):
-            consumed.update((a, b))
-        else:
-            kept.append(w)
-
-    merged, port_map = [], {}
+    merged, renumbered = [], {}
+    touched = {}  # index of a wire at a member's port -> whether it survives
     for group in groups:
         members = [d.node(m) for m in group]
         label = _fold([n.label for n in members])
         ins, outs = [], []
         for n in members:
             for p in range(n.degree):
-                if NodePort(n.id, p) not in consumed:
-                    (ins if p < n.ins else outs).append(NodePort(n.id, p))
-        port_map.update(
-            (old, NodePort(group[0], i)) for i, old in enumerate(ins + outs)
-        )
+                i, far = d.wire_at((n.id, p))
+                far_id = far.node if isinstance(far, NodePort) else None
+                inner = far_id != n.id and owner.get(far_id) == group[0]
+                touched[i] = not inner
+                if not inner:
+                    (ins if p < n.ins else outs).append((n.id, p))
+        renumbered.update((old, NodePort(group[0], j)) for j, old in enumerate(ins + outs))
         merged.append(Node(group[0], members[0].kind, label, len(ins), len(outs)))
 
-    wires = [Wire(port_map.get(w.a, w.a), port_map.get(w.b, w.b)) for w in kept]
+    def end(ep):
+        return renumbered.get((ep.node, ep.port), ep) if isinstance(ep, NodePort) else ep
+
+    wires = [w for i, w in enumerate(d.wires) if i not in touched]
+    wires += (Wire(end(d.wires[i].a), end(d.wires[i].b)) for i, kept in touched.items() if kept)
     return [n for n in d.nodes if n.id not in owner] + merged, wires
 
 
@@ -241,24 +239,13 @@ def identity_removal(d: Diagram, node_id) -> Diagram:
     if not node_total_angle(node).is_zero():
         raise NotIdentity(f"spider {node_id!r} has nonzero total angle")
 
-    touching = [i for i, _ in d.incident(node_id)]
-    if len(set(touching)) == 1:
+    (i, a), (j, b) = d.wire_at((node_id, 0)), d.wire_at((node_id, 1))
+    if i == j:
         # A self-loop: removing it would leave a free-floating circle scalar,
         # which the wire model cannot represent.
         raise NotIdentity("cannot splice a self-loop")
-    wa, wb = (d.wires[i] for i in sorted(set(touching)))
-
-    def far_end(w: Wire):
-        ends = [
-            ep
-            for ep in w.endpoints()
-            if not (isinstance(ep, NodePort) and ep.node == node_id)
-        ]
-        return ends[0]
-
-    spliced = Wire(far_end(wa), far_end(wb))
-    wires = [w for i, w in enumerate(d.wires) if i not in set(touching)]
-    wires.append(spliced)
+    wires = [w for k, w in enumerate(d.wires) if k not in (i, j)]
+    wires.append(Wire(a, b))
     nodes = [n for n in d.nodes if n.id != node_id]
     return build(nodes, wires, d.n_inputs, d.n_outputs)
 
@@ -287,27 +274,19 @@ def color_change(d: Diagram, node_id) -> Diagram:
         node_id, dg.X if node.kind == dg.Z else dg.Z, node.label, node.ins, node.outs
     )
 
-    legs = [(i, ep) for i, ep in d.incident(node_id)]
-    h_ids = _fresh_ids(d, "h", len(legs))
-    h_for_leg = {}
-    for (wi, ep), hid in zip(legs, h_ids):
-        h_for_leg[(wi, ep.port)] = hid
+    legs = d.incident(node_id)
+    h_for_port = {ep.port: hid for (_, ep), hid in zip(legs, _fresh_ids(d, "h", len(legs)))}
 
-    new_wires: list[Wire] = []
-    extra_nodes: list[Node] = [flipped]
-    for i, w in enumerate(d.wires):
-        a, b = w.endpoints()
+    def reroute(ep):
+        if isinstance(ep, NodePort) and ep.node == node_id:
+            return NodePort(h_for_port[ep.port], 0)
+        return ep
 
-        def reroute(ep, wire_index=i):
-            if isinstance(ep, NodePort) and ep.node == node_id:
-                hid = h_for_leg[(wire_index, ep.port)]
-                return NodePort(hid, 0)
-            return ep
-
-        new_wires.append(Wire(reroute(a), reroute(b)))
-    for (wi, ep), hid in zip(legs, h_ids):
+    new_wires = [Wire(reroute(w.a), reroute(w.b)) for w in d.wires]
+    extra_nodes = [flipped]
+    for port, hid in h_for_port.items():
         extra_nodes.append(Node(hid, dg.H, None, 1, 1))
-        new_wires.append(Wire(NodePort(hid, 1), NodePort(node_id, ep.port)))
+        new_wires.append(Wire(NodePort(hid, 1), NodePort(node_id, port)))
 
     nodes = [n for n in d.nodes if n.id != node_id] + extra_nodes
     return build(nodes, new_wires, d.n_inputs, d.n_outputs)
@@ -398,10 +377,7 @@ class _FusionRun:
         self.gone: set = set()
         self.labels: dict = {}  # node id -> replacement label
         # survivor -> same-color survivors wired to its group
-        self.wired = {n.id: set() for n in d.spiders}
-        for a, b in dg.same_color_pairs(d):
-            self.wired[a].add(b)
-            self.wired[b].add(a)
+        self.wired = dg.same_color_neighbours(d)
 
     def _alive(self, nid) -> bool:
         return nid not in self.gone and self.d.has_node(nid)

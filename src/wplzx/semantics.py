@@ -17,6 +17,7 @@ fixed tolerance EQ_TOL = 1e-9.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -125,6 +126,7 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
+@functools.cache
 def _least_generator(p: int) -> int:
     """Least generator of the multiplicative group mod the prime p."""
     small = [k for k in range(1, math.isqrt(p) + 1) if (p - 1) % k == 0]
@@ -183,23 +185,18 @@ def _network(d: dg.Diagram) -> list[tuple]:
     """One (kind, total angle in turns, axis labels) piece per tensor of d;
     kind "I" is a bare boundary-to-boundary wire, and boundary endpoints are
     open ("b", side, pos) axes.  A spider above the split degree becomes an
-    exact chain of smaller ones (spider fusion), its angle on the first."""
-    port_label: dict[tuple, object] = {}
-    pieces = []
-    for i, w in enumerate(d.wires):
-        a, b = w.endpoints()
-        if isinstance(a, dg.NodePort) and isinstance(b, dg.NodePort):
-            lab = ("w", i)
-            port_label[(a.node, a.port)] = lab
-            port_label[(b.node, b.port)] = lab
-        elif isinstance(a, dg.NodePort) or isinstance(b, dg.NodePort):
-            node_end, bound_end = (a, b) if isinstance(a, dg.NodePort) else (b, a)
-            port_label[(node_end.node, node_end.port)] = ("b", bound_end.side, bound_end.pos)
-        else:
-            pieces.append(("I", None, [("b", a.side, a.pos), ("b", b.side, b.pos)]))
-
+    exact chain of smaller ones (spider fusion), its angle on the first.
+    A wire between nodes is the axis ("w", its index)."""
+    pieces = [
+        ("I", None, [("b", w.a.side, w.a.pos), ("b", w.b.side, w.b.pos)])
+        for w in d.wires
+        if isinstance(w.a, dg.BoundaryPort) and isinstance(w.b, dg.BoundaryPort)
+    ]
     for node in d.nodes:
-        labels = [port_label[(node.id, p)] for p in range(node.degree)]
+        labels = []
+        for p in range(node.degree):
+            i, far = d.wire_at((node.id, p))
+            labels.append(("w", i) if isinstance(far, dg.NodePort) else ("b", far.side, far.pos))
         if node.kind == dg.H:
             pieces.append((dg.H, None, labels))
             continue

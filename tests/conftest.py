@@ -242,6 +242,38 @@ def bfs_color_regions(d: dg.Diagram):
     return out
 
 
+# --- wire-scan port oracle (independent of the port table of diagram.build) ---
+
+
+def scan_ports(d: dg.Diagram) -> dict:
+    """(wire index, far endpoint) of every node port, keyed (node id, port),
+    and of every boundary slot, keyed by its BoundaryPort, from every wire."""
+    out = {}
+    for i, w in enumerate(d.wires):
+        for ep, far in ((w.a, w.b), (w.b, w.a)):
+            out[(ep.node, ep.port) if isinstance(ep, NodePort) else ep] = (i, far)
+    return out
+
+
+def scan_incident(d: dg.Diagram, node_id) -> list:
+    """(wire index, endpoint) pairs at the node, in wire order."""
+    return [
+        (i, ep)
+        for i, w in enumerate(d.wires)
+        for ep in (w.a, w.b)
+        if isinstance(ep, NodePort) and ep.node == node_id
+    ]
+
+
+def scan_wires_between(d: dg.Diagram, u, v) -> list[int]:
+    """Indices of the wires whose node ends are exactly u and v."""
+    return [
+        i
+        for i, w in enumerate(d.wires)
+        if {ep.node for ep in (w.a, w.b) if isinstance(ep, NodePort)} == {u, v}
+    ]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bfs_color_regions, chain, spider
+from conftest import (
+    bfs_color_regions,
+    chain,
+    random_small_diagram,
+    scan_incident,
+    scan_ports,
+    scan_wires_between,
+    spider,
+)
 from wplzx import diagram as dg
 from wplzx.datasets import GenConfig, gen_random_wplzx
 from wplzx.diagram import (
@@ -176,3 +184,60 @@ def test_self_loop_forbidden_on_hadamard():
     h = Node(0, dg.H, None, 1, 1)
     with pytest.raises(DanglingWire):
         build([h], [Wire(NodePort(0, 0), NodePort(0, 1))], 0, 0)
+
+
+def _port_table_cases():
+    for seed in range(30):
+        yield random_small_diagram(seed)
+    # self-loops on a spider beside its boundary leg
+    yield build(
+        [spider(0, dg.Z, ins=2, outs=3)],
+        [
+            Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)),
+            Wire(NodePort(0, 1), NodePort(0, 4)),
+            Wire(NodePort(0, 2), NodePort(0, 3)),
+        ],
+        1,
+        0,
+    )
+    # bare boundary-to-boundary wires, in to out, in to in and out to out
+    yield build(
+        [],
+        [
+            Wire(BoundaryPort(dg.IN, 1), BoundaryPort(dg.OUT, 0)),
+            Wire(BoundaryPort(dg.IN, 0), BoundaryPort(dg.IN, 2)),
+            Wire(BoundaryPort(dg.OUT, 2), BoundaryPort(dg.OUT, 1)),
+        ],
+        3,
+        3,
+    )
+    # a Hadamard node between spiders, and parallel wires
+    yield build(
+        [spider(0, dg.Z, ins=1, outs=3), Node(1, dg.H, None, 1, 1), spider(2, dg.X, ins=3, outs=1)],
+        [
+            Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)),
+            Wire(NodePort(0, 1), NodePort(1, 0)),
+            Wire(NodePort(1, 1), NodePort(2, 0)),
+            Wire(NodePort(0, 2), NodePort(2, 1)),
+            Wire(NodePort(0, 3), NodePort(2, 2)),
+            Wire(NodePort(2, 3), BoundaryPort(dg.OUT, 0)),
+        ],
+        1,
+        1,
+    )
+    # string ids that spell the boundary sides: ("in", 0) and in[0] are both keys
+    yield chain(spider("in", dg.Z), Node("out", dg.H, None, 1, 1), spider(0, dg.X))
+
+
+def test_port_table_matches_wire_scan():
+    for d in _port_table_cases():
+        ports = [(n.id, p) for n in d.nodes for p in range(n.degree)]
+        ports += [BoundaryPort(dg.IN, i) for i in range(d.n_inputs)]
+        ports += [BoundaryPort(dg.OUT, i) for i in range(d.n_outputs)]
+        assert {port: d.wire_at(port) for port in ports} == scan_ports(d)
+        ids = [n.id for n in d.nodes] + ["missing", 99]
+        for u in ids:
+            assert d.incident(u) == scan_incident(d, u)
+            for v in ids:
+                if u != v:
+                    assert d.wires_between(u, v) == scan_wires_between(d, u, v)
