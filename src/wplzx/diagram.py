@@ -43,7 +43,7 @@ from .errors import (
     DuplicateId,
     ParseError,
 )
-from .phase import RationalAngle, SpiderLabel
+from .phase import SpiderLabel, json_int
 
 NodeId = Union[int, str]
 
@@ -321,12 +321,12 @@ def _endpoint_to_json(ep: Endpoint) -> dict:
 
 def _endpoint_from_json(obj: dict) -> Endpoint:
     if "node" in obj:
-        return NodePort(obj["node"], int(obj["port"]))
+        return NodePort(obj["node"], json_int(obj, "port"))
     if "boundary" in obj:
         side = obj["boundary"]
         if side not in (IN, OUT):
             raise ParseError(f"bad boundary side {side!r}")
-        return BoundaryPort(side, int(obj["pos"]))
+        return BoundaryPort(side, json_int(obj, "pos"))
     raise ParseError(f"endpoint needs 'node' or 'boundary': {obj!r}")
 
 
@@ -374,17 +374,13 @@ def from_json_obj(obj: dict) -> Diagram:
             if kind == H:
                 nodes.append(Node(nid, H, None, 1, 1))
                 continue
-            label = SpiderLabel(
-                int(entry["a"]),
-                RationalAngle.from_json(entry["alpha"]),
-                RationalAngle.from_json(entry["k"]),
-            )
-            ins = int(entry["ins"])
+            label = SpiderLabel.from_json(entry)
+            ins = json_int(entry, "ins")
             nodes.append(Node(nid, kind, label, ins, max(degree.get(nid, ins) - ins, 0)))
         return build(nodes, wires, len(obj["inputs"]), len(obj["outputs"]))
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed diagram object: {exc}") from exc
 
 

@@ -15,10 +15,9 @@ inflation is undefined.
 Both metrics are linear in lambda.  DRG_pm equals lambda * S with
 S = sum_e p(e) slope_e / d_e (slope as in ``edge_terms``), and S is computed
 once per graph, mode and beta and cached on the graph.  DRG_toy reads each
-matched pair's (d, raw delta_k) from the raw ``edge_terms`` row of the last
-edge joining the pair, found through a cached map from frozenset({u, v}) to
-that edge's position in ``g.edges`` (edges with a real end only).  A lambda
-grid on one instance therefore pays for the exact winding arithmetic once.
+matched pair's (d, raw delta_k) from the raw ``edge_terms`` row of the edge
+the matching paid for it (``Matching.edges``).  A lambda grid on one
+instance therefore pays for the exact winding arithmetic once.
 """
 
 from __future__ import annotations
@@ -94,17 +93,6 @@ def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
     return slope
 
 
-def _edge_positions(g: DefectGraph) -> dict:
-    """frozenset({u, v}) -> position of the last edge joining u and v, for
-    edges with a real end; cached on g."""
-    positions = g._cache.get("positions")
-    if positions is None:
-        terms = edge_terms(g, RAW)
-        positions = {frozenset((e.u, e.v)): k for k, e in enumerate(g.edges) if not terms[k][2]}
-        g._cache["positions"] = positions
-    return positions
-
-
 def masd_decode(
     g: DefectGraph,
     lam: float,
@@ -120,11 +108,10 @@ def masd_decode(
     weights = edge_weights(g, lam, mode)
     matching = min_weight_perfect_matching(g, weights)
 
-    raw, positions = edge_terms(g, RAW), _edge_positions(g)
+    raw = edge_terms(g, RAW)
     toy_pairs = []
-    for pair in matching.pairs:
-        k = positions.get(frozenset(pair))
-        if k is not None and raw[k][0]:
+    for k in matching.edges:
+        if k is not None and raw[k][0] and not raw[k][2]:
             toy_pairs.append(raw[k][:2])
     report = RiskReport(
         lam=lam,

@@ -18,7 +18,7 @@ the exact values.  The decoder's one weight format is a list aligned with
 them on the graph, and ``edge_weights`` turns them into one float per edge,
 d + lam * slope, so a lambda grid does the integer winding arithmetic once
 per instance.  The decoder caches its other lambda-independent terms
-(DRG_pm slope, edge positions, DP layout) on the same per-graph dict.
+(DRG_pm slope, DP layout) on the same per-graph dict.
 Vertices and edges are frozen and hold no cache, so graphs may share them:
 the surface-code sampler takes every edge and virtual vertex of its graphs
 from per-code tables.
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import NegativeLambda, ParseError
-from ..phase import check_grid_order, lcm_order
+from ..phase import check_grid_order, json_int, lcm_order
 
 VertexId = Union[int, str]
 
@@ -135,13 +135,15 @@ class DefectGraph:
             for i, entry in enumerate(obj["vertices"]):
                 if not isinstance(entry["id"], (int, str)):
                     raise ParseError(f"vertices[{i}]: id must be int or str")
+                if not isinstance(entry.get("virtual", False), bool):
+                    raise ParseError(f"vertices[{i}]: virtual must be true or false")
             vertices = tuple(
                 DefectVertex(
                     entry["id"],
                     (float(entry["pos"][0]), float(entry["pos"][1])),
-                    int(entry["a"]),
-                    int(entry["k"]),
-                    bool(entry.get("virtual", False)),
+                    json_int(entry, "a"),
+                    json_int(entry, "k"),
+                    entry.get("virtual", False),
                 )
                 for entry in obj["vertices"]
             )

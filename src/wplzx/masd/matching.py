@@ -8,16 +8,20 @@ graph raises MatchingOverflow instead of being matched approximately.  When
 virtual boundary vertices follow the one-virtual-per-defect pattern, each
 virtual is folded into its real defect's retirement cost, so only the real
 defects enter the DP mask and the unused virtuals pair up among themselves
-afterwards.  Any other virtual layout puts every vertex into the same DP with
-an infinite retirement cost.
+afterwards, for free, whether or not an edge joins them: no virtual-virtual
+edge is read.  Any other virtual layout puts every vertex into the same DP
+with an infinite retirement cost, so there each pair needs an edge and pays
+its weight.
 
 Weights arrive as one float per edge, in ``g.edges`` order (see
 ``graph.edge_weights``).  Which layout applies, the DP vertex order, each
-real defect's retirement candidates and the positions of the edges that
-fill the DP matrix depend only on the graph, so they are computed once per
-graph and cached on it; each call only reads that call's weights by
-position, into Python lists for the pure-Python kernel in ``_dp``.  A graph
-with no vertices skips the kernel.
+real defect's retirement candidates and ``edge_at``, the position of the
+last edge joining each two DP vertices (-1 for none), depend only on the
+graph, so they are computed once per graph and cached on it; each call
+reads that call's weights through them into Python lists for the
+pure-Python kernel in ``_dp``.  The same positions name, in
+``Matching.edges``, the edge whose weight each pair paid: ``None`` marks
+exactly the free virtual pairs.  A graph with no vertices skips the kernel.
 """
 
 from __future__ import annotations
@@ -44,12 +48,15 @@ def kernel_name() -> str:
 
 @dataclass(frozen=True)
 class Matching:
-    """A perfect matching: vertex-id pairs, its cost, and an exactness flag
-    (always true: every matching is a minimum-weight one)."""
+    """A perfect matching: vertex-id pairs, its cost, an exactness flag
+    (always true: every matching is a minimum-weight one) and, per pair in
+    ``pairs`` order, the ``g.edges`` position whose weight it paid, or None
+    for two virtuals paired for free."""
 
     pairs: tuple[tuple[VertexId, VertexId], ...]
     total_cost: float
     exact: bool
+    edges: tuple[int | None, ...]
 
     @property
     def size(self) -> int:
@@ -76,9 +83,9 @@ def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> list | None:
 
 def _layout(g: DefectGraph) -> tuple:
     """(DP vertex ids, virtual ids left to pair among themselves, (DP index,
-    virtual id, edge position) per retirement candidate, (i, j, edge
-    position) per edge between DP vertices, in edge order); computed once
-    per graph and cached on it."""
+    virtual id, edge position) per retirement candidate, edge_at), where
+    edge_at[i][j] is the position of the last edge joining DP vertices i
+    and j, or -1 where none does; computed once per graph and cached on it."""
     layout = g._cache.get("layout")
     if layout is None:
         ids = [v.id for v in g.real_vertices]
@@ -89,12 +96,12 @@ def _layout(g: DefectGraph) -> tuple:
             ids, virts, retire = [v.id for v in g.vertices], [], []
         index = {v: i for i, v in enumerate(ids)}
         retire = [(index[r], virt, k) for r, virt, k in retire]
-        cells = [
-            (index[e.u], index[e.v], k)
-            for k, e in enumerate(g.edges)
-            if e.u in index and e.v in index
-        ]
-        layout = g._cache["layout"] = (ids, virts, retire, cells)
+        edge_at = [[-1] * len(ids) for _ in ids]
+        for k, e in enumerate(g.edges):
+            i, j = index.get(e.u), index.get(e.v)
+            if i is not None and j is not None:
+                edge_at[i][j] = edge_at[j][i] = k
+        layout = g._cache["layout"] = (ids, virts, retire, edge_at)
     return layout
 
 
@@ -112,34 +119,33 @@ def min_weight_perfect_matching(g: DefectGraph, weights: Sequence[float]) -> Mat
     if len(g.vertices) % 2 != 0:
         raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
     if not g.vertices:
-        return Matching((), 0.0, exact=True)
-    ids, virts, retire, cells = _layout(g)
+        return Matching((), 0.0, exact=True, edges=())
+    ids, virts, retire, edge_at = _layout(g)
     n = len(ids)
     if n > DP_VERTEX_CAP:
         raise MatchingOverflow(f"{n} DP vertices exceed cap {DP_VERTEX_CAP}")
     boundary = [math.inf] * n
-    owner: list = [None] * n  # DP index -> the virtual it retires onto
+    owner: list = [None] * n  # DP index -> (virtual it retires onto, edge position)
     for i, virt, k in retire:
         cost = float(weights[k])
         if owner[i] is None or cost < boundary[i]:
-            boundary[i], owner[i] = cost, virt
+            boundary[i], owner[i] = cost, (virt, k)
 
-    w = [[math.inf] * n for _ in range(n)]
-    for i, j, k in cells:
-        w[i][j] = w[j][i] = weights[k]
+    padded = [*weights, math.inf]  # position -1 reads +inf: no edge
+    w = [[padded[k] for k in row] for row in edge_at]
     cost, choice = _dp.solve_dense(w, boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
     moves = _dp.reconstruct(choice, n)
     pairs: list[tuple[VertexId, VertexId]] = []
-    used_virts = set()
+    edges: list[int | None] = []
     for i, j in moves:
-        if j == -1:
-            pairs.append((ids[i], owner[i]))
-            used_virts.add(owner[i])
-        else:
-            pairs.append((ids[i], ids[j]))
-    leftover = sorted((v for v in virts if v not in used_virts), key=repr)
+        mate, k = owner[i] if j == -1 else (ids[j], edge_at[i][j])
+        pairs.append((ids[i], mate))
+        edges.append(k)
+    used = {mate for _, mate in pairs}
+    leftover = sorted((v for v in virts if v not in used), key=repr)
     for i in range(0, len(leftover), 2):
         pairs.append((leftover[i], leftover[i + 1]))
-    return Matching(tuple(pairs), cost, exact=True)
+        edges.append(None)
+    return Matching(tuple(pairs), cost, exact=True, edges=tuple(edges))

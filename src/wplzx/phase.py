@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GridOverflow, NotARefinement
+from .errors import GridOverflow, NotARefinement, ParseError
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,6 +30,15 @@ def check_grid_order(a: int) -> int:
     if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise ValueError(f"grid order must be a positive integer, got {a!r}")
     return a
+
+
+def json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer; a bool, float, string or
+    anything else raises ParseError rather than being truncated."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ParseError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ class RationalAngle:
 
     @classmethod
     def from_json(cls, obj: dict) -> RationalAngle:
-        return cls(int(obj["num"]), int(obj["den"]))
+        return cls(json_int(obj, "num"), json_int(obj, "den"))
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}" if self.den != 1 else str(self.num)
@@ -144,7 +153,7 @@ class SpiderLabel:
     @classmethod
     def from_json(cls, obj: dict) -> SpiderLabel:
         return cls(
-            int(obj["a"]),
+            json_int(obj, "a"),
             RationalAngle.from_json(obj["alpha"]),
             RationalAngle.from_json(obj["k"]),
         )

@@ -10,7 +10,8 @@ Fusion lifts labels to the common refinement grid with index arithmetic that
 preserves angle values exactly: the fused base phase is alpha_u + alpha_v and
 the fused winding is (L/a_u) k_u + (L/a_v) k_v, which together reproduce
 theta_u + theta_v.  The lifting is associative, so one routine fuses a whole
-group in one step: ``fuse_pair`` passes two spiders, the normalizer every
+group in one step: ``fuse_pair`` is a one-step replay run, checked as
+``apply_trace`` checks each ``fuse`` entry, and the normalizer passes every
 region in the order pairwise fusion would absorb it.  Labels fold in
 integers: each sum is a numerator over the lcm of its denominators, as
 ``phase.total_angle`` computes, and is reduced once.  Every rewrite is
@@ -151,17 +152,9 @@ def fuse_pair(d: Diagram, u, v) -> Diagram:
     All c connecting wires are removed (total arity drops by 2c); surviving
     legs re-attach to the merged spider, which keeps u's id.
     """
-    if u == v or not (d.has_node(u) and d.has_node(v)):
-        raise NotConnected(f"cannot fuse {u!r} with {v!r}")
-    nu, nv = d.node(u), d.node(v)
-    if not (nu.is_spider() and nv.is_spider()):
-        raise ColorMismatch("fusion applies to spiders only")
-    if nu.kind != nv.kind:
-        raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
-    if not d.wires_between(u, v):
-        raise NotConnected(f"{u!r} and {v!r} share no wire")
-    nodes, wires = _fuse_groups(d, [[u, v]])
-    return build(nodes, wires, d.n_inputs, d.n_outputs)
+    run = _FusionRun(d)
+    run.fuse(u, v)
+    return run.diagram()
 
 
 def _fold(labels) -> SpiderLabel:

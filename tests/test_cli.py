@@ -331,6 +331,73 @@ def test_decode_malformed_graph_exit_1(tmp_path, capsys, graph):
     assert captured.err.startswith("error: ")
 
 
+def _one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("a", 8.7), ("k", 2.9), ("a", "8"), ("k", True), ("virtual", "false"), ("virtual", 0)],
+)
+def test_decode_non_integer_field_exit_1(tmp_path, capsys, field, value):
+    """Grid orders and windings must be JSON integers and the virtual flag a
+    JSON boolean: nothing is truncated or read by truthiness."""
+    vertices = _toy_graph_vertices([0, 1])
+    vertices[0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": [{"u": 0, "v": 1, "d": 1.0}]}))
+    assert run(["decode", "--graph", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+def _one_spider_diagram() -> dict:
+    return {
+        "inputs": [0],
+        "outputs": [0],
+        "nodes": [
+            {"id": 0, "kind": "Z", "ins": 1, "a": 8, "alpha": {"num": 1, "den": 8}, "k": {"num": 0, "den": 1}}
+        ],
+        "wires": [
+            [{"boundary": "in", "pos": 0}, {"node": 0, "port": 0}],
+            [{"node": 0, "port": 1}, {"boundary": "out", "pos": 0}],
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("nodes", 0, "alpha", "num"), 1.5),
+        (("nodes", 0, "alpha", "den"), 8.0),
+        (("nodes", 0, "k", "num"), "0"),
+        (("nodes", 0, "a"), 8.0),
+        (("nodes", 0, "a"), True),
+        (("nodes", 0, "ins"), 1.0),
+        (("wires", 0, 1, "port"), 0.0),
+        (("wires", 1, 1, "pos"), 0.7),
+        (("wires", 0, 0, "pos"), False),
+        (("nodes", 0, "alpha", "den"), 0),
+    ],
+)
+def test_normalize_bad_integer_field_exit_1(tmp_path, capsys, path, value):
+    """Spider labels, input counts, ports and boundary slots must be JSON
+    integers: a float, string or bool is an error, not truncated, and so is
+    a zero denominator."""
+    obj = _one_spider_diagram()
+    *parents, key = path
+    target = obj
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["normalize", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
+    _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_decode_past_dp_cap_exit_3(tmp_path, capsys):
     # 25 reals, each with its own boundary virtual: 25 DP vertices
     graph = {

@@ -901,6 +901,77 @@ def test_cached_terms_give_fresh_results():
         assert hash(g) == digest and g == DefectGraph.deserialize(text)
 
 
+LAYOUTS = {"own": 0, "own-sparse": 0, "arbitrary": 1, "no-virtuals": 2}
+
+
+def _layout_graph(rng, kind: str) -> DefectGraph:
+    """A ``_random_decoding_graph`` in one matcher layout, with parallel edges.
+
+    "own": one virtual per real, with the virtual-virtual clique;
+    "own-sparse": the same without the clique and without some real-real
+    edges, plus two virtuals that touch nothing; "arbitrary": virtuals each
+    joined to two reals; "no-virtuals": reals only.  Random edges get a
+    reversed copy at a random position, so either copy may come last; in
+    the own layouts only edges whose ends are both real or both virtual, so
+    the layout stays own-boundary.
+    """
+    base = _random_decoding_graph(rng, LAYOUTS[kind])
+    vertices, edges = list(base.vertices), list(base.edges)
+    virtual = {v.id for v in base.virtual_vertices}
+    if kind == "own-sparse":
+        edges = [
+            e for e in edges
+            if (e.u in virtual) != (e.v in virtual) or (e.u not in virtual and rng.random() < 0.7)
+        ]
+        vertices += [vert("spare1", 1, 0, virtual=True), vert("spare2", 1, 0, virtual=True)]
+    copyable = [
+        e for e in edges if kind in ("arbitrary", "no-virtuals") or (e.u in virtual) == (e.v in virtual)
+    ]
+    for i in rng.integers(0, len(copyable), size=3 if copyable else 0):
+        copy = DefectEdge(copyable[i].v, copyable[i].u, float(rng.uniform(0.2, 4.0)))
+        edges.insert(int(rng.integers(0, len(edges) + 1)), copy)
+    return DefectGraph(tuple(vertices), tuple(edges))
+
+
+@pytest.mark.parametrize("kind", list(LAYOUTS))
+def test_matching_names_the_edge_each_pair_paid(kind):
+    """Matching.edges is None exactly for the virtual pairs the own-boundary
+    layout matches for free, and otherwise names the last edge of g joining
+    the pair; the named weights sum to the cost, and DRG_toy equals DRG_toy
+    read through a frozenset({u, v}) -> position map of the edges with a
+    real end."""
+    own = kind.startswith("own")
+    free_pairs = 0
+    for seed in range(60):
+        rng = np.random.default_rng(7000 + seed)
+        g = _layout_graph(rng, kind)
+        virtual = {v.id for v in g.virtual_vertices}
+        last = {frozenset((e.u, e.v)): k for k, e in enumerate(g.edges)}
+        raw = edge_terms(g, RAW)
+        positions = {key: k for key, k in last.items() if not raw[k][2]}
+        for mode in (RAW, NORMALIZED):
+            for lam in (0.0, 0.5, 1.5):
+                weights = edge_weights(g, lam, mode)
+                m, rep = masd_decode(g, lam, mode=mode)
+                assert len(m.edges) == len(m.pairs)
+                paid = 0.0
+                for pair, k in zip(m.pairs, m.edges):
+                    free = own and set(pair) <= virtual
+                    free_pairs += free
+                    assert (k is None) == free, (seed, pair, k)
+                    if k is not None:
+                        assert k == last[frozenset(pair)], (seed, pair)
+                        paid += weights[k]
+                assert paid == pytest.approx(m.total_cost, rel=1e-12, abs=1e-12)
+                rows = []
+                for pair in m.pairs:
+                    k = positions.get(frozenset(pair))
+                    if k is not None and raw[k][0]:
+                        rows.append(raw[k][:2])
+                assert rep.drg_toy == drg_toy(rows, lam)
+    assert (free_pairs > 0) == own
+
+
 def test_defect_graph_serialization_roundtrip():
     vs = [vert(0, 8, 2, pos=(0.5, 1.5)), vert("b0", 1, 0, virtual=True, pos=(0.5, -0.5))]
     g = DefectGraph(tuple(vs), (DefectEdge(0, "b0", 1.0),))

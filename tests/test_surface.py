@@ -101,7 +101,7 @@ def test_p_zero_no_defects_trivial_decode(code3, monkeypatch):
         assert sample.syndrome == ()
         assert len(graph.vertices) == 0
         matching, report = masd_decode(graph, 0.5)
-        assert matching == matching_module.Matching((), 0.0, exact=True)
+        assert matching == matching_module.Matching((), 0.0, exact=True, edges=())
         assert not logical_failure(code3, sample, matching)
     assert calls == []  # no defects, no kernel call
     masd_decode(sample_surface_code(3, 0.2, seed=123, trial=1)[1], 0.5)
