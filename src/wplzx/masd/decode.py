@@ -72,12 +72,11 @@ def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
 
     The weights are exp(-beta (d_e - d_min)), the same p(e) once normalized,
     so the normalizer is at least 1 however large beta is."""
-    terms = edge_terms(g, mode)
     key = ("drg_pm", mode, beta)
     slope = g._cache.get(key)
     if slope is None:
         ds, ratios = [], []
-        for e, (d, s, vv) in zip(g.edges, terms):
+        for e, (d, s, vv) in zip(g.edges, edge_terms(g, mode)):
             if vv:
                 continue
             if not d > 0.0:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import NegativeLambda, ParseError
-from ..phase import check_grid_order, json_int, lcm_order
+from ..phase import check_grid_order, json_int, json_number, lcm_order
 
 VertexId = Union[int, str]
 
@@ -140,7 +140,10 @@ class DefectGraph:
             vertices = tuple(
                 DefectVertex(
                     entry["id"],
-                    (float(entry["pos"][0]), float(entry["pos"][1])),
+                    (
+                        json_number(entry["pos"][0], "pos[0]"),
+                        json_number(entry["pos"][1], "pos[1]"),
+                    ),
                     json_int(entry, "a"),
                     json_int(entry, "k"),
                     entry.get("virtual", False),
@@ -148,7 +151,7 @@ class DefectGraph:
                 for entry in obj["vertices"]
             )
             edges = tuple(
-                DefectEdge(entry["u"], entry["v"], float(entry["d"]))
+                DefectEdge(entry["u"], entry["v"], json_number(entry["d"], "d"))
                 for entry in obj["edges"]
             )
             return cls(vertices, edges)

@@ -82,10 +82,11 @@ def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> list | None:
 
 
 def _layout(g: DefectGraph) -> tuple:
-    """(DP vertex ids, virtual ids left to pair among themselves, (DP index,
-    virtual id, edge position) per retirement candidate, edge_at), where
-    edge_at[i][j] is the position of the last edge joining DP vertices i
-    and j, or -1 where none does; computed once per graph and cached on it."""
+    """(DP vertex ids, virtual ids left to pair among themselves in ``repr``
+    order, (DP index, virtual id, edge position) per retirement candidate,
+    edge_at), where edge_at[i][j] is the position of the last edge joining
+    DP vertices i and j, or -1 where none does; computed once per graph and
+    cached on it."""
     layout = g._cache.get("layout")
     if layout is None:
         ids = [v.id for v in g.real_vertices]
@@ -96,6 +97,7 @@ def _layout(g: DefectGraph) -> tuple:
             ids, virts, retire = [v.id for v in g.vertices], [], []
         index = {v: i for i, v in enumerate(ids)}
         retire = [(index[r], virt, k) for r, virt, k in retire]
+        virts.sort(key=repr)
         edge_at = [[-1] * len(ids) for _ in ids]
         for k, e in enumerate(g.edges):
             i, j = index.get(e.u), index.get(e.v)
@@ -144,7 +146,7 @@ def min_weight_perfect_matching(g: DefectGraph, weights: Sequence[float]) -> Mat
         pairs.append((ids[i], mate))
         edges.append(k)
     used = {mate for _, mate in pairs}
-    leftover = sorted((v for v in virts if v not in used), key=repr)
+    leftover = [v for v in virts if v not in used]
     for i in range(0, len(leftover), 2):
         pairs.append((leftover[i], leftover[i + 1]))
         edges.append(None)

@@ -21,8 +21,15 @@ virtual-virtual), one per check to its own boundary partner, one virtual
 against (the Z-check supports, the witness chains and the logical Z row) as
 an int bitmask with bit q for data qubit q.  ``defect_graph_for`` picks its
 edges from those tables by check index and builds only the real vertices,
-whose winding labels are drawn per trial; syndromes, corrections and the
-logical parity are XORs and ``int.bit_count()`` of the masks.
+whose winding labels are drawn per trial; corrections and the logical parity
+are XORs and ``int.bit_count()`` of the masks.
+
+Syndromes are read per flipped qubit, not per check: ``qubit_checks[q]`` is
+the bitmask of the Z checks that contain qubit q, so the syndrome of a set
+of flipped qubits is the XOR of their masks, and its set bits are the
+violated checks.  The sampler takes it straight from its list of flipped
+qubits, and the residual-syndrome check after a correction costs one XOR per
+flipped qubit.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from ..errors import ConfigInvalid, InvalidDistance
 from ..phase import lcm_order
-from ..rng import trial_generator
+from ..rng import trial_stream
 from .decode import masd_decode
 from .graph import NORMALIZED, DefectEdge, DefectGraph, DefectVertex
 from .matching import Matching
@@ -100,6 +107,9 @@ class RotatedSurfaceCode:
     # pair_mask[(u, v)] for every ordered pair u != v, boundary_mask[u] from
     # check u to its nearest boundary.
     check_mask: tuple = field(compare=False, repr=False, default=None)
+    # qubit_checks[q]: the Z checks containing data qubit q, as a check
+    # bitmask (bit i = Z check i); the transpose of check_mask.
+    qubit_checks: tuple = field(compare=False, repr=False, default=None)
     logical_z_mask: int = field(compare=False, repr=False, default=None)
     pair_mask: dict = field(compare=False, repr=False, default=None)
     boundary_mask: dict = field(compare=False, repr=False, default=None)
@@ -119,17 +129,25 @@ class RotatedSurfaceCode:
     def z_syndrome(self, x_errors: np.ndarray) -> tuple[int, ...]:
         """Indices of Z checks with odd overlap with the error support."""
         flags = np.asarray(x_errors, dtype=bool)
-        packed = np.packbits(flags, bitorder="little").tobytes()
-        return self._odd_z_checks(int.from_bytes(packed, "little"))
+        return self._syndrome_of(np.flatnonzero(flags).tolist())
 
     def _odd_z_checks(self, flipped: int) -> tuple[int, ...]:
         """Indices of Z checks with odd overlap with a bitmask of flipped
         qubits."""
-        if not flipped:
-            return ()
-        return tuple(
-            i for i, m in enumerate(self.check_mask) if (m & flipped).bit_count() & 1
-        )
+        checks = 0
+        while flipped:
+            low = flipped & -flipped
+            checks ^= self.qubit_checks[low.bit_length() - 1]
+            flipped ^= low
+        return tuple(_bits(checks))
+
+    def _syndrome_of(self, qubits: Iterable[int]) -> tuple[int, ...]:
+        """Indices, ascending, of the Z checks with odd overlap with a list
+        of flipped qubit indices (a qubit listed twice cancels)."""
+        checks = 0
+        for q in qubits:
+            checks ^= self.qubit_checks[q]
+        return tuple(_bits(checks))
 
 
 def _mask(qubits: Iterable[int]) -> int:
@@ -137,6 +155,16 @@ def _mask(qubits: Iterable[int]) -> int:
     out = 0
     for q in qubits:
         out |= 1 << q
+    return out
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -189,6 +217,9 @@ def build_code(distance: int) -> RotatedSurfaceCode:
         logical_z_row=row0,
         logical_x_col=col0,
         check_mask=tuple(_mask(p.qubits) for p in z_list),
+        qubit_checks=tuple(
+            _mask(p.index for p in z_list if q in p.qubits) for q in range(d * d)
+        ),
         logical_z_mask=_mask(row0),
         pair_mask={key: _mask(path) for key, path in pair_path.items()},
         boundary_mask={u: _mask(path) for u, path in b_path.items()},
@@ -334,16 +365,16 @@ def sample_surface_code(
         raise ConfigInvalid(f"p_phys must lie in [0, 0.5), got {p_phys}")
     if code is None:
         code = build_code(distance)
-    rng = trial_generator(seed, trial)
-    errs = rng.random(code.n_data) < p_phys
-    syndrome = code.z_syndrome(errs)
+    rng = trial_stream(seed, trial)
+    x_errors = np.flatnonzero(rng.random(code.n_data) < p_phys).tolist()
+    syndrome = code._syndrome_of(x_errors)
     graph = defect_graph_for(code, syndrome, winding, rng)
     sample = SurfaceSample(
         distance=distance,
         p_phys=p_phys,
         seed=seed,
         trial=trial,
-        x_errors=tuple(np.flatnonzero(errs).tolist()),
+        x_errors=tuple(x_errors),
         syndrome=syndrome,
     )
     return sample, graph
@@ -368,12 +399,7 @@ def correction_from_matching(
             correction ^= code.boundary_mask[v if u_virtual else u]
         else:
             correction ^= code.pair_mask[(u, v)]
-    qubits = set()
-    while correction:
-        low = correction & -correction
-        qubits.add(low.bit_length() - 1)
-        correction ^= low
-    return qubits
+    return set(_bits(correction))
 
 
 def logical_failure(

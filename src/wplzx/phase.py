@@ -41,6 +41,18 @@ def json_int(obj: dict, key: str) -> int:
     return value
 
 
+def json_number(value, name: str) -> float:
+    """A JSON field ``name`` that must be a number (integer or float), as a
+    float; a bool, string or anything else raises ParseError rather than
+    being converted, and so does an integer too large for a float."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class RationalAngle:
     """An exact fraction of a full turn (or an exact rational winding count).

@@ -3,17 +3,59 @@
 All randomness in the package flows from one master seed; independent
 substreams are derived by keying a Philox counter-based generator with
 (master, index), so trial i's stream never depends on how many other trials
-ran or in which order.
+ran or in which order.  Both key words are taken modulo 2^64: seed -1 is
+seed 2^64 - 1, and no two seeds in [-2^63, 2^63) share a stream.
+
+Philox's whole state is its key, its counter and a small output buffer, so
+one generator reset to (key, counter 0, empty buffer) draws exactly what a
+new one built with that key would.  ``trial_stream`` uses that to serve hot
+loops from one process-wide generator.  That stream is not reentrant: each
+call resets it, so a generator it returned is valid only until the next
+call, and two streams that must be drawn from in turn, or kept, need
+``trial_generator``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
+def _key(master_seed: int, index: int) -> np.ndarray:
+    """The Philox key of substream ``index`` of ``master_seed``, each word
+    modulo 2^64.  Built as a uint64 array: a Python list holding a word of
+    2^63 or more would pass through float64 on its way to numpy."""
+    return np.array([int(master_seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+
+
 def trial_generator(master_seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for substream ``index`` of ``master_seed``."""
-    key = [int(master_seed) & _MASK64, int(index) & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(master_seed, index)))
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+@functools.cache
+def _shared_generator() -> np.random.Generator:
+    """The one generator ``trial_stream`` rekeys, made on first use so that
+    importing the package does not load ``numpy.random``."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def trial_stream(master_seed: int, index: int = 0) -> np.random.Generator:
+    """The draws of ``trial_generator(master_seed, index)`` from one shared
+    generator, rekeyed in place; valid only until the next call."""
+    gen = _shared_generator()
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": _key(master_seed, index)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen

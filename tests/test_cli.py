@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,30 @@ def test_decode_non_integer_field_exit_1(tmp_path, capsys, field, value):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "vertex, edge",
+    [
+        ({}, {"d": "2.5"}),
+        ({}, {"d": True}),
+        ({}, {"d": 10**400}),
+        ({"pos": ["1", 0]}, {}),
+        ({"pos": [0, True]}, {}),
+        ({"pos": ["1", True]}, {"d": "2.5"}),
+    ],
+    ids=["d-string", "d-bool", "d-too-large", "pos-string", "pos-bool", "both"],
+)
+def test_decode_non_number_float_field_exit_1(tmp_path, capsys, vertex, edge):
+    """Distances and positions must be JSON numbers: a string or bool is an
+    error, not converted, and so is an integer no float can hold."""
+    vertices = _toy_graph_vertices([0, 1])
+    vertices[0].update(vertex)
+    edges = [{"u": 0, "v": 1, "d": 1.0, **edge}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    assert run(["decode", "--graph", str(path)]) == 1
+    _one_error_line(capsys)
+
+
 def _one_spider_diagram() -> dict:
     return {
         "inputs": [0],
@@ -665,3 +690,22 @@ def test_unreadable_path_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert not missing.exists()
+
+
+def test_negative_seeds_give_their_own_outputs(tmp_path):
+    """Seeds are keyed modulo 2^64, so -1 and -2 are streams of their own,
+    not seed 0 again, and keying them raises no cast warning."""
+    csvs, diagrams = {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in ("0", "-1", "-2"):
+            out = tmp_path / f"sweep{seed}.csv"
+            args = ["sweep", "--lambdas", "0,1", "--distance", "3", "--p", "0.1",
+                    "--trials", "50", "--seed", seed, "--out", str(out)]
+            assert run(args) == 0
+            csvs[seed] = out.read_bytes()
+            gen_dir = tmp_path / f"gen{seed}"
+            assert run(["gen", "--preset", "d1-main", "--seed", seed, "--out", str(gen_dir)]) == 0
+            diagrams[seed] = [p.read_bytes() for p in sorted(gen_dir.glob("*.diagram.json"))]
+    assert len(set(csvs.values())) == 3
+    assert diagrams["0"] and len({tuple(files) for files in diagrams.values()}) == 3

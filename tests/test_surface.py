@@ -320,3 +320,21 @@ def test_shared_edges_keep_caches_per_graph():
     assert all(a is b for a, b in zip(twin.edges, graph.edges, strict=True))
     masd_decode(graph, 0.3)
     assert graph._cache and twin._cache == {}
+
+
+@pytest.mark.parametrize("d", (3, 5, 7))
+def test_qubit_checks_transpose_check_mask(d):
+    code = build_code(d)
+    assert len(code.qubit_checks) == code.n_data
+    for q, checks in enumerate(code.qubit_checks):
+        assert _bits(checks) == {i for i, m in enumerate(code.check_mask) if m >> q & 1}
+
+
+@pytest.mark.parametrize("d", (3, 5, 7))
+def test_odd_z_checks_match_per_check_parity(d):
+    code = build_code(d)
+    rng = np.random.default_rng(100 + d)
+    for _ in range(200):
+        flipped = int(rng.integers(0, 2, code.n_data) @ (1 << np.arange(code.n_data, dtype=object)))
+        want = tuple(i for i, m in enumerate(code.check_mask) if (m & flipped).bit_count() % 2)
+        assert code._odd_z_checks(flipped) == want
