@@ -156,6 +156,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_wires < 0:
+        raise WplzxError(f"--max-wires must be >= 0, got {args.max_wires}")
     d = _load_diagram(args.input)
     if args.trace is not None:
         trace = rewrite.RewriteTrace.from_jsonl(Path(args.trace).read_text(encoding="utf-8"))

@@ -353,6 +353,14 @@ def serialize(d: Diagram) -> str:
 
 def from_json_obj(obj: dict) -> Diagram:
     try:
+        for key in ("inputs", "outputs"):
+            slots = obj[key]
+            if not (
+                isinstance(slots, list)
+                and all(type(s) is int for s in slots)
+                and slots == list(range(len(slots)))
+            ):
+                raise ParseError(f"{key} must be [0, 1, ..., n-1], got {slots!r}")
         wires = [
             Wire(_endpoint_from_json(w[0]), _endpoint_from_json(w[1]))
             for w in obj["wires"]

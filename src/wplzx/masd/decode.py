@@ -36,9 +36,7 @@ class RiskReport:
     drg_toy: float
     drg_pm: float
     total_cost: float
-    matching_size: int
     mode: str
-    beta: float
 
 
 def drg_toy(pairs, lam: float) -> float:
@@ -117,8 +115,6 @@ def masd_decode(
         drg_toy=drg_toy(toy_pairs, lam),
         drg_pm=drg_pm(g, lam, beta, mode),
         total_cost=matching.total_cost,
-        matching_size=matching.size,
         mode=mode,
-        beta=beta,
     )
     return matching, report

@@ -137,6 +137,8 @@ class DefectGraph:
                     raise ParseError(f"vertices[{i}]: id must be int or str")
                 if not isinstance(entry.get("virtual", False), bool):
                     raise ParseError(f"vertices[{i}]: virtual must be true or false")
+                if not isinstance(entry["pos"], list) or len(entry["pos"]) != 2:
+                    raise ParseError(f"vertices[{i}]: pos must be a list of two numbers")
             vertices = tuple(
                 DefectVertex(
                     entry["id"],

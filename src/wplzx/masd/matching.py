@@ -58,10 +58,6 @@ class Matching:
     exact: bool
     edges: tuple[int | None, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
 
 def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> list | None:
     """(real id, virtual id, edge position) for each retirement candidate,

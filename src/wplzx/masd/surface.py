@@ -17,19 +17,21 @@ match, and virtual-virtual pairs are free.
 Everything about an instance that depends only on the code is tabulated once
 by ``build_code``: one frozen ``DefectEdge`` per check pair (real-real and
 virtual-virtual), one per check to its own boundary partner, one virtual
-``DefectVertex`` per check, and every qubit set the harness tests parity
-against (the Z-check supports, the witness chains and the logical Z row) as
-an int bitmask with bit q for data qubit q.  ``defect_graph_for`` picks its
+``DefectVertex`` per check, and the witness chains and the logical Z row as
+int bitmasks with bit q for data qubit q.  ``defect_graph_for`` picks its
 edges from those tables by check index and builds only the real vertices,
 whose winding labels are drawn per trial; corrections and the logical parity
-are XORs and ``int.bit_count()`` of the masks.
+are XORs and ``int.bit_count()`` of the masks.  Only the decoded sector is
+kept: ``build_code`` builds the X checks and the logical X column to assert
+the layout (check counts, X-Z commutation, the logicals' commutation with
+the other sector's checks and with each other), then drops them.
 
 Syndromes are read per flipped qubit, not per check: ``qubit_checks[q]`` is
 the bitmask of the Z checks that contain qubit q, so the syndrome of a set
 of flipped qubits is the XOR of their masks, and its set bits are the
 violated checks.  The sampler takes it straight from its list of flipped
 qubits, and the residual-syndrome check after a correction costs one XOR per
-flipped qubit.
+qubit that error and correction do not share.
 """
 
 from __future__ import annotations
@@ -99,17 +101,13 @@ class RotatedSurfaceCode:
 
     distance: int
     z_checks: tuple[Plaquette, ...]
-    x_checks: tuple[Plaquette, ...]
-    logical_z_row: frozenset[int]
-    logical_x_col: frozenset[int]
-    # Z-check supports, the logical Z row and the BFS witness chains of the
-    # decoded (Z-check) sector as qubit bitmasks (bit q = data qubit q):
-    # pair_mask[(u, v)] for every ordered pair u != v, boundary_mask[u] from
-    # check u to its nearest boundary.
-    check_mask: tuple = field(compare=False, repr=False, default=None)
     # qubit_checks[q]: the Z checks containing data qubit q, as a check
-    # bitmask (bit i = Z check i); the transpose of check_mask.
+    # bitmask (bit i = Z check i).
     qubit_checks: tuple = field(compare=False, repr=False, default=None)
+    # The logical Z row and the BFS witness chains of the decoded (Z-check)
+    # sector as qubit bitmasks (bit q = data qubit q): pair_mask[(u, v)] for
+    # every ordered pair u != v, boundary_mask[u] from check u to its nearest
+    # boundary.
     logical_z_mask: int = field(compare=False, repr=False, default=None)
     pair_mask: dict = field(compare=False, repr=False, default=None)
     boundary_mask: dict = field(compare=False, repr=False, default=None)
@@ -125,21 +123,6 @@ class RotatedSurfaceCode:
     @property
     def n_data(self) -> int:
         return self.distance * self.distance
-
-    def z_syndrome(self, x_errors: np.ndarray) -> tuple[int, ...]:
-        """Indices of Z checks with odd overlap with the error support."""
-        flags = np.asarray(x_errors, dtype=bool)
-        return self._syndrome_of(np.flatnonzero(flags).tolist())
-
-    def _odd_z_checks(self, flipped: int) -> tuple[int, ...]:
-        """Indices of Z checks with odd overlap with a bitmask of flipped
-        qubits."""
-        checks = 0
-        while flipped:
-            low = flipped & -flipped
-            checks ^= self.qubit_checks[low.bit_length() - 1]
-            flipped ^= low
-        return tuple(_bits(checks))
 
     def _syndrome_of(self, qubits: Iterable[int]) -> tuple[int, ...]:
         """Indices, ascending, of the Z checks with odd overlap with a list
@@ -200,23 +183,22 @@ def build_code(distance: int) -> RotatedSurfaceCode:
             target = z_list if is_z else x_list
             target.append(Plaquette(len(target), center, qs))
 
-    assert len(z_list) + len(x_list) == d * d - 1
-    row0 = frozenset(range(d))
-    col0 = frozenset(r * d for r in range(d))
-    for p in x_list:  # logical Z commutes with every X check
-        assert len(p.qubits & row0) % 2 == 0
-    for p in z_list:  # logical X commutes with every Z check
-        assert len(p.qubits & col0) % 2 == 0
+    assert len(z_list) == len(x_list) == (d * d - 1) // 2
+    row0 = frozenset(range(d))  # logical Z
+    col0 = frozenset(r * d for r in range(d))  # logical X
+    assert len(row0 & col0) % 2 == 1  # the logicals anticommute
+    for xp in x_list:
+        assert len(xp.qubits & row0) % 2 == 0  # logical Z commutes with X checks
+        for zp in z_list:  # X and Z checks commute
+            assert len(xp.qubits & zp.qubits) % 2 == 0
+    for zp in z_list:  # logical X commutes with every Z check
+        assert len(zp.qubits & col0) % 2 == 0
 
     pair_dist, pair_path, b_dist, b_path = _bfs_tables(z_list, d)
     n = len(z_list)
     return RotatedSurfaceCode(
         distance=d,
         z_checks=tuple(z_list),
-        x_checks=tuple(x_list),
-        logical_z_row=row0,
-        logical_x_col=col0,
-        check_mask=tuple(_mask(p.qubits) for p in z_list),
         qubit_checks=tuple(
             _mask(p.index for p in z_list if q in p.qubits) for q in range(d * d)
         ),
@@ -360,11 +342,14 @@ def sample_surface_code(
     """Draw iid data-qubit errors at rate p_phys and build the defect graph.
 
     Deterministic per (seed, trial) via counter-mode seed splitting.
+    ``code``, when given, must have the given distance.
     """
     if not 0.0 <= p_phys < 0.5:
         raise ConfigInvalid(f"p_phys must lie in [0, 0.5), got {p_phys}")
     if code is None:
         code = build_code(distance)
+    elif code.distance != distance:
+        raise ConfigInvalid(f"code distance {code.distance} does not match distance {distance}")
     rng = trial_stream(seed, trial)
     x_errors = np.flatnonzero(rng.random(code.n_data) < p_phys).tolist()
     syndrome = code._syndrome_of(x_errors)
@@ -417,9 +402,11 @@ def logical_failure(
     """
     if graph is None:
         graph = defect_graph_for(code, sample.syndrome, WindingModel(kind=CONSTANT), None)
-    composite = _mask(sample.x_errors) ^ _mask(correction_from_matching(code, matching, graph))
-    assert not code._odd_z_checks(composite), "correction left residual syndrome"
-    return (composite & code.logical_z_mask).bit_count() % 2 == 1
+    composite = correction_from_matching(code, matching, graph).symmetric_difference(
+        sample.x_errors
+    )
+    assert not code._syndrome_of(composite), "correction left residual syndrome"
+    return (_mask(composite) & code.logical_z_mask).bit_count() % 2 == 1
 
 
 def lambda_sweep(

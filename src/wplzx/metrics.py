@@ -23,10 +23,6 @@ class MetricReport:
     csc_total: float
     csc_cnot: float
     fp: float
-    raw_gates: int
-    opt_gates: int
-    raw_cnots: int
-    opt_cnots: int
 
 
 def wrap_angle(x: float) -> float:
@@ -96,4 +92,4 @@ def report(
         f = float("nan")
     else:
         f = fp(raw_state, opt_state)
-    return MetricReport(p, c_total, c_cnot, f, raw_gates, opt_gates, raw_cnots, opt_cnots)
+    return MetricReport(p, c_total, c_cnot, f)

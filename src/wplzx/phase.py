@@ -25,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 # GridOverflow rather than silently truncating.
 GRID_ORDER_CAP = 1 << 20
 
+_set_field = object.__setattr__  # how a frozen dataclass sets its own fields
+
 
 def check_grid_order(a: int) -> int:
     if not isinstance(a, int) or isinstance(a, bool) or a < 1:
@@ -64,16 +66,18 @@ class RationalAngle:
     num: int
     den: int = 1
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if den == 0:
-            raise ZeroDivisionError("RationalAngle denominator must be nonzero")
-        if den < 0:
+    def __init__(self, num: int, den: int = 1) -> None:
+        # Reduces before storing, so each field is set once; hot in add_on_lcm.
+        if den <= 0:
+            if den == 0:
+                raise ZeroDivisionError("RationalAngle denominator must be nonzero")
             num, den = -num, -den
         g = math.gcd(num, den)
-        if g > 1 or den != self.den:
-            object.__setattr__(self, "num", num // g)
-            object.__setattr__(self, "den", den // g)
+        if g > 1:
+            num //= g
+            den //= g
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> RationalAngle:

@@ -199,6 +199,18 @@ def test_verify_oversize_exit_3(tmp_path, capsys):
     assert run(["verify", "--input", str(src), "--max-wires", "2"]) == 3
 
 
+def test_verify_negative_max_wires_exit_1(tmp_path, capsys):
+    gen_dir = tmp_path / "g"
+    run(["gen", "--preset", "d1-main", "--seed", "5", "--qubits", "4",
+         "--spiders-min", "4", "--spiders-max", "6", "--out", str(gen_dir)])
+    src = next(gen_dir.glob("*.diagram.json"))
+    capsys.readouterr()
+    assert run(["verify", "--input", str(src), "--max-wires", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-wires must be >= 0, got -1\n"
+
+
 def test_metrics_csv_shape(tmp_path, capsys):
     # appendix basis keeps the raw circuit in the elementary gate set, so
     # normalization can only shrink the gate count
@@ -362,12 +374,16 @@ def test_decode_non_integer_field_exit_1(tmp_path, capsys, field, value):
         ({"pos": ["1", 0]}, {}),
         ({"pos": [0, True]}, {}),
         ({"pos": ["1", True]}, {"d": "2.5"}),
+        ({"pos": [1, 2, 3]}, {}),
+        ({"pos": {"x": 1, "y": 2}}, {}),
     ],
-    ids=["d-string", "d-bool", "d-too-large", "pos-string", "pos-bool", "both"],
+    ids=["d-string", "d-bool", "d-too-large", "pos-string", "pos-bool", "both", "pos-three",
+         "pos-object"],
 )
 def test_decode_non_number_float_field_exit_1(tmp_path, capsys, vertex, edge):
-    """Distances and positions must be JSON numbers: a string or bool is an
-    error, not converted, and so is an integer no float can hold."""
+    """Distances and positions must be JSON numbers, two per position: a
+    string or bool is an error, not converted, and so is an integer no float
+    can hold or a third coordinate."""
     vertices = _toy_graph_vertices([0, 1])
     vertices[0].update(vertex)
     edges = [{"u": 0, "v": 1, "d": 1.0, **edge}]
@@ -404,12 +420,18 @@ def _one_spider_diagram() -> dict:
         (("wires", 1, 1, "pos"), 0.7),
         (("wires", 0, 0, "pos"), False),
         (("nodes", 0, "alpha", "den"), 0),
+        (("inputs",), ["x"]),
+        (("outputs",), [7]),
+        (("inputs",), [0.0]),
+        (("outputs",), [False]),
+        (("inputs",), 1),
     ],
 )
 def test_normalize_bad_integer_field_exit_1(tmp_path, capsys, path, value):
     """Spider labels, input counts, ports and boundary slots must be JSON
     integers: a float, string or bool is an error, not truncated, and so is
-    a zero denominator."""
+    a zero denominator.  The inputs and outputs lists must read 0, 1, ...,
+    n-1, not just have the right length."""
     obj = _one_spider_diagram()
     *parents, key = path
     target = obj

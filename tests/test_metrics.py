@@ -87,4 +87,3 @@ def test_report_handles_degenerate_and_cnot_free():
     assert rep.csc_total == pytest.approx(0.3)
     assert rep.csc_cnot == 0.0
     assert math.isnan(rep.fp)
-    assert rep.raw_gates == 10

@@ -1,6 +1,7 @@
 """Repository hygiene: no tracked file is one that .gitignore excludes, no
-public definition in src/wplzx is dead code, and no default parameter of a
-public function is one that no caller sets."""
+public definition in src/wplzx is dead code, no class member there is one
+that nothing reads, and no default parameter of a public function is one
+that no caller sets."""
 
 from __future__ import annotations
 
@@ -137,3 +138,68 @@ def test_every_keyword_parameter_is_set():
     assert not fixed, "default parameters no caller sets:\n" + "\n".join(fixed)
     stale = sorted(set(KEYWORD_ALLOWLIST) - set(unset))
     assert not stale, f"allowlisted parameters that are now set or gone: {stale}"
+
+
+# Class members kept although nothing in src/, perfbench/ or the acceptance
+# tests reads them, as "Class.member", each with its reason.
+MEMBER_ALLOWLIST: dict[str, str] = {}
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Attribute names loaded (``x.name``) and string constants in ``tree``,
+    outside the subtree ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_member_is_read():
+    """Each field (annotated class-body name) and each non-dunder method or
+    property of each top-level class in src/wplzx is read somewhere in src/,
+    perfbench/ or the acceptance tests, outside its own definition.
+
+    A read is an attribute load ``x.name`` or a string constant equal to the
+    name (as ``getattr`` or a field list would use it); a keyword in a
+    constructor call is not a read.
+    """
+    paths = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "perfbench").rglob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads = {path: _reads(tree) for path, tree in trees.items()}
+
+    unread = {}
+    for path, tree in trees.items():
+        if ROOT / "src" / "wplzx" not in path.parents or path.name == "__init__.py":
+            continue
+        elsewhere = set().union(*(names for p, names in reads.items() if p != path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                else:
+                    continue
+                if name not in elsewhere and name not in _reads(tree, skip=stmt):
+                    key = f"{cls.name}.{name}"
+                    unread[key] = f"{path.relative_to(ROOT)}:{stmt.lineno} {key}"
+    dead = [where for key, where in unread.items() if key not in MEMBER_ALLOWLIST]
+    assert not dead, "class members nothing reads:\n" + "\n".join(dead)
+    stale = sorted(set(MEMBER_ALLOWLIST) - set(unread))
+    assert not stale, f"allowlisted members that are now read or gone: {stale}"

@@ -27,29 +27,59 @@ def code3():
     return build_code(3)
 
 
+def _parity_syndrome(code, flipped) -> tuple[int, ...]:
+    """Reference syndrome: the Z checks whose support meets the set of
+    flipped qubits an odd number of times."""
+    flipped = frozenset(flipped)
+    return tuple(p.index for p in code.z_checks if len(p.qubits & flipped) % 2)
+
+
+def _x_sector(d: int) -> tuple[list[frozenset[int]], frozenset[int]]:
+    """Reference X sector of the rotated layout, which the code does not
+    keep: the bulk X faces (i + j odd) and the weight-2 X faces on the top
+    and bottom edges, plus the logical X on the first column."""
+    q = lambda r, c: r * d + c  # noqa: E731
+    faces = [
+        frozenset({q(i, j), q(i, j + 1), q(i + 1, j), q(i + 1, j + 1)})
+        for i in range(d - 1)
+        for j in range(d - 1)
+        if (i + j) % 2
+    ]
+    faces += [frozenset({q(0, j), q(0, j + 1)}) for j in range(0, d - 1, 2)]
+    faces += [frozenset({q(d - 1, j), q(d - 1, j + 1)}) for j in range(1, d - 1, 2)]
+    return faces, frozenset(q(r, 0) for r in range(d))
+
+
 def test_stabilizer_layout_counts():
+    """build_code asserts the layout of both sectors as it builds: (d*d-1)/2
+    checks each, X and Z checks commute, each logical commutes with the
+    other sector's checks, and the two logicals anticommute."""
+    assert __debug__, "build_code's layout assertions are off under -O"
     for d in (3, 5, 7):
         code = build_code(d)
         assert len(code.z_checks) == (d * d - 1) // 2
-        assert len(code.x_checks) == (d * d - 1) // 2
+        assert len(_x_sector(d)[0]) == (d * d - 1) // 2
 
 
 def test_stabilizers_commute():
     for d in (3, 5):
         code = build_code(d)
-        for xp in code.x_checks:
+        x_checks, _ = _x_sector(d)
+        for xq in x_checks:
             for zp in code.z_checks:
-                assert len(xp.qubits & zp.qubits) % 2 == 0
+                assert len(xq & zp.qubits) % 2 == 0
 
 
 def test_logicals_anticommute_and_commute_with_checks():
     for d in (3, 5, 7):
         code = build_code(d)
-        assert len(code.logical_z_row & code.logical_x_col) % 2 == 1
-        for xp in code.x_checks:
-            assert len(xp.qubits & code.logical_z_row) % 2 == 0
+        x_checks, logical_x = _x_sector(d)
+        logical_z = frozenset(_bits(code.logical_z_mask))
+        assert len(logical_z & logical_x) % 2 == 1
+        for xq in x_checks:
+            assert len(xq & logical_z) % 2 == 0
         for zp in code.z_checks:
-            assert len(zp.qubits & code.logical_x_col) % 2 == 0
+            assert len(zp.qubits & logical_x) % 2 == 0
 
 
 def test_invalid_distance():
@@ -63,11 +93,9 @@ def test_single_error_defect_counts(code3):
     # enumerate all single-qubit errors: 1 defect if the qubit touches one
     # check (boundary), 2 if it touches two (bulk); verified by parity oracle
     for q in range(9):
-        errs = np.zeros(9, dtype=bool)
-        errs[q] = True
-        syndrome = code3.z_syndrome(errs)
+        syndrome = code3._syndrome_of([q])
         owners = [p.index for p in code3.z_checks if q in p.qubits]
-        assert sorted(syndrome) == sorted(owners)
+        assert syndrome == _parity_syndrome(code3, {q}) == tuple(owners)
         assert len(syndrome) in (1, 2)
 
 
@@ -123,10 +151,7 @@ def test_correction_clears_syndrome(code3):
         matching, _ = masd_decode(graph, 0.2)
         corr = correction_from_matching(code3, matching, graph)
         composite = set(sample.x_errors) ^ corr
-        errs = np.zeros(9, dtype=bool)
-        for q in composite:
-            errs[q] = True
-        assert code3.z_syndrome(errs) == ()
+        assert _parity_syndrome(code3, composite) == ()
         # logical_failure runs its own residual assertion internally
         logical_failure(code3, sample, matching)
 
@@ -195,9 +220,7 @@ def test_single_error_always_corrected(code3):
     # distance 3 corrects any weight-1 error at lambda = 0
     model = WindingModel(kind="constant")
     for q in range(9):
-        errs = np.zeros(9, dtype=bool)
-        errs[q] = True
-        syndrome = code3.z_syndrome(errs)
+        syndrome = _parity_syndrome(code3, {q})
         from wplzx.masd.surface import SurfaceSample, defect_graph_for
         from wplzx.rng import trial_generator
 
@@ -277,8 +300,7 @@ def test_instance_tables_agree_with_bfs_tables(d):
     code = build_code(d)
     n = len(code.z_checks)
     pair_distance, pair_path, boundary_distance, boundary_path = _bfs_tables(code.z_checks, d)
-    assert [_bits(m) for m in code.check_mask] == [set(p.qubits) for p in code.z_checks]
-    assert _bits(code.logical_z_mask) == set(code.logical_z_row)
+    assert _bits(code.logical_z_mask) == set(range(d))  # the first row
     assert code.pair_mask.keys() == pair_path.keys()
     for key, path in pair_path.items():
         assert _bits(code.pair_mask[key]) == set(path)
@@ -300,13 +322,8 @@ def test_instance_tables_agree_with_bfs_tables(d):
     # bitmask syndromes against frozenset parity on random errors
     rng = np.random.default_rng(d)
     for _ in range(50):
-        errs = rng.random(code.n_data) < 0.2
-        flipped = set(np.flatnonzero(errs).tolist())
-        want = tuple(p.index for p in code.z_checks if len(p.qubits & flipped) % 2)
-        assert code.z_syndrome(errs) == want
-        # any nonzero flag counts as an error, whatever the array's dtype
-        assert code.z_syndrome(errs.astype(np.int64)) == want
-        assert code.z_syndrome(errs * 0.5) == want
+        flipped = np.flatnonzero(rng.random(code.n_data) < 0.2).tolist()
+        assert code._syndrome_of(flipped) == _parity_syndrome(code, flipped)
 
 
 def test_shared_edges_keep_caches_per_graph():
@@ -324,17 +341,28 @@ def test_shared_edges_keep_caches_per_graph():
 
 @pytest.mark.parametrize("d", (3, 5, 7))
 def test_qubit_checks_transpose_check_mask(d):
+    """qubit_checks[q] is column q of the check-by-qubit incidence of the Z
+    checks: the checks whose support holds q."""
     code = build_code(d)
     assert len(code.qubit_checks) == code.n_data
     for q, checks in enumerate(code.qubit_checks):
-        assert _bits(checks) == {i for i, m in enumerate(code.check_mask) if m >> q & 1}
+        assert _bits(checks) == {p.index for p in code.z_checks if q in p.qubits}
 
 
 @pytest.mark.parametrize("d", (3, 5, 7))
 def test_odd_z_checks_match_per_check_parity(d):
+    """_syndrome_of lists the Z checks with odd overlap; a qubit listed
+    twice cancels."""
     code = build_code(d)
     rng = np.random.default_rng(100 + d)
     for _ in range(200):
-        flipped = int(rng.integers(0, 2, code.n_data) @ (1 << np.arange(code.n_data, dtype=object)))
-        want = tuple(i for i, m in enumerate(code.check_mask) if (m & flipped).bit_count() % 2)
-        assert code._odd_z_checks(flipped) == want
+        listed = rng.integers(0, code.n_data, rng.integers(0, 2 * code.n_data)).tolist()
+        odd = {q for q in listed if listed.count(q) % 2}
+        assert code._syndrome_of(listed) == _parity_syndrome(code, odd)
+
+
+def test_sample_rejects_code_of_another_distance():
+    with pytest.raises(ConfigInvalid, match="code distance 7 does not match distance 3"):
+        sample_surface_code(3, 0.2, 5, trial=1, code=build_code(7))
+    sample, _ = sample_surface_code(3, 0.2, 5, trial=1, code=build_code(3))
+    assert sample == sample_surface_code(3, 0.2, 5, trial=1)[0]
