@@ -466,6 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value parsed as the flag would parse it on the command line:
+    a JSON string or non-bool number, as text, through the flag's type, then
+    checked against its choices."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected a string or a number, got {json.dumps(value)}")
+    value = str(value)
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -484,8 +499,14 @@ def main(argv=None) -> int:
         if not isinstance(overrides, dict):
             parser.error(f"--config {cfg_path}: top-level value must be an object")
         for sp in SUBPARSERS.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in overrides.items() if k in known})
+            defaults = {}
+            for action in sp._actions:
+                if action.dest in overrides:
+                    try:
+                        defaults[action.dest] = _config_value(action, overrides[action.dest])
+                    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                        parser.error(f"--config {cfg_path}: {action.dest}: {exc}")
+            sp.set_defaults(**defaults)
 
     args = parser.parse_args(argv)
     try:

@@ -17,8 +17,13 @@ the exact values.  The decoder's one weight format is a list aligned with
 (d, slope, virtual-virtual?) for both modes in one pass per graph and caches
 them on the graph, and ``edge_weights`` turns them into one float per edge,
 d + lam * slope, so a lambda grid does the integer winding arithmetic once
-per instance.  The decoder caches its other lambda-independent terms
-(DRG_pm slope, DP layout) on the same per-graph dict.
+per instance, and within an instance once per distinct pair of end labels
+(a two-sector graph has two labels).  The decoder caches its other
+lambda-independent terms (DRG_pm slope, DP layout) on the same per-graph
+dict, and the matcher keeps its last solve there: since slope >= 0, a
+larger lambda only raises weights, and a matching that paid only
+unchanged weights is returned again without a new solve (see
+``matching``).
 Vertices and edges are frozen and hold no cache, so graphs may share them:
 the surface-code sampler takes every edge and virtual vertex of its graphs
 from per-code tables.
@@ -211,7 +216,9 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
 
     Computed for both modes in one pass on first use and cached on the graph.
     An edge with a virtual end has slope zero and skips the winding
-    arithmetic.
+    arithmetic; the others compute it once per distinct ordered label pair
+    (a_u, k_u, a_v, k_v), so GridOverflow still comes at the first edge
+    whose grids overflow.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -219,6 +226,7 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
     if terms is None:
         raw, normalized = [], []
         by_id = g._by_id
+        slopes: dict[tuple, tuple[float, float]] = {}
         for e in g.edges:
             u, v = by_id[e.u], by_id[e.v]
             if u.is_virtual_boundary or v.is_virtual_boundary:
@@ -226,7 +234,11 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
                 raw.append((e.d, 0.0, vv))
                 normalized.append((e.d, 0.0, vv))
                 continue
-            s_raw, s_norm = _slopes(u, v)
+            labels = (u.a, u.k, v.a, v.k)
+            pair = slopes.get(labels)
+            if pair is None:
+                pair = slopes[labels] = _slopes(u, v)
+            s_raw, s_norm = pair
             raw.append((e.d, s_raw, False))
             normalized.append((e.d, s_norm, False))
         g._cache[RAW] = tuple(raw)

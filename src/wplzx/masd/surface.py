@@ -411,19 +411,26 @@ def logical_failure(
 
 def lambda_sweep(
     instances: Sequence[tuple[SurfaceSample, DefectGraph]],
-    lambdas: Sequence[float],
+    lambdas: Iterable[float],
     mode: str = NORMALIZED,
     beta: float = 1.0,
     code: RotatedSurfaceCode | None = None,
 ) -> list[dict]:
     """Decode every instance at each lambda; one aggregate row per lambda.
 
-    Rows carry the logical error rate and mean DRG/cost statistics; results
-    are deterministic given the instances.  All instances must share one
-    distance and one p_phys (the row labels), and ``code``, when given, must
-    have that distance.
+    Rows carry the logical error rate and mean DRG/cost statistics, in the
+    order of ``lambdas``; results are deterministic given the instances.  All
+    instances must share one distance and one p_phys (the row labels), and
+    ``code``, when given, must have that distance.
+
+    When an instance's decode returns the same ``Matching`` object as at the
+    lambda before (the matcher certified that the raised weights leave it
+    optimal), its failure verdict is reused: ``logical_failure`` already
+    checked that matching.  An ascending grid gets the most reuse; any other
+    order only gets less, with the same rows.
     """
-    if not instances or not list(lambdas):
+    lambdas = list(lambdas)
+    if not instances or not lambdas:
         raise ConfigInvalid("lambda_sweep needs instances and a lambda grid")
     first = instances[0][0]
     if any(
@@ -438,13 +445,18 @@ def lambda_sweep(
             f"code distance {code.distance} does not match instance distance {first.distance}"
         )
     rows = []
+    # Per instance: the matching decoded at the previous lambda and its verdict.
+    verdicts: list[tuple] = [(None, False)] * len(instances)
     for lam in lambdas:
         failures = 0
         toys, pms, costs = [], [], []
-        for sample, graph in instances:
+        for index, (sample, graph) in enumerate(instances):
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
-            if logical_failure(code, sample, matching, graph):
-                failures += 1
+            kept, failed = verdicts[index]
+            if matching is not kept:
+                failed = logical_failure(code, sample, matching, graph)
+                verdicts[index] = matching, failed
+            failures += failed
             toys.append(report.drg_toy)
             pms.append(report.drg_pm)
             costs.append(report.total_cost)

@@ -55,7 +55,7 @@ def json_number(value, name: str) -> float:
         raise ParseError(f"{name} is too large for a float") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalAngle:
     """An exact fraction of a full turn (or an exact rational winding count).
 
@@ -197,8 +197,10 @@ def lcm_order(a: int, b: int) -> int:
 
     GridOverflow when the result exceeds GRID_ORDER_CAP.
     """
-    check_grid_order(a)
-    check_grid_order(b)
+    # Plain positive ints skip the two checker calls; hot in add_on_lcm.
+    if type(a) is not int or type(b) is not int or a < 1 or b < 1:
+        check_grid_order(a)
+        check_grid_order(b)
     out = math.lcm(a, b)
     if out > GRID_ORDER_CAP:
         raise GridOverflow(f"lcm({a}, {b}) = {out} exceeds grid-order cap {GRID_ORDER_CAP}")

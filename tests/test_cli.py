@@ -731,3 +731,39 @@ def test_negative_seeds_give_their_own_outputs(tmp_path):
             diagrams[seed] = [p.read_bytes() for p in sorted(gen_dir.glob("*.diagram.json"))]
     assert len(set(csvs.values())) == 3
     assert diagrams["0"] and len({tuple(files) for files in diagrams.values()}) == 3
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"mode": "bogus"}, "mode"),
+        ({"p": None}, "p"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"out": True}, "out"),
+        ({"seed": 1.5}, "seed"),
+        ({"lambdas": [0.1]}, "lambdas"),
+        ({"lambdas": "0,abc"}, "lambdas"),
+    ],
+    ids=["choice", "null", "float-for-int", "bool", "bool-for-text", "fractional-seed", "list",
+         "bad-list"],
+)
+def test_config_values_parse_like_flags(tmp_path, capsys, overrides, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--lambdas", "0", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"error: --config {cfg}: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_string_values_go_through_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": "3", "p": 0.1, "mode": "raw", "seed": 4}))
+    out = tmp_path / "o.csv"
+    assert run(["sweep", "--lambdas", "0", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "over 3 trials" in capsys.readouterr().err
+    assert run(["sweep", "--lambdas", "0", "--trials", "3", "--p", "0.1", "--mode", "raw",
+                "--seed", "4", "--out", str(tmp_path / "flags.csv")]) == 0
+    assert out.read_text() == (tmp_path / "flags.csv").read_text()

@@ -38,7 +38,7 @@ from wplzx.masd import (
 )
 from wplzx.masd import _dp
 from wplzx.masd.graph import edge_terms
-from wplzx.masd.surface import SUPPORTED_DISTANCES, build_code
+from wplzx.masd.surface import SUPPORTED_DISTANCES, build_code, sample_surface_code
 
 
 def vert(vid, a, k, virtual=False, pos=(0.0, 0.0)):
@@ -970,6 +970,103 @@ def test_matching_names_the_edge_each_pair_paid(kind):
                         rows.append(raw[k][:2])
                 assert rep.drg_toy == drg_toy(rows, lam)
     assert (free_pairs > 0) == own
+
+
+def _solve_outcome(g: DefectGraph, weights):
+    """The matching of g under weights as comparable fields (``repr`` of the
+    cost), or the exception type when there is none."""
+    try:
+        m = min_weight_perfect_matching(g, weights)
+    except OddVertexCount:
+        return OddVertexCount
+    return m.pairs, repr(m.total_cost), m.exact, m.edges
+
+
+def _two_partner_graph(rng) -> DefectGraph:
+    """An "own" ``_layout_graph`` plus two virtuals, each joined to a random
+    real: still the own-boundary layout, with reals that have two
+    retirement candidates."""
+    g = _layout_graph(rng, "own")
+    extra = [vert("x0", 1, 0, virtual=True), vert("x1", 1, 0, virtual=True)]
+    reals = [v.id for v in g.real_vertices]
+    edges = [DefectEdge(reals[int(rng.integers(0, len(reals)))], x.id, float(rng.uniform(0.2, 4.0)))
+             for x in extra]
+    return DefectGraph(g.vertices + tuple(extra), g.edges + tuple(edges))
+
+
+@pytest.mark.parametrize("kind", [*LAYOUTS, "own-two-partners"])
+def test_reused_matching_equals_fresh_solve(kind, monkeypatch):
+    """One graph fed a sequence of weight vectors (raises off the matching,
+    raises on a paid edge, decreases, equal repeats, +inf edges, NaN, ties)
+    gives, field for field, what a fresh copy of it gives for each vector;
+    the certificate both fires and refuses along the way."""
+    solve, calls = _dp.solve_dense, []
+    monkeypatch.setattr(_dp, "solve_dense", lambda *args: calls.append(1) or solve(*args))
+    hits = misses = 0
+    for seed in range(40):
+        rng = np.random.default_rng(9000 + seed)
+        g = _two_partner_graph(rng) if kind == "own-two-partners" else _layout_graph(rng, kind)
+        weights = [e.d for e in g.edges]
+        if seed % 2:  # small integers: many equal-cost matchings
+            weights = [float(rng.integers(0, 4)) for _ in weights]
+        paid = []
+        for step in range(24):
+            move = ("same", "off", "off", "paid", "down", "inf", "nan")[int(rng.integers(0, 7))]
+            weights = list(weights)
+            k = int(rng.integers(0, len(weights)))
+            if move == "off":
+                for j in rng.integers(0, len(weights), size=3).tolist():
+                    if j not in paid:
+                        weights[j] += float(rng.choice([0.0, 0.5, 1.0, 2.5]))
+            elif move == "paid" and paid:
+                weights[paid[int(rng.integers(0, len(paid)))]] += float(rng.choice([0.5, 1e-9]))
+            elif move == "down":
+                weights[k] -= float(rng.choice([0.5, 1e-9]))
+            elif move == "inf":
+                weights[k] = math.inf
+            elif move == "nan":
+                weights[k] = math.nan
+            del calls[:]
+            got = _solve_outcome(g, weights)
+            assert got == _solve_outcome(DefectGraph(g.vertices, g.edges), weights), (seed, step)
+            if got is not OddVertexCount:
+                reused = len(calls) == 1  # the fresh copy always solves
+                hits += reused
+                misses += not reused
+                paid = [k for k in got[3] if k is not None]
+            if move == "nan":
+                weights[k] = float(rng.uniform(0.0, 4.0))
+    assert hits > 100 and misses > 100, (hits, misses)
+
+
+def test_certified_repeat_makes_no_kernel_call(monkeypatch):
+    """After a solve, an equal repeat and raises off the matching return the
+    same object with no kernel call; a raised paid edge, any weight
+    decreased or any NaN costs one."""
+    solve, calls = _dp.solve_dense, []
+    monkeypatch.setattr(_dp, "solve_dense", lambda *args: calls.append(1) or solve(*args))
+    code = build_code(5)
+    graphs = (sample_surface_code(5, 0.1, seed=55, trial=t, code=code)[1] for t in range(40))
+    for g in [g for g in graphs if g.vertices][:20]:
+        weights = edge_weights(g, 0.0, NORMALIZED)
+        paid = {k for k in min_weight_perfect_matching(g, weights).edges if k is not None}
+        cases = [(weights, 0)]
+        for k in range(len(weights)):
+            raised, lowered, nan = list(weights), list(weights), list(weights)
+            raised[k] += 1e-9 if k in paid else 1.0
+            lowered[k] -= 1e-9
+            nan[k] = math.nan
+            cases += [(raised, int(k in paid)), (lowered, 1), (nan, 1)]
+        for case, want in cases:
+            h = DefectGraph(g.vertices, g.edges)
+            first = min_weight_perfect_matching(h, weights)
+            del calls[:]
+            try:
+                again = min_weight_perfect_matching(h, case)
+            except OddVertexCount:  # a NaN retirement cost can leave no matching
+                again = None
+            assert (again is first) == (want == 0)
+            assert len(calls) == want
 
 
 def test_defect_graph_serialization_roundtrip():

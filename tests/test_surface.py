@@ -291,6 +291,51 @@ def test_lambda_sweep_validates_inputs():
     assert len(lambda_sweep(d3, [0.1], code=build_code(3))) == 1
 
 
+def test_lambda_sweep_rows_follow_the_grid_order():
+    """A shuffled grid gives the sorted grid's rows, permuted, and an
+    iterator of lambdas gives the rows a list gives."""
+    lams = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0]
+    shuffled = [0.3, 0.0, 1.0, 0.1, 0.5, 0.05, 0.2]
+
+    def rows(grid, mode):
+        # Fresh graphs per sweep: nothing carries over in their caches.
+        instances = [sample_surface_code(5, 0.1, seed=17, trial=t) for t in range(40)]
+        return lambda_sweep(instances, grid, mode=mode)
+
+    for mode in ("normalized", "raw"):
+        by_lambda = {row["lambda"]: row for row in rows(lams, mode)}
+        assert rows(shuffled, mode) == [by_lambda[lam] for lam in shuffled]
+        assert rows(iter(lams), mode) == list(by_lambda.values())
+
+
+def test_lambda_sweep_reuses_certified_matchings(monkeypatch):
+    """A seeded d = 7 slice: every (instance, lambda) is decoded, but the
+    kernel and the failure check run only where the matching changed.  The
+    counts are pinned; solving every non-empty instance at every lambda
+    would take 4 * 80 = 320 kernel calls."""
+    from wplzx.masd import _dp, surface
+
+    counts = {"kernel": 0, "failure": 0, "decode": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(_dp, "solve_dense", counting("kernel", _dp.solve_dense))
+    monkeypatch.setattr(surface, "logical_failure", counting("failure", surface.logical_failure))
+    monkeypatch.setattr(surface, "masd_decode", counting("decode", surface.masd_decode))
+    code = build_code(7)
+    instances = [
+        sample_surface_code(7, 0.15, seed=seed, trial=t, code=code)
+        for seed in (7, 8) for t in range(40)
+    ]
+    assert sum(1 for _, g in instances if g.vertices) == 80
+    lambda_sweep(instances, [0.0, 0.1, 0.2, 0.3], code=code)
+    assert counts == {"kernel": 171, "failure": 171, "decode": 320}
+
+
 def _bits(mask: int) -> set[int]:
     return {q for q in range(mask.bit_length()) if mask >> q & 1}
 
