@@ -97,7 +97,7 @@ def cmd_gen(args) -> int:
             d = datasets.gen_random_wplzx(cfg, instance=i)
             name = f"{args.preset}-s{args.seed}-{i:03d}.diagram.json"
             (out / name).write_text(diagram.serialize(d), encoding="utf-8")
-            counts[name] = {"spiders": len(d.spiders), "wires": len(d.wires)}
+            counts[name] = {"spiders": len(d.spiders), "wires": len(d.far) // 2}
         else:
             c = datasets.gen_hea(cfg, instance=i)
             name = f"{args.preset}-s{args.seed}-{i:03d}.circuit.txt"
@@ -171,8 +171,9 @@ def cmd_verify(args) -> int:
     n = semantics.phase_order(d, candidate)
     try:
         primes = semantics.exact_primes(n)
-        before = semantics.evaluate(d, max_open_wires=args.max_wires, primes=primes)
-        after = semantics.evaluate(candidate, max_open_wires=args.max_wires, primes=primes)
+        ring = semantics.Residues(primes)
+        before = semantics.evaluate(d, max_open_wires=args.max_wires, primes=ring)
+        after = semantics.evaluate(candidate, max_open_wires=args.max_wires, primes=ring)
     except ResourceCapError as exc:
         sys.stdout.write(f"verdict INCONCLUSIVE\nmethod {how}\n")
         log(f"resource cap: {exc}")
@@ -384,12 +385,24 @@ def cmd_sweep(args) -> int:
 # --- parser ---
 
 
-SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser that keeps each flag's action by its dest, so a
+    --config value can go through the flag's type and choices."""
+
+    def __init__(self, **kwargs) -> None:
+        self.flags: dict[str, argparse.Action] = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; ``commands`` maps each subcommand to its parser."""
     p = argparse.ArgumentParser(prog="wplzx", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     g = sub.add_parser("gen", help="generate a seeded corpus")
     g.add_argument("--preset", required=True, choices=sorted(datasets.PRESETS))
@@ -455,14 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_curvature)
 
-    SUBPARSERS.clear()
-    SUBPARSERS.update(
-        gen=g, normalize=n, verify=v, metrics=m, decode=d, sweep=s, curvature=c
-    )
-    for subparser in SUBPARSERS.values():
-        subparser.add_argument(
-            "--config", help="JSON file of flag overrides applied as defaults"
-        )
+    p.commands = {"gen": g, "normalize": n, "verify": v, "metrics": m, "decode": d,
+                  "sweep": s, "curvature": c}
+    for command in p.commands.values():
+        command.add_argument("--config", help="JSON file of flag overrides applied as defaults")
     return p
 
 
@@ -481,34 +490,37 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
+def _with_config(parser: argparse.ArgumentParser, args, argv: list) -> argparse.Namespace:
+    """``argv`` parsed again with the values of the --config file as the
+    chosen command's defaults, so explicit flags still win.  A key that no
+    flag of that command has, or a value its flag would reject, is a usage
+    error."""
+    path = args.config
+    try:
+        overrides = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error(f"--config {path}: top-level value must be an object")
+    command = parser.commands[args.command]
+    defaults = {}
+    for key, value in overrides.items():
+        if key not in command.flags:
+            parser.error(f"--config {path}: {key}: no flag of {args.command} sets it")
+        try:
+            defaults[key] = _config_value(command.flags[key], value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"--config {path}: {key}: {exc}")
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-
-    # --config supplies defaults; explicit flags still win.
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            cfg_path = argv[idx + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        try:
-            overrides = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config {cfg_path}: {exc}")
-        if not isinstance(overrides, dict):
-            parser.error(f"--config {cfg_path}: top-level value must be an object")
-        for sp in SUBPARSERS.values():
-            defaults = {}
-            for action in sp._actions:
-                if action.dest in overrides:
-                    try:
-                        defaults[action.dest] = _config_value(action, overrides[action.dest])
-                    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-                        parser.error(f"--config {cfg_path}: {action.dest}: {exc}")
-            sp.set_defaults(**defaults)
-
     args = parser.parse_args(argv)
+    if args.config is not None:
+        args = _with_config(parser, args, argv)
     try:
         return args.func(args)
     except ResourceCapError as exc:

@@ -28,7 +28,7 @@ from .diagram import BoundaryPort, Diagram, Node, NodePort, Wire, build
 from .errors import ConfigInvalid, NotCircuitLike, ParseError, UnsupportedGate
 from .phase import RationalAngle, SpiderLabel, snap_to_grid
 from .rewrite import node_total_angle
-from .rng import trial_generator
+from .rng import trial_stream
 
 RZ, RX, RY, HGATE, CX = "RZ", "RX", "RY", "H", "CX"
 ROTATIONS = (RZ, RX, RY)
@@ -186,7 +186,7 @@ def gen_random_wplzx(cfg: GenConfig, instance: int = 0) -> Diagram:
     winding in [0, a)), so generated diagrams are grid-compliant by
     construction.
     """
-    rng = trial_generator(cfg.seed, instance)
+    rng = trial_stream(cfg.seed, instance)
     q = cfg.qubits
     n_spiders = int(rng.integers(cfg.spiders_min, cfg.spiders_max + 1))
     frontier: list = [BoundaryPort(dg.IN, i) for i in range(q)]
@@ -217,7 +217,7 @@ def gen_hea(cfg: GenConfig, instance: int = 0) -> Circuit:
     """Layered ansatz: per-qubit rotations then a CX chain, per layer."""
     if cfg.qubits < 2:
         raise ConfigInvalid("layered circuits need at least 2 qubits")
-    rng = trial_generator(cfg.seed, instance)
+    rng = trial_stream(cfg.seed, instance)
     first, second = cfg.rotation_basis
     gates: list[Gate] = []
     for _ in range(cfg.layers):
@@ -316,7 +316,10 @@ def diagram_to_circuit(d: Diagram) -> Circuit:
     if d.n_inputs != d.n_outputs:
         raise NotCircuitLike("diagram has unequal input/output counts")
     nq = d.n_inputs
-    frontier = [d.wire_at(BoundaryPort(dg.IN, i))[1] for i in range(nq)]
+    nodes, first, far = d.nodes, d.first, d.far
+    out_slot = first[-1] + nq  # port id of output slot 0
+    # Each rail's frontier is the port id its next wire enters.
+    frontier = [far[first[-1] + i] for i in range(nq)]
     done = [False] * nq
     gates: list[Gate] = []
 
@@ -330,28 +333,27 @@ def diagram_to_circuit(d: Diagram) -> Circuit:
         for qb in range(nq):
             if done[qb]:
                 continue
-            ep = frontier[qb]
-            if isinstance(ep, BoundaryPort):
-                if ep.side != dg.OUT or ep.pos != qb:
+            p = frontier[qb]
+            if p >= first[-1]:
+                if p != out_slot + qb:
                     raise NotCircuitLike("wires permute the boundary ordering")
                 done[qb] = True
                 progressed = True
                 continue
-            node = d.node(ep.node)
+            i = d.owner(p)
+            node, port = nodes[i], p - first[i]
             if node.kind == dg.H:
-                if ep.port != 0 and ep.port != 1:
-                    raise NotCircuitLike("bad Hadamard wiring")
                 gates.append(Gate(HGATE, (qb,)))
-                frontier[qb] = d.wire_at((node.id, 1 - ep.port))[1]
+                frontier[qb] = far[first[i] + 1 - port]
                 progressed = True
             elif (node.ins, node.outs) == (1, 1):
-                if ep.port != 0:
+                if port != 0:
                     raise NotCircuitLike(f"entered 1-1 spider {node.id!r} backwards")
                 emit_rotation(node.kind, qb, node)
-                frontier[qb] = d.wire_at((node.id, 1))[1]
+                frontier[qb] = far[first[i] + 1]
                 progressed = True
-            elif node.kind == dg.Z and (node.ins, node.outs) == (1, 2) and ep.port == 0:
-                hit = _try_emit_cx(d, frontier, qb, node, gates, emit_rotation)
+            elif node.kind == dg.Z and (node.ins, node.outs) == (1, 2) and port == 0:
+                hit = _try_emit_cx(d, frontier, qb, i, gates, emit_rotation)
                 progressed = progressed or hit
             elif node.kind == dg.X and (node.ins, node.outs) == (2, 1):
                 continue  # resolved from the control side
@@ -365,33 +367,33 @@ def diagram_to_circuit(d: Diagram) -> Circuit:
     return Circuit(nq, tuple(gates))
 
 
-def _try_emit_cx(d, frontier, ctrl_q, ctrl, gates, emit_rotation) -> bool:
-    """Try to resolve a Z(1-2) control; returns True when the CX was emitted."""
+def _try_emit_cx(d, frontier, ctrl_q, c, gates, emit_rotation) -> bool:
+    """Try to resolve the Z(1-2) control at ``d.nodes[c]``; returns True when
+    the CX was emitted."""
+    nodes, first, far = d.nodes, d.first, d.far
+    ctrl = nodes[c]
     partners = []
     for port in (1, 2):
-        far = d.wire_at((ctrl.id, port))[1]
-        if isinstance(far, NodePort):
-            cand = d.node(far.node)
-            if cand.kind == dg.X and (cand.ins, cand.outs) == (2, 1) and far.port in (0, 1):
-                partners.append((port, far, cand))
+        q = far[first[c] + port]
+        t = d.owner(q)
+        if t < len(nodes):
+            cand = nodes[t]
+            if cand.kind == dg.X and (cand.ins, cand.outs) == (2, 1) and q - first[t] in (0, 1):
+                partners.append((port, q - first[t], t))
     # Exactly one output leg must feed an X(2-1) target.
     if len(partners) != 1:
         raise NotCircuitLike(f"Z(1-2) spider {ctrl.id!r} is not a CX control")
-    bridge_port, far, tgt = partners[0]
+    bridge_port, far_port, t = partners[0]
     rail_port = 3 - bridge_port
-    tgt_rail_in = 1 - far.port
-    tgt_q = None
-    for other_q, ep in enumerate(frontier):
-        if isinstance(ep, NodePort) and ep.node == tgt.id and ep.port == tgt_rail_in:
-            tgt_q = other_q
-            break
-    if tgt_q is None:
+    tgt_rail_in = first[t] + 1 - far_port
+    if tgt_rail_in not in frontier:
         return False  # target rail not there yet; retry next sweep
+    tgt_q = frontier.index(tgt_rail_in)
     emit_rotation(dg.Z, ctrl_q, ctrl)
     gates.append(Gate(CX, (ctrl_q, tgt_q)))
-    emit_rotation(dg.X, tgt_q, tgt)
-    frontier[ctrl_q] = d.wire_at((ctrl.id, rail_port))[1]
-    frontier[tgt_q] = d.wire_at((tgt.id, 2))[1]
+    emit_rotation(dg.X, tgt_q, nodes[t])
+    frontier[ctrl_q] = far[first[c] + rail_port]
+    frontier[tgt_q] = far[first[t] + 2]
     return True
 
 

@@ -10,13 +10,20 @@ Wires are an (unordered-endpoint) multiset; parallel wires between two
 spiders are kept explicitly because fusion must count connecting legs.
 Hadamard is a node kind of fixed degree 2, not an edge decoration.
 
-``build`` also keeps a port table: every node port and every boundary slot
-is the end of exactly one wire, and ``Diagram.wire_at`` returns that wire's
-index and the endpoint at its far end.  A node port is looked up as the
-tuple ``(node id, port)`` and a boundary slot as its ``BoundaryPort``, so no
-node id (even ``"in"``) can collide with a slot.  Rewrites, the contraction
-network and circuit extraction read wiring from this table instead of
-scanning the wires.
+A diagram keeps its wiring as integer tables, built once.  Every node port
+and boundary slot has a port id: the ports of the nodes in node-id order,
+node i's ports 0..degree-1 at ``first[i]``, ``first[i] + 1``, ...; then the
+input slots by position, then the output slots (``first[-1]`` is the
+number of node ports).  Port-id order is the order of ``NodePort.key`` and
+``BoundaryPort.key``, so a wire is the pair (lower, higher) of its ends'
+port ids, and wires are numbered by their lower port id, which is
+``Wire.key`` order.  ``far[p]`` is the port id at the other end of p's wire
+and ``wire[p]`` that wire's index.  Rewrites, the contraction network,
+circuit extraction and serialization read these tables; ``Node`` objects
+are the diagram's nodes, and ``NodePort``, ``BoundaryPort`` and ``Wire``
+objects appear only as ``build``'s input and as the results of
+``wire_at``, ``incident``, ``endpoint`` and ``Diagram.wires``, made from
+the tables when asked for.
 
 Serialized form (UTF-8 JSON)::
 
@@ -26,16 +33,20 @@ Serialized form (UTF-8 JSON)::
      "wires": [[endpoint, endpoint], ...]}
 
 with endpoints ``{"node": id, "port": int}`` or
-``{"boundary": "in"|"out", "pos": int}``.  Hadamard nodes omit the label
-fields.
+``{"boundary": "in"|"out", "pos": int}``.  A node id is a JSON integer or
+string, and an endpoint names one by the same type and value.  Hadamard
+nodes omit the label fields.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import (
     BoundarySlotConflict,
@@ -136,135 +147,199 @@ class Wire:
             ka, kb = kb, ka
         object.__setattr__(self, "_key", (ka, kb))
 
-    def endpoints(self) -> tuple[Endpoint, Endpoint]:
-        return (self.a, self.b)
-
     def key(self):
         return self._key
 
 
 @dataclass(frozen=True)
 class Diagram:
+    """Nodes in node-id order, the boundary counts and the port tables (see
+    the module docstring).  Two diagrams are equal when their nodes,
+    boundary counts and ``far`` tables are; ``first``, ``wire`` and
+    ``index`` (node id -> position in ``nodes``) follow from those."""
+
     nodes: tuple[Node, ...]
-    wires: tuple[Wire, ...]
     n_inputs: int
     n_outputs: int
-    _by_id: dict = field(default=None, compare=False, repr=False)
-    _ports: dict = field(default=None, compare=False, repr=False)
+    far: tuple[int, ...]
+    first: tuple[int, ...] = field(compare=False, repr=False)
+    wire: tuple[int, ...] = field(compare=False, repr=False)
+    index: dict = field(compare=False, repr=False)
 
     def node(self, node_id: NodeId) -> Node:
-        return self._by_id[node_id]
+        return self.nodes[self.index[node_id]]
 
     def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._by_id
+        return node_id in self.index
 
     @property
     def spiders(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.is_spider())
 
+    @functools.cached_property
+    def wires(self) -> tuple[Wire, ...]:
+        """The wires by index, as ``Wire`` objects made on first use."""
+        ep = self.endpoint
+        return tuple(Wire(ep(p), ep(q)) for p, q in enumerate(self.far) if p < q)
+
+    def owner(self, p: int) -> int:
+        """Position in ``nodes`` of the node whose port p is; ``len(nodes)``
+        for a boundary slot."""
+        return bisect_right(self.first, p) - 1
+
+    def endpoint(self, p: int) -> Endpoint:
+        """The ``NodePort`` or ``BoundaryPort`` whose port id is p."""
+        first = self.first
+        if p < first[-1]:
+            i = self.owner(p)
+            return NodePort(self.nodes[i].id, p - first[i])
+        p -= first[-1]
+        return BoundaryPort(IN, p) if p < self.n_inputs else BoundaryPort(OUT, p - self.n_inputs)
+
     def wire_at(self, port) -> tuple[int, Endpoint]:
         """(wire index, far endpoint) of the wire at a node port, given as
         ``(node id, port)``, or at a boundary slot, given as its
-        ``BoundaryPort``.  A self-loop's far endpoint is its other port."""
-        return self._ports[port]
+        ``BoundaryPort``; KeyError when the diagram has no such port.  A
+        self-loop's far endpoint is its other port."""
+        if isinstance(port, BoundaryPort):
+            base, count = (0, self.n_inputs) if port.side == IN else (self.n_inputs, self.n_outputs)
+            p = self.first[-1] + base + port.pos if 0 <= port.pos < count else -1
+        else:
+            node_id, k = port
+            i = self.index[node_id]
+            p = self.first[i] + k if 0 <= k < self.nodes[i].degree else -1
+        if p < 0:
+            raise KeyError(port)
+        return self.wire[p], self.endpoint(self.far[p])
 
     def wires_between(self, u: NodeId, v: NodeId) -> list[int]:
         """Indices of wires joining u and v (u != v)."""
-        node = self._by_id.get(u)
-        if node is None:
+        if u not in self.index or v not in self.index:
             return []
-        ends = (self._ports[(u, p)] for p in range(node.degree))
-        return sorted(i for i, far in ends if isinstance(far, NodePort) and far.node == v)
+        i, j = self.index[u], self.index[v]
+        first, far = self.first, self.far
+        lo, hi = first[j], first[j + 1]
+        return sorted(self.wire[p] for p in range(first[i], first[i + 1]) if lo <= far[p] < hi)
 
     def incident(self, node_id: NodeId) -> list[tuple[int, NodePort]]:
         """(wire index, endpoint) pairs touching the node, by wire index,
         self-loops twice."""
-        node = self._by_id.get(node_id)
-        if node is None:
+        if node_id not in self.index:
             return []
-        legs = sorted((self._ports[(node_id, p)][0], p) for p in range(node.degree))
-        return [(i, NodePort(node_id, p)) for i, p in legs]
+        i = self.index[node_id]
+        f = self.first[i]
+        legs = sorted((self.wire[p], p - f) for p in range(f, self.first[i + 1]))
+        return [(w, NodePort(node_id, k)) for w, k in legs]
+
+
+# Stand-ins for the boundary sides among the node ids of an endpoint list:
+# objects no node id equals, since a node may be named "in".
+_SIDE = {IN: object(), OUT: object()}
+
+
+def _assemble(
+    nodes: Iterable[Node], ids: list, ports: list, pairs: list, inputs: int, outputs: int
+) -> Diagram:
+    """Validate and assemble a diagram from its nodes and its wires' ends.
+    ``ids`` and ``ports`` list ends, two per wire in turn: end k is port
+    ``ports[k]`` of the node ``ids[k]``, or slot ``ports[k]`` of a boundary
+    side when ``ids[k]`` is that side's ``_SIDE`` stand-in.  ``pairs`` lists
+    more wires, each as the (p, q) port ids of its ends in the diagram
+    built."""
+    nodes = sorted(nodes, key=lambda n: _id_key(n.id))
+    index: dict = {}
+    first = [0]
+    for i, n in enumerate(nodes):
+        if n.id in index:
+            raise DuplicateId(f"duplicate node id {n.id!r}")
+        index[n.id] = i
+        first.append(first[-1] + n.degree)
+    n_ports = first[-1]
+    slots = {_SIDE[IN]: (IN, n_ports, inputs), _SIDE[OUT]: (OUT, n_ports + inputs, outputs)}
+    total = n_ports + inputs + outputs
+
+    ends = []
+    for nid, k in zip(ids, ports):
+        i = index.get(nid)
+        if i is not None:
+            if not 0 <= k < first[i + 1] - first[i]:
+                raise DanglingWire(
+                    f"wire references port {k} of node {nid!r} (degree {nodes[i].degree})"
+                )
+            ends.append(first[i] + k)
+        elif nid in slots:
+            side, base, count = slots[nid]
+            if not 0 <= k < count:
+                raise BoundarySlotConflict(f"boundary slot {side}[{k}] out of range")
+            ends.append(base + k)
+        else:
+            raise DanglingWire(f"wire references missing node {nid!r}")
+    for p, q in pairs:
+        if not (0 <= p < total and 0 <= q < total):
+            raise DanglingWire(f"wire {(p, q)} names a port id outside 0..{total - 1}")
+        ends.append(p)
+        ends.append(q)
+
+    far = [-1] * total
+    pair = iter(ends)
+    for a, b in zip(pair, pair):
+        far[a] = b
+        far[b] = a
+    for i, n in enumerate(nodes):
+        if n.kind == H and far[first[i]] == first[i] + 1:
+            raise DanglingWire(f"self-loop on non-spider node {n.id!r}")
+    # Every port is some wire's end exactly once iff there are as many ends
+    # as ports and none is left unset.
+    if len(ends) != total or -1 in far:
+        uses = Counter(ends)
+        p = next(p for p in range(total) if uses[p] != 1)
+        if p < n_ports:
+            i = bisect_right(first, p) - 1
+            raise DanglingWire(
+                f"port {p - first[i]} of node {nodes[i].id!r} used {uses[p]} times (want exactly 1)"
+            )
+        side, pos = (IN, p - n_ports) if p < n_ports + inputs else (OUT, p - n_ports - inputs)
+        raise BoundarySlotConflict(
+            f"boundary slot {side}[{pos}] used {uses[p]} times (want exactly 1)"
+        )
+
+    wire = [0] * total
+    w = 0
+    for p, q in enumerate(far):
+        if p < q:
+            wire[p] = wire[q] = w
+            w += 1
+    return Diagram(tuple(nodes), inputs, outputs, tuple(far), tuple(first), tuple(wire), index)
 
 
 def build(
     nodes: Iterable[Node],
-    wires: Iterable[Wire],
+    wires: Iterable[Wire | tuple[int, int]],
     inputs: int,
     outputs: int,
 ) -> Diagram:
     """Validate and assemble a diagram.
 
     ``inputs``/``outputs`` are the boundary port counts; slots are addressed
-    by position 0..n-1.  Raises DuplicateId, DanglingWire or
-    BoundarySlotConflict on malformed input.
+    by position 0..n-1.  Each wire is a ``Wire``, or the pair (p, q) of its
+    ends' port ids in the diagram built, numbered as the module docstring
+    says from ``nodes`` and the slot counts; rewrites pass their wires that
+    way.  Raises DuplicateId, DanglingWire or BoundarySlotConflict on
+    malformed input.
     """
-    node_list = sorted(nodes, key=lambda n: _id_key(n.id))
-    by_id: dict[NodeId, Node] = {}
-    for n in node_list:
-        if n.id in by_id:
-            raise DuplicateId(f"duplicate node id {n.id!r}")
-        by_id[n.id] = n
-
-    wire_list = sorted(wires, key=Wire.key)
-    port_use: dict[tuple[NodeId, int], int] = {}
-    slot_use: dict[tuple[str, int], int] = {}
-    ports: dict = {}  # (node id, port) or BoundaryPort -> (wire index, far end)
-    for i, w in enumerate(wire_list):
-        a, b = w.a, w.b
-        if isinstance(a, NodePort) and isinstance(b, NodePort) and a.node == b.node:
-            if a.node in by_id and not by_id[a.node].is_spider():
-                raise DanglingWire(f"self-loop on non-spider node {a.node!r}")
-        for ep, far in ((a, b), (b, a)):
+    ids, ports, pairs = [], [], []
+    for w in wires:
+        if not isinstance(w, Wire):
+            pairs.append(w)
+            continue
+        for ep in (w.a, w.b):
             if isinstance(ep, NodePort):
-                if ep.node not in by_id:
-                    raise DanglingWire(f"wire references missing node {ep.node!r}")
-                node = by_id[ep.node]
-                if not 0 <= ep.port < node.degree:
-                    raise DanglingWire(
-                        f"wire references port {ep.port} of node {ep.node!r} "
-                        f"(degree {node.degree})"
-                    )
-                key = (ep.node, ep.port)
-                port_use[key] = port_use.get(key, 0) + 1
-                ports[key] = (i, far)
+                ids.append(ep.node)
+                ports.append(ep.port)
             else:
-                n_slots = inputs if ep.side == IN else outputs
-                if not 0 <= ep.pos < n_slots:
-                    raise BoundarySlotConflict(
-                        f"boundary slot {ep.side}[{ep.pos}] out of range"
-                    )
-                slot_use[(ep.side, ep.pos)] = slot_use.get((ep.side, ep.pos), 0) + 1
-                ports[ep] = (i, far)
-
-    for n in node_list:
-        for p in range(n.degree):
-            if port_use.get((n.id, p), 0) != 1:
-                raise DanglingWire(
-                    f"port {p} of node {n.id!r} used "
-                    f"{port_use.get((n.id, p), 0)} times (want exactly 1)"
-                )
-    for side, count in ((IN, inputs), (OUT, outputs)):
-        for pos in range(count):
-            if slot_use.get((side, pos), 0) != 1:
-                raise BoundarySlotConflict(
-                    f"boundary slot {side}[{pos}] used "
-                    f"{slot_use.get((side, pos), 0)} times (want exactly 1)"
-                )
-
-    return Diagram(tuple(node_list), tuple(wire_list), inputs, outputs, by_id, ports)
-
-
-def same_color_pairs(d: Diagram) -> Iterator[tuple[NodeId, NodeId]]:
-    """(u, v) for every wire joining two distinct spiders of one color.
-
-    One pair per wire, so parallel wires repeat it; u precedes v in id order.
-    """
-    for w in d.wires:
-        a, b = w.a, w.b
-        if isinstance(a, NodePort) and isinstance(b, NodePort) and a.node != b.node:
-            u, v = d.node(a.node), d.node(b.node)
-            if u.is_spider() and u.kind == v.kind:
-                yield a.node, b.node
+                ids.append(_SIDE[ep.side])
+                ports.append(ep.pos)
+    return _assemble(nodes, ids, ports, pairs, inputs, outputs)
 
 
 def monochrome_regions(d: Diagram) -> list[frozenset[NodeId]]:
@@ -277,13 +352,27 @@ def monochrome_regions(d: Diagram) -> list[frozenset[NodeId]]:
     return [frozenset(order) for order in region_orders(d)]
 
 
+def _adjacency(d: Diagram) -> dict[int, set[int]]:
+    """Each spider's position in ``d.nodes`` -> the positions of the other
+    spiders of its color wired to it, spiders in node order."""
+    nodes, first, far = d.nodes, d.first, d.far
+    adjacent = {i: set() for i, n in enumerate(nodes) if n.kind != H}
+    for i in adjacent:
+        kind = nodes[i].kind
+        for p in range(first[i], first[i + 1]):
+            q = far[p]
+            if p < q < first[-1]:  # each node-to-node wire once, from its lower end
+                j = bisect_right(first, q) - 1
+                if j != i and nodes[j].kind == kind:
+                    adjacent[i].add(j)
+                    adjacent[j].add(i)
+    return adjacent
+
+
 def same_color_neighbours(d: Diagram) -> dict[NodeId, set[NodeId]]:
     """Each spider's id -> the other spiders of its color wired to it."""
-    adjacent: dict = {n.id: set() for n in d.spiders}
-    for u, v in same_color_pairs(d):
-        adjacent[u].add(v)
-        adjacent[v].add(u)
-    return adjacent
+    nodes = d.nodes
+    return {nodes[i].id: {nodes[j].id for j in near} for i, near in _adjacency(d).items()}
 
 
 def region_orders(d: Diagram) -> list[list[NodeId]]:
@@ -291,43 +380,28 @@ def region_orders(d: Diagram) -> list[list[NodeId]]:
 
     Members come in smallest-id-first frontier order from r: next is always
     the smallest-id member wired to one already listed.  Pairwise fusion of
-    a region absorbs its spiders into r in exactly this order.
+    a region absorbs its spiders into r in exactly this order.  Positions in
+    ``d.nodes`` are in id order, so the frontier is a heap of positions.
     """
-    adjacent = same_color_neighbours(d)
+    nodes = d.nodes
+    adjacent = _adjacency(d)
     orders, seen = [], set()
     for r in adjacent:
         if r in seen:
             continue
         seen.add(r)
-        order, frontier = [], [(_id_key(r), r)]
+        order, frontier = [], [r]
         while frontier:
-            _, u = heapq.heappop(frontier)
-            order.append(u)
+            u = heapq.heappop(frontier)
+            order.append(nodes[u].id)
             for v in adjacent[u] - seen:
                 seen.add(v)
-                heapq.heappush(frontier, (_id_key(v), v))
+                heapq.heappush(frontier, v)
         orders.append(order)
     return orders
 
 
 # --- serialization ---
-
-
-def _endpoint_to_json(ep: Endpoint) -> dict:
-    if isinstance(ep, NodePort):
-        return {"node": ep.node, "port": ep.port}
-    return {"boundary": ep.side, "pos": ep.pos}
-
-
-def _endpoint_from_json(obj: dict) -> Endpoint:
-    if "node" in obj:
-        return NodePort(obj["node"], json_int(obj, "port"))
-    if "boundary" in obj:
-        side = obj["boundary"]
-        if side not in (IN, OUT):
-            raise ParseError(f"bad boundary side {side!r}")
-        return BoundaryPort(side, json_int(obj, "pos"))
-    raise ParseError(f"endpoint needs 'node' or 'boundary': {obj!r}")
 
 
 def to_json_obj(d: Diagram) -> dict:
@@ -337,13 +411,14 @@ def to_json_obj(d: Diagram) -> dict:
         if n.is_spider():
             entry.update(n.label.to_json())
         nodes.append(entry)
+    ends = [{"node": n.id, "port": k} for n in d.nodes for k in range(n.degree)]
+    ends += [{"boundary": IN, "pos": k} for k in range(d.n_inputs)]
+    ends += [{"boundary": OUT, "pos": k} for k in range(d.n_outputs)]
     return {
         "inputs": list(range(d.n_inputs)),
         "outputs": list(range(d.n_outputs)),
         "nodes": nodes,
-        "wires": [
-            [_endpoint_to_json(w.a), _endpoint_to_json(w.b)] for w in d.wires
-        ],
+        "wires": [[ends[p], ends[q]] for p, q in enumerate(d.far) if p < q],
     }
 
 
@@ -361,31 +436,42 @@ def from_json_obj(obj: dict) -> Diagram:
                 and slots == list(range(len(slots)))
             ):
                 raise ParseError(f"{key} must be [0, 1, ..., n-1], got {slots!r}")
-        wires = [
-            Wire(_endpoint_from_json(w[0]), _endpoint_from_json(w[1]))
-            for w in obj["wires"]
-        ]
-        # A spider's output arity is recovered from wire incidence.
-        degree: dict = {}
-        for w in wires:
-            for ep in w.endpoints():
-                if isinstance(ep, NodePort):
-                    degree[ep.node] = max(degree.get(ep.node, 0), ep.port + 1)
+        ids, ports = [], []
+        degree: dict = {}  # a spider's output arity is recovered from wire incidence
+        for w in obj["wires"]:
+            for ep in (w[0], w[1]):
+                if "node" in ep:
+                    nid, k = ep["node"], ep["port"]
+                    if type(nid) is not int and type(nid) is not str:
+                        raise ParseError(f"endpoint node must be an int or str id, got {nid!r}")
+                    if type(k) is not int:
+                        raise ParseError(f"port must be an integer, got {k!r}")
+                    if k >= degree.get(nid, 0):
+                        degree[nid] = k + 1
+                elif "boundary" in ep:
+                    side = ep["boundary"]
+                    if side not in (IN, OUT):
+                        raise ParseError(f"bad boundary side {side!r}")
+                    nid, k = _SIDE[side], json_int(ep, "pos")
+                else:
+                    raise ParseError(f"endpoint needs 'node' or 'boundary': {ep!r}")
+                ids.append(nid)
+                ports.append(k)
         nodes = []
         for i, entry in enumerate(obj["nodes"]):
             kind = entry["kind"]
             if kind not in NODE_KINDS:
                 raise ParseError(f"nodes[{i}]: unknown kind {kind!r}")
             nid = entry["id"]
-            if not isinstance(nid, (int, str)):
-                raise ParseError(f"nodes[{i}]: id must be int or str")
+            if type(nid) is not int and type(nid) is not str:
+                raise ParseError(f"nodes[{i}]: id must be an int or str, got {nid!r}")
             if kind == H:
                 nodes.append(Node(nid, H, None, 1, 1))
                 continue
             label = SpiderLabel.from_json(entry)
             ins = json_int(entry, "ins")
             nodes.append(Node(nid, kind, label, ins, max(degree.get(nid, ins) - ins, 0)))
-        return build(nodes, wires, len(obj["inputs"]), len(obj["outputs"]))
+        return _assemble(nodes, ids, ports, (), len(obj["inputs"]), len(obj["outputs"]))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:

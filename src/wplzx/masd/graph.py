@@ -138,8 +138,8 @@ class DefectGraph:
     def from_json_obj(cls, obj: dict) -> DefectGraph:
         try:
             for i, entry in enumerate(obj["vertices"]):
-                if not isinstance(entry["id"], (int, str)):
-                    raise ParseError(f"vertices[{i}]: id must be int or str")
+                if type(entry["id"]) not in (int, str):
+                    raise ParseError(f"vertices[{i}]: id must be an int or str, got {entry['id']!r}")
                 if not isinstance(entry.get("virtual", False), bool):
                     raise ParseError(f"vertices[{i}]: virtual must be true or false")
                 if not isinstance(entry["pos"], list) or len(entry["pos"]) != 2:
@@ -157,6 +157,14 @@ class DefectGraph:
                 )
                 for entry in obj["vertices"]
             )
+            for i, entry in enumerate(obj["edges"]):
+                # An end names a vertex by the same type and value: 1.0 and
+                # true are not the vertex 1, though they compare equal to it.
+                for end in ("u", "v"):
+                    if type(entry[end]) not in (int, str):
+                        raise ParseError(
+                            f"edges[{i}]: {end} must be an int or str id, got {entry[end]!r}"
+                        )
             edges = tuple(
                 DefectEdge(entry["u"], entry["v"], json_number(entry["d"], "d"))
                 for entry in obj["edges"]

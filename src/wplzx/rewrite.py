@@ -184,40 +184,52 @@ def _fold(labels) -> SpiderLabel:
     return SpiderLabel(L, RationalAngle(alpha_num, alpha_den), RationalAngle(k_num, k_den))
 
 
-def _fuse_groups(d: Diagram, groups) -> tuple[list[Node], list[Wire]]:
+def _fuse_groups(d: Diagram, groups) -> tuple[list[Node], list[tuple[int, int]]]:
     """Fuse each group of connected same-color spiders, listed in absorption
-    order, into one spider with the first member's id; returns the node and
-    wire lists for one ``build``.
+    order, into one spider with the first member's id; returns the node list
+    and the wires, as port-id pairs, for one ``build``.
 
     The result equals fusing the members pairwise in that order: the label
     is their ``_fold``; wires between distinct members are consumed;
     surviving legs are renumbered inputs first, each side by member, then by
-    port.  Only the wires at members' ports are rebuilt.
+    port.  Everything is read from d's port tables.  A fused spider keeps
+    its first member's id, so the nodes left keep their order, and the new
+    port ids number their legs in that order, then the boundary slots.
     """
-    owner = {m: g[0] for g in groups for m in g}
-    merged, renumbered = [], {}
-    touched = {}  # index of a wire at a member's port -> whether it survives
+    nodes, first, far, index = d.nodes, d.first, d.far, d.index
+    root = {index[m]: index[g[0]] for g in groups for m in g}  # member -> its group's first
+    merged = {}  # group's first member -> (fused node, port ids of its surviving legs)
     for group in groups:
-        members = [d.node(m) for m in group]
-        label = _fold([n.label for n in members])
+        members = [index[m] for m in group]
+        r = members[0]
+        label = _fold([nodes[i].label for i in members])
         ins, outs = [], []
-        for n in members:
-            for p in range(n.degree):
-                i, far = d.wire_at((n.id, p))
-                far_id = far.node if isinstance(far, NodePort) else None
-                inner = far_id != n.id and owner.get(far_id) == group[0]
-                touched[i] = not inner
-                if not inner:
-                    (ins if p < n.ins else outs).append((n.id, p))
-        renumbered.update((old, NodePort(group[0], j)) for j, old in enumerate(ins + outs))
-        merged.append(Node(group[0], members[0].kind, label, len(ins), len(outs)))
+        for i in members:
+            f, n_ins = first[i], nodes[i].ins
+            for p in range(f, first[i + 1]):
+                j = d.owner(far[p])
+                if j == i or root.get(j) != r:
+                    (ins if p - f < n_ins else outs).append(p)
+        node = Node(group[0], nodes[r].kind, label, len(ins), len(outs))
+        merged[r] = (node, ins + outs)
 
-    def end(ep):
-        return renumbered.get((ep.node, ep.port), ep) if isinstance(ep, NodePort) else ep
-
-    wires = [w for i, w in enumerate(d.wires) if i not in touched]
-    wires += (Wire(end(d.wires[i].a), end(d.wires[i].b)) for i, kept in touched.items() if kept)
-    return [n for n in d.nodes if n.id not in owner] + merged, wires
+    new_id = [-1] * len(far)  # port id in the fused diagram; -1 for a consumed leg
+    kept, k = [], 0
+    for i, n in enumerate(nodes):
+        if i in merged:
+            n, legs = merged[i]
+        elif i in root:
+            continue
+        else:
+            legs = range(first[i], first[i + 1])
+        kept.append(n)
+        for p in legs:
+            new_id[p] = k
+            k += 1
+    for p in range(first[-1], len(far)):
+        new_id[p] = k
+        k += 1
+    return kept, [(new_id[p], new_id[q]) for p, q in enumerate(far) if p < q and new_id[p] >= 0]
 
 
 def identity_removal(d: Diagram, node_id) -> Diagram:

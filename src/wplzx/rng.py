@@ -8,11 +8,13 @@ seed 2^64 - 1, and no two seeds in [-2^63, 2^63) share a stream.
 
 Philox's whole state is its key, its counter and a small output buffer, so
 one generator reset to (key, counter 0, empty buffer) draws exactly what a
-new one built with that key would.  ``trial_stream`` uses that to serve hot
-loops from one process-wide generator.  That stream is not reentrant: each
+new one built with that key would.  ``trial_stream`` serves every substream
+from one process-wide generator that way: building a new Philox costs
+several times a rekey, since it first draws a seed from the operating
+system that the key then overrides.  That stream is not reentrant: each
 call resets it, so a generator it returned is valid only until the next
-call, and two streams that must be drawn from in turn, or kept, need
-``trial_generator``.
+call, and a caller draws all it needs from one substream before asking for
+the next.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ def _key(master_seed: int, index: int) -> np.ndarray:
     return np.array([int(master_seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
 
 
-def trial_generator(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for substream ``index`` of ``master_seed``."""
-    return np.random.Generator(np.random.Philox(key=_key(master_seed, index)))
-
-
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
@@ -47,8 +44,9 @@ def _shared_generator() -> np.random.Generator:
 
 
 def trial_stream(master_seed: int, index: int = 0) -> np.random.Generator:
-    """The draws of ``trial_generator(master_seed, index)`` from one shared
-    generator, rekeyed in place; valid only until the next call."""
+    """The generator of substream ``index`` of ``master_seed``: the draws of
+    a new Philox keyed (master_seed, index), from one shared generator
+    rekeyed in place; valid only until the next call."""
     gen = _shared_generator()
     gen.bit_generator.state = {
         "bit_generator": "Philox",

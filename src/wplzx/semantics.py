@@ -64,11 +64,20 @@ class _Complex:
     def dot(a, b, axes):
         return np.tensordot(a[0], b[0], axes)[None]
 
+    @staticmethod
+    def x_spider(degree: int, phase: np.ndarray) -> np.ndarray:
+        """An X spider: the Z spider with H contracted into each leg in
+        turn.  That order of products fixes the rounding of every entry."""
+        t = _z_spider(degree, phase, _Complex)
+        for ax in range(degree):
+            t = np.moveaxis(_Complex.dot(t, _Complex.h, ([ax], [0])), -1, ax + 1)
+        return t
 
-class _Residues:
+
+class Residues:
     """Residues mod a batch of primes p = 1 (mod 8), as int64, reduced after
     every product.  Every tensor has a leading prime axis, and one contraction
-    carries all the primes.
+    carries all the primes.  One ring serves any number of contractions.
 
     zeta_M maps to g^((p - 1) / M) for every M dividing p - 1, with g the least
     generator of F_p^*.  One generator for all M keeps the maps of different
@@ -121,6 +130,18 @@ class _Residues:
             out = sum(m[:, :, s : s + t] @ n[:, s : s + t] % self.p for s in chunks) % self.p
         return out.reshape((self.batch,) + (2,) * (len(free_a) + len(free_b)))
 
+    def x_spider(self, degree: int, phase: np.ndarray) -> np.ndarray:
+        """An X spider in closed form.  H on every leg of the Z spider
+        |0..0> + phase |1..1> gives s^degree (1 + phase (-1)^|x|) at index x,
+        with s = 1/sqrt 2 = h[0][0] and |x| the number of ones in x; the
+        arithmetic is exact, so this is the leg-by-leg contraction."""
+        moduli = self.p.ravel()
+        s = np.array([pow(int(h), degree, p) for h, p in zip(self.h[:, 0, 0], self.primes)])
+        shape = (self.batch,) + (1,) * degree
+        even = (s * (1 + phase) % moduli).reshape(shape)
+        odd = (s * (1 - phase) % moduli).reshape(shape)
+        return np.where(_odd_weight(degree), odd, even)
+
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
@@ -150,19 +171,31 @@ def exact_primes(n: int) -> tuple[int, int]:
     return found[0], found[1]
 
 
+@functools.cache
+def _odd_weight(degree: int) -> np.ndarray:
+    """Read-only bool tensor of rank ``degree``: whether each index has an
+    odd number of ones."""
+    odd = np.indices((2,) * degree).sum(axis=0) % 2 == 1
+    odd.flags.writeable = False
+    return odd
+
+
+def _z_spider(degree: int, phase: np.ndarray, ring) -> np.ndarray:
+    t = np.zeros((ring.batch,) + (2,) * degree, dtype=ring.dtype)
+    t[(slice(None),) + (0,) * degree] = 1
+    t[(slice(None),) + (1,) * degree] = phase
+    return t
+
+
 def _spider_tensor(kind: str, degree: int, phase: np.ndarray, ring) -> np.ndarray:
     """Rank-``degree`` tensor of a spider (symmetric in its legs) behind the
     ring's batch axis, whose phase factor e^{i theta} is ``phase`` in
     ``ring``, one entry per batch slice."""
     if degree == 0:
         return ring.mod(1 + phase).astype(ring.dtype)
-    t = np.zeros((ring.batch,) + (2,) * degree, dtype=ring.dtype)
-    t[(slice(None),) + (0,) * degree] = 1
-    t[(slice(None),) + (1,) * degree] = phase
     if kind == dg.X:
-        for ax in range(degree):
-            t = np.moveaxis(ring.dot(t, ring.h, ([ax], [0])), -1, ax + 1)
-    return t
+        return ring.x_spider(degree, phase)
+    return _z_spider(degree, phase, ring)
 
 
 def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.ndarray:
@@ -186,17 +219,27 @@ def _network(d: dg.Diagram) -> list[tuple]:
     kind "I" is a bare boundary-to-boundary wire, and boundary endpoints are
     open ("b", side, pos) axes.  A spider above the split degree becomes an
     exact chain of smaller ones (spider fusion), its angle on the first.
-    A wire between nodes is the axis ("w", its index)."""
+    A wire between nodes is the axis labelled by its index, and each bond of
+    a chain by the next integer after the wires, so every integer label
+    joins exactly two axes."""
+    far, wire, first = d.far, d.wire, d.first
+    n_ports, n_in = first[-1], d.n_inputs
+
+    def open_axis(q):
+        q -= n_ports
+        return ("b", dg.IN, q) if q < n_in else ("b", dg.OUT, q - n_in)
+
     pieces = [
-        ("I", None, [("b", w.a.side, w.a.pos), ("b", w.b.side, w.b.pos)])
-        for w in d.wires
-        if isinstance(w.a, dg.BoundaryPort) and isinstance(w.b, dg.BoundaryPort)
+        ("I", None, [open_axis(p), open_axis(far[p])])
+        for p in range(n_ports, len(far))
+        if p < far[p]
     ]
-    for node in d.nodes:
-        labels = []
-        for p in range(node.degree):
-            i, far = d.wire_at((node.id, p))
-            labels.append(("w", i) if isinstance(far, dg.NodePort) else ("b", far.side, far.pos))
+    bond = len(far) // 2
+    for i, node in enumerate(d.nodes):
+        labels = [
+            wire[p] if far[p] < n_ports else open_axis(far[p])
+            for p in range(first[i], first[i + 1])
+        ]
         if node.kind == dg.H:
             pieces.append((dg.H, None, labels))
             continue
@@ -208,9 +251,10 @@ def _network(d: dg.Diagram) -> list[tuple]:
         for idx, start in enumerate(range(0, node.degree, chunk)):
             axes = labels[start : start + chunk]
             if idx:
-                axes.append(("bond", node.id, idx - 1))
+                axes.append(bond - 1)
             if start + chunk < node.degree:
-                axes.append(("bond", node.id, idx))
+                axes.append(bond)
+                bond += 1
             pieces.append((node.kind, turns if idx == 0 else ZERO, axes))
     return pieces
 
@@ -229,17 +273,21 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
             f"{d.n_inputs + d.n_outputs} open wires exceed cap {max_open_wires}"
         )
     pieces = _network(d)
-    # live: tensor number -> its axis labels; holders: wire label -> its two tensors
-    live, holders, traces = {}, {}, []
+    # live[k]: tensor k's axis labels, None once contracted; holders[label]:
+    # the two tensors holding an integer (wire or bond) label.
+    live = [None] * (2 * len(pieces))
+    holders = {}
+    traces = []
     for k, piece in enumerate(pieces):
         ax = live[k] = list(piece[2])
-        while (dup := next((lab for lab in ax if ax.count(lab) == 2), None)) is not None:
-            i = ax.index(dup)
-            j = ax.index(dup, i + 1)
-            traces.append((k, i, j))
-            del ax[j], ax[i]
+        if len(set(ax)) < len(ax):
+            while (dup := next((lab for lab in ax if ax.count(lab) == 2), None)) is not None:
+                i = ax.index(dup)
+                j = ax.index(dup, i + 1)
+                traces.append((k, i, j))
+                del ax[j], ax[i]
         for lab in ax:
-            if lab[0] != "b":
+            if type(lab) is int:
                 holders.setdefault(lab, []).append(k)
 
     # Each wire label joins exactly two tensors, so the wires a pair shares
@@ -250,11 +298,13 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
     heap = [(len(live[a]) + len(live[b]) - 2 * n, a, b) for (a, b), n in shared_by.items()]
     heapq.heapify(heap)
     pairs = []
+    new = len(pieces)
     while heap:
         _, a, b = heapq.heappop(heap)
-        if a not in live or b not in live:
+        ax_a, ax_b = live[a], live[b]
+        if ax_a is None or ax_b is None:
             continue  # stale: one of them is contracted already
-        ax_a, ax_b = live.pop(a), live.pop(b)
+        live[a] = live[b] = None
         on_a, on_b, kept = [], [], []
         for i, lab in enumerate(ax_a):
             if lab in ax_b:
@@ -268,22 +318,22 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
                 f"intermediate tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
             )
         pairs.append((a, b, on_a, on_b))
-        new = len(pieces) + len(pairs) - 1
         ax = live[new] = kept + [lab for lab in ax_b if lab not in ax_a]
         # One heap entry per neighbour, costed by the wires it shares with new.
         shared_by = {}
         for lab in ax:
-            if lab[0] != "b":
+            if type(lab) is int:
                 pair = holders[lab]
-                j = 0 if pair[0] in (a, b) else 1
+                j = 0 if pair[0] == a or pair[0] == b else 1
                 pair[j] = new
                 other = pair[1 - j]
                 shared_by[other] = shared_by.get(other, 0) + 1
         for other, n in shared_by.items():
             heapq.heappush(heap, (len(live[other]) + len(ax) - 2 * n, other, new))
+        new += 1
 
     # What is left is unconnected and has only open axes: outer products.
-    total = [lab for ax in live.values() for lab in ax]
+    total = [lab for ax in live if ax is not None for lab in ax]
     if (size := 2 ** len(total)) > MAX_TENSOR_ENTRIES:
         raise DimensionOverflow(
             f"final tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
@@ -291,7 +341,7 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
     want = [("b", dg.OUT, p) for p in range(d.n_outputs)] + [
         ("b", dg.IN, p) for p in range(d.n_inputs)
     ]
-    assert all(lab[0] == "b" for lab in total)
+    assert all(type(lab) is tuple for lab in total)
     perm = [total.index(lab) for lab in want]
     return pieces, traces, pairs, perm
 
@@ -329,21 +379,25 @@ def evaluate(
     d: dg.Diagram,
     *,
     max_open_wires: int = MAX_OPEN_WIRES,
-    primes: tuple[int, ...] = (),
+    primes: tuple[int, ...] | Residues = (),
 ):
     """Contract the diagram to its 2^{outputs} x 2^{inputs} matrix.
 
     Without ``primes``, a complex matrix in double precision.  With them, a
     list of int64 matrices, the exact matrix's residues mod each prime; every
     p must be 1 mod 8 and mod each total-angle denominator of d, as
-    ``exact_primes(phase_order(d))`` picks them.  The contraction schedule
-    (see ``_schedule``) is planned once, and one pass along it carries every
-    prime.
+    ``exact_primes(phase_order(d))`` picks them.  ``primes`` is a tuple of
+    primes or a ``Residues`` ring made for them, which callers contracting
+    several diagrams mod the same primes pass to each.  The contraction
+    schedule (see ``_schedule``) is planned once, and one pass along it
+    carries every prime.
     """
     plan = _schedule(d, max_open_wires)
+    if isinstance(primes, Residues):
+        return list(_contract(d, plan, primes))
     if not primes:
         return _contract(d, plan, _Complex)[0]
-    return list(_contract(d, plan, _Residues(primes)))
+    return list(_contract(d, plan, Residues(primes)))
 
 
 # --- comparison predicates ---

@@ -174,7 +174,7 @@ def state_sum_mod(d: dg.Diagram, p: int) -> list[list[int]]:
     legs = {n.id: [None] * n.degree for n in d.nodes}
     rows, cols = [None] * d.n_outputs, [None] * d.n_inputs
     for w_idx, w in enumerate(d.wires):
-        for ep in w.endpoints():
+        for ep in (w.a, w.b):
             if isinstance(ep, NodePort):
                 legs[ep.node][ep.port] = w_idx
             elif ep.side == dg.OUT:
@@ -217,7 +217,7 @@ def bfs_color_regions(d: dg.Diagram):
     spiders = {n.id: n for n in d.nodes if n.is_spider()}
     adj: dict = {nid: set() for nid in spiders}
     for w in d.wires:
-        ids = [ep.node for ep in w.endpoints() if isinstance(ep, NodePort)]
+        ids = [ep.node for ep in (w.a, w.b) if isinstance(ep, NodePort)]
         if len(ids) != 2 or ids[0] == ids[1]:
             continue
         a, b = ids

@@ -332,8 +332,14 @@ def _toy_graph_vertices(ids):
         {"vertices": _toy_graph_vertices([0, 1]), "edges": [{"u": 0, "v": 2, "d": 1.0}]},
         {"vertices": _toy_graph_vertices([0, 0]), "edges": []},
         {"vertices": _toy_graph_vertices([[0], 1]), "edges": []},
+        {"vertices": _toy_graph_vertices([0, True]), "edges": []},
+        {"vertices": _toy_graph_vertices([0, 1]), "edges": [{"u": 0, "v": 1.0, "d": 1.0}]},
+        {"vertices": _toy_graph_vertices([0, 1]), "edges": [{"u": True, "v": 0, "d": 1.0}]},
+        {"vertices": _toy_graph_vertices([0, "1"]), "edges": [{"u": 0, "v": 1, "d": 1.0}]},
+        {"vertices": _toy_graph_vertices([0, True]), "edges": [{"u": 0.0, "v": True, "d": 1.5}]},
     ],
-    ids=["missing-vertex", "duplicate-id", "list-id"],
+    ids=["missing-vertex", "duplicate-id", "list-id", "bool-id", "float-end", "bool-end",
+         "int-end-for-str-id", "bool-id-float-end"],
 )
 def test_decode_malformed_graph_exit_1(tmp_path, capsys, graph):
     path = tmp_path / "bad.json"
@@ -425,13 +431,19 @@ def _one_spider_diagram() -> dict:
         (("inputs",), [0.0]),
         (("outputs",), [False]),
         (("inputs",), 1),
+        (("nodes", 0, "id"), True),
+        (("nodes", 0, "id"), 0.0),
+        (("wires", 0, 1, "node"), 0.0),
+        (("wires", 0, 1, "node"), False),
+        (("wires", 0, 1, "node"), "0"),
     ],
 )
 def test_normalize_bad_integer_field_exit_1(tmp_path, capsys, path, value):
     """Spider labels, input counts, ports and boundary slots must be JSON
     integers: a float, string or bool is an error, not truncated, and so is
     a zero denominator.  The inputs and outputs lists must read 0, 1, ...,
-    n-1, not just have the right length."""
+    n-1, not just have the right length.  A node id is an integer or a
+    string, and an endpoint names it by the same type and value."""
     obj = _one_spider_diagram()
     *parents, key = path
     target = obj
@@ -756,6 +768,24 @@ def test_config_values_parse_like_flags(tmp_path, capsys, overrides, key):
     assert exc.value.code == 2
     assert f"error: --config {cfg}: {key}: " in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_is_read_through_argparse_and_rejects_unknown_keys(tmp_path, capsys):
+    """--config=FILE is read as --config FILE is, and a key that no flag of
+    the chosen command has (a typo, the removed verify --tol, a flag of
+    another command) is a usage error, not dropped."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3}))
+    out = tmp_path / "o.csv"
+    assert run(["sweep", "--lambdas", "0", f"--config={cfg}", "--out", str(out)]) == 0
+    assert "over 3 trials" in capsys.readouterr().err
+    for key in ("trails", "tol", "preset"):
+        cfg.write_text(json.dumps({key: 3}))
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--lambdas", "0", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"error: --config {cfg}: {key}: no flag of sweep sets it" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_string_values_go_through_the_flag_type(tmp_path, capsys):

@@ -178,6 +178,17 @@ def test_deserialize_malformed():
         deserialize('{"inputs": [], "outputs": [], "nodes": [{"id": 0, "kind": "Q", "ins": 1}], "wires": []}')
     with pytest.raises(ParseError):
         deserialize("[1, 2, 3]")
+    # ids are JSON integers or strings, and an endpoint names one by the
+    # same type and value: true and 0.0 are not the node 0
+    spider0 = '{"id": %s, "kind": "Z", "ins": 1, "a": 1, "alpha": {"num": 0, "den": 1}, "k": {"num": 0, "den": 1}}'
+    wires = '[[{"boundary": "in", "pos": 0}, {"node": %s, "port": 0}], [{"node": 0, "port": 1}, {"boundary": "out", "pos": 0}]]'
+    for node_id, end in (("true", "0"), ("0", "0.0"), ("0", "false"), ("1.0", "1.0")):
+        text = '{"inputs": [0], "outputs": [0], "nodes": [%s], "wires": %s}' % (
+            spider0 % node_id, wires % end)
+        with pytest.raises(ParseError):
+            deserialize(text)
+    good = '{"inputs": [0], "outputs": [0], "nodes": [%s], "wires": %s}' % (spider0 % 0, wires % 0)
+    assert deserialize(good).n_inputs == 1
 
 
 def test_self_loop_forbidden_on_hadamard():
@@ -235,9 +246,110 @@ def test_port_table_matches_wire_scan():
         ports += [BoundaryPort(dg.IN, i) for i in range(d.n_inputs)]
         ports += [BoundaryPort(dg.OUT, i) for i in range(d.n_outputs)]
         assert {port: d.wire_at(port) for port in ports} == scan_ports(d)
+        # a spider is never its own neighbour, not even through a self-loop
+        near = {n.id: set() for n in d.spiders}
+        for w in d.wires:
+            if isinstance(w.a, NodePort) and isinstance(w.b, NodePort) and w.a.node != w.b.node:
+                u, v = d.node(w.a.node), d.node(w.b.node)
+                if u.kind == v.kind != dg.H:
+                    near[u.id].add(v.id)
+                    near[v.id].add(u.id)
+        assert dg.same_color_neighbours(d) == near
         ids = [n.id for n in d.nodes] + ["missing", 99]
         for u in ids:
             assert d.incident(u) == scan_incident(d, u)
             for v in ids:
                 if u != v:
                     assert d.wires_between(u, v) == scan_wires_between(d, u, v)
+
+
+def _d1_main_diagrams():
+    """The d1-main diagrams of seeds 3 and 7, each followed by its normal form."""
+    from wplzx.datasets import preset
+    from wplzx.rewrite import wzcc_normalize
+
+    for seed in (3, 7):
+        cfg = preset("d1-main", seed=seed)
+        for i in range(20):
+            d = gen_random_wplzx(cfg, instance=i)
+            yield d
+            yield wzcc_normalize(d)[0]
+
+
+def test_port_tables_match_a_scan_of_the_wire_list():
+    """wire_at, incident, wires_between and same_color_neighbours, read from
+    the port tables, against one scan of the serialized wire list."""
+    import json
+
+    def end(e):
+        return NodePort(e["node"], e["port"]) if "node" in e else BoundaryPort(e["boundary"], e["pos"])
+
+    for d in _d1_main_diagrams():
+        obj = json.loads(serialize(d))
+        kind = {n["id"]: n["kind"] for n in obj["nodes"]}
+        ports, incident, between = {}, {u: [] for u in kind}, {}
+        near = {u: set() for u, k in kind.items() if k != dg.H}
+        for i, (a, b) in enumerate((end(a), end(b)) for a, b in obj["wires"]):
+            for ep, far in ((a, b), (b, a)):
+                ports[(ep.node, ep.port) if isinstance(ep, NodePort) else ep] = (i, far)
+                if isinstance(ep, NodePort):
+                    incident[ep.node].append((i, ep))
+            if isinstance(a, NodePort) and isinstance(b, NodePort) and a.node != b.node:
+                between.setdefault((a.node, b.node), []).append(i)
+                between.setdefault((b.node, a.node), []).append(i)
+                if kind[a.node] == kind[b.node] != dg.H:
+                    near[a.node].add(b.node)
+                    near[b.node].add(a.node)
+        assert len(ports) == sum(n.degree for n in d.nodes) + d.n_inputs + d.n_outputs
+        assert {port: d.wire_at(port) for port in ports} == ports
+        assert dg.same_color_neighbours(d) == near
+        for u in kind:
+            assert d.incident(u) == incident[u]
+            for v in kind:
+                if u != v:
+                    assert d.wires_between(u, v) == between.get((u, v), [])
+
+
+@pytest.mark.parametrize(
+    "nodes, wires, slots, error",
+    [
+        ([spider(0, dg.Z, ins=1, outs=0)], [(("in", 0), (99, 0))], (1, 0), DanglingWire),
+        ([Node(0, dg.H, None, 1, 1)], [(("in", 0), (0, 0)), ((0, 1), ("out", 0)), ((0, 2), ("in", 1))],
+         (2, 1), DanglingWire),
+        ([spider(0, dg.Z, ins=0, outs=0), spider(0, dg.X, ins=0, outs=0)], [], (0, 0), DuplicateId),
+        ([spider(0, dg.Z, ins=2, outs=0)], [(("in", 0), (0, 0)), (("in", 0), (0, 1))], (1, 0),
+         BoundarySlotConflict),
+        ([spider(0, dg.Z, ins=1, outs=0)], [(("in", 3), (0, 0))], (1, 0), BoundarySlotConflict),
+        ([spider(0, dg.Z, ins=1, outs=0)], [(("in", 0), (0, 0))], (2, 0), BoundarySlotConflict),
+        ([Node(0, dg.H, None, 1, 1)], [((0, 0), (0, 1))], (0, 0), DanglingWire),
+    ],
+    ids=["missing-node", "port-past-degree", "duplicate-id", "slot-used-twice",
+         "slot-out-of-range", "slot-unused", "hadamard-self-loop"],
+)
+def test_malformed_files_raise_what_build_raises(nodes, wires, slots, error):
+    """Each malformed wiring raises the same error class from ``build`` and,
+    written as a file, from the loader.  A wire end is (node id, port) or
+    (side, slot)."""
+
+    def port(p):
+        return BoundaryPort(*p) if p[0] in (dg.IN, dg.OUT) else NodePort(*p)
+
+    def entry(p):
+        if p[0] in (dg.IN, dg.OUT):
+            return {"boundary": p[0], "pos": p[1]}
+        return {"node": p[0], "port": p[1]}
+
+    n_in, n_out = slots
+    with pytest.raises(error):
+        build(nodes, [Wire(port(a), port(b)) for a, b in wires], n_in, n_out)
+    obj = {
+        "inputs": list(range(n_in)),
+        "outputs": list(range(n_out)),
+        "nodes": [
+            {"id": n.id, "kind": n.kind, "ins": n.ins, **(n.label.to_json() if n.label else {})}
+            for n in nodes
+        ],
+        "wires": [[entry(a), entry(b)] for a, b in wires],
+    }
+    with pytest.raises(error):
+        dg.from_json_obj(obj)

@@ -651,8 +651,11 @@ def _random_trace(d, seed, steps=16) -> RewriteTrace:
     r = np.random.default_rng(seed)
     cur, entries = d, []
     for _ in range(steps):
+        key = dg._id_key
+        wired = dg.same_color_neighbours(cur)
         pairs = sorted(
-            set(dg.same_color_pairs(cur)), key=lambda p: (dg._id_key(p[0]), dg._id_key(p[1]))
+            {(u, v) for u, near in wired.items() for v in near if key(u) < key(v)},
+            key=lambda p: (key(p[0]), key(p[1])),
         )
         spiders = cur.spiders
         roll = r.random()

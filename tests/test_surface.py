@@ -222,9 +222,9 @@ def test_single_error_always_corrected(code3):
     for q in range(9):
         syndrome = _parity_syndrome(code3, {q})
         from wplzx.masd.surface import SurfaceSample, defect_graph_for
-        from wplzx.rng import trial_generator
+        from wplzx.rng import trial_stream
 
-        graph = defect_graph_for(code3, syndrome, model, trial_generator(0, 0))
+        graph = defect_graph_for(code3, syndrome, model, trial_stream(0, 0))
         sample = SurfaceSample(3, 0.0, 0, 0, (q,), syndrome)
         matching, _ = masd_decode(graph, 0.0)
         assert not logical_failure(code3, sample, matching)
@@ -233,10 +233,10 @@ def test_single_error_always_corrected(code3):
 def test_two_sector_winding_assignment(code3):
     model = WindingModel(kind="two-sector", a=8, k_left=0, k_right=3)
     from wplzx.masd.surface import defect_graph_for
-    from wplzx.rng import trial_generator
+    from wplzx.rng import trial_stream
 
     syndrome = tuple(p.index for p in code3.z_checks)
-    g = defect_graph_for(code3, syndrome, model, trial_generator(0, 0))
+    g = defect_graph_for(code3, syndrome, model, trial_stream(0, 0))
     reals = [v for v in g.vertices if not v.is_virtual_boundary]
     midline = 1.0
     for v in reals:
