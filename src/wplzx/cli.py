@@ -223,8 +223,8 @@ def _proven_state_of(d: diagram.Diagram) -> np.ndarray | None:
     when they are all zero, when no such primes exist or past a resource
     cap."""
     try:
-        primes = semantics.exact_primes(semantics.phase_order(d))
-        residues = semantics.evaluate(d, primes=primes)
+        ring = semantics.Residues(semantics.exact_primes(semantics.phase_order(d)))
+        residues = semantics.evaluate(d, primes=ring)
     except ResourceCapError:
         return None
     if not any(r[:, 0].any() for r in residues):

@@ -6,24 +6,20 @@ input-side legs and ``ins..ins+outs-1`` its output-side legs, so arity is
 derived from wire incidence plus this explicit split.  Boundary ports are
 ordered and part of diagram identity.
 
-Wires are an (unordered-endpoint) multiset; parallel wires between two
-spiders are kept explicitly because fusion must count connecting legs.
-Hadamard is a node kind of fixed degree 2, not an edge decoration.
+Wires are a multiset; parallel wires between two spiders are kept
+explicitly because fusion must count connecting legs.  Hadamard is a node
+kind of fixed degree 2, not an edge decoration.
 
 A diagram keeps its wiring as integer tables, built once.  Every node port
 and boundary slot has a port id: the ports of the nodes in node-id order,
 node i's ports 0..degree-1 at ``first[i]``, ``first[i] + 1``, ...; then the
 input slots by position, then the output slots (``first[-1]`` is the
-number of node ports).  Port-id order is the order of ``NodePort.key`` and
-``BoundaryPort.key``, so a wire is the pair (lower, higher) of its ends'
-port ids, and wires are numbered by their lower port id, which is
-``Wire.key`` order.  ``far[p]`` is the port id at the other end of p's wire
-and ``wire[p]`` that wire's index.  Rewrites, the contraction network,
-circuit extraction and serialization read these tables; ``Node`` objects
-are the diagram's nodes, and ``NodePort``, ``BoundaryPort`` and ``Wire``
-objects appear only as ``build``'s input and as the results of
-``wire_at``, ``incident``, ``endpoint`` and ``Diagram.wires``, made from
-the tables when asked for.
+number of node ports).  ``far[p]`` is the port id at the other end of p's
+wire and ``wire[p]`` that wire's index; wires are numbered by their lower
+port id.  Loading, rewrites, the contraction network, circuit extraction
+and serialization all read these tables.  ``NodePort``, ``BoundaryPort``
+and ``Wire`` are records of ``build``'s input only; rewrites pass ``build``
+port-id pairs instead.
 
 Serialized form (UTF-8 JSON)::
 
@@ -40,7 +36,6 @@ nodes omit the label fields.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 from bisect import bisect_right
@@ -107,9 +102,6 @@ class NodePort:
     node: NodeId
     port: int
 
-    def key(self):
-        return (0, _id_key(self.node), self.port)
-
 
 @dataclass(frozen=True)
 class BoundaryPort:
@@ -120,35 +112,14 @@ class BoundaryPort:
         if self.side not in (IN, OUT):
             raise ValueError(f"boundary side must be 'in' or 'out', got {self.side!r}")
 
-    def key(self):
-        return (1, (0, self.side, 0), self.pos)
-
-
-Endpoint = Union[NodePort, BoundaryPort]
-
 
 @dataclass(frozen=True)
 class Wire:
-    """A wire between two endpoints, stored in canonical order: ``a`` has
-    the smaller endpoint key.  The pair of keys is computed once, at
-    construction, and kept (outside equality and repr) for ``key()``."""
+    """A wire between two ends, as ``build`` takes it; the ends are kept in
+    the order given."""
 
-    a: Endpoint
-    b: Endpoint
-    _key: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # Endpoints are unordered; canonicalize so equality is structural.
-        ka, kb = self.a.key(), self.b.key()
-        if kb < ka:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            ka, kb = kb, ka
-        object.__setattr__(self, "_key", (ka, kb))
-
-    def key(self):
-        return self._key
+    a: NodePort | BoundaryPort
+    b: NodePort | BoundaryPort
 
 
 @dataclass(frozen=True)
@@ -176,41 +147,10 @@ class Diagram:
     def spiders(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.is_spider())
 
-    @functools.cached_property
-    def wires(self) -> tuple[Wire, ...]:
-        """The wires by index, as ``Wire`` objects made on first use."""
-        ep = self.endpoint
-        return tuple(Wire(ep(p), ep(q)) for p, q in enumerate(self.far) if p < q)
-
     def owner(self, p: int) -> int:
         """Position in ``nodes`` of the node whose port p is; ``len(nodes)``
         for a boundary slot."""
         return bisect_right(self.first, p) - 1
-
-    def endpoint(self, p: int) -> Endpoint:
-        """The ``NodePort`` or ``BoundaryPort`` whose port id is p."""
-        first = self.first
-        if p < first[-1]:
-            i = self.owner(p)
-            return NodePort(self.nodes[i].id, p - first[i])
-        p -= first[-1]
-        return BoundaryPort(IN, p) if p < self.n_inputs else BoundaryPort(OUT, p - self.n_inputs)
-
-    def wire_at(self, port) -> tuple[int, Endpoint]:
-        """(wire index, far endpoint) of the wire at a node port, given as
-        ``(node id, port)``, or at a boundary slot, given as its
-        ``BoundaryPort``; KeyError when the diagram has no such port.  A
-        self-loop's far endpoint is its other port."""
-        if isinstance(port, BoundaryPort):
-            base, count = (0, self.n_inputs) if port.side == IN else (self.n_inputs, self.n_outputs)
-            p = self.first[-1] + base + port.pos if 0 <= port.pos < count else -1
-        else:
-            node_id, k = port
-            i = self.index[node_id]
-            p = self.first[i] + k if 0 <= k < self.nodes[i].degree else -1
-        if p < 0:
-            raise KeyError(port)
-        return self.wire[p], self.endpoint(self.far[p])
 
     def wires_between(self, u: NodeId, v: NodeId) -> list[int]:
         """Indices of wires joining u and v (u != v)."""
@@ -220,16 +160,6 @@ class Diagram:
         first, far = self.first, self.far
         lo, hi = first[j], first[j + 1]
         return sorted(self.wire[p] for p in range(first[i], first[i + 1]) if lo <= far[p] < hi)
-
-    def incident(self, node_id: NodeId) -> list[tuple[int, NodePort]]:
-        """(wire index, endpoint) pairs touching the node, by wire index,
-        self-loops twice."""
-        if node_id not in self.index:
-            return []
-        i = self.index[node_id]
-        f = self.first[i]
-        legs = sorted((self.wire[p], p - f) for p in range(f, self.first[i + 1]))
-        return [(w, NodePort(node_id, k)) for w, k in legs]
 
 
 # Stand-ins for the boundary sides among the node ids of an endpoint list:

@@ -53,10 +53,11 @@ def curvature_gradient_norm(p: AnisotropyParams, h: float = DEFAULT_GRAD_STEP) -
     """Euclidean norm of the central-difference gradient of R over the params.
 
     The map is evaluated on the open positive quadrant, so the only interior
-    requirement is that both parameters exceed the step.
+    requirement is that both parameters exceed the step, which must be
+    finite and positive (a NaN step compares false with everything).
     """
-    if h <= 0.0:
-        raise StepTooLarge("step must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise StepTooLarge(f"step must be finite and positive, got {h}")
     if min(p.lambda_perp, p.lambda_par) <= h:
         raise StepTooLarge(
             f"step {h} does not fit inside the domain at "

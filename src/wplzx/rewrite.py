@@ -21,6 +21,12 @@ Replay (``apply_trace``) batches the same way: each run of consecutive
 ``fuse`` and ``normalize-label`` entries becomes one group fusion and one
 ``build``, so replay is linear in the trace, while every entry is still
 checked on its own against the state the entries before it left.
+
+Every rule reads the diagram's port tables (``far``, ``first``, ``wire``;
+see ``diagram``) and hands ``build`` its new wiring as port-id pairs of
+the diagram it builds: fusion drops the consumed legs and renumbers the
+rest, identity removal joins the far ends of the spider's two wires, and
+color change gives each leg a Hadamard node.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import diagram as dg
-from .diagram import Diagram, Node, NodePort, Wire, build
+from .diagram import Diagram, Node, build
 from .errors import (
     ColorMismatch,
     NotConnected,
@@ -233,7 +239,8 @@ def _fuse_groups(d: Diagram, groups) -> tuple[list[Node], list[tuple[int, int]]]
 
 
 def identity_removal(d: Diagram, node_id) -> Diagram:
-    """Delete a total-angle-zero spider with one input and one output leg."""
+    """Delete a total-angle-zero spider with one input and one output leg,
+    joining the far ends of its two wires."""
     if not d.has_node(node_id):
         raise NotIdentity(f"no node {node_id!r}")
     node = d.node(node_id)
@@ -244,13 +251,20 @@ def identity_removal(d: Diagram, node_id) -> Diagram:
     if not node_total_angle(node).is_zero():
         raise NotIdentity(f"spider {node_id!r} has nonzero total angle")
 
-    (i, a), (j, b) = d.wire_at((node_id, 0)), d.wire_at((node_id, 1))
-    if i == j:
+    p = d.first[d.index[node_id]]
+    a, b = d.far[p], d.far[p + 1]
+    if a == p + 1:
         # A self-loop: removing it would leave a free-floating circle scalar,
         # which the wire model cannot represent.
         raise NotIdentity("cannot splice a self-loop")
-    wires = [w for k, w in enumerate(d.wires) if k not in (i, j)]
-    wires.append(Wire(a, b))
+    j = d.owner(a)
+    if j < len(d.nodes) and d.nodes[j].kind == dg.H and d.owner(b) == j:
+        raise NotIdentity(f"splicing would leave a self-loop on Hadamard node {d.nodes[j].id!r}")
+    # The spider's two ports go, so every later port id drops by two.
+    legs = (p, p + 1)
+    wires = [(q, r) for q, r in enumerate(d.far) if q < r and q not in legs and r not in legs]
+    wires.append((a, b))
+    wires = [(q - 2 * (q > p), r - 2 * (r > p)) for q, r in wires]
     nodes = [n for n in d.nodes if n.id != node_id]
     return build(nodes, wires, d.n_inputs, d.n_outputs)
 
@@ -270,7 +284,10 @@ def _fresh_ids(d: Diagram, prefix: str, count: int) -> list[str]:
 def color_change(d: Diagram, node_id) -> Diagram:
     """Flip a spider's color, inserting a Hadamard node on every leg.
 
-    The label (a, alpha, k) is preserved, which keeps the matrix.
+    The label (a, alpha, k) is preserved, which keeps the matrix.  The
+    Hadamard nodes take fresh ids h0, h1, ... in wire-index order of the
+    legs; each one's port 0 takes over its leg's wire and its port 1 is
+    wired to the leg.
     """
     node = d.node(node_id)
     if not node.is_spider():
@@ -278,23 +295,24 @@ def color_change(d: Diagram, node_id) -> Diagram:
     flipped = Node(
         node_id, dg.X if node.kind == dg.Z else dg.Z, node.label, node.ins, node.outs
     )
+    f = d.first[d.index[node_id]]
+    legs = sorted(range(f, f + node.degree), key=d.wire.__getitem__)  # a self-loop's by port
+    hs = [Node(hid, dg.H, None, 1, 1) for hid in _fresh_ids(d, "h", len(legs))]
 
-    legs = d.incident(node_id)
-    h_for_port = {ep.port: hid for (_, ep), hid in zip(legs, _fresh_ids(d, "h", len(legs)))}
-
-    def reroute(ep):
-        if isinstance(ep, NodePort) and ep.node == node_id:
-            return NodePort(h_for_port[ep.port], 0)
-        return ep
-
-    new_wires = [Wire(reroute(w.a), reroute(w.b)) for w in d.wires]
-    extra_nodes = [flipped]
-    for port, hid in h_for_port.items():
-        extra_nodes.append(Node(hid, dg.H, None, 1, 1))
-        new_wires.append(Wire(NodePort(hid, 1), NodePort(node_id, port)))
-
-    nodes = [n for n in d.nodes if n.id != node_id] + extra_nodes
-    return build(nodes, new_wires, d.n_inputs, d.n_outputs)
+    nodes = sorted(
+        [flipped if n.id == node_id else n for n in d.nodes] + hs, key=lambda n: dg._id_key(n.id)
+    )
+    start, k = {}, 0  # node id -> its first port id in the result
+    for n in nodes:
+        start[n.id] = k
+        k += n.degree
+    new_id = [start[n.id] + port for n in d.nodes for port in range(n.degree)]
+    new_id += range(k, k + d.n_inputs + d.n_outputs)
+    for p, h in zip(legs, hs):
+        new_id[p] = start[h.id]
+    wires = [(new_id[p], new_id[q]) for p, q in enumerate(d.far) if p < q]
+    wires += [(start[h.id] + 1, start[node_id] + p - f) for p, h in zip(legs, hs)]
+    return build(nodes, wires, d.n_inputs, d.n_outputs)
 
 
 def _canonical(label: SpiderLabel, in_arity: int, out_arity: int) -> CanonicalLabel:

@@ -379,25 +379,22 @@ def evaluate(
     d: dg.Diagram,
     *,
     max_open_wires: int = MAX_OPEN_WIRES,
-    primes: tuple[int, ...] | Residues = (),
+    primes: Residues | None = None,
 ):
     """Contract the diagram to its 2^{outputs} x 2^{inputs} matrix.
 
-    Without ``primes``, a complex matrix in double precision.  With them, a
-    list of int64 matrices, the exact matrix's residues mod each prime; every
-    p must be 1 mod 8 and mod each total-angle denominator of d, as
-    ``exact_primes(phase_order(d))`` picks them.  ``primes`` is a tuple of
-    primes or a ``Residues`` ring made for them, which callers contracting
-    several diagrams mod the same primes pass to each.  The contraction
-    schedule (see ``_schedule``) is planned once, and one pass along it
-    carries every prime.
+    Without ``primes``, a complex matrix in double precision.  With a
+    ``Residues`` ring, a list of int64 matrices, the exact matrix's residues
+    mod each of the ring's primes; every p must be 1 mod 8 and mod each
+    total-angle denominator of d, as ``exact_primes(phase_order(d))`` picks
+    them.  One ring serves every diagram contracted mod the same primes.
+    The contraction schedule (see ``_schedule``) is planned once, and one
+    pass along it carries every prime.
     """
     plan = _schedule(d, max_open_wires)
-    if isinstance(primes, Residues):
-        return list(_contract(d, plan, primes))
-    if not primes:
+    if primes is None:
         return _contract(d, plan, _Complex)[0]
-    return list(_contract(d, plan, Residues(primes)))
+    return list(_contract(d, plan, primes))
 
 
 # --- comparison predicates ---

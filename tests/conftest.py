@@ -18,7 +18,7 @@ from wplzx import diagram as dg
 from wplzx.diagram import BoundaryPort, Node, NodePort, Wire, build
 from wplzx.phase import RationalAngle, SpiderLabel
 
-# --- diagram builders ---
+# --- diagram builders and wire lists ---
 
 
 def spider(nid, kind, a=1, alpha=(0, 1), k=(0, 1), ins=1, outs=1) -> Node:
@@ -64,6 +64,15 @@ def clique_region(labels, kind=dg.Z) -> dg.Diagram:
 def path_region(labels, kind=dg.Z) -> dg.Diagram:
     nodes = [Node(i, kind, lab, 1, 1) for i, lab in enumerate(labels)]
     return chain(*nodes)
+
+
+def wires_of(d: dg.Diagram) -> list[Wire]:
+    """d's wires in index order, read from its serialized wire list."""
+
+    def end(e):
+        return NodePort(e["node"], e["port"]) if "node" in e else BoundaryPort(e["boundary"], e["pos"])
+
+    return [Wire(end(a), end(b)) for a, b in dg.to_json_obj(d)["wires"]]
 
 
 # --- independent circuit-unitary oracle ---
@@ -173,7 +182,8 @@ def state_sum_mod(d: dg.Diagram, p: int) -> list[list[int]]:
     s = pow((z8 + pow(z8, p - 2, p)) % p, p - 2, p)
     legs = {n.id: [None] * n.degree for n in d.nodes}
     rows, cols = [None] * d.n_outputs, [None] * d.n_inputs
-    for w_idx, w in enumerate(d.wires):
+    wires = wires_of(d)
+    for w_idx, w in enumerate(wires):
         for ep in (w.a, w.b):
             if isinstance(ep, NodePort):
                 legs[ep.node][ep.port] = w_idx
@@ -197,7 +207,7 @@ def state_sum_mod(d: dg.Diagram, p: int) -> list[list[int]]:
         return 1 if not any(x) else phase if all(x) else 0
 
     out = [[0] * 2 ** d.n_inputs for _ in range(2 ** d.n_outputs)]
-    for bits in itertools.product((0, 1), repeat=len(d.wires)):
+    for bits in itertools.product((0, 1), repeat=len(wires)):
         term = 1
         for n in d.nodes:
             term = term * factor(n, [bits[w] for w in legs[n.id]]) % p
@@ -216,7 +226,7 @@ def bfs_color_regions(d: dg.Diagram):
     """Same-color spider regions by BFS restricted to same-color wires."""
     spiders = {n.id: n for n in d.nodes if n.is_spider()}
     adj: dict = {nid: set() for nid in spiders}
-    for w in d.wires:
+    for w in wires_of(d):
         ids = [ep.node for ep in (w.a, w.b) if isinstance(ep, NodePort)]
         if len(ids) != 2 or ids[0] == ids[1]:
             continue
@@ -242,34 +252,14 @@ def bfs_color_regions(d: dg.Diagram):
     return out
 
 
-# --- wire-scan port oracle (independent of the port table of diagram.build) ---
-
-
-def scan_ports(d: dg.Diagram) -> dict:
-    """(wire index, far endpoint) of every node port, keyed (node id, port),
-    and of every boundary slot, keyed by its BoundaryPort, from every wire."""
-    out = {}
-    for i, w in enumerate(d.wires):
-        for ep, far in ((w.a, w.b), (w.b, w.a)):
-            out[(ep.node, ep.port) if isinstance(ep, NodePort) else ep] = (i, far)
-    return out
-
-
-def scan_incident(d: dg.Diagram, node_id) -> list:
-    """(wire index, endpoint) pairs at the node, in wire order."""
-    return [
-        (i, ep)
-        for i, w in enumerate(d.wires)
-        for ep in (w.a, w.b)
-        if isinstance(ep, NodePort) and ep.node == node_id
-    ]
+# --- wire-scan oracle (independent of the port tables' neighbour reads) ---
 
 
 def scan_wires_between(d: dg.Diagram, u, v) -> list[int]:
     """Indices of the wires whose node ends are exactly u and v."""
     return [
         i
-        for i, w in enumerate(d.wires)
+        for i, w in enumerate(wires_of(d))
         if {ep.node for ep in (w.a, w.b) if isinstance(ep, NodePort)} == {u, v}
     ]
 

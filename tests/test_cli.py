@@ -544,6 +544,7 @@ def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
         (["curvature", "--lo", "0"], "--lo must lie in (0, 1], got 0.0"),
         (["curvature", "--hi", "2"], "--hi must lie in (0, 1], got 2.0"),
         (["curvature", "--points", "-1"], "--points must be >= 0, got -1"),
+        (["curvature", "--h", "nan"], "step must be finite and positive, got nan"),
         (["gen", "--preset", "d1-main", "--count", "-1"], "--count must be >= 1, got -1"),
         (["gen", "--preset", "d2-main", "--count", "0"], "--count must be >= 1, got 0"),
         (["sweep", "--lambdas", "0", "--trials", "0"], "--trials must be >= 1, got 0"),
@@ -551,7 +552,7 @@ def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
     ],
     ids=[
         "metrics-grid-zero", "curvature-lo-zero", "curvature-hi-two", "curvature-points-negative",
-        "gen-count-negative", "gen-count-zero", "sweep-trials-zero", "sweep-trials-negative",
+        "curvature-h-nan", "gen-count-negative", "gen-count-zero", "sweep-trials-zero", "sweep-trials-negative",
     ],
 )
 def test_out_of_domain_flag_exit_1(tmp_path, capsys, argv, message):

@@ -82,6 +82,12 @@ def test_gradient_step_guard():
         curvature_gradient_norm(AnisotropyParams(0.5, 0.5), h=0.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, -math.nan, math.inf, -math.inf, -1e-5])
+def test_gradient_step_must_be_finite_and_positive(h):
+    with pytest.raises(StepTooLarge, match=r"^step must be finite and positive, got "):
+        curvature_gradient_norm(AnisotropyParams(0.5, 0.5), h=h)
+
+
 def test_curvature_sweep_rows():
     rows = curvature_sweep([0.2, 0.5], [0.4, 0.8])
     assert len(rows) == 4

@@ -137,7 +137,7 @@ def test_fuse_multi_wire_drops_all_connecting_legs():
     fused = fuse_pair(d, 0, 1)
     (node,) = fused.spiders
     assert node.degree == 2  # arity dropped by 2c = 4
-    assert len(fused.wires) == 2
+    assert len(dg.to_json_obj(fused)["wires"]) == 2
     assert equal_up_to_global_phase(evaluate(fused), before)
 
 
@@ -219,6 +219,19 @@ def test_identity_removal_rejects_self_loop():
         identity_removal(d, 0)
 
 
+def test_identity_removal_rejects_a_loop_through_one_hadamard():
+    # both legs of the identity go to the one Hadamard node: splicing them
+    # would leave that node a self-loop, which no diagram may hold
+    d = build(
+        [spider(0, dg.Z), Node("h", dg.H, None, 1, 1)],
+        [Wire(NodePort(0, 0), NodePort("h", 1)), Wire(NodePort(0, 1), NodePort("h", 0))],
+        0,
+        0,
+    )
+    with pytest.raises(NotIdentity, match="self-loop on Hadamard node 'h'"):
+        identity_removal(d, 0)
+
+
 # --- color change ---
 
 
@@ -265,6 +278,34 @@ def test_color_change_multi_leg_and_self_loop():
     flipped = color_change(d, 0)
     assert sum(1 for x in flipped.nodes if x.kind == dg.H) == 4
     assert np.allclose(evaluate(flipped), before)
+
+
+# sha256 of the outcomes below, recorded from the Wire-object forms of both
+# rules before they were rewritten on the port tables
+SINGLE_RULE_DIGEST = "c617fc80156c6cdce27c1a51cbb43288d31520e3dff5dbafbfc780fc3a5443f7"
+
+
+def test_single_spider_rules_are_byte_pinned():
+    """color_change and identity_removal on the first 10 spiders of each
+    seed-3/7 d1-main diagram, of its normal form and of the port-table
+    cases (self-loops, parallel wires, bare boundary wires, node ids "in"
+    and "out"); an outcome is the serialized result, or the error's class
+    and message."""
+    from test_diagram import _d1_main_diagrams, _port_table_cases
+
+    def outcome(rule, d, nid):
+        try:
+            return serialize(rule(d, nid))
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    digest = hashlib.sha256()
+    for d in [*_d1_main_diagrams(), *_port_table_cases()]:
+        for s in d.spiders[:10]:
+            for rule in (color_change, identity_removal):
+                text = f"{rule.__name__} {s.id!r}\n{outcome(rule, d, s.id)}\n"
+                digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == SINGLE_RULE_DIGEST
 
 
 # --- canonical_label ---
@@ -610,7 +651,8 @@ def _replay_stepwise(d, trace):
                 old = cur.node(nid)
                 new = Node(nid, old.kind, label, old.ins, old.outs)
                 nodes = [new if n.id == nid else n for n in cur.nodes]
-                cur = build(nodes, cur.wires, cur.n_inputs, cur.n_outputs)
+                wires = [(p, q) for p, q in enumerate(cur.far) if p < q]
+                cur = build(nodes, wires, cur.n_inputs, cur.n_outputs)
             elif entry.rule == "identity-removal":
                 (nid,) = entry.consumed
                 cur = identity_removal(cur, nid)

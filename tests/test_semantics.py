@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain, least_generator, random_small_diagram, spider, state_sum_mod
+from conftest import chain, least_generator, random_small_diagram, spider, state_sum_mod, wires_of
 from wplzx import diagram as dg
 from wplzx.diagram import BoundaryPort, Node, NodePort, Wire, build
 from wplzx.errors import DimensionMismatch, DimensionOverflow, GridOverflow
@@ -160,12 +160,13 @@ def test_contraction_order_independence():
 
         r = build(
             [Node(new[n.id], n.kind, n.label, n.ins, n.outs) for n in d.nodes],
-            [Wire(rename(w.a, new), rename(w.b, new)) for w in d.wires],
+            [Wire(rename(w.a, new), rename(w.b, new)) for w in wires_of(d)],
             d.n_inputs,
             d.n_outputs,
         )
-        index = {w: i for i, w in enumerate(d.wires)}
-        wire_back = [index[Wire(rename(w.a, old), rename(w.b, old))] for w in r.wires]
+        # a wire by its (unordered) ends, which renaming may list either way round
+        index = {frozenset((w.a, w.b)): i for i, w in enumerate(wires_of(d))}
+        wire_back = [index[frozenset((rename(w.a, old), rename(w.b, old)))] for w in wires_of(r)]
 
         # r's axis label in d's terms: an integer label is a wire's index,
         # since no generated spider has more than 4 legs, so none is split
@@ -266,7 +267,7 @@ def test_monoidality_tensor_and_compose(rng):
                 return NodePort(f"r{ep.node}", ep.port)
             return BoundaryPort(ep.side, ep.pos + shift)
 
-        wires = list(d1.wires) + [Wire(mv(w.a), mv(w.b)) for w in d2.wires]
+        wires = wires_of(d1) + [Wire(mv(w.a), mv(w.b)) for w in wires_of(d2)]
         tens = build(nodes, wires, 4, 4)
         want = np.kron(evaluate(d1), evaluate(d2))
         assert np.max(np.abs(evaluate(tens) - want)) < 1e-9
@@ -274,7 +275,7 @@ def test_monoidality_tensor_and_compose(rng):
         # compose: d2 after d1 (join d1 outputs to d2 inputs)
         joins = {}
         wires_c = []
-        for w in d1.wires:
+        for w in wires_of(d1):
             a, b = w.a, w.b
             ends = []
             for ep in (a, b):
@@ -283,7 +284,7 @@ def test_monoidality_tensor_and_compose(rng):
                 else:
                     ends.append(ep)
             wires_c.append(ends)
-        for w in d2.wires:
+        for w in wires_of(d2):
             a, b = w.a, w.b
             ends = []
             for ep in (a, b):
@@ -322,8 +323,9 @@ def _exact_cases():
     cases = []
     for seed in range(40):
         d = random_small_diagram(seed, max_spiders=10, max_qubits=3)
-        internal = sum(all(isinstance(e, NodePort) for e in (w.a, w.b)) for w in d.wires)
-        if internal <= 12 and len(d.wires) <= 12:
+        wires = wires_of(d)
+        internal = sum(all(isinstance(e, NodePort) for e in (w.a, w.b)) for w in wires)
+        if internal <= 12 and len(wires) <= 12:
             cases.append(d)
     cases.append(color_change(cases[0], cases[0].spiders[0].id))
     loop = spider(0, dg.Z, a=4, alpha=(1, 4), ins=1, outs=2)
@@ -341,7 +343,7 @@ def test_exact_residues_match_state_sum():
     assert len(cases) >= 20
     for d in cases:
         primes = (exact_primes(phase_order(d))[0], 97)
-        for p, got in zip(primes, evaluate(d, primes=primes)):
+        for p, got in zip(primes, evaluate(d, primes=Residues(primes))):
             assert got.dtype == np.int64
             assert got.tolist() == state_sum_mod(d, p)
 
@@ -530,7 +532,7 @@ def test_batched_residues_match_per_prime_reference():
     nonzero = 0
     for d in cases:
         primes = exact_primes(phase_order(d))
-        got = evaluate(d, primes=primes)
+        got = evaluate(d, primes=Residues(primes))
         plan = _schedule(d, 12)
         for p, residues in zip(primes, got):
             want = _contract(d, plan, _OnePrime(p))[0]
