@@ -27,6 +27,7 @@ from .masd import (
     masd_decode,
     sample_surface_code,
 )
+from .masd import parallel
 from .masd.surface import CONSTANT, TWO_SECTOR, UNIFORM, build_code
 
 SWEEP_COLUMNS = [
@@ -370,15 +371,27 @@ def cmd_sweep(args) -> int:
         raise WplzxError(f"--trials must be >= 1, got {args.trials}")
     code = build_code(args.distance)
     model = _winding_model(args)
-    instances = []
-    for t in range(args.trials):
-        sample, graph = sample_surface_code(
-            args.distance, args.p, args.seed, trial=t, winding=model, code=code
-        )
-        instances.append((sample, graph))
-    rows = lambda_sweep(instances, lambdas, mode=args.mode, beta=args.beta, code=code)
+    workers = parallel.worker_count(args.trials)
+    if workers > 1:
+        try:
+            rows = parallel.forked_sweep(
+                code, args.p, args.seed, model, args.trials, lambdas,
+                args.mode, args.beta, workers,
+            )
+        except parallel.ForkUnavailable as exc:
+            log(f"cannot start sweep workers ({exc}); sweeping serially")
+            workers = 1
+    if workers == 1:
+        instances = [
+            sample_surface_code(args.distance, args.p, args.seed, trial=t, winding=model, code=code)
+            for t in range(args.trials)
+        ]
+        rows = lambda_sweep(instances, lambdas, mode=args.mode, beta=args.beta, code=code)
     _write_text(args.out, _csv(rows, SWEEP_COLUMNS))
-    log(f"swept {len(lambdas)} lambda values over {args.trials} trials")
+    log(
+        f"swept {len(lambdas)} lambda values over {args.trials} trials "
+        f"on {workers} worker{'s' if workers > 1 else ''}"
+    )
     return 0
 
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -421,13 +422,8 @@ def lambda_sweep(
     Rows carry the logical error rate and mean DRG/cost statistics, in the
     order of ``lambdas``; results are deterministic given the instances.  All
     instances must share one distance and one p_phys (the row labels), and
-    ``code``, when given, must have that distance.
-
-    When an instance's decode returns the same ``Matching`` object as at the
-    lambda before (the matcher certified that the raised weights leave it
-    optimal), its failure verdict is reused: ``logical_failure`` already
-    checked that matching.  An ascending grid gets the most reuse; any other
-    order only gets less, with the same rows.
+    ``code``, when given, must have that distance.  ``decode_grid`` decodes
+    and ``sweep_row`` aggregates.
     """
     lambdas = list(lambdas)
     if not instances or not lambdas:
@@ -444,33 +440,57 @@ def lambda_sweep(
         raise ConfigInvalid(
             f"code distance {code.distance} does not match instance distance {first.distance}"
         )
-    rows = []
+    outcomes = decode_grid(instances, lambdas, mode, beta, code)
+    return [
+        sweep_row(
+            lam, first.p_phys, first.distance, mode, list(islice(outcomes, len(instances)))
+        )
+        for lam in lambdas
+    ]
+
+
+def decode_grid(
+    instances: Sequence[tuple[SurfaceSample, DefectGraph]],
+    lambdas: Sequence[float],
+    mode: str,
+    beta: float,
+    code: RotatedSurfaceCode,
+) -> Iterator[tuple[bool, float, float, float]]:
+    """Decode every instance at each lambda: for each lambda of the grid in
+    turn, one (failed, drg_toy, drg_pm, total_cost) per instance, in order.
+
+    When an instance's decode returns the same ``Matching`` object as at the
+    lambda before (the matcher certified that the raised weights leave it
+    optimal), its failure verdict is reused: ``logical_failure`` already
+    checked that matching.  An ascending grid gets the most reuse; any other
+    order only gets less, with the same values.
+    """
     # Per instance: the matching decoded at the previous lambda and its verdict.
     verdicts: list[tuple] = [(None, False)] * len(instances)
     for lam in lambdas:
-        failures = 0
-        toys, pms, costs = [], [], []
         for index, (sample, graph) in enumerate(instances):
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
             kept, failed = verdicts[index]
             if matching is not kept:
                 failed = logical_failure(code, sample, matching, graph)
                 verdicts[index] = matching, failed
-            failures += failed
-            toys.append(report.drg_toy)
-            pms.append(report.drg_pm)
-            costs.append(report.total_cost)
-        rows.append(
-            {
-                "lambda": lam,
-                "p_phys": first.p_phys,
-                "distance": first.distance,
-                "trials": len(instances),
-                "logical_error_rate": failures / len(instances),
-                "drg_toy_mean": float(np.mean(toys)),
-                "drg_pm_mean": float(np.mean(pms)),
-                "mean_cost": float(np.mean(costs)),
-                "mode": mode,
-            }
-        )
-    return rows
+            yield failed, report.drg_toy, report.drg_pm, report.total_cost
+
+
+def sweep_row(
+    lam: float, p_phys: float, distance: int, mode: str, outcomes: Sequence[tuple]
+) -> dict:
+    """The sweep row of one lambda from its instances' ``decode_grid``
+    values, in instance order."""
+    trials = len(outcomes)
+    return {
+        "lambda": lam,
+        "p_phys": p_phys,
+        "distance": distance,
+        "trials": trials,
+        "logical_error_rate": sum(o[0] for o in outcomes) / trials,
+        "drg_toy_mean": float(np.mean([o[1] for o in outcomes])),
+        "drg_pm_mean": float(np.mean([o[2] for o in outcomes])),
+        "mean_cost": float(np.mean([o[3] for o in outcomes])),
+        "mode": mode,
+    }

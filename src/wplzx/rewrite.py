@@ -289,6 +289,8 @@ def color_change(d: Diagram, node_id) -> Diagram:
     legs; each one's port 0 takes over its leg's wire and its port 1 is
     wired to the leg.
     """
+    if not d.has_node(node_id):
+        raise ColorMismatch(f"no node {node_id!r}")
     node = d.node(node_id)
     if not node.is_spider():
         raise ColorMismatch("color change applies to spiders")

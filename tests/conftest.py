@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -262,6 +263,18 @@ def scan_wires_between(d: dg.Diagram, u, v) -> list[int]:
         for i, w in enumerate(wires_of(d))
         if {ep.node for ep in (w.a, w.b) if isinstance(ep, NodePort)} == {u, v}
     ]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped: a sweep
+    worker must not outlive ``cli.main``."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture

@@ -280,6 +280,17 @@ def test_color_change_multi_leg_and_self_loop():
     assert np.allclose(evaluate(flipped), before)
 
 
+@pytest.mark.parametrize(
+    "rule, error", [(identity_removal, NotIdentity), (color_change, ColorMismatch)]
+)
+def test_single_spider_rules_name_a_missing_node(rule, error):
+    d = chain(spider(0, dg.Z))
+    with pytest.raises(error, match=r"^no node 5$"):
+        rule(d, 5)
+    with pytest.raises(error, match=r"^no node 'h0'$"):
+        rule(d, "h0")
+
+
 # sha256 of the outcomes below, recorded from the Wire-object forms of both
 # rules before they were rewritten on the port tables
 SINGLE_RULE_DIGEST = "c617fc80156c6cdce27c1a51cbb43288d31520e3dff5dbafbfc780fc3a5443f7"
