@@ -372,21 +372,25 @@ def cmd_sweep(args) -> int:
     code = build_code(args.distance)
     model = _winding_model(args)
     workers = parallel.worker_count(args.trials)
+    rows = reason = None
     if workers > 1:
-        try:
-            rows = parallel.forked_sweep(
-                code, args.p, args.seed, model, args.trials, lambdas,
-                args.mode, args.beta, workers,
-            )
-        except parallel.ForkUnavailable as exc:
-            log(f"cannot start sweep workers ({exc}); sweeping serially")
-            workers = 1
-    if workers == 1:
+        rows = parallel.forked_sweep(
+            code, args.p, args.seed, model, args.trials, lambdas,
+            args.mode, args.beta, workers,
+        )
+        if isinstance(rows, str):
+            rows, reason = None, rows
+    if rows is None:
+        # The one path that raises a sweep's errors: not inside an except
+        # block, so a traceback carries no context from the workers.
         instances = [
             sample_surface_code(args.distance, args.p, args.seed, trial=t, winding=model, code=code)
             for t in range(args.trials)
         ]
         rows = lambda_sweep(instances, lambdas, mode=args.mode, beta=args.beta, code=code)
+        if reason is not None:
+            log(f"{reason}; swept serially")
+        workers = 1
     _write_text(args.out, _csv(rows, SWEEP_COLUMNS))
     log(
         f"swept {len(lambdas)} lambda values over {args.trials} trials "

@@ -10,18 +10,27 @@ values that ``surface.sweep_row`` averages.  The rows are built from those
 values merged in trial order, so they equal ``lambda_sweep``'s rows over all
 trials, float for float, whatever the worker count.
 
-Errors keep the serial order.  A block stops at its first error, at
-(-1, trial) while sampling or (lambda index, trial) while decoding, and the
-earliest of all blocks' errors is raised: the one a serial sweep, which
-samples every trial and then decodes lambda by lambda, raises first.
+A block delivers its values or fails, and a failed block sends nothing.
+When a worker cannot be started, a child ends with a nonzero wait status (it
+raised or it died) or this process's own block raises an ``Exception``,
+``forked_sweep`` returns the reason in place of rows, and the caller sweeps
+serially.  Only the serial sweep raises a sweep's errors, so their message,
+order and exit code are the serial run's.  An error costs the parallel
+attempt plus a serial run up to the error.
 
 Workers are forked, not spawned: a spawned worker would start a fresh
-interpreter and import numpy and wplzx again, about 0.3 s, several times what
-a whole sweep of 1,000 decodes takes at d = 5.  A forked child takes no lock another thread could hold at the
-fork: it imports nothing, logs nothing and makes no BLAS call.  It ends only
-through ``os._exit``: it runs no exit handler, flushes no buffer it
-inherited (stdio is flushed before forking) and writes no output file.
-Every child is reaped before ``forked_sweep`` returns or raises.
+interpreter and import numpy and wplzx again, about 0.3 s, several times
+what a whole sweep of 1,000 decodes takes at d = 5.  Nor do they come from a
+process pool: on a 2-CPU Xeon VM, starting two workers, mapping a trivial
+function and stopping them took 14.7-17.2 ms with a fork-context
+``multiprocessing.Pool`` or ``ProcessPoolExecutor``, against 4.6-5.3 ms for
+``_fork_map`` (medians of 40 calls, two runs), and a sweep pays that once
+per call: at d = 7 the extra 10 ms would cancel the gain.
+A forked child takes no lock another thread could hold at the fork: it
+imports nothing, logs nothing and makes no BLAS call.  It ends only through
+``os._exit``: it runs no exit handler, flushes no buffer it inherited (stdio
+is flushed before forking) and writes no output file.  Every child is
+reaped before ``forked_sweep`` returns or raises.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ import os
 import pickle
 import signal
 import sys
-import traceback
 from functools import partial
 
 from . import surface
@@ -45,10 +53,6 @@ from . import surface
 MIN_BLOCK = 20
 
 
-class ForkUnavailable(Exception):
-    """No worker process could be started; the caller sweeps serially."""
-
-
 def usable_cpus() -> int:
     """CPUs in this process's affinity mask, or the machine's CPU count
     where the platform has no affinity call."""
@@ -60,7 +64,10 @@ def usable_cpus() -> int:
 
 def worker_count(trials: int) -> int:
     """Workers for a sweep of ``trials``: one per usable CPU, but no block
-    smaller than ``MIN_BLOCK`` trials, and at least one."""
+    smaller than ``MIN_BLOCK`` trials, and at least one; one where the
+    platform has no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(usable_cpus(), trials // MIN_BLOCK))
 
 
@@ -74,24 +81,18 @@ def forked_sweep(
     mode: str,
     beta: float,
     workers: int,
-) -> list[dict]:
+) -> list[dict] | str:
     """``lambda_sweep`` rows over trials 0..trials-1 sampled by
-    ``sample_surface_code``, computed by ``workers`` processes.
-
-    Raises ``ForkUnavailable``, with no child left, when a worker cannot be
-    started."""
+    ``sample_surface_code``, computed by ``workers`` processes; or, when a
+    block failed, the reason there are no rows."""
     bounds = [trials * w // workers for w in range(workers + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     block = partial(_sweep_block, code, p_phys, seed, winding, lambdas, mode, beta)
     results = _fork_map(block, blocks)
-    errors = [error for _, error in results if error is not None]
-    if errors:
-        _, exc, trace = min(errors, key=lambda error: error[0])
-        if exc.__traceback__ is None:  # raised in a worker; pickling dropped it
-            exc.add_note(f"raised in a sweep worker:\n{trace}")
-        raise exc
+    if isinstance(results, str):
+        return results
     merged = [[] for _ in lambdas]
-    for values, _ in results:
+    for values in results:
         for row, part in zip(merged, values):
             row.extend(part)
     return [
@@ -101,35 +102,21 @@ def forked_sweep(
 
 
 def _sweep_block(code, p_phys, seed, winding, lambdas, mode, beta, block: range):
-    """(values, None), where values[j] lists the ``decode_grid`` values of
-    the block's trials at lambdas[j] in trial order; or (None, (where,
-    exception, its formatted traceback)) for the block's first error."""
-    values = [[] for _ in lambdas]
-    where = None
-    try:
-        instances = []
-        for t in block:
-            where = (-1, t)
-            instances.append(
-                surface.sample_surface_code(
-                    code.distance, p_phys, seed, trial=t, winding=winding, code=code
-                )
-            )
-        outcomes = surface.decode_grid(instances, lambdas, mode, beta, code)
-        for j, row in enumerate(values):
-            for t in block:
-                where = (j, t)
-                row.append(next(outcomes))
-    except Exception as exc:
-        return None, (where, exc, traceback.format_exc())
-    return values, None
+    """The ``decode_grid`` values of the block's trials: one list per
+    lambda, in trial order."""
+    instances = [
+        surface.sample_surface_code(
+            code.distance, p_phys, seed, trial=t, winding=winding, code=code
+        )
+        for t in block
+    ]
+    return surface.decode_grid(instances, lambdas, mode, beta, code)
 
 
-def _fork_map(fn, items: list) -> list:
+def _fork_map(fn, items: list) -> list | str:
     """[fn(item) for item in items]: items[1:] each in a forked child,
-    items[0] here.  Every child is reaped before this returns or raises."""
-    if not hasattr(os, "fork"):
-        raise ForkUnavailable("os.fork is not available on this platform")
+    items[0] here; or, when one of them failed, the reason.  Every child is
+    reaped before this returns or raises."""
     sys.stdout.flush()
     sys.stderr.flush()
     children: list[tuple[int, int]] = []  # (pid, read end) not yet reaped
@@ -138,14 +125,25 @@ def _fork_map(fn, items: list) -> list:
             for item in items[1:]:
                 children.append(_spawn(fn, item))
         except OSError as exc:
-            raise ForkUnavailable(str(exc)) from exc
-        results = [fn(items[0])]
+            return f"cannot start sweep workers ({exc})"
+        try:
+            results = [fn(items[0])]
+        except Exception as exc:
+            return f"the parent's sweep block raised {type(exc).__name__}: {exc}"
         while children:
-            results.append(_receive(*children.pop(0)))
+            pid, fd = children.pop(0)
+            try:
+                with open(fd, "rb") as pipe:
+                    payload = pipe.read()
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if status != 0:
+                return f"sweep worker {pid} ended with wait status {status}"
+            results.append(pickle.loads(payload))
         return results
     finally:
-        # Reached with children left only when this process failed: their
-        # results will not be read.
+        # Reached with children left only when this process or a child
+        # failed: their results will not be read.
         for pid, fd in children:
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
@@ -153,8 +151,9 @@ def _fork_map(fn, items: list) -> list:
 
 
 def _spawn(fn, item) -> tuple[int, int]:
-    """Fork a child that writes pickle(fn(item)) to a pipe and exits;
-    returns its pid and the pipe's read end."""
+    """Fork a child that writes pickle(fn(item)) to a pipe and exits 0, or
+    exits 1 having written nothing when fn raises; returns its pid and the
+    pipe's read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -177,17 +176,3 @@ def _spawn(fn, item) -> tuple[int, int]:
             os._exit(status)
     os.close(write_end)
     return pid, read_end
-
-
-def _receive(pid: int, fd: int):
-    """The result a child wrote to its pipe, once the child is reaped."""
-    try:
-        with open(fd, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise ChildProcessError(
-            f"sweep worker {pid} ended with wait status {status} before sending its trials"
-        )
-    return pickle.loads(payload)

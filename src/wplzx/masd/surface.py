@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -440,12 +439,9 @@ def lambda_sweep(
         raise ConfigInvalid(
             f"code distance {code.distance} does not match instance distance {first.distance}"
         )
-    outcomes = decode_grid(instances, lambdas, mode, beta, code)
     return [
-        sweep_row(
-            lam, first.p_phys, first.distance, mode, list(islice(outcomes, len(instances)))
-        )
-        for lam in lambdas
+        sweep_row(lam, first.p_phys, first.distance, mode, values)
+        for lam, values in zip(lambdas, decode_grid(instances, lambdas, mode, beta, code))
     ]
 
 
@@ -455,9 +451,10 @@ def decode_grid(
     mode: str,
     beta: float,
     code: RotatedSurfaceCode,
-) -> Iterator[tuple[bool, float, float, float]]:
-    """Decode every instance at each lambda: for each lambda of the grid in
-    turn, one (failed, drg_toy, drg_pm, total_cost) per instance, in order.
+) -> list[list[tuple[bool, float, float, float]]]:
+    """Decode every instance at each lambda: one list per lambda of the
+    grid, holding one (failed, drg_toy, drg_pm, total_cost) per instance, in
+    order.
 
     When an instance's decode returns the same ``Matching`` object as at the
     lambda before (the matcher certified that the raised weights leave it
@@ -467,14 +464,18 @@ def decode_grid(
     """
     # Per instance: the matching decoded at the previous lambda and its verdict.
     verdicts: list[tuple] = [(None, False)] * len(instances)
+    grid = []
     for lam in lambdas:
+        values = []
         for index, (sample, graph) in enumerate(instances):
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
             kept, failed = verdicts[index]
             if matching is not kept:
                 failed = logical_failure(code, sample, matching, graph)
                 verdicts[index] = matching, failed
-            yield failed, report.drg_toy, report.drg_pm, report.total_cost
+            values.append((failed, report.drg_toy, report.drg_pm, report.total_cost))
+        grid.append(values)
+    return grid
 
 
 def sweep_row(

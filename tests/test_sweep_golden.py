@@ -5,7 +5,8 @@ weight-lookup paths were merged.  Logical error rates and mean costs must
 match exactly; the DRG means may move by at most 1e-12 relative, so a
 re-implementation of the risk metrics in a different float order still
 passes.  Every instance stays below ``DP_VERTEX_CAP`` (12 defects at most),
-so all rows come from exact matchings.
+so all rows come from exact matchings.  The rows of a sweep split over
+forked workers must equal ``lambda_sweep``'s exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import pytest
 
+from wplzx.masd import parallel
 from wplzx.masd.surface import WindingModel, build_code, lambda_sweep, sample_surface_code
 
 P_PHYS = 0.1
@@ -158,3 +160,20 @@ def test_lambda_sweep_matches_golden_rows(distance):
                 assert row["mean_cost"] == cost, where
                 assert math.isclose(row["drg_toy_mean"], toy, rel_tol=DRG_RTOL, abs_tol=0.0), where
                 assert math.isclose(row["drg_pm_mean"], pm, rel_tol=DRG_RTOL, abs_tol=0.0), where
+
+
+@pytest.mark.parametrize("distance", (3, 5, 7))
+def test_forked_sweep_rows_equal_lambda_sweep_rows(distance):
+    code = build_code(distance)
+    for kind in ("uniform", "two-sector", "constant"):
+        model = WindingModel(kind=kind)
+        instances = [
+            sample_surface_code(distance, P_PHYS, SEED, trial=t, winding=model, code=code)
+            for t in range(TRIALS)
+        ]
+        for mode in ("raw", "normalized"):
+            # three blocks of 10 trials: the parent's and two workers'
+            rows = parallel.forked_sweep(
+                code, P_PHYS, SEED, model, TRIALS, list(LAMBDAS), mode, 1.0, workers=3
+            )
+            assert rows == lambda_sweep(instances, LAMBDAS, mode=mode, code=code), (kind, mode)

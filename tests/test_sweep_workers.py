@@ -1,6 +1,7 @@
 """``wplzx sweep`` on forked workers: the same CSV bytes, error text and exit
-code as a serial sweep whatever the worker count, and no child left behind
-(the autouse ``no_child_left`` fixture checks that after every test).
+code as a serial sweep whatever the worker count, and no child process
+(``conftest.no_child_left``) and no file descriptor (``no_fd_left``) left
+behind after every test.
 
 The worker count is forced by patching ``parallel.usable_cpus``, the one
 place the sweep reads the CPU count from.
@@ -22,6 +23,20 @@ from wplzx.masd.parallel import MIN_BLOCK
 
 LAMBDAS = (0.0, 0.1, 0.3)
 FLAGS = ["--distance", "5", "--p", "0.1", "--winding", "uniform", "--mode", "raw", "--seed", "11"]
+
+
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """Fail a test that leaves open more file descriptors than it found,
+    such as a pipe end of a failed sweep; no check where the platform has
+    no ``/proc/self/fd``."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = len(os.listdir("/proc/self/fd"))
+    yield
+    after = len(os.listdir("/proc/self/fd"))
+    assert after <= before, f"the test left {after - before} file descriptor(s) open"
 
 
 @pytest.fixture
@@ -120,29 +135,25 @@ def fail_at(monkeypatch):
 
 @pytest.mark.parametrize(
     "error, code, prefix",
-    [(ZeroDistance, 1, "error"), (MatchingOverflow, 3, "resource cap")],
+    [(ZeroDistance, 1, "error"), (MatchingOverflow, 3, "resource cap"), (RuntimeError, None, None)],
 )
 def test_worker_errors_match_the_serial_run(tmp_path, capsys, cpus, fail_at, error, code, prefix):
     # Serial order is lambda-major: (0.1, 40) comes before (0.3, 3), although
     # the first block reaches trial 3 long before the last block reaches 40.
     fail_at({(0.1, 40), (0.3, 3), (0.3, 45)}, error)
+    message = "decode failed at lambda 0.1, trial 40"
     for n_cpus in (1, 2, 3):
         cpus(n_cpus)
-        assert sweep(tmp_path, 3 * MIN_BLOCK) == (code, None)
-        assert capsys.readouterr().err == f"{prefix}: decode failed at lambda 0.1, trial 40\n"
-
-
-def test_an_uncaught_worker_error_is_raised_as_in_the_serial_run(tmp_path, cpus, fail_at):
-    fail_at({(0.3, 2 * MIN_BLOCK + 1), (0.0, 3 * MIN_BLOCK - 1)}, RuntimeError)
-    for n_cpus in (1, 2, 3):
-        cpus(n_cpus)
-        with pytest.raises(RuntimeError) as info:
-            sweep(tmp_path, 3 * MIN_BLOCK)
-        assert str(info.value) == f"decode failed at lambda 0.0, trial {3 * MIN_BLOCK - 1}"
-        # the last block is a worker's: its traceback comes back as a note
-        notes = getattr(info.value, "__notes__", [])
-        assert len(notes) == (n_cpus > 1)
-        assert all(n.startswith("raised in a sweep worker:\nTraceback") for n in notes)
+        if code is None:  # not caught by cli.main: raised as the serial run raises it
+            with pytest.raises(error) as info:
+                sweep(tmp_path, 3 * MIN_BLOCK)
+            assert str(info.value) == message
+            assert not hasattr(info.value, "__notes__")
+            assert info.value.__context__ is None
+            assert capsys.readouterr().err == ""
+        else:
+            assert sweep(tmp_path, 3 * MIN_BLOCK) == (code, None)
+            assert capsys.readouterr().err == f"{prefix}: {message}\n"
 
 
 def test_sampling_errors_come_before_decode_errors(tmp_path, capsys, cpus, fail_at, monkeypatch):
@@ -180,21 +191,58 @@ def test_workers_are_reaped_when_the_parent_block_raises(tmp_path, cpus, monkeyp
         sweep(tmp_path, 3 * MIN_BLOCK)
 
 
-def test_a_worker_that_dies_is_an_error(tmp_path, capsys, cpus, monkeypatch):
+def in_workers_only(monkeypatch, act):
+    """Make every decode in a forked worker call ``act()`` first."""
     parent, decode = os.getpid(), surface.masd_decode
 
-    def killed_in_worker(graph, lam, **kwargs):
+    def decode_in_worker(graph, lam, **kwargs):
         if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
+            act()
         return decode(graph, lam, **kwargs)
 
-    monkeypatch.setattr(surface, "masd_decode", killed_in_worker)
+    monkeypatch.setattr(surface, "masd_decode", decode_in_worker)
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_zero_distance():
+    raise ZeroDistance("raised in a worker only")
+
+
+@pytest.mark.parametrize(
+    "act, status", [(kill_self, 9), (raise_zero_distance, 256)], ids=["killed", "raised"]
+)
+def test_a_failed_worker_sweeps_serially(tmp_path, capsys, cpus, monkeypatch, act, status):
+    in_workers_only(monkeypatch, act)
     cpus(2)
-    assert sweep(tmp_path, 2 * MIN_BLOCK) == (1, None)
+    assert sweep(tmp_path, 2 * MIN_BLOCK) == (0, serial_csv(2 * MIN_BLOCK))
     err = capsys.readouterr().err
     assert re.fullmatch(
-        r"error: sweep worker \d+ ended with wait status 9 before sending its trials\n", err
+        rf"sweep worker \d+ ended with wait status {status}; swept serially\n"
+        rf"swept {len(LAMBDAS)} lambda values over {2 * MIN_BLOCK} trials on 1 worker\n",
+        err,
     ), err
+
+
+def test_a_failed_parent_block_sweeps_serially(tmp_path, capsys, cpus, monkeypatch):
+    # The parent's first decode fails once; the serial rerun succeeds.
+    decode, calls = surface.masd_decode, []
+
+    def fails_once(graph, lam, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ZeroDistance("a one-off failure")
+        return decode(graph, lam, **kwargs)
+
+    monkeypatch.setattr(surface, "masd_decode", fails_once)
+    cpus(3)
+    assert sweep(tmp_path, 3 * MIN_BLOCK) == (0, serial_csv(3 * MIN_BLOCK))
+    assert capsys.readouterr().err == (
+        "the parent's sweep block raised ZeroDistance: a one-off failure; swept serially\n"
+        f"swept {len(LAMBDAS)} lambda values over {3 * MIN_BLOCK} trials on 1 worker\n"
+    )
 
 
 @pytest.mark.parametrize("failing_fork", [1, 2], ids=["first-fork", "second-fork"])
@@ -212,7 +260,7 @@ def test_a_failed_fork_sweeps_serially(tmp_path, capsys, cpus, monkeypatch, fail
     assert sweep(tmp_path, 3 * MIN_BLOCK) == (0, serial_csv(3 * MIN_BLOCK))
     assert capsys.readouterr().err == (
         "cannot start sweep workers ([Errno 11] Resource temporarily unavailable); "
-        "sweeping serially\n"
+        "swept serially\n"
         f"swept {len(LAMBDAS)} lambda values over {3 * MIN_BLOCK} trials on 1 worker\n"
     )
 
@@ -220,8 +268,8 @@ def test_a_failed_fork_sweeps_serially(tmp_path, capsys, cpus, monkeypatch, fail
 def test_without_fork_the_sweep_runs_serially(tmp_path, capsys, cpus, monkeypatch):
     monkeypatch.delattr(os, "fork")
     cpus(2)
+    assert parallel.worker_count(2 * MIN_BLOCK) == 1
     assert sweep(tmp_path, 2 * MIN_BLOCK) == (0, serial_csv(2 * MIN_BLOCK))
-    assert capsys.readouterr().err.startswith(
-        "cannot start sweep workers (os.fork is not available on this platform); "
-        "sweeping serially\n"
+    assert capsys.readouterr().err == (
+        f"swept {len(LAMBDAS)} lambda values over {2 * MIN_BLOCK} trials on 1 worker\n"
     )
