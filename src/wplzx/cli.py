@@ -12,6 +12,7 @@ import argparse
 import json
 import statistics
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .masd import (
 )
 from .masd import parallel
 from .masd.surface import CONSTANT, TWO_SECTOR, UNIFORM, build_code
+from .phase import snap_to_grid
 
 SWEEP_COLUMNS = [
     "lambda",
@@ -74,20 +76,9 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise WplzxError(f"--count must be >= 1, got {args.count}")
-    cfg = datasets.preset(args.preset, seed=args.seed)
-    overrides = {}
-    if args.qubits is not None:
-        overrides["qubits"] = args.qubits
-    if args.layers is not None:
-        overrides["layers"] = args.layers
-    if args.spiders_min is not None:
-        overrides["spiders_min"] = args.spiders_min
-    if args.spiders_max is not None:
-        overrides["spiders_max"] = args.spiders_max
-    if args.density is not None:
-        overrides["density"] = args.density
-    if overrides:
-        cfg = datasets.replace(cfg, **overrides)
+    flags = ("qubits", "layers", "spiders_min", "spiders_max", "density")
+    overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    cfg = datasets.preset(args.preset, seed=args.seed, **overrides)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,15 +100,7 @@ def cmd_gen(args) -> int:
         "preset": args.preset,
         "seed": args.seed,
         "count": args.count,
-        "config": {
-            "qubits": cfg.qubits,
-            "layers": cfg.layers,
-            "spiders_min": cfg.spiders_min,
-            "spiders_max": cfg.spiders_max,
-            "grid_orders": list(cfg.grid_orders),
-            "density": cfg.density,
-            "rotation_basis": list(cfg.rotation_basis),
-        },
+        "config": {k: v for k, v in asdict(cfg).items() if k != "seed"},
         "files": files,
         "counts": counts,
     }
@@ -262,9 +245,7 @@ def _metric_row(idx: int, raw_path: Path, opt_path: Path, grid: int) -> dict:
         opt_d = diagram.deserialize(opt_path.read_text(encoding="utf-8"))
         thetas = [rewrite.node_total_angle(n).radians() for n in raw_d.spiders]
         grids = [n.label.grid for n in raw_d.spiders]
-        snapped = [
-            datasets.snap_to_grid(t, a).radians() for t, a in zip(thetas, grids)
-        ]
+        snapped = [snap_to_grid(t, a).radians() for t, a in zip(thetas, grids)]
         rep = metrics.report(
             thetas,
             snapped,

@@ -9,7 +9,8 @@ Each family has two parameter conventions in circulation, so both ship as
 named presets: d1-main/d1-appendix pick the grid whitelist and spider range,
 d2-main/d2-appendix pick RY/RZ vs RX/RZ rotation layers.
 
-Circuit text format: one gate per line, angles either exact turns ``3/8`` or
+Circuit text format: a ``qubits N`` header with N >= 0, then one gate per
+line, angles either exact turns ``3/8`` (nonzero denominator) or finite
 float radians, e.g.::
 
     qubits 2
@@ -57,6 +58,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        if self.n_qubits < 0:
+            raise ConfigInvalid(f"qubit count must be >= 0, got {self.n_qubits}")
         for g in self.gates:
             if any(not 0 <= q < self.n_qubits for q in g.qubits):
                 raise ConfigInvalid(f"gate {g} references qubit outside register")
@@ -86,33 +89,35 @@ def serialize_circuit(c: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("qubits "):
+    # (1-based line number, text) of each line that is not blank or a comment
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0][1].startswith("qubits "):
         raise ParseError("circuit file must start with a 'qubits N' header")
+    header_no, header = lines[0]
     try:
-        n = int(lines[0].split()[1])
+        n = int(header.split()[1])
     except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad qubits header: {lines[0]!r}") from exc
+        raise ParseError(f"line {header_no}: bad qubits header: {header!r}") from exc
+    if n < 0:
+        raise ParseError(f"line {header_no}: qubit count must be >= 0, got {n}")
     gates = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         name = parts[0]
         try:
             if name == CX:
                 if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: CX needs two qubits")
+                    raise ValueError("CX needs two qubits")
                 gates.append(Gate(CX, (_parse_q(parts[1]), _parse_q(parts[2]))))
             elif name == HGATE:
                 gates.append(Gate(HGATE, (_parse_q(parts[1]),)))
             elif name in ROTATIONS:
                 if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: {name} needs a qubit and an angle")
+                    raise ValueError(f"{name} needs a qubit and an angle")
                 gates.append(Gate(name, (_parse_q(parts[1]),), _parse_angle(parts[2])))
             else:
-                raise ParseError(f"line {lineno}: unknown gate {name!r}")
-        except ParseError:
-            raise
+                raise ValueError(f"unknown gate {name!r}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     try:
@@ -123,15 +128,20 @@ def parse_circuit(text: str) -> Circuit:
 
 def _parse_q(tok: str) -> int:
     if not tok.startswith("q"):
-        raise ParseError(f"bad qubit token {tok!r}")
+        raise ValueError(f"bad qubit token {tok!r}")
     return int(tok[1:])
 
 
 def _parse_angle(tok: str):
     if "/" in tok:
         num, den = tok.split("/")
+        if int(den) == 0:
+            raise ValueError(f"angle {tok!r} has a zero denominator")
         return RationalAngle(int(num), int(den))
-    return float(tok)
+    theta = float(tok)
+    if not math.isfinite(theta):
+        raise ValueError(f"angle {tok!r} is not finite")
+    return theta
 
 
 @dataclass(frozen=True)

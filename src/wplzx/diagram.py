@@ -176,6 +176,8 @@ def _assemble(
     side when ``ids[k]`` is that side's ``_SIDE`` stand-in.  ``pairs`` lists
     more wires, each as the (p, q) port ids of its ends in the diagram
     built."""
+    if inputs < 0 or outputs < 0:
+        raise BoundarySlotConflict(f"boundary counts must be >= 0, got {inputs} in, {outputs} out")
     nodes = sorted(nodes, key=lambda n: _id_key(n.id))
     index: dict = {}
     first = [0]

@@ -1,6 +1,6 @@
 """Winding-aware surface-code decoding."""
 
-from .decode import RiskReport, drg_pm, drg_toy, masd_decode
+from .decode import drg_pm, drg_toy, masd_decode
 from .graph import (
     NORMALIZED,
     RAW,
@@ -11,14 +11,11 @@ from .graph import (
     edge_weights,
     winding_difference,
 )
-from .matching import DP_VERTEX_CAP, Matching, kernel_name, min_weight_perfect_matching
+from .matching import DP_VERTEX_CAP, kernel_name, min_weight_perfect_matching
 from .surface import (
-    RotatedSurfaceCode,
-    SurfaceSample,
     WindingModel,
     build_code,
     correction_from_matching,
-    defect_graph_for,
     lambda_sweep,
     logical_failure,
     sample_surface_code,
@@ -31,14 +28,9 @@ __all__ = [
     "DefectEdge",
     "DefectGraph",
     "DefectVertex",
-    "Matching",
-    "RiskReport",
-    "RotatedSurfaceCode",
-    "SurfaceSample",
     "WindingModel",
     "build_code",
     "correction_from_matching",
-    "defect_graph_for",
     "drg_pm",
     "drg_toy",
     "edge_weight",

@@ -258,6 +258,30 @@ def test_metrics_pairing_mismatch(tmp_path):
     assert run(["metrics", "--raw", str(raw_dir), "--opt", str(opt_dir)]) == 1
 
 
+@pytest.mark.parametrize("side", ["raw", "opt"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qubits 1\nRZ q0 1/0\n", 2),
+        ("qubits 1\nRZ q0 nan\n", 2),
+        ("qubits 1\nRZ q0 inf\n", 2),
+        ("qubits -1\n", 1),
+    ],
+)
+def test_metrics_malformed_circuit_exits_1(tmp_path, capsys, side, text, line):
+    """A zero denominator, a non-finite angle or a negative qubit count in
+    either file is a parse error naming its line, not a traceback."""
+    dirs = {"raw": tmp_path / "r", "opt": tmp_path / "o"}
+    for name, d in dirs.items():
+        d.mkdir()
+        body = text if name == side else "qubits 1\nRZ q0 1/4\n"
+        (d / "a.circuit.txt").write_text(body)
+    assert run(["metrics", "--raw", str(dirs["raw"]), "--opt", str(dirs["opt"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}:")
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def seed7_pairs(tmp_path_factory):
     """d1-main seed 7, 20 raw diagrams and their normalized forms under the

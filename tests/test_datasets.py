@@ -158,6 +158,13 @@ def test_parse_circuit_errors():
         parse_circuit("qubits 2\nCX q0 q5\n")  # out of register
     with pytest.raises(ParseError):
         parse_circuit("qubits 1\nRZ x0 0.1\n")
+    for angle in ("1/0", "nan", "inf", "-inf"):
+        with pytest.raises(ParseError, match="^line 3: "):
+            parse_circuit(f"qubits 1\n# comment\nRZ q0 {angle}\n")
+    with pytest.raises(ParseError, match="^line 1: "):
+        parse_circuit("qubits -1\n")
+    with pytest.raises(ConfigInvalid):
+        Circuit(-1, ())
 
 
 # --- circuit_to_diagram ---

@@ -82,6 +82,12 @@ def test_boundary_slot_conflict():
         )
 
 
+@pytest.mark.parametrize("slots", [(-1, -1), (-1, 0), (0, -1)])
+def test_negative_boundary_count_rejected(slots):
+    with pytest.raises(BoundarySlotConflict, match="boundary counts must be >= 0"):
+        build([], [], *slots)
+
+
 def test_hadamard_constraints():
     with pytest.raises(ValueError):
         Node(0, dg.H, SpiderLabel(1, RationalAngle(0)), 1, 1)

@@ -1,13 +1,18 @@
 """Repository hygiene: no tracked file is one that .gitignore excludes, no
 public definition in src/wplzx is dead code, no class member there is one
-that nothing reads, and no default parameter of a public function is one
-that no caller sets."""
+that nothing reads, no default parameter of a public function is one that
+no caller sets, no package re-exports a name that nothing imports through
+it, the exact engine imports without numpy, and the sources parse with the
+oldest Python grammar pyproject.toml accepts."""
 
 from __future__ import annotations
 
 import ast
+import os
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,3 +208,101 @@ def test_every_member_is_read():
     assert not dead, "class members nothing reads:\n" + "\n".join(dead)
     stale = sorted(set(MEMBER_ALLOWLIST) - set(unread))
     assert not stale, f"allowlisted members that are now read or gone: {stale}"
+
+
+# Names a package __init__ in src/wplzx re-exports although nothing imports
+# them through the package, as "package.name", each with its reason.
+REEXPORT_ALLOWLIST: dict[str, str] = {}
+
+
+def _module_name(path: Path) -> str:
+    """Dotted name of the module or package at ``path``, from src/ for files
+    there and from the repository root otherwise."""
+    base = ROOT / "src" if ROOT / "src" in path.parents else ROOT
+    parts = path.relative_to(base).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_from(path: Path, node: ast.ImportFrom) -> str:
+    """Absolute name of the module that ``node``, in the file at ``path``,
+    imports from."""
+    if not node.level:
+        return node.module
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package.pop()
+    package = package[: len(package) - node.level + 1]
+    return ".".join([*package, node.module] if node.module else package)
+
+
+def test_every_reexport_is_imported_through_its_package():
+    """Each name that a package ``__init__`` in src/wplzx binds with
+    ``from .module import name`` is listed in its ``__all__``, if it has one,
+    and is imported as ``from package import name`` (or relatively from
+    inside src/) somewhere in src/, perfbench/ or tests/.
+
+    Tests count as importers, since a re-export serves whoever imports
+    through it; whether each definition is live is the question of
+    ``test_every_public_name_is_reached``.
+    """
+    imported = set()  # (module, name) of each ``from module import name``
+    for top in ("src", "perfbench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    module = _imported_from(path, node)
+                    imported |= {(module, alias.name) for alias in node.names}
+
+    unlisted, unimported = [], {}
+    for path in sorted((ROOT / "src" / "wplzx").rglob("__init__.py")):
+        package, where = _module_name(path), path.relative_to(ROOT)
+        body = ast.parse(path.read_text()).body
+        bound = {
+            alias.asname or alias.name
+            for stmt in body
+            if isinstance(stmt, ast.ImportFrom) and stmt.level and stmt.module
+            for alias in stmt.names
+        }
+        for stmt in body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ):
+                listed = set(ast.literal_eval(stmt.value))
+                if listed != bound:
+                    unlisted.append(f"{where}: {sorted(listed ^ bound)}")
+        for name in sorted(bound):
+            if (package, name) not in imported:
+                unimported[f"{package}.{name}"] = f"{where} {name}"
+    assert not unlisted, "__all__ differs from the re-exported names:\n" + "\n".join(unlisted)
+    unused = [where for key, where in unimported.items() if key not in REEXPORT_ALLOWLIST]
+    assert not unused, "re-exports nothing imports through their package:\n" + "\n".join(unused)
+    stale = sorted(set(REEXPORT_ALLOWLIST) - set(unimported))
+    assert not stale, f"allowlisted re-exports that are now imported or gone: {stale}"
+
+
+@pytest.mark.parametrize("module", ["wplzx.phase", "wplzx.diagram", "wplzx.rewrite"])
+def test_exact_engine_imports_without_numpy(module):
+    """Phase arithmetic, diagrams and rewriting are exact and use no numpy,
+    so importing one of them in a fresh interpreter does not load it."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_sources_parse_with_the_oldest_supported_grammar():
+    """Every .py under src/ and tests/ parses with the grammar of the oldest
+    Python that pyproject.toml's ``requires-python`` accepts.
+
+    This checks grammar only.  A call to a function or method added in a
+    later version, such as ``BaseException.add_note`` (3.11), still parses.
+    """
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    oldest = re.search(r'requires-python = ">=3\.(\d+)"', pyproject)
+    assert oldest, "pyproject.toml declares no requires-python lower bound"
+    version = (3, int(oldest.group(1)))
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            ast.parse(path.read_text(), filename=str(path), feature_version=version)
