@@ -96,8 +96,9 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError("circuit file must start with a 'qubits N' header")
     header_no, header = lines[0]
     try:
-        n = int(header.split()[1])
-    except (IndexError, ValueError) as exc:
+        _, count = header.split()
+        n = int(count)
+    except ValueError as exc:
         raise ParseError(f"line {header_no}: bad qubits header: {header!r}") from exc
     if n < 0:
         raise ParseError(f"line {header_no}: qubit count must be >= 0, got {n}")
@@ -111,6 +112,8 @@ def parse_circuit(text: str) -> Circuit:
                     raise ValueError("CX needs two qubits")
                 gates.append(Gate(CX, (_parse_q(parts[1]), _parse_q(parts[2]))))
             elif name == HGATE:
+                if len(parts) != 2:
+                    raise ValueError("H needs one qubit")
                 gates.append(Gate(HGATE, (_parse_q(parts[1]),)))
             elif name in ROTATIONS:
                 if len(parts) != 3:

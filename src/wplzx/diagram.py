@@ -49,7 +49,7 @@ from .errors import (
     DuplicateId,
     ParseError,
 )
-from .phase import SpiderLabel, json_int
+from .phase import RationalAngle, SpiderLabel, json_int
 
 NodeId = Union[int, str]
 
@@ -358,6 +358,25 @@ def serialize(d: Diagram) -> str:
     return json.dumps(to_json_obj(d), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _spider_label(entry: dict, seen: dict) -> SpiderLabel:
+    """The label of a spider entry.  Label fields that are five JSON ints
+    (a, alpha num/den, k num/den) load once per file: ``seen`` maps them to
+    their label.  Any other fields go to ``SpiderLabel.from_json``, which
+    raises the field's error; a bool or float never matches an int key
+    (True == 1 and 8.0 == 8 hash alike)."""
+    try:
+        alpha, k = entry["alpha"], entry["k"]
+        key = a, an, ad, kn, kd = entry["a"], alpha["num"], alpha["den"], k["num"], k["den"]
+    except (KeyError, TypeError):
+        return SpiderLabel.from_json(entry)
+    if not (type(a) is type(an) is type(ad) is type(kn) is type(kd) is int):
+        return SpiderLabel.from_json(entry)
+    label = seen.get(key)
+    if label is None:
+        label = seen[key] = SpiderLabel(a, RationalAngle(an, ad), RationalAngle(kn, kd))
+    return label
+
+
 def from_json_obj(obj: dict) -> Diagram:
     try:
         for key in ("inputs", "outputs"):
@@ -390,6 +409,7 @@ def from_json_obj(obj: dict) -> Diagram:
                 ids.append(nid)
                 ports.append(k)
         nodes = []
+        labels: dict = {}  # see _spider_label
         for i, entry in enumerate(obj["nodes"]):
             kind = entry["kind"]
             if kind not in NODE_KINDS:
@@ -400,7 +420,7 @@ def from_json_obj(obj: dict) -> Diagram:
             if kind == H:
                 nodes.append(Node(nid, H, None, 1, 1))
                 continue
-            label = SpiderLabel.from_json(entry)
+            label = _spider_label(entry, labels)
             ins = json_int(entry, "ins")
             nodes.append(Node(nid, kind, label, ins, max(degree.get(nid, ins) - ins, 0)))
         return _assemble(nodes, ids, ports, (), len(obj["inputs"]), len(obj["outputs"]))

@@ -12,7 +12,6 @@ The grid of order ``a`` is the cyclic set ``{n/a turns}``; a phase is
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,6 +128,23 @@ class RationalAngle:
 ZERO = RationalAngle(0)
 
 
+class _cached_attribute:
+    """``functools.cached_property`` without its lock (which Python 3.11
+    takes on every first read): the first read of the attribute calls the
+    method and stores the value in the instance ``__dict__``, where later
+    reads find it without calling anything."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SpiderLabel:
     """The (a, alpha, k) triple carried by a weighted spider.
@@ -154,7 +170,7 @@ class SpiderLabel:
             and self.winding.is_grid_compliant(self.grid)
         )
 
-    @functools.cached_property
+    @_cached_attribute
     def total_angle(self) -> TotalAngle:
         """alpha + k/a, reduced mod one turn, computed exactly in integers
         over the common denominator alpha.den * k.den * a, once per label

@@ -100,14 +100,21 @@ class Residues:
         # Products per int64 sum that keep it below 2^63, for the largest
         # prime: 2^23 when every p < 2^20.
         self.terms = max(1, _INT64_MAX // (max(primes) - 1) ** 2)
+        self._phases: dict = {}
 
     def phase(self, turns: RationalAngle) -> np.ndarray:
-        out = []
-        for p, g in zip(self.primes, self.g):
-            if (p - 1) % turns.den:
-                raise ValueError(f"F_{p} has no primitive {turns.den}-th root of unity")
-            out.append(pow(g, (p - 1) // turns.den * turns.num, p))
-        return np.array(out, dtype=np.int64)
+        """e^{2 pi i turns} mod each prime, kept per ``turns`` for every
+        contraction in the ring; read-only."""
+        out = self._phases.get(turns)
+        if out is None:
+            roots = []
+            for p, g in zip(self.primes, self.g):
+                if (p - 1) % turns.den:
+                    raise ValueError(f"F_{p} has no primitive {turns.den}-th root of unity")
+                roots.append(pow(g, (p - 1) // turns.den * turns.num, p))
+            out = self._phases[turns] = np.array(roots, dtype=np.int64)
+            out.flags.writeable = False
+        return out
 
     def mod(self, t):
         return t % self.p.reshape((-1,) + (1,) * (t.ndim - 1))
@@ -117,18 +124,18 @@ class Residues:
         product, summed in chunks of ``self.terms`` products, each chunk
         reduced before it is added; ``axes`` count the axes after the prime
         axis."""
-        ax_a, ax_b = ([k + 1 for k in ax] for ax in axes)
-        free_a = [k for k in range(1, a.ndim) if k not in ax_a]
-        free_b = [k for k in range(1, b.ndim) if k not in ax_b]
-        m = a.transpose([0] + free_a + ax_a).reshape(self.batch, -1, 1 << len(ax_a))
-        n = b.transpose([0] + ax_b + free_b).reshape(self.batch, 1 << len(ax_b), -1)
-        if m.shape[2] <= self.terms:
+        perm_a, shape_a, perm_b, shape_b, shape = _dot_layout(
+            a.ndim, b.ndim, tuple(axes[0]), tuple(axes[1])
+        )
+        m = a.transpose(perm_a).reshape(shape_a)
+        n = b.transpose(perm_b).reshape(shape_b)
+        if shape_a[2] <= self.terms:
             out = m @ n % self.p
         else:
             t = self.terms
-            chunks = range(0, m.shape[2], t)
+            chunks = range(0, shape_a[2], t)
             out = sum(m[:, :, s : s + t] @ n[:, s : s + t] % self.p for s in chunks) % self.p
-        return out.reshape((self.batch,) + (2,) * (len(free_a) + len(free_b)))
+        return out.reshape(shape)
 
     def x_spider(self, degree: int, phase: np.ndarray) -> np.ndarray:
         """An X spider in closed form.  H on every leg of the Z spider
@@ -141,6 +148,26 @@ class Residues:
         even = (s * (1 + phase) % moduli).reshape(shape)
         odd = (s * (1 - phase) % moduli).reshape(shape)
         return np.where(_odd_weight(degree), odd, even)
+
+
+@functools.cache
+def _dot_layout(ndim_a: int, ndim_b: int, ax_a: tuple, ax_b: tuple) -> tuple:
+    """How ``Residues.dot`` lays out a pair of tensors of these ranks for one
+    batched matrix product over the shared axes ``ax_a``/``ax_b`` (counted
+    after the batch axis): the transpose and the (batch, rows, columns)
+    shape of each factor, and the shape of the result; the batch size is
+    left to numpy (-1)."""
+    ax_a, ax_b = [k + 1 for k in ax_a], [k + 1 for k in ax_b]
+    free_a = [k for k in range(1, ndim_a) if k not in ax_a]
+    free_b = [k for k in range(1, ndim_b) if k not in ax_b]
+    inner = 1 << len(ax_a)
+    return (
+        (0, *free_a, *ax_a),
+        (-1, 1 << len(free_a), inner),
+        (0, *ax_b, *free_b),
+        (-1, inner, 1 << len(free_b)),
+        (-1,) + (2,) * (len(free_a) + len(free_b)),
+    )
 
 
 def _is_prime(n: int) -> bool:
@@ -161,6 +188,7 @@ def phase_order(*diagrams: dg.Diagram) -> int:
     return math.lcm(8, *(total_angle(n.label).turns.den for d in diagrams for n in d.spiders))
 
 
+@functools.cache
 def exact_primes(n: int) -> tuple[int, int]:
     """The two largest primes p < PRIME_BOUND with p = 1 (mod n), so F_p holds
     the n-th roots of unity; GridOverflow when fewer than two exist."""
@@ -312,13 +340,15 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
                 on_b.append(ax_b.index(lab))
             else:
                 kept.append(lab)
-        size = 2 ** (len(ax_a) + len(ax_b) - 2 * len(on_a))
-        if size > MAX_TENSOR_ENTRIES:
+        for j, lab in enumerate(ax_b):
+            if j not in on_b:
+                kept.append(lab)
+        if (size := 2 ** len(kept)) > MAX_TENSOR_ENTRIES:
             raise DimensionOverflow(
                 f"intermediate tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
             )
         pairs.append((a, b, on_a, on_b))
-        ax = live[new] = kept + [lab for lab in ax_b if lab not in ax_a]
+        ax = live[new] = kept
         # One heap entry per neighbour, costed by the wires it shares with new.
         shared_by = {}
         for lab in ax:

@@ -163,6 +163,19 @@ def test_parse_circuit_errors():
             parse_circuit(f"qubits 1\n# comment\nRZ q0 {angle}\n")
     with pytest.raises(ParseError, match="^line 1: "):
         parse_circuit("qubits -1\n")
+
+
+def test_parse_circuit_rejects_extra_tokens():
+    # H and the qubits header take a fixed number of tokens, as CX does
+    with pytest.raises(ParseError, match="^line 1: bad qubits header"):
+        parse_circuit("qubits 2 junk\nH q0\n")
+    with pytest.raises(ParseError, match="^line 3: H needs one qubit"):
+        parse_circuit("qubits 2\n# comment\nH q0 q1\n")
+    with pytest.raises(ParseError, match="^line 2: H needs one qubit"):
+        parse_circuit("qubits 2\nH\n")
+    with pytest.raises(ParseError, match="^line 2: CX needs two qubits"):
+        parse_circuit("qubits 3\nCX q0 q1 q2\n")
+    assert parse_circuit("qubits 2\nH q1\n") == Circuit(2, (Gate("H", (1,)),))
     with pytest.raises(ConfigInvalid):
         Circuit(-1, ())
 

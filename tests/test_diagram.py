@@ -351,3 +351,87 @@ def test_malformed_files_raise_what_build_raises(nodes, wires, slots, error):
     }
     with pytest.raises(error):
         dg.from_json_obj(obj)
+
+
+# --- spider labels in the loader ---
+
+_LABEL = {"a": 8, "alpha": {"num": 3, "den": 8}, "k": {"num": 1, "den": 2}}
+
+
+def _z_chain_obj(*labels) -> dict:
+    """A file of Z spiders with these label fields, wired in a line from
+    input 0 to output 0."""
+    nodes = [{"id": i, "kind": "Z", "ins": 1, **lab} for i, lab in enumerate(labels)]
+    ends = [{"boundary": "in", "pos": 0}]
+    for i in range(len(nodes)):
+        ends += [{"node": i, "port": 0}, {"node": i, "port": 1}]
+    ends.append({"boundary": "out", "pos": 0})
+    return {"inputs": [0], "outputs": [0], "nodes": nodes,
+            "wires": [ends[j : j + 2] for j in range(0, len(ends), 2)]}
+
+
+def test_equal_label_fields_load_to_equal_labels():
+    other = {**_LABEL, "k": {"num": 3, "den": 2}}
+    d = dg.from_json_obj(_z_chain_obj(_LABEL, other, dict(_LABEL)))
+    first, second, third = (n.label for n in d.nodes)
+    assert first == third == SpiderLabel(8, RationalAngle(3, 8), RationalAngle(1, 2))
+    assert first is third  # one label per distinct label in a file
+    assert second != first and second.winding == RationalAngle(3, 2)
+    assert deserialize(serialize(d)) == d
+
+
+def _with(path, value) -> dict:
+    """_LABEL with the field at ``path`` set to value, or removed for None."""
+    out = {**_LABEL, "alpha": dict(_LABEL["alpha"]), "k": dict(_LABEL["k"])}
+    *outer, last = path
+    at = out[outer[0]] if outer else out
+    if value is None:
+        del at[last]
+    else:
+        at[last] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("a",), True, "a must be an integer, got True"),
+        (("a",), 8.0, "a must be an integer, got 8.0"),
+        (("alpha", "num"), True, "num must be an integer, got True"),
+        (("alpha", "den"), 8.0, "den must be an integer, got 8.0"),
+        (("k", "num"), False, "num must be an integer, got False"),
+        (("k", "den"), 2.0, "den must be an integer, got 2.0"),
+        (("a",), None, "malformed diagram object: 'a'"),
+        (("alpha",), None, "malformed diagram object: 'alpha'"),
+        (("k", "den"), None, "malformed diagram object: 'den'"),
+        (("alpha",), [3, 8], "malformed diagram object: list indices must be integers or slices, not str"),
+        (("alpha", "den"), 0, "malformed diagram object: RationalAngle denominator must be nonzero"),
+    ],
+)
+def test_bad_label_fields_raise_the_same_error_after_a_good_label(path, value, message):
+    bad = _with(path, value)
+    for labels in ((bad,), (_LABEL, bad)):
+        with pytest.raises(ParseError) as info:
+            dg.from_json_obj(_z_chain_obj(*labels))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_bool_or_float_equal_to_a_loaded_label_is_rejected(value):
+    # True == 1.0 == 1 with one hash: the label loaded first must not serve it
+    one = {"a": 1, "alpha": {"num": 0, "den": 1}, "k": {"num": 1, "den": 1}}
+    for path in (("a",), ("alpha", "den"), ("k", "num")):
+        bad = {**one, "alpha": dict(one["alpha"]), "k": dict(one["k"])}
+        (bad[path[0]] if len(path) == 2 else bad)[path[-1]] = value
+        with pytest.raises(ParseError, match=f"^{path[-1]} must be an integer, got {value}$"):
+            dg.from_json_obj(_z_chain_obj(one, bad))
+
+
+def test_label_equality_hash_and_repr_ignore_the_cached_total_angle():
+    read = SpiderLabel(8, RationalAngle(3, 8), RationalAngle(1, 2))
+    fresh = SpiderLabel(8, RationalAngle(3, 8), RationalAngle(1, 2))
+    assert read.total_angle.turns == RationalAngle(7, 16)
+    assert "total_angle" in vars(read) and "total_angle" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert "total" not in repr(read)
+    assert {read: 1}[fresh] == 1

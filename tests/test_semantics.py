@@ -386,6 +386,56 @@ def test_mixed_prime_batch_keeps_sums_in_int64():
         assert got[k].tolist() == want.tolist()
 
 
+def _dot_reference(a, b, axes, primes):
+    """Each prime's slice contracted by object-dtype ``np.tensordot`` on
+    Python ints, then reduced: no int64 sums, no layout of its own."""
+    return [
+        np.asarray(np.tensordot(a[k].astype(object), b[k].astype(object), axes=axes) % p)
+        for k, p in enumerate(primes)
+    ]
+
+
+def test_residue_dot_matches_object_tensordot():
+    # random ranks 1-14 and shared axes in random order; every pair is
+    # contracted under several axis orders of one signature, so the
+    # layouts cached per (ranks, axes) must not mix them up
+    rng = np.random.default_rng(26)
+    primes = exact_primes(24)
+    ring = Residues(primes)
+    for _ in range(60):
+        rank_a, rank_b = (int(r) for r in rng.integers(1, 15, size=2))
+        low = max(0, (rank_a + rank_b - 14 + 1) // 2)  # keep the result within rank 14
+        shared = int(rng.integers(low, min(rank_a, rank_b) + 1))
+        a = np.stack([rng.integers(0, p, size=(2,) * rank_a) for p in primes])
+        b = np.stack([rng.integers(0, p, size=(2,) * rank_b) for p in primes])
+        for _ in range(3):
+            on_a = [int(x) for x in rng.permutation(rank_a)[:shared]]
+            on_b = [int(x) for x in rng.permutation(rank_b)[:shared]]
+            got = ring.dot(a, b, (on_a, on_b))
+            assert got.dtype == np.int64
+            assert got.shape == (2,) + (2,) * (rank_a + rank_b - 2 * shared)
+            want = _dot_reference(a, b, (on_a, on_b), primes)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+def test_residue_dot_chunks_match_object_tensordot():
+    # with a prime near 2^31 a chunk holds two products, so 10 shared axes
+    # (1024 products per entry) take the chunked path, under two axis orders
+    primes = (2147483497, 1048273)
+    ring = Residues(primes)
+    assert ring.terms < 1 << 10
+    rng = np.random.default_rng(11)
+    a = np.stack([rng.integers(p - 50, p, size=(2,) * 11) for p in primes])
+    b = np.stack([rng.integers(p - 50, p, size=(2,) * 12) for p in primes])
+    for on_a, on_b in (
+        (list(range(10)), list(range(2, 12))),
+        (list(range(10))[::-1], [5, 2, 11, 3, 9, 4, 10, 7, 6, 8]),
+    ):
+        got = ring.dot(a, b, (on_a, on_b))
+        want = _dot_reference(a, b, (on_a, on_b), primes)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 def test_congruent_up_to_root_of_unity():
     p, n = 97, 24
     zeta = pow(least_generator(p), (p - 1) // n, p)
