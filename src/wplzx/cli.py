@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
     else:
         candidate, _, _ = rewrite.wzcc_normalize(d)
         how = "normalization"
-    # Exact check: both matrices' residues mod two primes, compared up to an
+    # Exact check: both matrices' residues mod two primes, compared up to one
     # n-th root of unity.  Only a resource cap leaves the question open.
     n = semantics.phase_order(d, candidate)
     try:
@@ -162,8 +162,7 @@ def cmd_verify(args) -> int:
         sys.stdout.write(f"verdict INCONCLUSIVE\nmethod {how}\n")
         log(f"resource cap: {exc}")
         return 3
-    congruent = semantics.congruent_up_to_root_of_unity
-    sound = all(congruent(a, b, p, n) for a, b, p in zip(after, before, primes))
+    sound = semantics.congruent_up_to_root_of_unity(after, before, primes, n)
     zero_map = not any(b.any() for b in before)
     sys.stdout.write(
         f"verdict {'SOUND' if sound else 'UNSOUND'}\nmethod {how}\n"

@@ -8,7 +8,9 @@ in Z[zeta_M, 1/sqrt 2], and for a prime p = 1 (mod lcm(M, 8)) reduction mod p
 is a ring map into F_p: ``evaluate(primes=...)`` computes these residues
 exactly, along the same contraction schedule, for ``verify``.  One pass
 carries every prime: each tensor has a leading batch axis, one slice per
-prime, and the complex ring is a batch of one.
+prime, and the complex ring is a batch of one.  A ring supplies its
+arithmetic, H and the phase factors; ``_spider_tensor`` builds every other
+tensor the same way in both rings, an X spider in closed form.
 
 Conventions: qubit 0 is the most significant bit; a diagram with m inputs and
 n outputs evaluates to a 2^n x 2^m matrix.  Float equality checks use the
@@ -63,15 +65,6 @@ class _Complex:
     @staticmethod
     def dot(a, b, axes):
         return np.tensordot(a[0], b[0], axes)[None]
-
-    @staticmethod
-    def x_spider(degree: int, phase: np.ndarray) -> np.ndarray:
-        """An X spider: the Z spider with H contracted into each leg in
-        turn.  That order of products fixes the rounding of every entry."""
-        t = _z_spider(degree, phase, _Complex)
-        for ax in range(degree):
-            t = np.moveaxis(_Complex.dot(t, _Complex.h, ([ax], [0])), -1, ax + 1)
-        return t
 
 
 class Residues:
@@ -137,18 +130,6 @@ class Residues:
             out = sum(m[:, :, s : s + t] @ n[:, s : s + t] % self.p for s in chunks) % self.p
         return out.reshape(shape)
 
-    def x_spider(self, degree: int, phase: np.ndarray) -> np.ndarray:
-        """An X spider in closed form.  H on every leg of the Z spider
-        |0..0> + phase |1..1> gives s^degree (1 + phase (-1)^|x|) at index x,
-        with s = 1/sqrt 2 = h[0][0] and |x| the number of ones in x; the
-        arithmetic is exact, so this is the leg-by-leg contraction."""
-        moduli = self.p.ravel()
-        s = np.array([pow(int(h), degree, p) for h, p in zip(self.h[:, 0, 0], self.primes)])
-        shape = (self.batch,) + (1,) * degree
-        even = (s * (1 + phase) % moduli).reshape(shape)
-        odd = (s * (1 - phase) % moduli).reshape(shape)
-        return np.where(_odd_weight(degree), odd, even)
-
 
 @functools.cache
 def _dot_layout(ndim_a: int, ndim_b: int, ax_a: tuple, ax_b: tuple) -> tuple:
@@ -203,27 +184,31 @@ def exact_primes(n: int) -> tuple[int, int]:
 def _odd_weight(degree: int) -> np.ndarray:
     """Read-only bool tensor of rank ``degree``: whether each index has an
     odd number of ones."""
-    odd = np.indices((2,) * degree).sum(axis=0) % 2 == 1
+    odd = np.asarray(np.indices((2,) * degree).sum(axis=0) % 2 == 1)
     odd.flags.writeable = False
     return odd
-
-
-def _z_spider(degree: int, phase: np.ndarray, ring) -> np.ndarray:
-    t = np.zeros((ring.batch,) + (2,) * degree, dtype=ring.dtype)
-    t[(slice(None),) + (0,) * degree] = 1
-    t[(slice(None),) + (1,) * degree] = phase
-    return t
 
 
 def _spider_tensor(kind: str, degree: int, phase: np.ndarray, ring) -> np.ndarray:
     """Rank-``degree`` tensor of a spider (symmetric in its legs) behind the
     ring's batch axis, whose phase factor e^{i theta} is ``phase`` in
-    ``ring``, one entry per batch slice."""
-    if degree == 0:
-        return ring.mod(1 + phase).astype(ring.dtype)
-    if kind == dg.X:
-        return ring.x_spider(degree, phase)
-    return _z_spider(degree, phase, ring)
+    ``ring``, one entry per batch slice.
+
+    Z: 1 at 0..0 and phase at 1..1.  X, the Z spider with H on every leg:
+    s^degree (1 + phase (-1)^|x|) at index x, with s = 1/sqrt 2 = h[0][0]
+    and |x| the number of ones in x.  With no legs both are 1 + phase, so a
+    scalar takes the X form; s^degree is one Python ``pow`` per slice."""
+    if kind == dg.Z and degree:
+        t = np.zeros((ring.batch,) + (2,) * degree, dtype=ring.dtype)
+        t[(slice(None),) + (0,) * degree] = 1
+        t[(slice(None),) + (1,) * degree] = phase
+        return t
+    s = np.array([pow(h, degree) for h in ring.h[:, 0, 0].tolist()], dtype=object)
+    s = ring.mod(s).astype(ring.dtype)
+    shape = (ring.batch,) + (1,) * degree
+    even = ring.mod(s * (1 + phase)).reshape(shape)
+    odd = ring.mod(s * (1 - phase)).reshape(shape)
+    return np.where(_odd_weight(degree), odd, even)
 
 
 def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.ndarray:
@@ -244,9 +229,10 @@ def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.nd
 
 def _network(d: dg.Diagram) -> list[tuple]:
     """One (kind, total angle in turns, axis labels) piece per tensor of d;
-    kind "I" is a bare boundary-to-boundary wire, and boundary endpoints are
-    open ("b", side, pos) axes.  A spider above the split degree becomes an
-    exact chain of smaller ones (spider fusion), its angle on the first.
+    a bare boundary-to-boundary wire is a phase-zero two-leg Z spider (the
+    identity), and boundary endpoints are open ("b", side, pos) axes.  A
+    spider above the split degree becomes an exact chain of smaller ones
+    (spider fusion), its angle on the first.
     A wire between nodes is the axis labelled by its index, and each bond of
     a chain by the next integer after the wires, so every integer label
     joins exactly two axes."""
@@ -258,7 +244,7 @@ def _network(d: dg.Diagram) -> list[tuple]:
         return ("b", dg.IN, q) if q < n_in else ("b", dg.OUT, q - n_in)
 
     pieces = [
-        ("I", None, [open_axis(p), open_axis(far[p])])
+        (dg.Z, ZERO, [open_axis(p), open_axis(far[p])])
         for p in range(n_ports, len(far))
         if p < far[p]
     ]
@@ -378,16 +364,15 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
 
 def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
     """Follow d's contraction plan in ``ring``, every tensor behind the ring's
-    batch axis: a (batch, 2^outputs, 2^inputs) array."""
+    batch axis: a (batch, 2^outputs, 2^inputs) array.  A ring gives
+    ``batch``, ``dtype``, the Hadamard ``h``, ``phase(turns)``, ``mod`` and
+    ``dot``; every other tensor is a ``_spider_tensor``."""
     pieces, traces, pairs, perm = plan
     if not pieces:
         return np.ones((ring.batch, 1, 1), dtype=ring.dtype)
-    eye = np.broadcast_to(np.eye(2, dtype=ring.dtype), (ring.batch, 2, 2))
     ts, made = {}, {}  # spiders of one kind, degree and angle share a tensor
     for k, (kind, turns, axes) in enumerate(pieces):
-        if kind == "I":
-            ts[k] = eye
-        elif kind == dg.H:
+        if kind == dg.H:
             ts[k] = ring.h
         else:
             key = (kind, len(axes), turns)
@@ -430,6 +415,20 @@ def evaluate(
 # --- comparison predicates ---
 
 
+def _anchored(a, b) -> tuple:
+    """(a, b, c): both as complex arrays of one shape, and c = a/b at b's
+    largest-magnitude entry, or None when b is empty or zero."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
+    if b.size:
+        idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+        if abs(b[idx]) != 0.0:
+            return a, b, a[idx] / b[idx]
+    return a, b, None
+
+
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff a = c*b for some unit complex c, in max norm.
 
@@ -445,34 +444,42 @@ def equal_up_to_global_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     Used where rewrite rules are only scalar-sound (bialgebra, Hopf, gate
     gadgets with their sqrt-2 bookkeeping).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    if not b.size:
-        return True
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) == 0.0:
+    a, b, c = _anchored(a, b)
+    if c is None:
         return float(np.max(np.abs(a), initial=0.0)) <= EQ_TOL
-    c = a[idx] / b[idx]
     if c == 0.0:
         return False
     scale = max(1.0, float(np.max(np.abs(a))))
     return float(np.max(np.abs(a - c * b))) <= EQ_TOL * scale
 
 
-def congruent_up_to_root_of_unity(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
-    """True iff a = c*b (mod p) for some c with c^n = 1 (mod p), on residue
-    matrices from ``evaluate(primes=...)``: equality up to a global phase
-    among the n-th roots of unity.  A zero matrix matches only a zero one."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    nonzero = np.flatnonzero(b)
-    if not nonzero.size:
-        return not a.any()
-    k = nonzero[0]
-    c = int(a.flat[k]) * pow(int(b.flat[k]), -1, p) % p
-    return pow(c, n, p) == 1 and np.array_equal(b * c % p, a)
+def congruent_up_to_root_of_unity(a, b, p, n: int) -> bool:
+    """True iff a = zeta_n^j b (mod q) under every prime q, for one j:
+    equality up to one global phase among the n-th roots of unity.  p is a
+    tuple of primes, with a and b one residue matrix per prime as
+    ``evaluate(primes=...)`` gives them, or a single prime with one matrix
+    each.  zeta_n is g^((q - 1) / n) mod q, with g the least generator, as
+    in ``Residues``; j is read off the first prime under which b is nonzero,
+    at b's first nonzero entry.  A zero matrix matches only a zero one."""
+    if isinstance(p, int):
+        p, a, b = (p,), [a], [b]
+    for x, y in zip(a, b):
+        if x.shape != y.shape:
+            raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
+    anchor = next((i for i, y in enumerate(b) if y.any()), None)
+    if anchor is None:
+        return not any(x.any() for x in a)
+    q, x, y = p[anchor], a[anchor], b[anchor]
+    k = np.flatnonzero(y)[0]
+    c = int(x.flat[k]) * pow(int(y.flat[k]), -1, q) % q
+    zeta = pow(_least_generator(q), (q - 1) // n, q)
+    j = next((j for j in range(n) if pow(zeta, j, q) == c), None)
+    if j is None:
+        return False  # c is no n-th root of unity
+    return all(
+        np.array_equal(y * pow(_least_generator(q), (q - 1) // n * j, q) % q, x)
+        for q, x, y in zip(p, a, b)
+    )
 
 
 def max_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -481,16 +488,9 @@ def max_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     The phase is read off the largest-magnitude entry of b, which recovers
     c exactly whenever a = c*b; an empty pair deviates by 0.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    if not b.size:
-        return 0.0
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) == 0.0:
+    a, b, c = _anchored(a, b)
+    if c is None:
         return float(np.max(np.abs(a), initial=0.0))
-    c = a[idx] / b[idx]
     c = c / abs(c) if abs(c) else 1.0
     return float(np.max(np.abs(a - c * b)))
 

@@ -308,7 +308,7 @@ def test_metrics_fp_only_for_proven_nonzero_states(tmp_path, seed7_pairs):
     # noise); only rows 002, 010 and 012 have a nonzero |0..0> column on
     # both sides.
     fp = [line.rsplit(",", 1)[1] for line in _metric_lines(tmp_path, *seed7_pairs)[1:-2]]
-    trusted = {2: "0.9999999999999998", 10: "1.0", 12: "1.0000000000000009"}
+    trusted = {2: "1.0", 10: "1.0", 12: "1.0000000000000004"}
     assert fp == [trusted.get(i, "nan") for i in range(20)]
 
 

@@ -451,6 +451,28 @@ def test_congruent_up_to_root_of_unity():
     assert not congruent_up_to_root_of_unity(b, zero, p, n)
 
 
+def test_congruence_needs_one_root_of_unity_under_every_prime():
+    # a = zeta^3 b mod the first prime and zeta^5 b mod the second: each
+    # prime alone is congruent, which read SOUND when verify checked the
+    # primes one by one, but no single a = zeta^j b holds under both
+    n = 24
+    primes = exact_primes(n)
+    b = [np.array([[0, 5], [7, q - 1]], dtype=np.int64) for q in primes]
+
+    def times_root(j, mats):
+        return [y * pow(least_generator(q), (q - 1) // n * j, q) % q for q, y in zip(primes, mats)]
+
+    three, five = times_root(3, b), times_root(5, b)
+    a = [three[0], five[1]]
+    assert all(congruent_up_to_root_of_unity(x, y, q, n) for x, y, q in zip(a, b, primes))
+    assert not congruent_up_to_root_of_unity(a, b, primes, n)
+    assert congruent_up_to_root_of_unity(five, b, primes, n)
+    # j comes from the first prime under which b is nonzero
+    b0 = [np.zeros_like(b[0]), b[1]]
+    assert congruent_up_to_root_of_unity(times_root(5, b0), b0, primes, n)
+    assert not congruent_up_to_root_of_unity(a, b0, primes, n)  # a is nonzero where b0 is 0
+
+
 def test_equal_up_to_global_phase():
     m = np.array([[1, 2], [3, 4]], dtype=complex)
     assert equal_up_to_global_phase(np.exp(1j * 0.7) * m, m)
@@ -550,15 +572,57 @@ class _OnePrime:
     def dot(self, a, b, axes):
         return np.tensordot(a[0], b[0], axes)[None] % self.p
 
-    def x_spider(self, degree, phase):
-        """The Z spider |0..0> + phase |1..1> with H contracted into each
-        leg in turn."""
-        t = np.zeros((1,) + (2,) * degree, dtype=object)
-        t[(0,) + (0,) * degree] = 1
-        t[(0,) + (1,) * degree] = phase[0]
+
+def _spider_by_legs(kind, degree, phase, ring):
+    """Reference spider tensor: the Z spider written entry by entry, 1 at
+    0..0 plus phase at 1..1; for X, H contracted into each leg in turn."""
+    t = np.zeros((ring.batch,) + (2,) * degree, dtype=ring.dtype)
+    t[(slice(None),) + (0,) * degree] = 1
+    t[(slice(None),) + (1,) * degree] += phase
+    t = ring.mod(t)
+    if kind == dg.X:
         for ax in range(degree):
-            t = np.moveaxis(self.dot(t, self.h, ([ax], [0])), -1, ax + 1)
-        return t
+            t = np.moveaxis(ring.dot(t, ring.h, ([ax], [0])), -1, ax + 1)
+    return t
+
+
+# The complex closed form against the leg-by-leg reference, relative to the
+# largest entry: about 4.5 ulp of 1.
+SPIDER_TOL = 1e-15
+SPIDER_TURNS = [RationalAngle(0, 1), RationalAngle(1, 2), RationalAngle(1, 8), RationalAngle(7, 24)]
+
+
+def test_spider_tensor_matches_leg_by_leg_reference_in_residues():
+    # exact: both primes of one batched ring against each prime's own
+    # object-array reference, both colours, scalars included
+    from wplzx.semantics import _spider_tensor
+
+    primes = exact_primes(24)
+    ring, refs = Residues(primes), [_OnePrime(p) for p in primes]
+    for kind in (dg.Z, dg.X):
+        for turns in SPIDER_TURNS:
+            for degree in range(11):
+                got = _spider_tensor(kind, degree, ring.phase(turns), ring)
+                assert got.dtype == np.int64 and got.shape == (2,) + (2,) * degree
+                for k, one in enumerate(refs):
+                    want = _spider_by_legs(kind, degree, one.phase(turns), one)
+                    assert got[k : k + 1].tolist() == want.tolist(), (kind, turns, degree)
+
+
+def test_spider_tensor_matches_leg_by_leg_reference_in_complex():
+    # the closed-form X spider rounds differently from n products with H:
+    # every entry within SPIDER_TOL of the largest
+    from wplzx.semantics import MAX_SPIDER_LEGS, _Complex, _spider_tensor
+
+    for kind in (dg.Z, dg.X):
+        for turns in SPIDER_TURNS:
+            phase = _Complex.phase(turns)
+            for degree in range(MAX_SPIDER_LEGS + 1):
+                got = _spider_tensor(kind, degree, phase, _Complex)
+                want = _spider_by_legs(kind, degree, phase, _Complex)
+                assert got.dtype == complex and got.shape == want.shape
+                err = np.max(np.abs(got - want))
+                assert err <= SPIDER_TOL * np.max(np.abs(want)), (kind, turns, degree, err)
 
 
 def test_batched_residues_match_per_prime_reference():
