@@ -110,39 +110,44 @@ def parse_circuit(text: str) -> Circuit:
             if name == CX:
                 if len(parts) != 3:
                     raise ValueError("CX needs two qubits")
-                gates.append(Gate(CX, (_parse_q(parts[1]), _parse_q(parts[2]))))
+                qubits = (_parse_q(parts[1], n), _parse_q(parts[2], n))
+                if qubits[0] == qubits[1]:
+                    raise ValueError("CX control and target must differ")
+                gates.append(Gate(CX, qubits))
             elif name == HGATE:
                 if len(parts) != 2:
                     raise ValueError("H needs one qubit")
-                gates.append(Gate(HGATE, (_parse_q(parts[1]),)))
+                gates.append(Gate(HGATE, (_parse_q(parts[1], n),)))
             elif name in ROTATIONS:
                 if len(parts) != 3:
                     raise ValueError(f"{name} needs a qubit and an angle")
-                gates.append(Gate(name, (_parse_q(parts[1]),), _parse_angle(parts[2])))
+                gates.append(Gate(name, (_parse_q(parts[1], n),), _parse_angle(parts[2])))
             else:
                 raise ValueError(f"unknown gate {name!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    try:
-        return Circuit(n, tuple(gates))
-    except ConfigInvalid as exc:
-        raise ParseError(str(exc)) from exc
+    return Circuit(n, tuple(gates))
 
 
-def _parse_q(tok: str) -> int:
-    if not tok.startswith("q"):
+def _parse_q(tok: str, n: int) -> int:
+    """The qubit k of a token ``q<k>``, checked against the n-qubit register."""
+    k = tok[1:]
+    if not (tok.startswith("q") and k.isascii() and k.isdigit()):
         raise ValueError(f"bad qubit token {tok!r}")
-    return int(tok[1:])
+    if int(k) >= n:
+        raise ValueError(f"qubit {tok!r} is outside the {n}-qubit register")
+    return int(k)
 
 
 def _parse_angle(tok: str):
-    if "/" in tok:
-        num, den = tok.split("/")
-        if int(den) == 0:
-            raise ValueError(f"angle {tok!r} has a zero denominator")
-        return RationalAngle(int(num), int(den))
-    theta = float(tok)
-    if not math.isfinite(theta):
+    num, slash, den = tok.partition("/")
+    try:
+        theta = RationalAngle(int(num), int(den)) if slash else float(tok)
+    except ValueError:
+        raise ValueError(f"bad angle {tok!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"angle {tok!r} has a zero denominator") from None
+    if not slash and not math.isfinite(theta):
         raise ValueError(f"angle {tok!r} is not finite")
     return theta
 

@@ -15,11 +15,11 @@ and boundary slot has a port id: the ports of the nodes in node-id order,
 node i's ports 0..degree-1 at ``first[i]``, ``first[i] + 1``, ...; then the
 input slots by position, then the output slots (``first[-1]`` is the
 number of node ports).  ``far[p]`` is the port id at the other end of p's
-wire and ``wire[p]`` that wire's index; wires are numbered by their lower
-port id.  Loading, rewrites, the contraction network, circuit extraction
-and serialization all read these tables.  ``NodePort``, ``BoundaryPort``
-and ``Wire`` are records of ``build``'s input only; rewrites pass ``build``
-port-id pairs instead.
+wire, and a wire is named by its lower port id ``min(p, far[p])``; wires
+are listed in that order.  Loading, rewrites, the contraction network,
+circuit extraction and serialization all read these two tables.
+``NodePort``, ``BoundaryPort`` and ``Wire`` are records of ``build``'s
+input only; rewrites pass ``build`` port-id pairs instead.
 
 Serialized form (UTF-8 JSON)::
 
@@ -126,15 +126,14 @@ class Wire:
 class Diagram:
     """Nodes in node-id order, the boundary counts and the port tables (see
     the module docstring).  Two diagrams are equal when their nodes,
-    boundary counts and ``far`` tables are; ``first``, ``wire`` and
-    ``index`` (node id -> position in ``nodes``) follow from those."""
+    boundary counts and ``far`` tables are; ``first`` and ``index`` (node
+    id -> position in ``nodes``) follow from those."""
 
     nodes: tuple[Node, ...]
     n_inputs: int
     n_outputs: int
     far: tuple[int, ...]
     first: tuple[int, ...] = field(compare=False, repr=False)
-    wire: tuple[int, ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
 
     def node(self, node_id: NodeId) -> Node:
@@ -153,13 +152,14 @@ class Diagram:
         return bisect_right(self.first, p) - 1
 
     def wires_between(self, u: NodeId, v: NodeId) -> list[int]:
-        """Indices of wires joining u and v (u != v)."""
+        """The wires joining u and v (u != v), each named by its lower port
+        id, in increasing order."""
         if u not in self.index or v not in self.index:
             return []
         i, j = self.index[u], self.index[v]
         first, far = self.first, self.far
         lo, hi = first[j], first[j + 1]
-        return sorted(self.wire[p] for p in range(first[i], first[i + 1]) if lo <= far[p] < hi)
+        return sorted(min(p, far[p]) for p in range(first[i], first[i + 1]) if lo <= far[p] < hi)
 
 
 # Stand-ins for the boundary sides among the node ids of an endpoint list:
@@ -170,8 +170,9 @@ _SIDE = {IN: object(), OUT: object()}
 def _assemble(
     nodes: Iterable[Node], ids: list, ports: list, pairs: list, inputs: int, outputs: int
 ) -> Diagram:
-    """Validate and assemble a diagram from its nodes and its wires' ends.
-    ``ids`` and ``ports`` list ends, two per wire in turn: end k is port
+    """Validate and assemble a diagram from its nodes and its wires' ends:
+    its ``first`` and ``far`` tables are all the wiring it keeps.  ``ids``
+    and ``ports`` list ends, two per wire in turn: end k is port
     ``ports[k]`` of the node ``ids[k]``, or slot ``ports[k]`` of a boundary
     side when ``ids[k]`` is that side's ``_SIDE`` stand-in.  ``pairs`` lists
     more wires, each as the (p, q) port ids of its ends in the diagram
@@ -234,14 +235,7 @@ def _assemble(
         raise BoundarySlotConflict(
             f"boundary slot {side}[{pos}] used {uses[p]} times (want exactly 1)"
         )
-
-    wire = [0] * total
-    w = 0
-    for p, q in enumerate(far):
-        if p < q:
-            wire[p] = wire[q] = w
-            w += 1
-    return Diagram(tuple(nodes), inputs, outputs, tuple(far), tuple(first), tuple(wire), index)
+    return Diagram(tuple(nodes), inputs, outputs, tuple(far), tuple(first), index)
 
 
 def build(

@@ -285,9 +285,9 @@ def color_change(d: Diagram, node_id) -> Diagram:
     """Flip a spider's color, inserting a Hadamard node on every leg.
 
     The label (a, alpha, k) is preserved, which keeps the matrix.  The
-    Hadamard nodes take fresh ids h0, h1, ... in wire-index order of the
-    legs; each one's port 0 takes over its leg's wire and its port 1 is
-    wired to the leg.
+    Hadamard nodes take fresh ids h0, h1, ... in the order of the legs'
+    wires, by lower port id; each one's port 0 takes over its leg's wire
+    and its port 1 is wired to the leg.
     """
     if not d.has_node(node_id):
         raise ColorMismatch(f"no node {node_id!r}")
@@ -298,7 +298,7 @@ def color_change(d: Diagram, node_id) -> Diagram:
         node_id, dg.X if node.kind == dg.Z else dg.Z, node.label, node.ins, node.outs
     )
     f = d.first[d.index[node_id]]
-    legs = sorted(range(f, f + node.degree), key=d.wire.__getitem__)  # a self-loop's by port
+    legs = sorted(range(f, f + node.degree), key=lambda p: min(p, d.far[p]))  # a loop's by port
     hs = [Node(hid, dg.H, None, 1, 1) for hid in _fresh_ids(d, "h", len(legs))]
 
     nodes = sorted(

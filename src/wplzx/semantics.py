@@ -228,80 +228,62 @@ def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.nd
 
 
 def _network(d: dg.Diagram) -> list[tuple]:
-    """One (kind, total angle in turns, axis labels) piece per tensor of d;
-    a bare boundary-to-boundary wire is a phase-zero two-leg Z spider (the
-    identity), and boundary endpoints are open ("b", side, pos) axes.  A
-    spider above the split degree becomes an exact chain of smaller ones
-    (spider fusion), its angle on the first.
-    A wire between nodes is the axis labelled by its index, and each bond of
-    a chain by the next integer after the wires, so every integer label
-    joins exactly two axes."""
-    far, wire, first = d.far, d.wire, d.first
-    n_ports, n_in = first[-1], d.n_inputs
-
-    def open_axis(q):
-        q -= n_ports
-        return ("b", dg.IN, q) if q < n_in else ("b", dg.OUT, q - n_in)
-
-    pieces = [
-        (dg.Z, ZERO, [open_axis(p), open_axis(far[p])])
-        for p in range(n_ports, len(far))
-        if p < far[p]
-    ]
-    bond = len(far) // 2
+    """One (kind, total angle in turns, axis labels) piece per tensor of d.
+    A leg on port p is labelled max(p, far[p]): below ``first[-1]`` a wire
+    between nodes, whose two legs share the label, and otherwise the
+    boundary slot the wire ends at, an open axis.  A bare boundary-to-boundary
+    wire is a phase-zero two-leg Z spider (the identity) on its two slots.
+    A spider's self-loops are left out: a spider traced over a loop is the
+    same spider with two fewer legs (for X, 2 s^2 = 1).  A spider with more
+    legs left than the split degree becomes an exact chain of smaller ones
+    (spider fusion), its angle on the first, each bond a negative label."""
+    far, first = d.far, d.first
+    n_ports = first[-1]
+    pieces = [(dg.Z, ZERO, [p, far[p]]) for p in range(n_ports, len(far)) if p < far[p]]
+    bond = -1
     for i, node in enumerate(d.nodes):
-        labels = [
-            wire[p] if far[p] < n_ports else open_axis(far[p])
-            for p in range(first[i], first[i + 1])
-        ]
+        lo, hi = first[i], first[i + 1]
+        labels = [max(p, far[p]) for p in range(lo, hi) if not lo <= far[p] < hi]
         if node.kind == dg.H:
             pieces.append((dg.H, None, labels))
             continue
         turns = total_angle(node.label).turns
-        if node.degree <= _SPLIT_DEGREE:
+        if len(labels) <= _SPLIT_DEGREE:
             pieces.append((node.kind, turns, labels))
             continue
         chunk = _SPLIT_DEGREE - 2
-        for idx, start in enumerate(range(0, node.degree, chunk)):
+        for idx, start in enumerate(range(0, len(labels), chunk)):
             axes = labels[start : start + chunk]
             if idx:
-                axes.append(bond - 1)
-            if start + chunk < node.degree:
+                axes.append(bond + 1)
+            if start + chunk < len(labels):
                 axes.append(bond)
-                bond += 1
+                bond -= 1
             pieces.append((node.kind, turns if idx == 0 else ZERO, axes))
     return pieces
 
 
 def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
-    """Plan the contraction of d from its wire labels alone; DimensionOverflow
-    comes before any arithmetic.  Returns (pieces, traces, pairs, perm): the
-    ``_network`` pieces, numbered in order; their (piece, axis, axis)
-    self-loops; the (a, b, axes of a, axes of b) contractions, each result
-    numbered next; and the transpose of the outer product of what is left into
-    matrix order.  Greedy: the pair with the smallest result comes first, then
-    the pair with the lowest numbers; every intermediate tensor stays within
-    MAX_TENSOR_ENTRIES."""
+    """Plan the contraction of d from its axis labels alone; DimensionOverflow
+    comes before any arithmetic.  Returns (pieces, pairs, perm): the
+    ``_network`` pieces, numbered in order; the (a, b, axes of a, axes of b)
+    contractions, each result numbered next; and the transpose of the outer
+    product of what is left into matrix order.  Greedy: the pair with the
+    smallest result comes first, then the pair with the lowest numbers; every
+    intermediate tensor stays within MAX_TENSOR_ENTRIES."""
     if d.n_inputs + d.n_outputs > max_open_wires:
         raise DimensionOverflow(
             f"{d.n_inputs + d.n_outputs} open wires exceed cap {max_open_wires}"
         )
     pieces = _network(d)
+    n_ports = d.first[-1]
     # live[k]: tensor k's axis labels, None once contracted; holders[label]:
-    # the two tensors holding an integer (wire or bond) label.
-    live = [None] * (2 * len(pieces))
+    # the two tensors holding a wire or bond label (one below n_ports).
+    live = [ax for _, _, ax in pieces] + [None] * len(pieces)
     holders = {}
-    traces = []
-    for k, piece in enumerate(pieces):
-        ax = live[k] = list(piece[2])
-        if len(set(ax)) < len(ax):
-            while (dup := next((lab for lab in ax if ax.count(lab) == 2), None)) is not None:
-                i = ax.index(dup)
-                j = ax.index(dup, i + 1)
-                traces.append((k, i, j))
-                del ax[j], ax[i]
+    for k, (_, _, ax) in enumerate(pieces):
         for lab in ax:
-            if type(lab) is int:
+            if lab < n_ports:
                 holders.setdefault(lab, []).append(k)
 
     # Each wire label joins exactly two tensors, so the wires a pair shares
@@ -338,7 +320,7 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
         # One heap entry per neighbour, costed by the wires it shares with new.
         shared_by = {}
         for lab in ax:
-            if type(lab) is int:
+            if lab < n_ports:
                 pair = holders[lab]
                 j = 0 if pair[0] == a or pair[0] == b else 1
                 pair[j] = new
@@ -354,20 +336,20 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
         raise DimensionOverflow(
             f"final tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
         )
-    want = [("b", dg.OUT, p) for p in range(d.n_outputs)] + [
-        ("b", dg.IN, p) for p in range(d.n_inputs)
-    ]
-    assert all(type(lab) is tuple for lab in total)
+    assert min(total, default=n_ports) >= n_ports  # only open axes are left
+    outputs = n_ports + d.n_inputs
+    want = [*range(outputs, outputs + d.n_outputs), *range(n_ports, outputs)]
     perm = [total.index(lab) for lab in want]
-    return pieces, traces, pairs, perm
+    return pieces, pairs, perm
 
 
 def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
     """Follow d's contraction plan in ``ring``, every tensor behind the ring's
     batch axis: a (batch, 2^outputs, 2^inputs) array.  A ring gives
     ``batch``, ``dtype``, the Hadamard ``h``, ``phase(turns)``, ``mod`` and
-    ``dot``; every other tensor is a ``_spider_tensor``."""
-    pieces, traces, pairs, perm = plan
+    ``dot``; every other tensor is a ``_spider_tensor``, of as many legs as
+    its piece has labels."""
+    pieces, pairs, perm = plan
     if not pieces:
         return np.ones((ring.batch, 1, 1), dtype=ring.dtype)
     ts, made = {}, {}  # spiders of one kind, degree and angle share a tensor
@@ -379,8 +361,6 @@ def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
             if key not in made:
                 made[key] = _spider_tensor(kind, len(axes), ring.phase(turns), ring)
             ts[k] = made[key]
-    for k, i, j in traces:
-        ts[k] = ring.mod(np.trace(ts[k], axis1=i + 1, axis2=j + 1))
     for new, (a, b, ax_a, ax_b) in enumerate(pairs, start=len(pieces)):
         ts[new] = ring.dot(ts.pop(a), ts.pop(b), (ax_a, ax_b))
     total, *rest = ts.values()
@@ -457,12 +437,10 @@ def congruent_up_to_root_of_unity(a, b, p, n: int) -> bool:
     """True iff a = zeta_n^j b (mod q) under every prime q, for one j:
     equality up to one global phase among the n-th roots of unity.  p is a
     tuple of primes, with a and b one residue matrix per prime as
-    ``evaluate(primes=...)`` gives them, or a single prime with one matrix
-    each.  zeta_n is g^((q - 1) / n) mod q, with g the least generator, as
-    in ``Residues``; j is read off the first prime under which b is nonzero,
-    at b's first nonzero entry.  A zero matrix matches only a zero one."""
-    if isinstance(p, int):
-        p, a, b = (p,), [a], [b]
+    ``evaluate(primes=...)`` gives them.  zeta_n is g^((q - 1) / n) mod q,
+    with g the least generator, as in ``Residues``; j is read off the first
+    prime under which b is nonzero, at b's first nonzero entry.  A zero
+    matrix matches only a zero one."""
     for x, y in zip(a, b):
         if x.shape != y.shape:
             raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")

@@ -257,10 +257,13 @@ def bfs_color_regions(d: dg.Diagram):
 
 
 def scan_wires_between(d: dg.Diagram, u, v) -> list[int]:
-    """Indices of the wires whose node ends are exactly u and v."""
+    """Lower port ids of the wires whose node ends are exactly u and v, the
+    port ids counted from the node degrees."""
+    degrees = [n.degree for n in d.nodes]
+    start = dict(zip([n.id for n in d.nodes], itertools.accumulate(degrees, initial=0)))
     return [
-        i
-        for i, w in enumerate(wires_of(d))
+        min(start[ep.node] + ep.port for ep in (w.a, w.b))
+        for w in wires_of(d)
         if {ep.node for ep in (w.a, w.b) if isinstance(ep, NodePort)} == {u, v}
     ]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,26 @@ def test_parse_circuit_errors():
             parse_circuit(f"qubits 1\n# comment\nRZ q0 {angle}\n")
     with pytest.raises(ParseError, match="^line 1: "):
         parse_circuit("qubits -1\n")
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        ("CX q0 q0", "CX control and target must differ"),
+        ("RX q7 1/2", "qubit 'q7' is outside the 2-qubit register"),
+        ("CX q0 q2", "qubit 'q2' is outside the 2-qubit register"),
+        ("RZ q 1/2", "bad qubit token 'q'"),
+        ("H q-1", "bad qubit token 'q-1'"),
+        ("RZ q0 1/2/3", "bad angle '1/2/3'"),
+        ("RZ q0 x/2", "bad angle 'x/2'"),
+        ("RY q1 half", "bad angle 'half'"),
+        ("RZ q0 3/0", "angle '3/0' has a zero denominator"),
+    ],
+)
+def test_parse_circuit_errors_name_their_line_and_token(gate, message):
+    # a blank line and a comment come first, so the line is the file's own 4
+    with pytest.raises(ParseError, match=f"^line 4: {re.escape(message)}$"):
+        parse_circuit(f"qubits 2\n\n# comment\n{gate}\n")
 
 
 def test_parse_circuit_rejects_extra_tokens():

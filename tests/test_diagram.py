@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from conftest import (
@@ -289,13 +292,17 @@ def test_port_tables_match_a_scan_of_the_wire_list():
     for d in _d1_main_diagrams():
         obj = json.loads(serialize(d))
         kind = {n["id"]: n["kind"] for n in obj["nodes"]}
+        # a node port's id, from the node order and each node's ends in the list
+        degree = Counter(e["node"] for w in obj["wires"] for e in w if "node" in e)
+        start = dict(zip(kind, itertools.accumulate((degree[u] for u in kind), initial=0)))
         between = {}
         near = {u: set() for u, k in kind.items() if k != dg.H}
-        for i, (a, b) in enumerate(obj["wires"]):
+        for a, b in obj["wires"]:
             if "node" in a and "node" in b and a["node"] != b["node"]:
                 u, v = a["node"], b["node"]
-                between.setdefault((u, v), []).append(i)
-                between.setdefault((v, u), []).append(i)
+                w = min(start[u] + a["port"], start[v] + b["port"])  # the wire's lower port id
+                between.setdefault((u, v), []).append(w)
+                between.setdefault((v, u), []).append(w)
                 if kind[u] == kind[v] != dg.H:
                     near[u].add(v)
                     near[v].add(u)

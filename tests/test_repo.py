@@ -2,8 +2,9 @@
 public definition in src/wplzx is dead code, no class member there is one
 that nothing reads, no default parameter of a public function is one that
 no caller sets, no package re-exports a name that nothing imports through
-it, the exact engine imports without numpy, and the sources parse with the
-oldest Python grammar pyproject.toml accepts."""
+it, the exact engine imports without numpy, the sources parse with the
+oldest Python grammar pyproject.toml accepts, and every function the
+benchmark harness wraps still exists."""
 
 from __future__ import annotations
 
@@ -306,3 +307,14 @@ def test_sources_parse_with_the_oldest_supported_grammar():
     for top in ("src", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_benchmark_harness_names_exist(monkeypatch):
+    # perfbench's own tests are not collected here, so a rename of a
+    # function it wraps would otherwise first show as a failed traced run
+    monkeypatch.syspath_prepend(str(ROOT))
+    import perfbench.tracing
+    import perfbench.workloads  # noqa: F401  (it must import, too)
+
+    for module, attr, name, _ in perfbench.tracing.LAYERS:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr, name)

@@ -128,10 +128,8 @@ def test_evaluate_high_degree_spider_split():
 def _steps(plan, rename=lambda lab: lab):
     """A contraction plan's steps as (labels of a, labels of b), each label
     passed through ``rename``."""
-    pieces, traces, pairs, _ = plan
+    pieces, pairs, _ = plan
     live = {k: [rename(lab) for lab in axes] for k, (_, _, axes) in enumerate(pieces)}
-    for k, i, j in traces:
-        del live[k][j], live[k][i]
     steps = []
     for new, (a, b, _, _) in enumerate(pairs, start=len(pieces)):
         steps.append((tuple(live[a]), tuple(live[b])))
@@ -153,7 +151,6 @@ def test_contraction_order_independence():
         )
         ids = [n.id for n in d.nodes]
         new = dict(zip(ids, reversed(range(len(ids)))))
-        old = {v: k for k, v in new.items()}
 
         def rename(ep, ids):
             return NodePort(ids[ep.node], ep.port) if isinstance(ep, NodePort) else ep
@@ -164,15 +161,22 @@ def test_contraction_order_independence():
             d.n_inputs,
             d.n_outputs,
         )
-        # a wire by its (unordered) ends, which renaming may list either way round
-        index = {frozenset((w.a, w.b)): i for i, w in enumerate(wires_of(d))}
-        wire_back = [index[frozenset((rename(w.a, old), rename(w.b, old)))] for w in wires_of(r)]
 
-        # r's axis label in d's terms: an integer label is a wire's index,
-        # since no generated spider has more than 4 legs, so none is split
+        # A wire between nodes is labelled by its higher port id.
+        def label(g, w):
+            return max(g.first[g.index[ep.node]] + ep.port for ep in (w.a, w.b))
+
+        label_back = {
+            label(r, Wire(rename(w.a, new), rename(w.b, new))): label(d, w)
+            for w in wires_of(d)
+            if isinstance(w.a, NodePort) and isinstance(w.b, NodePort)
+        }
+
+        # r's axis label in d's terms: a boundary slot's is the same in both,
+        # and no generated spider has more than 4 legs, so none is split
         # into a chain with bonds.
         assert max(n.degree for n in d.nodes) <= 4
-        back = lambda lab: wire_back[lab] if type(lab) is int else lab
+        back = lambda lab: label_back.get(lab, lab)
 
         canon = lambda steps: [frozenset(map(frozenset, step)) for step in steps]
         differ += canon(_steps(_schedule(d, 12))) != canon(_steps(_schedule(r, 12), back))
@@ -181,21 +185,13 @@ def test_contraction_order_independence():
 
 
 def _rescan_plan(d):
-    """(traces, pairs, perm) of d's contraction plan, found by rescanning
-    every live tensor at each step: the least (result size, lower number,
-    higher number) among pairs of tensors sharing a wire label."""
+    """(pairs, perm) of d's contraction plan, found by rescanning every live
+    tensor at each step: the least (result size, lower number, higher
+    number) among pairs of tensors sharing a wire label."""
     from wplzx.semantics import _network
 
     pieces = _network(d)
-    traces, tensors = [], {}
-    for k, (_, _, axes) in enumerate(pieces):
-        axes = list(axes)
-        while dups := [x for x in axes if axes.count(x) == 2]:
-            i = axes.index(dups[0])
-            j = axes.index(dups[0], i + 1)
-            traces.append((k, i, j))
-            del axes[j], axes[i]
-        tensors[k] = axes
+    tensors = {k: list(axes) for k, (_, _, axes) in enumerate(pieces)}
     pairs = []
     while True:
         holders = {}
@@ -215,9 +211,10 @@ def _rescan_plan(d):
         pairs.append((a, b, [ax_a.index(x) for x in shared], [ax_b.index(x) for x in shared]))
         tensors[len(pieces) + len(pairs) - 1] = [x for x in ax_a + ax_b if x not in shared]
     total = [x for axes in tensors.values() for x in axes]
-    want = [("b", dg.OUT, p) for p in range(d.n_outputs)]
-    want += [("b", dg.IN, p) for p in range(d.n_inputs)]
-    return traces, pairs, [total.index(x) for x in want]
+    # the open axes are labelled by their slot ids: outputs, then inputs
+    slots = range(d.first[-1], d.first[-1] + d.n_inputs + d.n_outputs)
+    want = [*slots[d.n_inputs :], *slots[: d.n_inputs]]
+    return pairs, [total.index(x) for x in want]
 
 
 def test_schedule_keeps_rescan_pair_order():
@@ -232,17 +229,18 @@ def test_schedule_keeps_rescan_pair_order():
     for i in range(20):
         d = gen_random_wplzx(preset("d1-main", seed=7), instance=i)
         cases += [d, wzcc_normalize(d)[0]]
-    # Two self-loops on one spider (non-empty traces) and a bare wire.
+    # Two self-loops on one spider, which its piece leaves out, and a bare wire.
     looped = spider(0, dg.Z, a=4, alpha=(1, 4), ins=1, outs=5)
     wires = [Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)), Wire(NodePort(0, 1), NodePort(0, 2)),
              Wire(NodePort(0, 3), NodePort(0, 4)), Wire(NodePort(0, 5), NodePort(1, 0)),
              Wire(NodePort(1, 1), BoundaryPort(dg.OUT, 0)),
              Wire(BoundaryPort(dg.IN, 1), BoundaryPort(dg.OUT, 1))]
     cases.append(build([looped, spider(1, dg.X)], wires, 2, 2))
-    assert _schedule(cases[-1], 12)[1]  # traces
+    pieces = _schedule(cases[-1], 12)[0]
+    assert [len(axes) for _, _, axes in pieces] == [2, 2, 2]  # six legs less two loops
     for n, d in enumerate(cases):
-        _, traces, pairs, perm = _schedule(d, 12)
-        assert (traces, pairs, perm) == _rescan_plan(d), n
+        _, pairs, perm = _schedule(d, 12)
+        assert (pairs, perm) == _rescan_plan(d), n
 
 
 def test_monoidality_tensor_and_compose(rng):
@@ -440,15 +438,15 @@ def test_congruent_up_to_root_of_unity():
     p, n = 97, 24
     zeta = pow(least_generator(p), (p - 1) // n, p)
     b = np.array([[0, 5], [7, 96]], dtype=np.int64)
-    assert congruent_up_to_root_of_unity(b * zeta % p, b, p, n)
-    assert not congruent_up_to_root_of_unity(b * 2 % p, b, p, n)  # 2 is no 24th root
+    assert congruent_up_to_root_of_unity([b * zeta % p], [b], (p,), n)
+    assert not congruent_up_to_root_of_unity([b * 2 % p], [b], (p,), n)  # 2 is no 24th root
     off = b.copy()
     off[1, 1] = 1
-    assert not congruent_up_to_root_of_unity(off, b, p, n)
+    assert not congruent_up_to_root_of_unity([off], [b], (p,), n)
     zero = np.zeros_like(b)
-    assert congruent_up_to_root_of_unity(zero, zero, p, n)
-    assert not congruent_up_to_root_of_unity(zero, b, p, n)
-    assert not congruent_up_to_root_of_unity(b, zero, p, n)
+    assert congruent_up_to_root_of_unity([zero], [zero], (p,), n)
+    assert not congruent_up_to_root_of_unity([zero], [b], (p,), n)
+    assert not congruent_up_to_root_of_unity([b], [zero], (p,), n)
 
 
 def test_congruence_needs_one_root_of_unity_under_every_prime():
@@ -464,7 +462,7 @@ def test_congruence_needs_one_root_of_unity_under_every_prime():
 
     three, five = times_root(3, b), times_root(5, b)
     a = [three[0], five[1]]
-    assert all(congruent_up_to_root_of_unity(x, y, q, n) for x, y, q in zip(a, b, primes))
+    assert all(congruent_up_to_root_of_unity([x], [y], (q,), n) for x, y, q in zip(a, b, primes))
     assert not congruent_up_to_root_of_unity(a, b, primes, n)
     assert congruent_up_to_root_of_unity(five, b, primes, n)
     # j comes from the first prime under which b is nonzero
@@ -623,6 +621,60 @@ def test_spider_tensor_matches_leg_by_leg_reference_in_complex():
                 assert got.dtype == complex and got.shape == want.shape
                 err = np.max(np.abs(got - want))
                 assert err <= SPIDER_TOL * np.max(np.abs(want)), (kind, turns, degree, err)
+
+
+def test_spider_traced_over_loops_is_the_spider_with_fewer_legs():
+    # the identity behind leaving self-loops out of the network: a spider
+    # traced over k loops is the same spider with 2k fewer legs, exactly in
+    # residues (for X, 2 s^2 = 1) and within SPIDER_TOL of max(1, largest
+    # entry) in complex, as 1 + phase is 0 for an X scalar at half a turn
+    from wplzx.semantics import _Complex, _spider_tensor
+
+    one = _OnePrime(exact_primes(24)[0])
+    for kind in (dg.Z, dg.X):
+        for turns in SPIDER_TURNS:
+            for degree in range(2, 13):
+                for ring in (one, _Complex):
+                    phase = ring.phase(turns)
+                    t = _spider_by_legs(kind, degree, phase, ring)
+                    for k in range(1, degree // 2 + 1):
+                        t = ring.mod(np.trace(t, axis1=t.ndim - 2, axis2=t.ndim - 1))
+                        want = _spider_tensor(kind, degree - 2 * k, phase, ring)
+                        case = (kind, turns, degree, k)
+                        if ring is one:
+                            assert t.tolist() == want.tolist(), case
+                        else:
+                            scale = max(1.0, np.max(np.abs(want)))
+                            assert np.max(np.abs(t - want)) <= SPIDER_TOL * scale, case
+
+
+def test_self_loops_evaluate_as_the_spider_without_them():
+    # five loops on a 1-in/1-out spider make 12 legs, above _SPLIT_DEGREE;
+    # a spider of loops alone is the scalar 1 + phase
+    from wplzx.semantics import _SPLIT_DEGREE
+
+    turns = RationalAngle(7, 24)
+    primes = exact_primes(24)
+    ring = Residues(primes)
+    loops = [Wire(NodePort(0, p), NodePort(0, p + 1)) for p in range(2, 12, 2)]
+    for kind in (dg.Z, dg.X):
+        looped = build(
+            [Node(0, kind, SpiderLabel(24, turns), 1, 11)],
+            [Wire(BoundaryPort(dg.IN, 0), NodePort(0, 0)),
+             Wire(NodePort(0, 1), BoundaryPort(dg.OUT, 0))] + loops,
+            1,
+            1,
+        )
+        assert looped.nodes[0].degree > _SPLIT_DEGREE
+        plain = chain(Node(0, kind, SpiderLabel(24, turns), 1, 1))
+        got, want = evaluate(looped, primes=ring), evaluate(plain, primes=ring)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+        loops_only = [Wire(NodePort(0, p), NodePort(0, p + 1)) for p in range(0, 10, 2)]
+        only = build([Node(0, kind, SpiderLabel(24, turns), 4, 6)], loops_only, 0, 0)
+        scalar = [[[(1 + int(z)) % p]] for z, p in zip(ring.phase(turns), primes)]
+        assert [g.tolist() for g in evaluate(only, primes=ring)] == scalar
+        assert np.isclose(evaluate(only)[0, 0], 1 + np.exp(2j * np.pi * 7 / 24))
 
 
 def test_batched_residues_match_per_prime_reference():
