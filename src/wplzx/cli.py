@@ -302,8 +302,8 @@ def cmd_decode(args) -> int:
         f"exact {matching.exact}",
         f"drg_toy {report.drg_toy!r}",
         f"drg_pm {report.drg_pm!r}",
-        f"mode {report.mode}",
-        f"lambda {report.lam!r}",
+        f"mode {args.mode}",
+        f"lambda {args.lam!r}",
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -328,7 +328,7 @@ def cmd_curvature(args) -> int:
     if args.points < 0:
         raise WplzxError(f"--points must be >= 0, got {args.points}")
     vals = [float(x) for x in np.linspace(args.lo, args.hi, args.points)]
-    rows = curvature_sweep(vals, vals, h=args.h)
+    rows = curvature_sweep(vals, vals)
     cols = ["lambda_perp", "lambda_par", "b_eff", "R", "grad_norm"]
     _write_text(args.out, _csv(rows, cols))
     log(f"curvature landscape over {len(rows)} grid points")
@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--lo", type=float, default=0.1)
     c.add_argument("--hi", type=float, default=1.0)
     c.add_argument("--points", type=int, default=10)
-    c.add_argument("--h", type=float, default=1e-5)
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_curvature)
 

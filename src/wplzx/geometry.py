@@ -83,8 +83,8 @@ def orbifold_euler_characteristic(w: WeightPair) -> Fraction:
     return Fraction(1, w.a) + Fraction(1, w.b)
 
 
-def curvature_sweep(perp_values, par_values, h: float = DEFAULT_GRAD_STEP) -> list[dict]:
-    """Landscape table rows: lambda_perp, lambda_par, b_eff, R, grad_norm."""
+def curvature_sweep(perp_values, par_values) -> list[dict]:
+    """Landscape rows: lambda_perp, lambda_par, b_eff, R and the exact grad_norm."""
     rows = []
     for lp in perp_values:
         for ll in par_values:
@@ -96,7 +96,7 @@ def curvature_sweep(perp_values, par_values, h: float = DEFAULT_GRAD_STEP) -> li
                     "lambda_par": ll,
                     "b_eff": b,
                     "R": scalar_curvature(b),
-                    "grad_norm": curvature_gradient_norm(p, h),
+                    "grad_norm": math.hypot(*default_map_gradient(p)),
                 }
             )
     return rows

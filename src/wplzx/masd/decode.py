@@ -8,9 +8,8 @@ lambda = 0 and are non-decreasing in lambda.
 
 DRG_toy always uses raw (unnormalized) penalties, matching its defining
 formula w_i = d_i + lambda |delta_k_i|; DRG_pm uses whichever mode the decode
-ran with, recorded in the report.  Zero-distance edges (virtual-virtual
-bookkeeping pairs) are excluded from both metrics since their relative
-inflation is undefined.
+ran with.  Zero-distance edges (virtual-virtual bookkeeping pairs) are
+excluded from both metrics since their relative inflation is undefined.
 
 Both metrics are linear in lambda.  DRG_pm equals lambda * S with
 S = sum_e p(e) slope_e / d_e (slope as in ``edge_terms``), and S is computed
@@ -32,11 +31,9 @@ from .matching import Matching, min_weight_perfect_matching
 
 @dataclass(frozen=True)
 class RiskReport:
-    lam: float
     drg_toy: float
     drg_pm: float
     total_cost: float
-    mode: str
 
 
 def drg_toy(pairs, lam: float) -> float:
@@ -62,14 +59,8 @@ def drg_pm(g: DefectGraph, lam: float, beta: float, mode: str = RAW) -> float:
     check_lambda(lam)
     if not 0.0 < beta < math.inf:
         raise InvalidBeta(f"beta must be finite and > 0, got {beta}")
-    return lam * _drg_pm_slope(g, beta, mode)
-
-
-def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
-    """sum_e p(e) slope_e / d_e over edges with a real end; cached on g.
-
-    The weights are exp(-beta (d_e - d_min)), the same p(e) once normalized,
-    so the normalizer is at least 1 however large beta is."""
+    # The weights exp(-beta (d_e - d_min)) give the same p(e) once
+    # normalized, and the normalizer is at least 1 however large beta is.
     key = ("drg_pm", mode, beta)
     slope = g._cache.get(key)
     if slope is None:
@@ -87,7 +78,7 @@ def _drg_pm_slope(g: DefectGraph, beta: float, mode: str) -> float:
             ps = [math.exp(-beta * (d - d_min)) for d in ds]
             slope = sum(p * r for p, r in zip(ps, ratios)) / sum(ps)
         g._cache[key] = slope
-    return slope
+    return lam * slope
 
 
 def masd_decode(
@@ -111,10 +102,8 @@ def masd_decode(
         if k is not None and raw[k][0] and not raw[k][2]:
             toy_pairs.append(raw[k][:2])
     report = RiskReport(
-        lam=lam,
         drg_toy=drg_toy(toy_pairs, lam),
         drg_pm=drg_pm(g, lam, beta, mode),
         total_cost=matching.total_cost,
-        mode=mode,
     )
     return matching, report

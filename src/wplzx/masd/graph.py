@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Union
 
 from ..errors import NegativeLambda, ParseError
@@ -136,8 +135,15 @@ class DefectGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DefectGraph:
+        if not isinstance(obj, dict):
+            raise ParseError("top-level defect graph value must be an object")
+        for key in ("vertices", "edges"):
+            if not isinstance(obj.get(key), list):
+                raise ParseError(f"defect graph field '{key}' must be a list")
         try:
             for i, entry in enumerate(obj["vertices"]):
+                if not isinstance(entry, dict):
+                    raise ParseError(f"vertices[{i}] must be an object")
                 if type(entry["id"]) not in (int, str):
                     raise ParseError(f"vertices[{i}]: id must be an int or str, got {entry['id']!r}")
                 if not isinstance(entry.get("virtual", False), bool):
@@ -158,6 +164,8 @@ class DefectGraph:
                 for entry in obj["vertices"]
             )
             for i, entry in enumerate(obj["edges"]):
+                if not isinstance(entry, dict):
+                    raise ParseError(f"edges[{i}] must be an object")
                 # An end names a vertex by the same type and value: 1.0 and
                 # true are not the vertex 1, though they compare equal to it.
                 for end in ("u", "v"):
@@ -189,11 +197,11 @@ def _winding_gap(u: DefectVertex, v: DefectVertex) -> tuple[int, int]:
     return abs(u.k * (L // u.a) - v.k * (L // v.a)), L
 
 
-def winding_difference(u: DefectVertex, v: DefectVertex) -> Fraction:
+def winding_difference(u: DefectVertex, v: DefectVertex) -> int:
     """Exact winding discrepancy on the lcm(a_u, a_v) refinement grid."""
     if u.is_virtual_boundary or v.is_virtual_boundary:
-        return Fraction(0)
-    return Fraction(_winding_gap(u, v)[0])
+        return 0
+    return _winding_gap(u, v)[0]
 
 
 def check_lambda(lam: float) -> None:
@@ -202,25 +210,10 @@ def check_lambda(lam: float) -> None:
         raise NegativeLambda(f"lambda must be finite and >= 0, got {lam}")
 
 
-def _check_weight_args(lam: float, mode: str) -> None:
-    check_lambda(lam)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _slopes(u: DefectVertex, v: DefectVertex) -> tuple[float, float]:
-    """Lambda's coefficient in the weight of edge (u, v), as (raw, normalized):
-    delta_k and delta_k / L, correctly rounded (int / int division is); zero
-    when either end is virtual."""
-    if u.is_virtual_boundary or v.is_virtual_boundary:
-        return 0.0, 0.0
-    dk, L = _winding_gap(u, v)
-    return float(dk), dk / L
-
-
 def edge_terms(g: DefectGraph, mode: str) -> tuple:
     """(d, slope, both ends virtual) for every edge of g, in edge order; the
-    weight at lambda is d + lambda * slope.
+    weight at lambda is d + lambda * slope, with slope = delta_k (raw) or
+    delta_k / L (normalized), correctly rounded (int / int division is).
 
     Computed for both modes in one pass on first use and cached on the graph.
     An edge with a virtual end has slope zero and skips the winding
@@ -245,7 +238,8 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
             labels = (u.a, u.k, v.a, v.k)
             pair = slopes.get(labels)
             if pair is None:
-                pair = slopes[labels] = _slopes(u, v)
+                dk, L = _winding_gap(u, v)
+                pair = slopes[labels] = float(dk), dk / L
             s_raw, s_norm = pair
             raw.append((e.d, s_raw, False))
             normalized.append((e.d, s_norm, False))
@@ -258,14 +252,15 @@ def edge_terms(g: DefectGraph, mode: str) -> tuple:
 def edge_weight(
     g: DefectGraph, e: DefectEdge, lam: float, mode: str = NORMALIZED
 ) -> float:
-    """MASD cost of one edge, d + lam * delta_k (raw) or d + lam * delta_k / L
-    (normalized); lam = 0 recovers the plain distance d."""
-    _check_weight_args(lam, mode)
-    s_raw, s_norm = _slopes(g.vertex(e.u), g.vertex(e.v))
-    return e.d + lam * (s_raw if mode == RAW else s_norm)
+    """MASD cost of the edge e of g, d + lam * delta_k (raw) or
+    d + lam * delta_k / L (normalized); lam = 0 recovers the plain distance
+    d.  ValueError when e is not one of g's edges."""
+    check_lambda(lam)
+    d, slope, _ = edge_terms(g, mode)[g.edges.index(e)]
+    return d + lam * slope
 
 
 def edge_weights(g: DefectGraph, lam: float, mode: str = NORMALIZED) -> list[float]:
     """The MASD weight d + lam * slope of every edge of g, in g.edges order."""
-    _check_weight_args(lam, mode)
+    check_lambda(lam)
     return [d + lam * slope for d, slope, _ in edge_terms(g, mode)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GridOverflow, NotARefinement, ParseError
 
@@ -79,13 +80,9 @@ class RationalAngle:
         _set_field(self, "den", den)
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> RationalAngle:
-        return cls(f.numerator, f.denominator)
-
-    @classmethod
     def from_float(cls, x: float) -> RationalAngle:
         """Exact (dyadic) rational value of the float ``x``."""
-        return cls.from_fraction(Fraction(x))
+        return cls(*x.as_integer_ratio())
 
     @property
     def fraction(self) -> Fraction:
@@ -99,14 +96,13 @@ class RationalAngle:
 
     def mod1(self) -> RationalAngle:
         """Reduce into the fundamental domain [0, 1) turns."""
-        f = self.fraction % 1
-        return RationalAngle.from_fraction(f)
+        return RationalAngle(self.num % self.den, self.den)
 
     def __add__(self, other: RationalAngle) -> RationalAngle:
-        return RationalAngle.from_fraction(self.fraction + other.fraction)
+        return RationalAngle(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: RationalAngle) -> RationalAngle:
-        return RationalAngle.from_fraction(self.fraction - other.fraction)
+        return RationalAngle(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> RationalAngle:
         return RationalAngle(-self.num, self.den)
@@ -126,23 +122,6 @@ class RationalAngle:
 
 
 ZERO = RationalAngle(0)
-
-
-class _cached_attribute:
-    """``functools.cached_property`` without its lock (which Python 3.11
-    takes on every first read): the first read of the attribute calls the
-    method and stores the value in the instance ``__dict__``, where later
-    reads find it without calling anything."""
-
-    def __init__(self, method):
-        self.method, self.name = method, method.__name__
-        self.__doc__ = method.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -170,11 +149,11 @@ class SpiderLabel:
             and self.winding.is_grid_compliant(self.grid)
         )
 
-    @_cached_attribute
+    @cached_property
     def total_angle(self) -> TotalAngle:
         """alpha + k/a, reduced mod one turn, computed exactly in integers
         over the common denominator alpha.den * k.den * a, once per label
-        (a cached attribute, outside equality, hashing and repr)."""
+        (a cached property, outside equality, hashing and repr)."""
         alpha, k, a = self.alpha, self.winding, self.grid
         den = alpha.den * k.den * a
         return TotalAngle(RationalAngle((alpha.num * k.den * a + k.num * alpha.den) % den, den))

@@ -22,8 +22,8 @@ Replay (``apply_trace``) batches the same way: each run of consecutive
 ``build``, so replay is linear in the trace, while every entry is still
 checked on its own against the state the entries before it left.
 
-Every rule reads the diagram's port tables (``far``, ``first``, ``wire``;
-see ``diagram``) and hands ``build`` its new wiring as port-id pairs of
+Every rule reads the diagram's port tables (``far`` and ``first``; see
+``diagram``) and hands ``build`` its new wiring as port-id pairs of
 the diagram it builds: fusion drops the consumed legs and renumbers the
 rest, identity removal joins the far ends of the spider's two wires, and
 color change gives each leg a Hadamard node.

@@ -45,6 +45,14 @@ def test_gen_unknown_preset_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_curvature_step_flag_usage_error(tmp_path):
+    # grad_norm is the closed-form gradient, so there is no step to set.
+    with pytest.raises(SystemExit) as exc:
+        run(["curvature", "--h", "1e-5", "--out", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_normalize_and_verify_roundtrip(tmp_path, capsys):
     gen_dir = tmp_path / "g"
     run(["gen", "--preset", "d1-main", "--seed", "3", "--qubits", "3",
@@ -423,6 +431,29 @@ def test_decode_non_number_float_field_exit_1(tmp_path, capsys, vertex, edge):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "top-level defect graph value must be an object"),
+        ('{"vertices": 5, "edges": []}', "defect graph field 'vertices' must be a list"),
+        ('{"vertices": "ab", "edges": []}', "defect graph field 'vertices' must be a list"),
+        ('{"vertices": [], "edges": {"u": 1}}', "defect graph field 'edges' must be a list"),
+        ('{"edges": []}', "defect graph field 'vertices' must be a list"),
+        ('{"vertices": [5], "edges": []}', "vertices[0] must be an object"),
+        ('{"vertices": [], "edges": [[0, 1]]}', "edges[0] must be an object"),
+    ],
+    ids=["top-list", "vertices-int", "vertices-string", "edges-object", "vertices-missing",
+         "vertex-int", "edge-list"],
+)
+def test_decode_graph_shape_names_the_field(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["decode", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _one_spider_diagram() -> dict:
     return {
         "inputs": [0],
@@ -568,7 +599,6 @@ def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
         (["curvature", "--lo", "0"], "--lo must lie in (0, 1], got 0.0"),
         (["curvature", "--hi", "2"], "--hi must lie in (0, 1], got 2.0"),
         (["curvature", "--points", "-1"], "--points must be >= 0, got -1"),
-        (["curvature", "--h", "nan"], "step must be finite and positive, got nan"),
         (["gen", "--preset", "d1-main", "--count", "-1"], "--count must be >= 1, got -1"),
         (["gen", "--preset", "d2-main", "--count", "0"], "--count must be >= 1, got 0"),
         (["sweep", "--lambdas", "0", "--trials", "0"], "--trials must be >= 1, got 0"),
@@ -576,7 +606,7 @@ def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
     ],
     ids=[
         "metrics-grid-zero", "curvature-lo-zero", "curvature-hi-two", "curvature-points-negative",
-        "curvature-h-nan", "gen-count-negative", "gen-count-zero", "sweep-trials-zero", "sweep-trials-negative",
+        "gen-count-negative", "gen-count-zero", "sweep-trials-zero", "sweep-trials-negative",
     ],
 )
 def test_out_of_domain_flag_exit_1(tmp_path, capsys, argv, message):

@@ -94,6 +94,8 @@ def test_curvature_sweep_rows():
     for row in rows:
         assert set(row) == {"lambda_perp", "lambda_par", "b_eff", "R", "grad_norm"}
         assert row["R"] == 2.0 / row["b_eff"] ** 2
+        p = AnisotropyParams(row["lambda_perp"], row["lambda_par"])
+        assert row["grad_norm"] == math.hypot(*default_map_gradient(p))
 
 
 def test_orbifold_euler_characteristic():

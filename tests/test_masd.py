@@ -163,6 +163,7 @@ def test_edge_terms_match_rational_slopes_bit_for_bit():
             if not (u.is_virtual_boundary or v.is_virtual_boundary):
                 dk, L = _fraction_winding(u, v)
                 assert winding_difference(u, v) == dk
+                assert type(winding_difference(u, v)) is int
                 raw, norm = float(dk), float(Fraction(dk, L))
             for graph in copies:
                 for mode, want in ((RAW, raw), (NORMALIZED, norm)):
@@ -173,8 +174,16 @@ def test_edge_terms_match_rational_slopes_bit_for_bit():
             lam = rng.uniform(0.0, 2.0)
             assert edge_weight(g, e, lam, RAW).hex() == (e.d + lam * raw).hex()
             assert edge_weight(g, e, lam, NORMALIZED).hex() == (e.d + lam * norm).hex()
+            for mode in (RAW, NORMALIZED):
+                want = edge_weights(g, lam, mode)[k]
+                assert edge_weight(g, e, lam, mode).hex() == want.hex()
             edges += 1
     assert edges > 2000
+    # An edge is looked up in g's edge list, not weighed from its end labels.
+    g = complete_graph([vert(0, 8, 2), vert(1, 12, 5), vert(2, 4, 1)], lambda u, v: 1.0)
+    for stranger in (DefectEdge(0, 1, 2.0), DefectEdge(1, 0, 1.0), DefectEdge(0, 9, 1.0)):
+        with pytest.raises(ValueError):
+            edge_weight(g, stranger, 0.5)
 
 
 def test_edge_terms_grid_overflow_message():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,24 @@ def test_rational_angle_mod1_and_radians():
     assert RA(13, 12).mod1() == RA(1, 12)
     assert RA(-1, 4).mod1() == RA(3, 4)
     assert math.isclose(RA(1, 2).radians(), math.pi)
+    # +, - and mod1 in integers against Fraction, over unreduced, negative
+    # and 10**30-sized operands
+    rng = random.Random("rational-angle-arithmetic")
+    for _ in range(2000):
+        bound = rng.choice([12, 10**30])
+        x, y = (RA(rng.randint(-bound, bound), rng.randint(-bound, bound) or 1) for _ in "xy")
+        for got, want in (
+            (x + y, x.fraction + y.fraction),
+            (x - y, x.fraction - y.fraction),
+            (x.mod1(), x.fraction % 1),
+        ):
+            assert (got.num, got.den) == (want.numerator, want.denominator), (x, y)
+    for f in (0.1, -0.0, 5e-324, 1e308, -2.5):
+        assert RA.from_float(f).fraction == Fraction(f)
+    for f, exc in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        for convert in (RA.from_float, Fraction):
+            with pytest.raises(exc):
+                convert(f)
 
 
 def test_rational_angle_json_roundtrip():

@@ -3,8 +3,8 @@ public definition in src/wplzx is dead code, no class member there is one
 that nothing reads, no default parameter of a public function is one that
 no caller sets, no package re-exports a name that nothing imports through
 it, the exact engine imports without numpy, the sources parse with the
-oldest Python grammar pyproject.toml accepts, and every function the
-benchmark harness wraps still exists."""
+oldest Python grammar pyproject.toml accepts, every function the
+benchmark harness wraps still exists, and the harness's own tests pass."""
 
 from __future__ import annotations
 
@@ -318,3 +318,14 @@ def test_benchmark_harness_names_exist(monkeypatch):
 
     for module, attr, name, _ in perfbench.tracing.LAYERS:
         assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
+
+
+def test_benchmark_harness_tests_pass():
+    # perfbench/tests is collected on its own (its conftest clashes with
+    # this one), so run it here: a src/ change that breaks the harness fails
+    # this suite rather than a benchmark run.
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, (run.stdout + run.stderr)[-3000:]

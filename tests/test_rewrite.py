@@ -364,13 +364,13 @@ def _fold_reference(labels) -> SpiderLabel:
     """The fused label in Fraction arithmetic, one label at a time: alpha
     reduced mod 1 after each addition, the winding rescaled at each lcm."""
     first = labels[0]
-    L, alpha, k = first.grid, first.alpha, first.winding.fraction
+    L, alpha, k = first.grid, first.alpha.fraction, first.winding.fraction
     for lab in labels[1:]:
         L_new = lcm_order(L, lab.grid)
         k = k * (L_new // L) + lab.winding.fraction * (L_new // lab.grid)
-        alpha = (alpha + lab.alpha).mod1()
+        alpha = (alpha + lab.alpha.fraction) % 1
         L = L_new
-    return SpiderLabel(L, alpha, RA.from_fraction(k))
+    return SpiderLabel(L, RA(alpha.numerator, alpha.denominator), RA(k.numerator, k.denominator))
 
 
 def test_fold_matches_fraction_reference():
