@@ -140,45 +140,22 @@ class DefectGraph:
         for key in ("vertices", "edges"):
             if not isinstance(obj.get(key), list):
                 raise ParseError(f"defect graph field '{key}' must be a list")
+        parts = []
+        for key, build in (("vertices", _vertex_from_json), ("edges", _edge_from_json)):
+            built = []
+            for i, entry in enumerate(obj[key]):
+                if not isinstance(entry, dict):
+                    raise ParseError(f"{key}[{i}] must be an object")
+                try:
+                    built.append(build(entry))
+                except KeyError as exc:
+                    raise ParseError(f"{key}[{i}]: missing field {exc}") from exc
+                except (ParseError, ValueError) as exc:
+                    raise ParseError(f"{key}[{i}]: {exc}") from exc
+            parts.append(tuple(built))
         try:
-            for i, entry in enumerate(obj["vertices"]):
-                if not isinstance(entry, dict):
-                    raise ParseError(f"vertices[{i}] must be an object")
-                if type(entry["id"]) not in (int, str):
-                    raise ParseError(f"vertices[{i}]: id must be an int or str, got {entry['id']!r}")
-                if not isinstance(entry.get("virtual", False), bool):
-                    raise ParseError(f"vertices[{i}]: virtual must be true or false")
-                if not isinstance(entry["pos"], list) or len(entry["pos"]) != 2:
-                    raise ParseError(f"vertices[{i}]: pos must be a list of two numbers")
-            vertices = tuple(
-                DefectVertex(
-                    entry["id"],
-                    (
-                        json_number(entry["pos"][0], "pos[0]"),
-                        json_number(entry["pos"][1], "pos[1]"),
-                    ),
-                    json_int(entry, "a"),
-                    json_int(entry, "k"),
-                    entry.get("virtual", False),
-                )
-                for entry in obj["vertices"]
-            )
-            for i, entry in enumerate(obj["edges"]):
-                if not isinstance(entry, dict):
-                    raise ParseError(f"edges[{i}] must be an object")
-                # An end names a vertex by the same type and value: 1.0 and
-                # true are not the vertex 1, though they compare equal to it.
-                for end in ("u", "v"):
-                    if type(entry[end]) not in (int, str):
-                        raise ParseError(
-                            f"edges[{i}]: {end} must be an int or str id, got {entry[end]!r}"
-                        )
-            edges = tuple(
-                DefectEdge(entry["u"], entry["v"], json_number(entry["d"], "d"))
-                for entry in obj["edges"]
-            )
-            return cls(vertices, edges)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            return cls(*parts)
+        except ValueError as exc:
             raise ParseError(f"malformed defect graph: {exc}") from exc
 
     @classmethod
@@ -188,6 +165,31 @@ class DefectGraph:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg} (line {exc.lineno})") from exc
         return cls.from_json_obj(obj)
+
+
+def _vertex_from_json(entry: dict) -> DefectVertex:
+    """One vertex entry of a graph file; ``from_json_obj`` names the entry
+    in the error."""
+    if type(entry["id"]) not in (int, str):
+        raise ParseError(f"id must be an int or str, got {entry['id']!r}")
+    virtual = entry.get("virtual", False)
+    if not isinstance(virtual, bool):
+        raise ParseError("virtual must be true or false")
+    pos = entry["pos"]
+    if not isinstance(pos, list) or len(pos) != 2:
+        raise ParseError("pos must be a list of two numbers")
+    position = (json_number(pos[0], "pos[0]"), json_number(pos[1], "pos[1]"))
+    return DefectVertex(entry["id"], position, json_int(entry, "a"), json_int(entry, "k"), virtual)
+
+
+def _edge_from_json(entry: dict) -> DefectEdge:
+    """One edge entry of a graph file, as ``_vertex_from_json``.  An end
+    names a vertex by the same type and value: 1.0 and true are not the
+    vertex 1, though they compare equal to it."""
+    for end in ("u", "v"):
+        if type(entry[end]) not in (int, str):
+            raise ParseError(f"{end} must be an int or str id, got {entry[end]!r}")
+    return DefectEdge(entry["u"], entry["v"], json_number(entry["d"], "d"))
 
 
 def _winding_gap(u: DefectVertex, v: DefectVertex) -> tuple[int, int]:

@@ -83,40 +83,31 @@ class Matching:
 _EMPTY = Matching((), 0.0, exact=True, edges=())
 
 
-def _own_virtuals(g: DefectGraph, reals: list, virts: list) -> list | None:
-    """(real id, virtual id, edge position) for each retirement candidate,
-    in virtual order, when virtuals follow the one-per-defect pattern (each
-    virtual joined by at most one edge, to a real); None otherwise."""
-    if len(virts) < len(reals):
-        return None
-    real_set = set(reals)
-    attached: dict[VertexId, list] = {v: [] for v in virts}
-    for k, e in enumerate(g.edges):
-        if e.u in real_set and e.v in attached:
-            attached[e.v].append((e.u, k))
-        elif e.v in real_set and e.u in attached:
-            attached[e.u].append((e.v, k))
-    if any(len(r) > 1 for r in attached.values()):
-        return None
-    return [(r, virt, k) for virt, rs in attached.items() for r, k in rs]
-
-
 def _layout(g: DefectGraph) -> tuple:
     """(DP vertex ids, virtual ids left to pair among themselves in ``repr``
-    order, (DP index, virtual id, edge position) per retirement candidate,
-    edge_at), where edge_at[i][j] is the position of the last edge joining
-    DP vertices i and j, or -1 where none does; computed once per graph and
-    cached on it."""
+    order, (DP index, virtual id, edge position) per retirement candidate in
+    virtual order, edge_at), where edge_at[i][j] is the position of the last
+    edge joining DP vertices i and j, or -1 where none does; computed once
+    per graph and cached on it.  Only the reals enter the DP unless there
+    are fewer virtuals than reals or a virtual has more than one edge to a
+    real: then the layout is arbitrary."""
     layout = g._cache.get("layout")
     if layout is None:
         ids = [v.id for v in g.real_vertices]
         virts = [v.id for v in g.virtual_vertices]
-        retire = _own_virtuals(g, ids, virts) if virts else []
-        if retire is None:
+        index = {v: i for i, v in enumerate(ids)}
+        attached: dict[VertexId, list] = {v: [] for v in virts}
+        for k, e in enumerate(g.edges):
+            if e.u in index and e.v in attached:
+                attached[e.v].append((index[e.u], e.v, k))
+            elif e.v in index and e.u in attached:
+                attached[e.u].append((index[e.v], e.u, k))
+        if len(virts) < len(ids) or any(len(c) > 1 for c in attached.values()):
             # Arbitrary virtual layout: every vertex enters the DP, none retires.
             ids, virts, retire = [v.id for v in g.vertices], [], []
-        index = {v: i for i, v in enumerate(ids)}
-        retire = [(index[r], virt, k) for r, virt, k in retire]
+            index = {v: i for i, v in enumerate(ids)}
+        else:
+            retire = [c for cands in attached.values() for c in cands]
         virts.sort(key=repr)
         edge_at = [[-1] * len(ids) for _ in ids]
         for k, e in enumerate(g.edges):

@@ -194,7 +194,7 @@ def build_code(distance: int) -> RotatedSurfaceCode:
     for zp in z_list:  # logical X commutes with every Z check
         assert len(zp.qubits & col0) % 2 == 0
 
-    pair_dist, pair_path, b_dist, b_path = _bfs_tables(z_list, d)
+    pair_mask, boundary_mask = _bfs_tables(z_list, d)
     n = len(z_list)
     return RotatedSurfaceCode(
         distance=d,
@@ -203,17 +203,19 @@ def build_code(distance: int) -> RotatedSurfaceCode:
             _mask(p.index for p in z_list if q in p.qubits) for q in range(d * d)
         ),
         logical_z_mask=_mask(row0),
-        pair_mask={key: _mask(path) for key, path in pair_path.items()},
-        boundary_mask={u: _mask(path) for u, path in b_path.items()},
+        pair_mask=pair_mask,
+        boundary_mask=boundary_mask,
         pair_edge=tuple(
-            tuple(DefectEdge(u, v, float(pair_dist[(u, v)])) for v in range(u + 1, n))
+            tuple(DefectEdge(u, v, float(pair_mask[(u, v)].bit_count())) for v in range(u + 1, n))
             for u in range(n)
         ),
         virtual_pair_edge=tuple(
             tuple(DefectEdge(f"b{u}", f"b{v}", 0.0) for v in range(u + 1, n))
             for u in range(n)
         ),
-        boundary_edge=tuple(DefectEdge(u, f"b{u}", float(b_dist[u])) for u in range(n)),
+        boundary_edge=tuple(
+            DefectEdge(u, f"b{u}", float(boundary_mask[u].bit_count())) for u in range(n)
+        ),
         virtual_vertex=tuple(
             DefectVertex(f"b{p.index}", p.center, 1, 0, is_virtual_boundary=True)
             for p in z_list
@@ -222,11 +224,14 @@ def build_code(distance: int) -> RotatedSurfaceCode:
 
 
 def _bfs_tables(z_list: Sequence[Plaquette], d: int):
-    """Exact chain-length metric over the Z-check adjacency.
+    """(pair_mask, boundary_mask): a shortest witness chain, as a qubit
+    bitmask, for every ordered pair of Z checks and from every Z check to
+    its nearest boundary.
 
     Nodes are Z checks plus a shared boundary sink; each data qubit links the
     checks containing it (or a check to the boundary when it sits in exactly
-    one).  BFS yields minimum error counts and an explicit witness chain.
+    one).  A shortest chain crosses no qubit twice, so its length, the
+    minimum error count, is its mask's ``bit_count()``.
     """
     containing: dict[int, list[int]] = {}
     for p in z_list:
@@ -245,48 +250,24 @@ def _bfs_tables(z_list: Sequence[Plaquette], d: int):
     for lst in adjacency.values():
         lst.sort()
 
-    pair_dist: dict[tuple[int, int], int] = {}
-    pair_path: dict[tuple[int, int], tuple[int, ...]] = {}
-    b_dist: dict[int, int] = {}
-    b_path: dict[int, tuple[int, ...]] = {}
+    pair_mask: dict[tuple[int, int], int] = {}
+    boundary_mask: dict[int, int] = {}
     for src in adjacency:
-        dist = {src: 0}
-        via: dict[int, tuple[int, int]] = {}
-        bdist = None
-        bvia = None
+        chain = {src: 0}
         queue = deque([src])
         while queue:
             cur = queue.popleft()
             for nxt, q in adjacency[cur]:
                 if nxt == -1:
-                    if bdist is None:
-                        bdist = dist[cur] + 1
-                        bvia = (cur, q)
-                    continue
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    via[nxt] = (cur, q)
+                    boundary_mask.setdefault(src, chain[cur] | 1 << q)
+                elif nxt not in chain:
+                    chain[nxt] = chain[cur] | 1 << q
                     queue.append(nxt)
-
-        def chain(dst: int) -> tuple[int, ...]:
-            out = []
-            node = dst
-            while node != src:
-                prev, q = via[node]
-                out.append(q)
-                node = prev
-            return tuple(reversed(out))
-
-        for dst in dist:
-            if dst == src:
-                continue
-            pair_dist[(src, dst)] = dist[dst]
-            pair_path[(src, dst)] = chain(dst)
-        assert bdist is not None
-        prev, q = bvia
-        b_dist[src] = bdist
-        b_path[src] = chain(prev) + (q,)
-    return pair_dist, pair_path, b_dist, b_path
+        for dst, mask in chain.items():
+            if dst != src:
+                pair_mask[(src, dst)] = mask
+        assert src in boundary_mask, f"Z check {src} reaches no boundary"
+    return pair_mask, boundary_mask
 
 
 @dataclass(frozen=True)

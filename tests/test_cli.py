@@ -431,6 +431,21 @@ def test_decode_non_number_float_field_exit_1(tmp_path, capsys, vertex, edge):
     _one_error_line(capsys)
 
 
+def _two_vertex_graph(vertex=None, edge=None) -> str:
+    """A valid two-vertex, two-edge graph file with ``vertex`` merged into
+    its second vertex and ``edge`` into its second edge; a None value
+    deletes the field."""
+    graph = {"vertices": _toy_graph_vertices([0, 1]),
+             "edges": [{"u": 0, "v": 1, "d": 1.0}, {"u": 1, "v": 0, "d": 2.0}]}
+    for entry, changes in ((graph["vertices"][1], vertex), (graph["edges"][1], edge)):
+        for key, value in (changes or {}).items():
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+    return json.dumps(graph)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -441,9 +456,23 @@ def test_decode_non_number_float_field_exit_1(tmp_path, capsys, vertex, edge):
         ('{"edges": []}', "defect graph field 'vertices' must be a list"),
         ('{"vertices": [5], "edges": []}', "vertices[0] must be an object"),
         ('{"vertices": [], "edges": [[0, 1]]}', "edges[0] must be an object"),
+        (_two_vertex_graph(vertex={"a": 8.5}), "vertices[1]: a must be an integer, got 8.5"),
+        (_two_vertex_graph(edge={"d": "x"}), "edges[1]: d must be a number, got 'x'"),
+        (_two_vertex_graph(vertex={"pos": [0, "y"]}),
+         "vertices[1]: pos[1] must be a number, got 'y'"),
+        (_two_vertex_graph(vertex={"k": None}), "vertices[1]: missing field 'k'"),
+        (_two_vertex_graph(edge={"u": None}), "edges[1]: missing field 'u'"),
+        (_two_vertex_graph(vertex={"a": 0}),
+         "vertices[1]: grid order must be a positive integer, got 0"),
+        (_two_vertex_graph(vertex={"virtual": True, "k": 1}),
+         "vertices[1]: virtual boundary vertices must have k = 0"),
+        (_two_vertex_graph(edge={"v": 1}), "edges[1]: defect edges must join distinct vertices"),
+        (_two_vertex_graph(edge={"d": -1}), "edges[1]: edge distance must be >= 0, got -1.0"),
     ],
     ids=["top-list", "vertices-int", "vertices-string", "edges-object", "vertices-missing",
-         "vertex-int", "edge-list"],
+         "vertex-int", "edge-list", "vertex-a-float", "edge-d-string", "vertex-pos-string",
+         "vertex-k-missing", "edge-u-missing", "vertex-a-zero", "virtual-k-nonzero", "edge-self",
+         "edge-d-negative"],
 )
 def test_decode_graph_shape_names_the_field(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

@@ -328,9 +328,17 @@ def test_matching_with_boundary_costs_matches_bruteforce():
         assert covered == sorted(str(v.id) for v in g.vertices)
 
 
-def test_matching_arbitrary_virtual_layout_matches_bruteforce():
-    # Virtual layouts outside the one-per-defect pattern: fewer virtuals than
-    # reals, or one virtual adjacent to two reals.  Every vertex is matched.
+def _arbitrary_layout_cases():
+    """(real count, virtual count, frozenset-keyed weights) of virtual
+    layouts outside the one-per-defect pattern: fewer virtuals than reals,
+    or one virtual adjacent to two reals."""
+    # Fewer virtuals than reals, and each virtual joined to one real only:
+    # folding b0 and b1 into retirements would pair them for free (cost 2.0,
+    # not 3.0), where b0-b1 costs 5.0.
+    yield 4, 2, {
+        frozenset((0, 1)): 1.0, frozenset((2, 3)): 1.0, frozenset((0, "b0")): 1.0,
+        frozenset((1, "b1")): 1.0, frozenset(("b0", "b1")): 5.0,
+    }
     for seed in range(80):
         rng = np.random.default_rng(3000 + seed)
         n_real = int(rng.integers(3, 7))
@@ -338,8 +346,6 @@ def test_matching_arbitrary_virtual_layout_matches_bruteforce():
             n_virt = int(rng.choice(range(2 - n_real % 2, n_real, 2)))
         else:
             n_virt = n_real + (2 if n_real < 5 and rng.random() < 0.5 else 0)
-        reals = [vert(i, 1, 0) for i in range(n_real)]
-        virts = [vert(f"b{i}", 1, 0, virtual=True) for i in range(n_virt)]
         wmap = {}
         for i in range(n_real):
             for j in range(i + 1, n_real):
@@ -354,6 +360,14 @@ def test_matching_arbitrary_virtual_layout_matches_bruteforce():
             for c in range(b + 1, n_virt):
                 if rng.random() < 0.8:
                     wmap[frozenset((f"b{b}", f"b{c}"))] = float(rng.uniform(0.0, 0.5))
+        yield n_real, n_virt, wmap
+
+
+def test_matching_arbitrary_virtual_layout_matches_bruteforce():
+    # Every vertex is matched, and each pair pays its edge's weight.
+    for n_real, n_virt, wmap in _arbitrary_layout_cases():
+        reals = [vert(i, 1, 0) for i in range(n_real)]
+        virts = [vert(f"b{i}", 1, 0, virtual=True) for i in range(n_virt)]
         edges = tuple(DefectEdge(*sorted(k, key=str), d) for k, d in wmap.items())
         g = DefectGraph(tuple(reals + virts), edges)
         ids = [v.id for v in g.vertices]
@@ -604,13 +618,23 @@ KERNEL_GOLDEN = [
 ]
 
 
+# The j of a boundary retirement in a move code (i << 32) | j.
+RETIRE = 0xFFFFFFFF
+
+
 def _by_mask(choice, n):
-    """The kernel's choice list, indexed by position among the reachable
-    masks, spread over all 2^n masks with -1 at the unreachable ones: the
-    list a mask-indexed kernel returns."""
+    """The kernel's choice list, which names for each reachable mask the
+    position of the mask its best move came from, as the list a mask-indexed
+    kernel returns: one move code per mask of all 2^n, (i << 32) | j for a
+    pair and (i << 32) | RETIRE for a retirement, with -1 where no move
+    was recorded."""
+    masks = _dp.transitions(n)[0]
     out = [-1] * (1 << n)
-    for mask, pos in _dp.transitions(n)[1].items():
-        out[mask] = choice[pos]
+    for mask, prev in zip(masks, choice):
+        if prev >= 0:
+            moved = [b for b in range(n) if (mask ^ masks[prev]) >> b & 1]
+            assert len(moved) in (1, 2) and masks[prev] & ~mask == 0
+            out[mask] = (moved[0] << 32) | (moved[1] if len(moved) == 2 else RETIRE)
     return out
 
 
@@ -656,21 +680,18 @@ def _full_scan_reachable(n):
 
 @pytest.mark.parametrize("n", range(17))
 def test_kernel_table_lists_the_reachable_masks(n):
-    rows, position = _dp.transitions(n)
-    masks = list(position)
-    assert masks == sorted(set(masks)) and position == {m: p for p, m in enumerate(masks)}
+    masks, rows = _dp.transitions(n)
+    assert list(masks) == sorted(set(masks))
     assert set(masks) == _full_scan_reachable(n)
     assert len(masks) == _fibonacci(n + 2)
     # The full mask is reached last and has no moves, so it has no row.
     assert masks[-1] == (1 << n) - 1 and len(rows) == len(masks) - 1
-    for mask, (i, retired, retire, pairs) in zip(masks, rows):
+    for mask, (i, retired, pairs) in zip(masks, rows):
         nm = mask | 1 << i
         assert i == (~mask & (mask + 1)).bit_length() - 1
-        assert (masks[retired], retire) == (nm, (i << 32) | _dp.RETIRE)
+        assert masks[retired] == nm
         free = [j for j in range(n) if not nm >> j & 1]
-        assert [(j, masks[p], mv) for j, p, mv in pairs] == [
-            (j, nm | 1 << j, (i << 32) | j) for j in free
-        ]
+        assert [(j, masks[p]) for j, p in pairs] == [(j, nm | 1 << j) for j in free]
 
 
 def _solve_dense_full_scan(w, boundary):
@@ -691,7 +712,7 @@ def _solve_dense_full_scan(w, boundary):
         cand = cost + boundary[i]
         if cand < dp[nm]:
             dp[nm] = cand
-            choice[nm] = (i << 32) | _dp.RETIRE
+            choice[nm] = (i << 32) | RETIRE
         free = top ^ nm
         while free:
             bit_j = free & -free

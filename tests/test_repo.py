@@ -1,10 +1,11 @@
 """Repository hygiene: no tracked file is one that .gitignore excludes, no
-public definition in src/wplzx is dead code, no class member there is one
-that nothing reads, no default parameter of a public function is one that
-no caller sets, no package re-exports a name that nothing imports through
-it, the exact engine imports without numpy, the sources parse with the
-oldest Python grammar pyproject.toml accepts, every function the
-benchmark harness wraps still exists, and the harness's own tests pass."""
+public or private definition in src/wplzx is dead code, no class member
+there is one that nothing reads, no default parameter of a public function
+is one that no caller sets, no package re-exports a name that nothing
+imports through it, the exact engine imports without numpy, the sources
+parse with the oldest Python grammar pyproject.toml accepts, every function
+the benchmark harness wraps still exists, and the harness's own tests
+pass."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,54 @@ def test_every_public_name_is_reached():
     assert not dead, "public definitions nothing reaches:\n" + "\n".join(dead)
     stale = sorted(set(REACH_ALLOWLIST) - set(unreached))
     assert not stale, f"allowlisted names that are now reached or gone: {stale}"
+
+
+# Private definitions kept although nothing else in src/ references them,
+# as "module.name" or "module.Class.name", each with its reason.
+PRIVATE_ALLOWLIST: dict[str, str] = {}
+
+
+def _reference_counts(tree: ast.AST) -> Counter:
+    """How often each name, attribute name and imported name is used in
+    ``tree``."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+    return out
+
+
+def test_every_private_function_is_called():
+    """Each top-level or method def or class in src/wplzx whose name starts
+    with one underscore is referenced somewhere in src/ outside its own
+    definition.
+
+    ``test_every_public_name_is_reached`` skips these names, so without this
+    rule a helper whose last caller is deleted would stay behind unnoticed.
+    A recursive call is inside the definition and does not count.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
+    total = sum((_reference_counts(tree) for tree in trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    uncalled = {}
+    for path, tree in trees.items():
+        module = _module_name(path)
+        for stmt in tree.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for prefix, node in [("", stmt), *((f"{stmt.name}.", m) for m in members)]:
+                if not isinstance(node, kinds) or node.name[:1] != "_" or node.name[:2] == "__":
+                    continue
+                if total[node.name] == _reference_counts(node)[node.name]:
+                    key = f"{module}.{prefix}{node.name}"
+                    uncalled[key] = f"{path.relative_to(ROOT)}:{node.lineno} {key}"
+    dead = [where for key, where in uncalled.items() if key not in PRIVATE_ALLOWLIST]
+    assert not dead, "private definitions nothing else references:\n" + "\n".join(dead)
+    stale = sorted(set(PRIVATE_ALLOWLIST) - set(uncalled))
+    assert not stale, f"allowlisted private definitions that are now referenced or gone: {stale}"
 
 
 # Default parameters kept although no call in src/, perfbench/ or the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -101,7 +102,6 @@ def test_single_error_defect_counts(code3):
 
 def test_bfs_distances_match_manhattan_in_bulk():
     code = build_code(5)
-    pair_distance = _bfs_tables(code.z_checks, 5)[0]
     # interior Z checks: distance equals the rotated-frame Manhattan distance
     interior = [p for p in code.z_checks if len(p.qubits) == 4]
     for a in interior:
@@ -112,7 +112,8 @@ def test_bfs_distances_match_manhattan_in_bulk():
             u1, v1 = (i1 + j1) / 2, (i1 - j1) / 2
             u2, v2 = (i2 + j2) / 2, (i2 - j2) / 2
             manhattan = abs(u1 - u2) + abs(v1 - v2)
-            bfs = pair_distance[(a.index, b.index)]
+            u, v = sorted((a.index, b.index))
+            bfs = code.pair_edge[u][v - u - 1].d
             assert bfs <= manhattan + 1e-9
             if manhattan <= 2:  # no boundary shortcut can undercut here
                 assert bfs == int(round(manhattan))
@@ -340,18 +341,71 @@ def _bits(mask: int) -> set[int]:
     return {q for q in range(mask.bit_length()) if mask >> q & 1}
 
 
+def _bfs_paths(z_list, d):
+    """Reference BFS over the Z-check adjacency, with explicit witness
+    chains: (pair distance, pair chain, boundary distance, boundary chain),
+    the chains as qubit tuples walked back along each node's BFS parent."""
+    containing = {}
+    for p in z_list:
+        for q in p.qubits:
+            containing.setdefault(q, []).append(p.index)
+    adjacency = {p.index: [] for p in z_list}
+    for q in range(d * d):
+        owners = containing[q]
+        if len(owners) == 2:
+            a, b = owners
+            adjacency[a].append((b, q))
+            adjacency[b].append((a, q))
+        else:
+            adjacency[owners[0]].append((-1, q))
+    for lst in adjacency.values():
+        lst.sort()
+    pair_dist, pair_path, b_dist, b_path = {}, {}, {}, {}
+    for src in adjacency:
+        dist, via, bvia = {src: 0}, {}, None
+        queue = collections.deque([src])
+        while queue:
+            cur = queue.popleft()
+            for nxt, q in adjacency[cur]:
+                if nxt == -1:
+                    bvia = bvia or (cur, q)
+                elif nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    via[nxt] = (cur, q)
+                    queue.append(nxt)
+
+        def chain(dst):
+            out = []
+            while dst != src:
+                dst, q = via[dst]
+                out.append(q)
+            return tuple(reversed(out))
+
+        for dst in dist:
+            if dst != src:
+                pair_dist[(src, dst)] = dist[dst]
+                pair_path[(src, dst)] = chain(dst)
+        prev, q = bvia
+        b_dist[src] = dist[prev] + 1
+        b_path[src] = chain(prev) + (q,)
+    return pair_dist, pair_path, b_dist, b_path
+
+
 @pytest.mark.parametrize("d", (3, 5, 7))
 def test_instance_tables_agree_with_bfs_tables(d):
     code = build_code(d)
     n = len(code.z_checks)
-    pair_distance, pair_path, boundary_distance, boundary_path = _bfs_tables(code.z_checks, d)
+    pair_distance, pair_path, boundary_distance, boundary_path = _bfs_paths(code.z_checks, d)
+    pair_mask, boundary_mask = _bfs_tables(code.z_checks, d)
     assert _bits(code.logical_z_mask) == set(range(d))  # the first row
-    assert code.pair_mask.keys() == pair_path.keys()
+    assert code.pair_mask == pair_mask and code.boundary_mask == boundary_mask
+    assert list(pair_mask) == list(pair_path) and list(boundary_mask) == list(boundary_path)
     for key, path in pair_path.items():
-        assert _bits(code.pair_mask[key]) == set(path)
-    assert code.boundary_mask.keys() == boundary_path.keys()
+        assert pair_mask[key] == sum(1 << q for q in path)
+        assert code._syndrome_of(path) == tuple(sorted(key))  # the chain joins its ends
     for u, path in boundary_path.items():
-        assert _bits(code.boundary_mask[u]) == set(path)
+        assert boundary_mask[u] == sum(1 << q for q in path)
+        assert code._syndrome_of(path) == (u,)
     for u in range(n):
         assert len(code.pair_edge[u]) == len(code.virtual_pair_edge[u]) == n - u - 1
         for v in range(u + 1, n):
