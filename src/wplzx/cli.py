@@ -1,4 +1,4 @@
-"""Command-line entry point: gen, normalize, verify, metrics, decode, sweep.
+"""Command-line entry point: gen, normalize, verify, metrics, decode, sweep, curvature.
 
 Machine output (JSON/CSV) goes to files or stdout; human-readable logging
 goes to stderr.  Every command is deterministic given its flags and seed, so

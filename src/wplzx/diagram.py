@@ -383,8 +383,10 @@ def from_json_obj(obj: dict) -> Diagram:
                 raise ParseError(f"{key} must be [0, 1, ..., n-1], got {slots!r}")
         ids, ports = [], []
         degree: dict = {}  # a spider's output arity is recovered from wire incidence
-        for w in obj["wires"]:
-            for ep in (w[0], w[1]):
+        for i, w in enumerate(obj["wires"]):
+            if type(w) is not list or len(w) != 2:
+                raise ParseError(f"wires[{i}] must be a list of two endpoints")
+            for ep in w:
                 if "node" in ep:
                     nid, k = ep["node"], ep["port"]
                     if type(nid) is not int and type(nid) is not str:

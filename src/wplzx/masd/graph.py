@@ -93,14 +93,18 @@ class DefectGraph:
     _cache: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # Each error names its entry, found only on the error path: every
+        # vertex before a duplicate had a new id, so len(by_id) is its
+        # index, and an equal earlier edge would have raised already.
         by_id = {}
         for v in self.vertices:
             if v.id in by_id:
-                raise ValueError(f"duplicate vertex id {v.id!r}")
+                raise ValueError(f"vertices[{len(by_id)}]: duplicate vertex id {v.id!r}")
             by_id[v.id] = v
         for e in self.edges:
             if e.u not in by_id or e.v not in by_id:
-                raise ValueError(f"edge ({e.u!r}, {e.v!r}) references missing vertex")
+                where = f"edges[{self.edges.index(e)}]"
+                raise ValueError(f"{where}: edge ({e.u!r}, {e.v!r}) references missing vertex")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_cache", {})
 
@@ -156,7 +160,7 @@ class DefectGraph:
         try:
             return cls(*parts)
         except ValueError as exc:
-            raise ParseError(f"malformed defect graph: {exc}") from exc
+            raise ParseError(str(exc)) from exc
 
     @classmethod
     def deserialize(cls, text: str) -> DefectGraph:

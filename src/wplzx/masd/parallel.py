@@ -16,7 +16,9 @@ raised or it died) or this process's own block raises an ``Exception``,
 ``forked_sweep`` returns the reason in place of rows, and the caller sweeps
 serially.  Only the serial sweep raises a sweep's errors, so their message,
 order and exit code are the serial run's.  An error costs the parallel
-attempt plus a serial run up to the error.
+attempt plus a serial run up to the error; a bad p, lambda or beta fails at
+the first sample or decode of every block, so it costs little more than the
+forks.
 
 Workers are forked, not spawned: a spawned worker would start a fresh
 interpreter and import numpy and wplzx again, about 0.3 s, several times

@@ -468,11 +468,13 @@ def _two_vertex_graph(vertex=None, edge=None) -> str:
          "vertices[1]: virtual boundary vertices must have k = 0"),
         (_two_vertex_graph(edge={"v": 1}), "edges[1]: defect edges must join distinct vertices"),
         (_two_vertex_graph(edge={"d": -1}), "edges[1]: edge distance must be >= 0, got -1.0"),
+        (_two_vertex_graph(vertex={"id": 0}), "vertices[1]: duplicate vertex id 0"),
+        (_two_vertex_graph(edge={"v": 7}), "edges[1]: edge (1, 7) references missing vertex"),
     ],
     ids=["top-list", "vertices-int", "vertices-string", "edges-object", "vertices-missing",
          "vertex-int", "edge-list", "vertex-a-float", "edge-d-string", "vertex-pos-string",
          "vertex-k-missing", "edge-u-missing", "vertex-a-zero", "virtual-k-nonzero", "edge-self",
-         "edge-d-negative"],
+         "edge-d-negative", "vertex-id-duplicate", "edge-end-missing"],
 )
 def test_decode_graph_shape_names_the_field(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -538,6 +540,29 @@ def test_normalize_bad_integer_field_exit_1(tmp_path, capsys, path, value):
     bad.write_text(json.dumps(obj))
     assert run(["normalize", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
     _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "index, wire",
+    [
+        (0, [{"boundary": "in", "pos": 0}, {"node": 0, "port": 0}, {"node": 0, "port": 1}]),
+        (1, [{"node": 0, "port": 1}]),
+        (1, {"a": {"node": 0, "port": 1}, "b": {"boundary": "out", "pos": 0}}),
+    ],
+    ids=["three-ends", "one-end", "object"],
+)
+def test_normalize_wire_without_two_ends_exit_1(tmp_path, capsys, index, wire):
+    """A wire is a list of exactly two endpoints: a third end is an error,
+    not dropped."""
+    obj = _one_spider_diagram()
+    obj["wires"][index] = wire
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["normalize", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: wires[{index}] must be a list of two endpoints\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -3,9 +3,9 @@ public or private definition in src/wplzx is dead code, no class member
 there is one that nothing reads, no default parameter of a public function
 is one that no caller sets, no package re-exports a name that nothing
 imports through it, the exact engine imports without numpy, the sources
-parse with the oldest Python grammar pyproject.toml accepts, every function
-the benchmark harness wraps still exists, and the harness's own tests
-pass."""
+parse with the oldest Python grammar pyproject.toml accepts, README lists
+every flag of every command, every function the benchmark harness wraps
+still exists, and the harness's own tests pass."""
 
 from __future__ import annotations
 
@@ -344,8 +344,8 @@ def test_exact_engine_imports_without_numpy(module):
 
 
 def test_sources_parse_with_the_oldest_supported_grammar():
-    """Every .py under src/ and tests/ parses with the grammar of the oldest
-    Python that pyproject.toml's ``requires-python`` accepts.
+    """Every .py under src/, tests/ and perfbench/ parses with the grammar of
+    the oldest Python that pyproject.toml's ``requires-python`` accepts.
 
     This checks grammar only.  A call to a function or method added in a
     later version, such as ``BaseException.add_note`` (3.11), still parses.
@@ -354,9 +354,52 @@ def test_sources_parse_with_the_oldest_supported_grammar():
     oldest = re.search(r'requires-python = ">=3\.(\d+)"', pyproject)
     assert oldest, "pyproject.toml declares no requires-python lower bound"
     version = (3, int(oldest.group(1)))
-    for top in ("src", "tests"):
+    for top in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def _readme_flag_lists() -> tuple[str, dict[str, set[str]]]:
+    """README's Commands section up to its first subsection, and for each
+    ``### name`` subsection the options its bullets list: the code spans
+    starting with ``-`` that open a bullet, before the bullet's text."""
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Commands\n(.*?)(?=^## )", readme, re.M | re.S)
+    assert section, "README.md has no '## Commands' section"
+    preamble, *parts = re.split(r"^### (\S+)\n", section.group(1), flags=re.M)
+    listed = {}
+    for name, body in zip(parts[::2], parts[1::2]):
+        bullets = (b.replace("\n  ", " ") for b in re.findall(r"^- .*(?:\n  .*)*", body, re.M))
+        heads = (re.match(r"- ((?:`-[^`]*`,? ?)*)", b).group(1) for b in bullets)
+        listed[name] = {flag for head in heads for flag in re.findall(r"`(-[\w-]+)", head)}
+    return preamble, listed
+
+
+def test_readme_documents_every_flag():
+    """Under README's Commands section, each subcommand has a subsection
+    whose bullets list exactly the options of its parser, apart from ``-h``
+    and ``--config``, which every command takes and the section states once
+    above the subsections; and the parser's description, which ``wplzx
+    --help`` prints, names every subcommand."""
+    from wplzx.cli import build_parser
+
+    parser = build_parser()
+    preamble, listed = _readme_flag_lists()
+    assert sorted(listed) == sorted(parser.commands), "README command subsections"
+    for name, command in parser.commands.items():
+        assert {"help", "config"} <= set(command.flags), name
+        options = {
+            option
+            for dest, action in command.flags.items()
+            if dest not in ("help", "config")
+            for option in action.option_strings
+        }
+        missing, extra = sorted(options - listed[name]), sorted(listed[name] - options)
+        assert not missing, f"README does not list these flags of {name}: {missing}"
+        assert not extra, f"README lists flags that {name} does not have: {extra}"
+    assert "`-h`" in preamble and "`--config FILE`" in preamble
+    for name in parser.commands:
+        assert re.search(rf"\b{name}\b", parser.description), f"--help omits {name}"
 
 
 def test_benchmark_harness_names_exist(monkeypatch):
