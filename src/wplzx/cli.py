@@ -78,6 +78,11 @@ def cmd_gen(args) -> int:
         raise WplzxError(f"--count must be >= 1, got {args.count}")
     flags = ("qubits", "layers", "spiders_min", "spiders_max", "density")
     overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    # d1 presets draw diagrams and d2 presets circuits; neither reads the other's knobs
+    d1 = args.preset.startswith("d1")
+    for f in ("layers",) if d1 else ("spiders_min", "spiders_max", "density"):
+        if f in overrides:
+            raise WplzxError(f"--{f.replace('_', '-')} has no effect on preset {args.preset}")
     cfg = datasets.preset(args.preset, seed=args.seed, **overrides)
 
     out = Path(args.out)
@@ -85,7 +90,7 @@ def cmd_gen(args) -> int:
     files = []
     counts = {}
     for i in range(args.count):
-        if args.preset.startswith("d1"):
+        if d1:
             d = datasets.gen_random_wplzx(cfg, instance=i)
             name = f"{args.preset}-s{args.seed}-{i:03d}.diagram.json"
             (out / name).write_text(diagram.serialize(d), encoding="utf-8")
@@ -140,8 +145,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_wires < 0:
-        raise WplzxError(f"--max-wires must be >= 0, got {args.max_wires}")
     d = _load_diagram(args.input)
     if args.trace is not None:
         trace = rewrite.RewriteTrace.from_jsonl(Path(args.trace).read_text(encoding="utf-8"))
@@ -156,8 +159,8 @@ def cmd_verify(args) -> int:
     try:
         primes = semantics.exact_primes(n)
         ring = semantics.Residues(primes)
-        before = semantics.evaluate(d, max_open_wires=args.max_wires, primes=ring)
-        after = semantics.evaluate(candidate, max_open_wires=args.max_wires, primes=ring)
+        before = semantics.evaluate(d, primes=ring)
+        after = semantics.evaluate(candidate, primes=ring)
     except ResourceCapError as exc:
         sys.stdout.write(f"verdict INCONCLUSIVE\nmethod {how}\n")
         log(f"resource cap: {exc}")
@@ -421,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="matrix-check a normalization or trace replay")
     v.add_argument("--input", required=True)
     v.add_argument("--trace")
-    v.add_argument("--max-wires", type=int, default=semantics.MAX_OPEN_WIRES)
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("metrics", help="compression/fidelity metrics over pairs")
@@ -489,8 +491,8 @@ def _config_value(action: argparse.Action, value):
 def _with_config(parser: argparse.ArgumentParser, args, argv: list) -> argparse.Namespace:
     """``argv`` parsed again with the values of the --config file as the
     chosen command's defaults, so explicit flags still win.  A key that no
-    flag of that command has, or a value its flag would reject, is a usage
-    error."""
+    flag of that command sets (``help`` and ``config`` included), or a value
+    its flag would reject, is a usage error."""
     path = args.config
     try:
         overrides = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -501,7 +503,7 @@ def _with_config(parser: argparse.ArgumentParser, args, argv: list) -> argparse.
     command = parser.commands[args.command]
     defaults = {}
     for key, value in overrides.items():
-        if key not in command.flags:
+        if key not in command.flags or key in ("help", "config"):
             parser.error(f"--config {path}: {key}: no flag of {args.command} sets it")
         try:
             defaults[key] = _config_value(command.flags[key], value)

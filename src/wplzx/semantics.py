@@ -15,6 +15,10 @@ tensor the same way in both rings, an X spider in closed form.
 Conventions: qubit 0 is the most significant bit; a diagram with m inputs and
 n outputs evaluates to a 2^n x 2^m matrix.  Float equality checks use the
 fixed tolerance EQ_TOL = 1e-9.
+
+The one size limit is MAX_TENSOR_ENTRIES = 2^24 entries per tensor, the
+final matrix and ``spider_matrix`` included.  Past it DimensionOverflow comes
+before any arithmetic, so no diagram of more than 24 open wires is contracted.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from .phase import ZERO, RationalAngle, TotalAngle, total_angle
 
 EQ_TOL = 1e-9
 
-MAX_OPEN_WIRES = 12
 MAX_TENSOR_ENTRIES = 1 << 24
-MAX_SPIDER_LEGS = 20
 PRIME_BOUND = 1 << 20  # exact-mode primes stay below it, so products stay below 2^40
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -190,8 +192,11 @@ def exact_primes(n: int) -> tuple[int, int]:
 @functools.cache
 def _odd_weight(degree: int) -> np.ndarray:
     """Read-only bool tensor of rank ``degree``: whether each index has an
-    odd number of ones."""
-    odd = np.asarray(np.indices((2,) * degree).sum(axis=0) % 2 == 1)
+    odd number of ones, built one leading bit at a time in O(2^degree)."""
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(degree):
+        odd = np.concatenate([odd, ~odd])
+    odd = odd.reshape((2,) * degree)
     odd.flags.writeable = False
     return odd
 
@@ -228,8 +233,8 @@ def spider_matrix(kind: str, m: int, n: int, theta: TotalAngle | float) -> np.nd
         raise ValueError(f"spider_matrix needs a spider kind, got {kind!r}")
     if m < 0 or n < 0:
         raise ValueError("arities must be non-negative")
-    if m + n > MAX_SPIDER_LEGS:
-        raise DimensionOverflow(f"spider with {m + n} legs exceeds cap {MAX_SPIDER_LEGS}")
+    if (size := 2 ** (m + n)) > MAX_TENSOR_ENTRIES:
+        raise DimensionOverflow(f"spider tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}")
     th = theta.radians() if isinstance(theta, TotalAngle) else float(theta)
     return _spider_tensor(kind, m + n, np.array([_unit(th)]), _Complex)[0].reshape(2 ** n, 2 ** m)
 
@@ -270,17 +275,18 @@ def _network(d: dg.Diagram) -> list[tuple]:
     return pieces
 
 
-def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
+def _schedule(d: dg.Diagram) -> tuple:
     """Plan the contraction of d from its axis labels alone; DimensionOverflow
     comes before any arithmetic.  Returns (pieces, pairs, perm): the
     ``_network`` pieces, numbered in order; the (a, b, axes of a, axes of b)
     contractions, each result numbered next; and the transpose of the outer
     product of what is left into matrix order.  Greedy: the pair with the
-    smallest result comes first, then the pair with the lowest numbers; every
-    intermediate tensor stays within MAX_TENSOR_ENTRIES."""
-    if d.n_inputs + d.n_outputs > max_open_wires:
+    smallest result comes first, then the pair with the lowest numbers; the
+    final tensor, one axis per open wire, and every intermediate stay within
+    MAX_TENSOR_ENTRIES."""
+    if (size := 2 ** (d.n_inputs + d.n_outputs)) > MAX_TENSOR_ENTRIES:
         raise DimensionOverflow(
-            f"{d.n_inputs + d.n_outputs} open wires exceed cap {max_open_wires}"
+            f"final tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
         )
     pieces = _network(d)
     n_ports = d.first[-1]
@@ -339,10 +345,6 @@ def _schedule(d: dg.Diagram, max_open_wires: int) -> tuple:
 
     # What is left is unconnected and has only open axes: outer products.
     total = [lab for ax in live if ax is not None for lab in ax]
-    if (size := 2 ** len(total)) > MAX_TENSOR_ENTRIES:
-        raise DimensionOverflow(
-            f"final tensor of {size} entries exceeds cap {MAX_TENSOR_ENTRIES}"
-        )
     assert min(total, default=n_ports) >= n_ports  # only open axes are left
     outputs = n_ports + d.n_inputs
     want = [*range(outputs, outputs + d.n_outputs), *range(n_ports, outputs)]
@@ -377,12 +379,7 @@ def _contract(d: dg.Diagram, plan: tuple, ring) -> np.ndarray:
     return t.reshape(ring.batch, 2 ** d.n_outputs, 2 ** d.n_inputs)
 
 
-def evaluate(
-    d: dg.Diagram,
-    *,
-    max_open_wires: int = MAX_OPEN_WIRES,
-    primes: Residues | None = None,
-):
+def evaluate(d: dg.Diagram, *, primes: Residues | None = None):
     """Contract the diagram to its 2^{outputs} x 2^{inputs} matrix.
 
     Without ``primes``, a complex matrix in double precision.  With a
@@ -393,7 +390,7 @@ def evaluate(
     The contraction schedule (see ``_schedule``) is planned once, and one
     pass along it carries every prime.
     """
-    plan = _schedule(d, max_open_wires)
+    plan = _schedule(d)
     if primes is None:
         return _contract(d, plan, _Complex)[0]
     return list(_contract(d, plan, primes))

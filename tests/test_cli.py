@@ -200,23 +200,72 @@ def test_lone_large_grid_spider_is_not_capped(tmp_path, capsys):
 
 
 def test_verify_oversize_exit_3(tmp_path, capsys):
+    # 13 rails: 26 open wires, a final tensor past the 2^24-entry cap
     gen_dir = tmp_path / "g"
-    run(["gen", "--preset", "d1-main", "--seed", "5", "--qubits", "4",
+    run(["gen", "--preset", "d1-main", "--seed", "5", "--qubits", "13",
          "--spiders-min", "4", "--spiders-max", "6", "--out", str(gen_dir)])
     src = next(gen_dir.glob("*.diagram.json"))
-    assert run(["verify", "--input", str(src), "--max-wires", "2"]) == 3
+    assert run(["verify", "--input", str(src)]) == 3
 
 
-def test_verify_negative_max_wires_exit_1(tmp_path, capsys):
-    gen_dir = tmp_path / "g"
-    run(["gen", "--preset", "d1-main", "--seed", "5", "--qubits", "4",
-         "--spiders-min", "4", "--spiders-max", "6", "--out", str(gen_dir)])
-    src = next(gen_dir.glob("*.diagram.json"))
-    capsys.readouterr()
-    assert run(["verify", "--input", str(src), "--max-wires", "-1"]) == 1
+def _identity_file(path: Path, width: int) -> Path:
+    """A diagram file of the identity on ``width`` rails, input i to output
+    i through a phase-free one-in, one-out Z spider."""
+    from conftest import spider
+    from wplzx import diagram as dg
+
+    nodes = [spider(i, dg.Z) for i in range(width)]
+    wires = [w for i in range(width) for w in (
+        dg.Wire(dg.BoundaryPort(dg.IN, i), dg.NodePort(i, 0)),
+        dg.Wire(dg.NodePort(i, 1), dg.BoundaryPort(dg.OUT, i)),
+    )]
+    path.write_text(dg.serialize(dg.build(nodes, wires, width, width)))
+    return path
+
+
+def test_verify_past_the_tensor_cap_exits_3_before_any_arithmetic(tmp_path, capsys, monkeypatch):
+    from wplzx import semantics
+
+    def no_network(d):
+        raise AssertionError("planned a diagram past the tensor cap")
+
+    monkeypatch.setattr(semantics, "_network", no_network)
+    src = _identity_file(tmp_path / "id13.diagram.json", 13)
+    assert run(["verify", "--input", str(src)]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --max-wires must be >= 0, got -1\n"
+    assert captured.out == "verdict INCONCLUSIVE\nmethod normalization\n"
+    assert captured.err == (
+        "resource cap: final tensor of 67108864 entries exceeds cap 16777216\n"
+    )
+
+
+def test_verify_takes_no_size_flag():
+    # the tensor cap is the oracle's only size limit, and no flag moves it
+    from wplzx.cli import build_parser
+
+    verify = build_parser().commands["verify"]
+    options = sorted(o for action in verify.flags.values() for o in action.option_strings)
+    assert options == ["--config", "--help", "--input", "--trace", "-h"]
+
+
+def test_verify_decides_eight_qubit_diagrams(tmp_path, capsys):
+    # 16 open wires: within the tensor cap, so every one is decided
+    corpus = tmp_path / "g"
+    assert run(["gen", "--preset", "d1-main", "--seed", "7", "--count", "6",
+                "--qubits", "8", "--out", str(corpus)]) == 0
+    sources = sorted(corpus.glob("*.diagram.json"))
+    assert len(sources) == 6
+    for i, src in enumerate(sources):
+        norm = tmp_path / f"n{i}"
+        assert run(["normalize", "--input", str(src), "--out", str(norm)]) == 0
+        capsys.readouterr()
+        for extra, how in (([], "normalization"),
+                           (["--trace", str(norm / "trace.jsonl")], "trace replay")):
+            assert run(["verify", "--input", str(src)] + extra) == 0, (src.name, how)
+            out = capsys.readouterr().out.splitlines()
+            assert out[:2] == ["verdict SOUND", f"method {how}"], src.name
+            if i == 0:
+                assert out[3] == "zero_map false"
 
 
 def test_metrics_csv_shape(tmp_path, capsys):
@@ -337,6 +386,34 @@ def test_metrics_footer_nan_without_numeric_values(tmp_path, seed7_pairs):
     assert lines[1].endswith(",nan")
     assert lines[2].startswith("mean,") and lines[2].endswith(",nan")
     assert lines[3].startswith("stddev,") and lines[3].endswith(",nan")
+
+
+def test_metrics_fp_is_a_number_for_seven_qubit_circuits(tmp_path):
+    # 14 open wires: within the tensor cap, so the circuits' states are compared
+    from wplzx.datasets import (
+        circuit_to_diagram,
+        diagram_to_circuit,
+        parse_circuit,
+        serialize_circuit,
+    )
+    from wplzx.rewrite import wzcc_normalize
+
+    raw = tmp_path / "raw"
+    assert run(["gen", "--preset", "d2-main", "--seed", "4", "--qubits", "7",
+                "--out", str(raw)]) == 0
+    src = raw / "d2-main-s4-000.circuit.txt"
+    norm, _, _ = wzcc_normalize(circuit_to_diagram(parse_circuit(src.read_text())))
+    opt = tmp_path / "opt.circuit.txt"
+    opt.write_text(serialize_circuit(diagram_to_circuit(norm)))
+    row = _metric_lines(tmp_path, src, opt)[1].split(",")
+    assert row[1] == "7"
+    assert abs(float(row[6]) - 1.0) < 1e-9
+
+
+def test_metrics_fp_nan_past_the_tensor_cap(tmp_path):
+    src = _identity_file(tmp_path / "id13.diagram.json", 13)
+    lines = _metric_lines(tmp_path, src, src)
+    assert lines[1].startswith("0,13,13,") and lines[1].endswith(",nan")
 
 
 def test_decode_reproduces_worked_edge_weight(tmp_path, capsys):
@@ -657,10 +734,22 @@ def test_sweep_unparsable_lambda_usage_error(tmp_path, capsys):
         (["gen", "--preset", "d2-main", "--count", "0"], "--count must be >= 1, got 0"),
         (["sweep", "--lambdas", "0", "--trials", "0"], "--trials must be >= 1, got 0"),
         (["sweep", "--lambdas", "0", "--trials", "-3"], "--trials must be >= 1, got -3"),
+        (["gen", "--preset", "d1-main", "--layers", "9"],
+         "--layers has no effect on preset d1-main"),
+        (["gen", "--preset", "d1-appendix", "--layers", "0"],
+         "--layers has no effect on preset d1-appendix"),
+        (["gen", "--preset", "d2-main", "--spiders-min", "5"],
+         "--spiders-min has no effect on preset d2-main"),
+        (["gen", "--preset", "d2-main", "--spiders-max", "7"],
+         "--spiders-max has no effect on preset d2-main"),
+        (["gen", "--preset", "d2-appendix", "--density", "0.9"],
+         "--density has no effect on preset d2-appendix"),
     ],
     ids=[
         "metrics-grid-zero", "curvature-lo-zero", "curvature-hi-two", "curvature-points-negative",
         "gen-count-negative", "gen-count-zero", "sweep-trials-zero", "sweep-trials-negative",
+        "gen-d1-layers", "gen-d1-layers-zero", "gen-d2-spiders-min", "gen-d2-spiders-max",
+        "gen-d2-density",
     ],
 )
 def test_out_of_domain_flag_exit_1(tmp_path, capsys, argv, message):
@@ -888,7 +977,7 @@ def test_config_is_read_through_argparse_and_rejects_unknown_keys(tmp_path, caps
     out = tmp_path / "o.csv"
     assert run(["sweep", "--lambdas", "0", f"--config={cfg}", "--out", str(out)]) == 0
     assert "over 3 trials" in capsys.readouterr().err
-    for key in ("trails", "tol", "preset"):
+    for key in ("trails", "tol", "preset", "help", "config"):
         cfg.write_text(json.dumps({key: 3}))
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--lambdas", "0", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])

@@ -1,8 +1,8 @@
 """Repository hygiene: no tracked file is one that .gitignore excludes, no
 public or private definition in src/wplzx is dead code, no class member
 there is one that nothing reads, no default parameter of a public function
-is one that no caller sets, no package re-exports a name that nothing
-imports through it, the exact engine imports without numpy, the sources
+is one that no caller sets, no module-level constant is one that nothing
+reads, no package re-exports a name that nothing imports through it, the exact engine imports without numpy, the sources
 parse with the oldest Python grammar pyproject.toml accepts, README lists
 every flag of every command, every function the benchmark harness wraps
 still exists, and the harness's own tests pass."""
@@ -259,6 +259,72 @@ def test_every_member_is_read():
     assert not dead, "class members nothing reads:\n" + "\n".join(dead)
     stale = sorted(set(MEMBER_ALLOWLIST) - set(unread))
     assert not stale, f"allowlisted members that are now read or gone: {stale}"
+
+
+# Module-level names kept although nothing in src/, perfbench/ or the
+# acceptance tests loads them, as "module.NAME", each with its reason.
+CONSTANT_ALLOWLIST: dict[str, str] = {}
+
+
+def _loads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded (``name``) and attribute names loaded (``x.name``) in
+    ``tree``, outside the subtree ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_module_constant_is_read():
+    """Each name that a module-level assignment in src/wplzx binds, other
+    than ``__all__``, is loaded somewhere in src/, perfbench/ or the
+    acceptance tests, outside its own assignment.
+
+    A load is a name ``NAME`` or an attribute ``module.NAME`` read in the
+    syntax tree; an import, a mention in a docstring or a re-assignment is
+    not.  The rules above cover definitions, members, parameters and
+    re-exports; without this one, a cap or a table whose last reader is
+    deleted would stay behind unnoticed.
+    """
+    paths = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "perfbench").rglob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    loads = {path: _loads(tree) for path, tree in trees.items()}
+
+    unread = {}
+    for path, tree in trees.items():
+        if ROOT / "src" / "wplzx" not in path.parents:
+            continue
+        elsewhere = set().union(*(names for p, names in loads.items() if p != path))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                for node in ast.walk(target):
+                    if not isinstance(node, ast.Name) or node.id == "__all__":
+                        continue
+                    if node.id not in elsewhere and node.id not in _loads(tree, skip=stmt):
+                        key = f"{_module_name(path)}.{node.id}"
+                        unread[key] = f"{path.relative_to(ROOT)}:{stmt.lineno} {key}"
+    dead = [where for key, where in unread.items() if key not in CONSTANT_ALLOWLIST]
+    assert not dead, "module-level names nothing reads:\n" + "\n".join(dead)
+    stale = sorted(set(CONSTANT_ALLOWLIST) - set(unread))
+    assert not stale, f"allowlisted module-level names that are now read or gone: {stale}"
 
 
 # Names a package __init__ in src/wplzx re-exports although nothing imports

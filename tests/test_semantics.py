@@ -56,6 +56,15 @@ def test_spider_matrix_cap():
         spider_matrix(dg.Z, 15, 15, TA(0, 1))
 
 
+def test_spider_matrix_legs_bounded_by_the_tensor_cap():
+    # 2^25 entries is past MAX_TENSOR_ENTRIES; 21 legs, 2^21 entries, build
+    with pytest.raises(DimensionOverflow, match="spider tensor of 33554432 entries"):
+        spider_matrix(dg.Z, 12, 13, TA(0, 1))
+    m = spider_matrix(dg.X, 10, 11, TA(1, 8))
+    assert m.shape == (2**11, 2**10)
+    assert np.isclose(m[0, 0], spider_matrix(dg.X, 0, 0, TA(1, 8))[0, 0] / 2**10.5)
+
+
 def test_evaluate_identity_wire():
     d = build([], [Wire(BoundaryPort(dg.IN, 0), BoundaryPort(dg.OUT, 0))], 1, 1)
     assert np.allclose(evaluate(d), np.eye(2))
@@ -103,14 +112,15 @@ def test_evaluate_scalar_loop():
 
 
 def test_evaluate_open_wire_cap():
+    # 26 open wires: the final tensor alone has 2^26 > MAX_TENSOR_ENTRIES entries
     d = build(
         [],
-        [Wire(BoundaryPort(dg.IN, i), BoundaryPort(dg.OUT, i)) for i in range(7)],
-        7,
-        7,
+        [Wire(BoundaryPort(dg.IN, i), BoundaryPort(dg.OUT, i)) for i in range(13)],
+        13,
+        13,
     )
-    with pytest.raises(DimensionOverflow):
-        evaluate(d, max_open_wires=12)
+    with pytest.raises(DimensionOverflow, match="final tensor of 67108864 entries"):
+        evaluate(d)
 
 
 def test_evaluate_high_degree_spider_split():
@@ -179,7 +189,7 @@ def test_contraction_order_independence():
         back = lambda lab: label_back.get(lab, lab)
 
         canon = lambda steps: [frozenset(map(frozenset, step)) for step in steps]
-        differ += canon(_steps(_schedule(d, 12))) != canon(_steps(_schedule(r, 12), back))
+        differ += canon(_steps(_schedule(d))) != canon(_steps(_schedule(r), back))
         assert np.max(np.abs(evaluate(d) - evaluate(r))) < 1e-9
     assert differ
 
@@ -236,10 +246,10 @@ def test_schedule_keeps_rescan_pair_order():
              Wire(NodePort(1, 1), BoundaryPort(dg.OUT, 0)),
              Wire(BoundaryPort(dg.IN, 1), BoundaryPort(dg.OUT, 1))]
     cases.append(build([looped, spider(1, dg.X)], wires, 2, 2))
-    pieces = _schedule(cases[-1], 12)[0]
+    pieces = _schedule(cases[-1])[0]
     assert [len(axes) for _, _, axes in pieces] == [2, 2, 2]  # six legs less two loops
     for n, d in enumerate(cases):
-        _, pairs, perm = _schedule(d, 12)
+        _, pairs, perm = _schedule(d)
         assert (pairs, perm) == _rescan_plan(d), n
 
 
@@ -609,13 +619,13 @@ def test_spider_tensor_matches_leg_by_leg_reference_in_residues():
 
 def test_spider_tensor_matches_leg_by_leg_reference_in_complex():
     # the closed-form X spider rounds differently from n products with H:
-    # every entry within SPIDER_TOL of the largest
-    from wplzx.semantics import MAX_SPIDER_LEGS, _Complex, _spider_tensor
+    # every entry within SPIDER_TOL of the largest, for degrees 0-20
+    from wplzx.semantics import _Complex, _spider_tensor
 
     for kind in (dg.Z, dg.X):
         for turns in SPIDER_TURNS:
             phase = _Complex.phase(turns)
-            for degree in range(MAX_SPIDER_LEGS + 1):
+            for degree in range(21):
                 got = _spider_tensor(kind, degree, phase, _Complex)
                 want = _spider_by_legs(kind, degree, phase, _Complex)
                 assert got.dtype == complex and got.shape == want.shape
@@ -699,7 +709,7 @@ def test_batched_residues_match_per_prime_reference():
     for d in cases:
         primes = exact_primes(phase_order(d))
         got = evaluate(d, primes=Residues(primes))
-        plan = _schedule(d, 12)
+        plan = _schedule(d)
         for p, residues in zip(primes, got):
             want = _contract(d, plan, _OnePrime(p))[0]
             assert residues.dtype == np.int64
