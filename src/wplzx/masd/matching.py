@@ -13,24 +13,30 @@ edge is read.  Any other virtual layout puts every vertex into the same DP
 with an infinite retirement cost, so there each pair needs an edge and pays
 its weight.
 
-Weights arrive as one float per edge, in ``g.edges`` order (see
-``graph.edge_weights``).  Which layout applies, the DP vertex order, each
-real defect's retirement candidates and ``edge_at``, the position of the
-last edge joining each two DP vertices (-1 for none), depend only on the
-graph, so they are computed once per graph and cached on it; each call
-reads that call's weights through them into Python lists for the
-pure-Python kernel in ``_dp``.  The same positions name, in
-``Matching.edges``, the edge whose weight each pair paid: ``None`` marks
-exactly the free virtual pairs.  A graph with no vertices skips the kernel.
+The matcher reads a graph's array form (``graph.DefectArrays``): the
+sampler's graphs carry theirs, and any other graph is converted once and
+keeps the form.  Weights arrive as one float per edge, in ``g.edges`` order
+(see ``graph.edge_weights``), and the form's rows are the graph's first
+edges, so the same positions serve both.  Which layout applies, the DP
+vertex order, each real defect's retirement candidates and ``edge_at``,
+the row of the last edge joining each two DP vertices (-1 for none), are
+part of the form; each call reads that call's weights through them into
+Python lists for the pure-Python kernel in ``_dp``.  The same positions
+name, in ``Matching.edges``, the edge whose weight each pair paid:
+``None`` marks exactly the free virtual pairs.  A graph with no vertices
+skips the kernel.
 
 A lambda grid raises weights (the penalty lambda * slope has slope >= 0),
-and often leaves the optimum where it was.  So each graph keeps the weights
+and often leaves the optimum where it was.  So each form keeps the weights
 of its last solve and the ``Matching`` that solve returned, and a later call
 returns that same object, without running the DP, when (a) every weight the
 matching paid (each position in ``Matching.edges``) is exactly what it was
 and (b) no weight decreased.  The result is the one a fresh solve gives,
 bit for bit.  On the benchmark's sweep-d7 workload at seed 7, 2,232 of the
-3,600 decodes at lambda > 0 are served this way.
+3,600 decodes at lambda > 0 are served this way.  A graph's weight list
+may run past the form's rows (a sampled graph's free virtual-virtual
+clique); the DP never reads those weights, so comparing two lists over
+their common positions is enough.
 
 Float addition and ``min`` are monotone, so raising weights can only raise
 each ``dp[mask]``.  Take a mask on the kept matching's reconstruct chain:
@@ -54,7 +60,7 @@ from typing import Sequence
 
 from ..errors import MatchingOverflow, OddVertexCount
 from . import _dp
-from .graph import DefectGraph, VertexId
+from .graph import DefectArrays, DefectGraph, VertexId, defect_arrays
 
 DP_VERTEX_CAP = 24
 
@@ -86,61 +92,31 @@ class Matching:
 _EMPTY = Matching((), 0.0, exact=True, edges=())
 
 
-def _layout(g: DefectGraph) -> tuple:
-    """(DP vertex ids, virtual ids left to pair among themselves in ``repr``
-    order, (DP index, virtual id, edge position) per retirement candidate in
-    virtual order, edge_at), where edge_at[i][j] is the position of the last
-    edge joining DP vertices i and j, or -1 where none does; computed once
-    per graph and cached on it.  Only the reals enter the DP unless there
-    are fewer virtuals than reals or a virtual has more than one edge to a
-    real: then the layout is arbitrary."""
-    layout = g._cache.get("layout")
-    if layout is None:
-        ids = [v.id for v in g.real_vertices]
-        virts = [v.id for v in g.virtual_vertices]
-        index = {v: i for i, v in enumerate(ids)}
-        attached: dict[VertexId, list] = {v: [] for v in virts}
-        for k, e in enumerate(g.edges):
-            if e.u in index and e.v in attached:
-                attached[e.v].append((index[e.u], e.v, k))
-            elif e.v in index and e.u in attached:
-                attached[e.u].append((index[e.v], e.u, k))
-        if len(virts) < len(ids) or any(len(c) > 1 for c in attached.values()):
-            # Arbitrary virtual layout: every vertex enters the DP, none retires.
-            ids, virts, retire = [v.id for v in g.vertices], [], []
-            index = {v: i for i, v in enumerate(ids)}
-        else:
-            retire = [c for cands in attached.values() for c in cands]
-        virts.sort(key=repr)
-        edge_at = [[-1] * len(ids) for _ in ids]
-        for k, e in enumerate(g.edges):
-            i, j = index.get(e.u), index.get(e.v)
-            if i is not None and j is not None:
-                edge_at[i][j] = edge_at[j][i] = k
-        layout = g._cache["layout"] = (ids, virts, retire, edge_at)
-    return layout
-
-
-def min_weight_perfect_matching(g: DefectGraph, weights: Sequence[float]) -> Matching:
-    """Match all vertices of g at minimum total weight.
+def min_weight_perfect_matching(
+    g: DefectGraph | DefectArrays, weights: Sequence[float]
+) -> Matching:
+    """Match all vertices of g, a defect graph or its array form, at
+    minimum total weight.
 
     ``weights`` holds one cost per edge of g, in ``g.edges`` order, as built
     by ``edge_weights``; where edges are parallel, the last one's cost is
-    used.  Raises ValueError when its length differs from the edge count,
-    OddVertexCount when no perfect matching can exist and MatchingOverflow
-    past DP_VERTEX_CAP DP vertices.
+    used.  Only the weights of the array form's rows are read.  Raises
+    ValueError when its length differs from the edge count, OddVertexCount
+    when no perfect matching can exist and MatchingOverflow past
+    DP_VERTEX_CAP DP vertices.
     """
+    arrays = defect_arrays(g)
     if len(weights) != len(g.edges):
         raise ValueError(f"{len(weights)} weights for {len(g.edges)} edges")
-    if len(g.vertices) % 2 != 0:
-        raise OddVertexCount(f"{len(g.vertices)} vertices cannot be perfectly matched")
-    if not g.vertices:
+    if arrays.n_vertices % 2 != 0:
+        raise OddVertexCount(f"{arrays.n_vertices} vertices cannot be perfectly matched")
+    if not arrays.n_vertices:
         return _EMPTY
-    ids, virts, retire, edge_at = _layout(g)
+    ids, virts, retire, edge_at = arrays.ids, arrays.virtuals, arrays.retire, arrays.edge_at
     n = len(ids)
     if n > DP_VERTEX_CAP:
         raise MatchingOverflow(f"{n} DP vertices exceed cap {DP_VERTEX_CAP}")
-    kept = g._cache.get("matching")
+    kept = arrays._cache.get("matching")
     if kept is not None:
         paid, paid_weights, old, matching = kept
         if paid(weights) == paid_weights and all(map(ge, weights, old)):
@@ -153,24 +129,27 @@ def min_weight_perfect_matching(g: DefectGraph, weights: Sequence[float]) -> Mat
             boundary[i], owner[i] = cost, (virt, k)
 
     padded = [*weights, math.inf]  # position -1 reads +inf: no edge
-    w = [[padded[k] for k in row] for row in edge_at]
+    w = [list(map(padded.__getitem__, row)) for row in edge_at]
     cost, choice = _dp.solve_dense(w, boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
-    moves = _dp.reconstruct(choice, n)
     pairs: list[tuple[VertexId, VertexId]] = []
     edges: list[int | None] = []
-    for i, j in moves:
-        mate, k = owner[i] if j == -1 else (ids[j], edge_at[i][j])
+    retired = set()
+    for i, j in _dp.reconstruct(choice, n):
+        if j == -1:
+            mate, k = owner[i]
+            retired.add(mate)
+        else:
+            mate, k = ids[j], edge_at[i][j]
         pairs.append((ids[i], mate))
         edges.append(k)
-    used = {mate for _, mate in pairs}
-    leftover = [v for v in virts if v not in used]
+    # Every pair so far paid an edge (a finite cost reads no -1 position).
+    paid = itemgetter(*edges) if edges else lambda _: ()
+    leftover = [v for v in virts if v not in retired]
     for i in range(0, len(leftover), 2):
         pairs.append((leftover[i], leftover[i + 1]))
         edges.append(None)
     matching = Matching(tuple(pairs), cost, exact=True, edges=tuple(edges))
-    positions = [k for k in edges if k is not None]
-    paid = itemgetter(*positions) if positions else lambda _: ()
-    g._cache["matching"] = (paid, paid(weights), list(weights), matching)
+    arrays._cache["matching"] = (paid, paid(weights), list(weights), matching)
     return matching

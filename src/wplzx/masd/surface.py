@@ -15,16 +15,23 @@ boundary partner (k = 0) at its nearest boundary so odd defect sets always
 match, and virtual-virtual pairs are free.
 
 Everything about an instance that depends only on the code is tabulated once
-by ``build_code``: one frozen ``DefectEdge`` per check pair (real-real and
-virtual-virtual), one per check to its own boundary partner, one virtual
-``DefectVertex`` per check, and the witness chains and the logical Z row as
-int bitmasks with bit q for data qubit q.  ``defect_graph_for`` picks its
-edges from those tables by check index and builds only the real vertices,
-whose winding labels are drawn per trial; corrections and the logical parity
-are XORs and ``int.bit_count()`` of the masks.  Only the decoded sector is
-kept: ``build_code`` builds the X checks and the logical X column to assert
-the layout (check counts, X-Z commutation, the logicals' commutation with
-the other sector's checks and with each other), then drops them.
+by ``build_code``: the witness chains and the logical Z row as int bitmasks
+with bit q for data qubit q, and the per-code arrays the sampler builds each
+trial's array form from (``graph.DefectArrays``): pair and boundary
+distances and boundary-partner ids by check index, plus one cached slope
+per pair of winding labels.  ``defect_graph_for`` draws the real defects'
+labels and builds only that form: the sorted defect checks, their labels,
+and one (d, raw slope, normalized slope) row per defect pair and per
+boundary edge, with a row layout shared by every instance of the same size.
+A sweep trial builds no edge or vertex object, no virtual-virtual clique
+and no id lookup; its graph builds them, from per-code tables of shared
+``DefectEdge`` and virtual ``DefectVertex`` objects made on first use, only
+when a caller reads its vertices or edges (``serialize``, a file, a test).
+Corrections and the logical parity read check indices and qubit masks: XORs
+and ``int.bit_count()``.  Only the decoded sector is kept: ``build_code``
+builds the X checks and the logical X column to assert the layout (check
+counts, X-Z commutation, the logicals' commutation with the other sector's
+checks and with each other), then drops them.
 
 Syndromes are read per flipped qubit, not per check: ``qubit_checks[q]`` is
 the bitmask of the Z checks that contain qubit q, so the syndrome of a set
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +54,15 @@ from ..errors import ConfigInvalid, InvalidDistance
 from ..phase import lcm_order
 from ..rng import trial_stream
 from .decode import masd_decode
-from .graph import NORMALIZED, DefectEdge, DefectGraph, DefectVertex
+from .graph import (
+    NORMALIZED,
+    DefectArrays,
+    DefectEdge,
+    DefectGraph,
+    DefectVertex,
+    defect_arrays,
+    label_slopes,
+)
 from .matching import Matching
 
 SUPPORTED_DISTANCES = (3, 5, 7)
@@ -111,14 +127,49 @@ class RotatedSurfaceCode:
     logical_z_mask: int = field(compare=False, repr=False, default=None)
     pair_mask: dict = field(compare=False, repr=False, default=None)
     boundary_mask: dict = field(compare=False, repr=False, default=None)
-    # Shared defect-graph parts, indexed by Z check: for u < v the edges
-    # (u, v) and ("b<u>", "b<v>") are pair_edge[u][v - u - 1] and
-    # virtual_pair_edge[u][v - u - 1]; boundary_edge[u] and virtual_vertex[u]
-    # are check u's edge to its boundary partner "b<u>" and that partner.
-    pair_edge: tuple = field(compare=False, repr=False, default=None)
-    virtual_pair_edge: tuple = field(compare=False, repr=False, default=None)
-    boundary_edge: tuple = field(compare=False, repr=False, default=None)
-    virtual_vertex: tuple = field(compare=False, repr=False, default=None)
+    # Per-code arrays of the sampler's array form, indexed by Z check:
+    # pair_distance[u][v] and boundary_distance[u] are the lengths of the
+    # witness chains as floats, virtual_id[u] names check u's boundary
+    # partner "b<u>", and slopes caches label_slopes per pair of (a, k)
+    # labels, filled as sampled labels meet.
+    pair_distance: tuple = field(compare=False, repr=False, default=None)
+    boundary_distance: tuple = field(compare=False, repr=False, default=None)
+    virtual_id: tuple = field(compare=False, repr=False, default=None)
+    slopes: dict = field(compare=False, repr=False, default_factory=dict)
+
+    # Shared defect-graph parts, indexed by Z check and built on first use
+    # (only a sampled graph whose tuples are read needs them): for u < v the
+    # edges (u, v) and ("b<u>", "b<v>") are pair_edge[u][v - u - 1] and
+    # virtual_pair_edge[u][v - u - 1]; boundary_edge[u] and
+    # virtual_vertex[u] are check u's edge to its boundary partner "b<u>"
+    # and that partner.
+    @cached_property
+    def pair_edge(self) -> tuple:
+        n = len(self.z_checks)
+        return tuple(
+            tuple(DefectEdge(u, v, self.pair_distance[u][v]) for v in range(u + 1, n))
+            for u in range(n)
+        )
+
+    @cached_property
+    def virtual_pair_edge(self) -> tuple:
+        ids, n = self.virtual_id, len(self.z_checks)
+        return tuple(
+            tuple(DefectEdge(ids[u], ids[v], 0.0) for v in range(u + 1, n)) for u in range(n)
+        )
+
+    @cached_property
+    def boundary_edge(self) -> tuple:
+        return tuple(
+            DefectEdge(u, self.virtual_id[u], d) for u, d in enumerate(self.boundary_distance)
+        )
+
+    @cached_property
+    def virtual_vertex(self) -> tuple:
+        return tuple(
+            DefectVertex(self.virtual_id[p.index], p.center, 1, 0, is_virtual_boundary=True)
+            for p in self.z_checks
+        )
 
     @property
     def n_data(self) -> int:
@@ -205,21 +256,12 @@ def build_code(distance: int) -> RotatedSurfaceCode:
         logical_z_mask=_mask(row0),
         pair_mask=pair_mask,
         boundary_mask=boundary_mask,
-        pair_edge=tuple(
-            tuple(DefectEdge(u, v, float(pair_mask[(u, v)].bit_count())) for v in range(u + 1, n))
+        pair_distance=tuple(
+            tuple(float(pair_mask[(u, v)].bit_count()) if u != v else 0.0 for v in range(n))
             for u in range(n)
         ),
-        virtual_pair_edge=tuple(
-            tuple(DefectEdge(f"b{u}", f"b{v}", 0.0) for v in range(u + 1, n))
-            for u in range(n)
-        ),
-        boundary_edge=tuple(
-            DefectEdge(u, f"b{u}", float(boundary_mask[u].bit_count())) for u in range(n)
-        ),
-        virtual_vertex=tuple(
-            DefectVertex(f"b{p.index}", p.center, 1, 0, is_virtual_boundary=True)
-            for p in z_list
-        ),
+        boundary_distance=tuple(float(boundary_mask[u].bit_count()) for u in range(n)),
+        virtual_id=tuple(f"b{u}" for u in range(n)),
     )
 
 
@@ -282,6 +324,24 @@ class SurfaceSample:
     syndrome: tuple[int, ...]
 
 
+@cache
+def _row_layout(n: int) -> tuple[tuple, tuple]:
+    """(edge_at, boundary rows) of the sampler's rows for n defects, shared
+    by every instance of that size.  The rows follow its graph's edge order
+    without the trailing virtual clique: for each defect i in check order,
+    its rows to the later defects j, then its boundary row."""
+    edge_at = [[-1] * n for _ in range(n)]
+    boundary_rows = []
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            edge_at[i][j] = edge_at[j][i] = k
+            k += 1
+        boundary_rows.append(k)
+        k += 1
+    return tuple(map(tuple, edge_at)), tuple(boundary_rows)
+
+
 def defect_graph_for(
     code: RotatedSurfaceCode,
     syndrome: Iterable[int],
@@ -291,25 +351,61 @@ def defect_graph_for(
     """The defect graph of a syndrome: a real vertex with drawn winding
     labels and its virtual boundary partner per defect, then, for each
     defect in check order, its edges to the later defects and to its own
-    partner, then the virtual-virtual edges.  Only the real vertices are
-    built here; every other part is shared from ``code``'s tables."""
+    partner, then the virtual-virtual edges.
+
+    Only the array form is built here, from ``code``'s per-code arrays:
+    the sorted defect checks, their labels (drawn in check order) and one
+    (d, raw slope, normalized slope) row per pair and per boundary edge.
+    The graph's tuples come from ``code``'s shared tables when a caller
+    first reads them.
+    """
+    checks = tuple(sorted(syndrome))
     midline = (code.distance - 1) / 2.0
+    labels = tuple(winding.assign(code.z_checks[u].center, midline, rng) for u in checks)
+    pair_distance, slopes = code.pair_distance, code.slopes
+    rows = []
+    for i, u in enumerate(checks):
+        distance, lu = pair_distance[u], labels[i]
+        for j in range(i + 1, len(checks)):
+            lv = labels[j]
+            pair = slopes.get((lu, lv))
+            if pair is None:
+                pair = slopes[(lu, lv)] = label_slopes(*lu, *lv)
+            rows.append((distance[checks[j]], *pair))
+        rows.append((code.boundary_distance[u], 0.0, 0.0))
+    edge_at, boundary_rows = _row_layout(len(checks))
+    names = [code.virtual_id[u] for u in checks]
+    arrays = DefectArrays(
+        ids=checks,
+        labels=labels,
+        real_vertices=checks,
+        edges=tuple(rows),
+        virtual_rows=frozenset(),
+        n_vertices=2 * len(checks),
+        virtuals=tuple(sorted(names, key=repr)),
+        retire=tuple(zip(range(len(checks)), names, boundary_rows)),
+        edge_at=edge_at,
+    )
+    return DefectGraph.from_arrays(arrays, partial(_graph_parts, code, arrays))
+
+
+def _graph_parts(code: RotatedSurfaceCode, arrays: DefectArrays) -> tuple[tuple, tuple]:
+    """The (vertices, edges) of the sampled graph whose array form is
+    ``arrays``; every part but the real vertices is shared from ``code``."""
+    checks = arrays.ids
     vertices: list[DefectVertex] = []
     edges: list[DefectEdge] = []
-    syndrome = sorted(syndrome)
-    for idx in syndrome:
-        center = code.z_checks[idx].center
-        a, k = winding.assign(center, midline, rng)
-        vertices.append(DefectVertex(idx, center, a, k, is_virtual_boundary=False))
-        vertices.append(code.virtual_vertex[idx])
-    for i, u in enumerate(syndrome):
+    for u, (a, k) in zip(checks, arrays.labels):
+        vertices.append(DefectVertex(u, code.z_checks[u].center, a, k))
+        vertices.append(code.virtual_vertex[u])
+    for i, u in enumerate(checks):
         row = code.pair_edge[u]
-        edges.extend([row[v - u - 1] for v in syndrome[i + 1 :]])
+        edges.extend([row[v - u - 1] for v in checks[i + 1 :]])
         edges.append(code.boundary_edge[u])
-    for i, u in enumerate(syndrome):
+    for i, u in enumerate(checks):
         row = code.virtual_pair_edge[u]
-        edges.extend([row[v - u - 1] for v in syndrome[i + 1 :]])
-    return DefectGraph(tuple(vertices), tuple(edges))
+        edges.extend([row[v - u - 1] for v in checks[i + 1 :]])
+    return tuple(vertices), tuple(edges)
 
 
 def sample_surface_code(
@@ -320,7 +416,8 @@ def sample_surface_code(
     winding: WindingModel = WindingModel(),
     code: RotatedSurfaceCode | None = None,
 ) -> tuple[SurfaceSample, DefectGraph]:
-    """Draw iid data-qubit errors at rate p_phys and build the defect graph.
+    """Draw iid data-qubit errors at rate p_phys and build the defect graph
+    (its array form; see ``defect_graph_for``).
 
     Deterministic per (seed, trial) via counter-mode seed splitting.
     ``code``, when given, must have the given distance.
@@ -332,7 +429,7 @@ def sample_surface_code(
     elif code.distance != distance:
         raise ConfigInvalid(f"code distance {code.distance} does not match distance {distance}")
     rng = trial_stream(seed, trial)
-    x_errors = np.flatnonzero(rng.random(code.n_data) < p_phys).tolist()
+    x_errors = (rng.random(code.n_data) < p_phys).nonzero()[0].tolist()
     syndrome = code._syndrome_of(x_errors)
     graph = defect_graph_for(code, syndrome, winding, rng)
     sample = SurfaceSample(
@@ -347,47 +444,52 @@ def sample_surface_code(
 
 
 def correction_from_matching(
-    code: RotatedSurfaceCode, matching: Matching, graph: DefectGraph
+    code: RotatedSurfaceCode, matching: Matching, graph: DefectGraph | DefectArrays
 ) -> set[int]:
     """Error chain realizing the matched pairing (XOR of witness paths), as
     a set of data qubits.
 
-    ``graph`` is the decoded defect graph; its ``is_virtual_boundary`` flags
-    tell which end of a pair is a boundary partner.
+    ``graph`` is the decoded defect graph (or its array form); its real
+    vertices tell which end of a pair is a boundary partner.
     """
+    return set(_bits(_correction(code, matching, defect_arrays(graph).real_vertices)))
+
+
+def _correction(code: RotatedSurfaceCode, matching: Matching, reals: tuple) -> int:
+    """The matched pairing's error chain as a qubit mask: a pair of two
+    real defects (Z-check indices in ``reals``) takes its pair chain, a real
+    paired with a virtual its boundary chain, two virtuals nothing."""
     correction = 0
     for u, v in matching.pairs:
-        u_virtual = graph.vertex(u).is_virtual_boundary
-        v_virtual = graph.vertex(v).is_virtual_boundary
-        if u_virtual and v_virtual:
-            continue
-        if u_virtual or v_virtual:
-            correction ^= code.boundary_mask[v if u_virtual else u]
-        else:
-            correction ^= code.pair_mask[(u, v)]
-    return set(_bits(correction))
+        if u in reals:
+            correction ^= code.pair_mask[(u, v)] if v in reals else code.boundary_mask[u]
+        elif v in reals:
+            correction ^= code.boundary_mask[v]
+    return correction
 
 
 def logical_failure(
     code: RotatedSurfaceCode,
     sample: SurfaceSample,
     matching: Matching,
-    graph: DefectGraph | None = None,
+    graph: DefectGraph | DefectArrays | None = None,
 ) -> bool:
     """True when error + correction flips the logical operator.
 
-    ``graph`` is the defect graph the matching was decoded on; it defaults to
-    the one ``sample_surface_code`` builds for the sample's syndrome.  The
-    composite is syndrome-free by construction; failure is odd overlap with
-    the logical Z row (an odd number of lattice crossings).
+    ``graph`` is the defect graph the matching was decoded on (or its array
+    form).  Without it the real defects are the sample's syndrome checks, as
+    in every graph ``sample_surface_code`` builds, and the correction is
+    read from the check indices and qubit masks alone.  The composite is
+    syndrome-free by construction; failure is odd overlap with the logical
+    Z row (an odd number of lattice crossings).
     """
     if graph is None:
-        graph = defect_graph_for(code, sample.syndrome, WindingModel(kind=CONSTANT), None)
-    composite = correction_from_matching(code, matching, graph).symmetric_difference(
-        sample.x_errors
-    )
-    assert not code._syndrome_of(composite), "correction left residual syndrome"
-    return (_mask(composite) & code.logical_z_mask).bit_count() % 2 == 1
+        correction = _correction(code, matching, sample.syndrome)
+    else:
+        correction = _mask(correction_from_matching(code, matching, graph))
+    composite = correction ^ _mask(sample.x_errors)
+    assert not code._syndrome_of(_bits(composite)), "correction left residual syndrome"
+    return (composite & code.logical_z_mask).bit_count() % 2 == 1
 
 
 def lambda_sweep(
@@ -441,7 +543,9 @@ def decode_grid(
     lambda before (the matcher certified that the raised weights leave it
     optimal), its failure verdict is reused: ``logical_failure`` already
     checked that matching.  An ascending grid gets the most reuse; any other
-    order only gets less, with the same values.
+    order only gets less, with the same values.  Each graph is decoded
+    through its array form, and its failure check reads its array form's
+    real defects.
     """
     # Per instance: the matching decoded at the previous lambda and its verdict.
     verdicts: list[tuple] = [(None, False)] * len(instances)

@@ -44,15 +44,20 @@ def json_int(obj: dict, key: str) -> int:
 
 
 def json_number(value, name: str) -> float:
-    """A JSON field ``name`` that must be a number (integer or float), as a
-    float; a bool, string or anything else raises ParseError rather than
-    being converted, and so does an integer too large for a float."""
+    """A JSON field ``name`` that must be a finite number (integer or
+    float), as a float; a bool, string or anything else raises ParseError
+    rather than being converted, and so do an integer too large for a float
+    and the non-finite floats Python's ``json`` reads from ``1e400``,
+    ``Infinity``, ``-Infinity`` and ``NaN``."""
     if type(value) not in (int, float):
         raise ParseError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        out = float(value)
     except OverflowError:
         raise ParseError(f"{name} is too large for a float") from None
+    if not math.isfinite(out):
+        raise ParseError(f"{name} must be a finite number, got {out!r}")
+    return out
 
 
 @dataclass(frozen=True, slots=True)

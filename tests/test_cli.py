@@ -547,11 +547,23 @@ def _two_vertex_graph(vertex=None, edge=None) -> str:
         (_two_vertex_graph(edge={"d": -1}), "edges[1]: edge distance must be >= 0, got -1.0"),
         (_two_vertex_graph(vertex={"id": 0}), "vertices[1]: duplicate vertex id 0"),
         (_two_vertex_graph(edge={"v": 7}), "edges[1]: edge (1, 7) references missing vertex"),
+        (_two_vertex_graph().replace('"d": 2.0', '"d": 1e400'),
+         "edges[1]: d must be a finite number, got inf"),
+        (_two_vertex_graph(edge={"d": float("inf")}), "edges[1]: d must be a finite number, got inf"),
+        (_two_vertex_graph(edge={"d": float("-inf")}),
+         "edges[1]: d must be a finite number, got -inf"),
+        (_two_vertex_graph(edge={"d": float("nan")}), "edges[1]: d must be a finite number, got nan"),
+        (_two_vertex_graph(vertex={"pos": [float("inf"), float("nan")]}),
+         "vertices[1]: pos[0] must be a finite number, got inf"),
+        (_two_vertex_graph(vertex={"pos": [0, float("nan")]}),
+         "vertices[1]: pos[1] must be a finite number, got nan"),
     ],
     ids=["top-list", "vertices-int", "vertices-string", "edges-object", "vertices-missing",
          "vertex-int", "edge-list", "vertex-a-float", "edge-d-string", "vertex-pos-string",
          "vertex-k-missing", "edge-u-missing", "vertex-a-zero", "virtual-k-nonzero", "edge-self",
-         "edge-d-negative", "vertex-id-duplicate", "edge-end-missing"],
+         "edge-d-negative", "vertex-id-duplicate", "edge-end-missing", "edge-d-1e400",
+         "edge-d-infinity", "edge-d-minus-infinity", "edge-d-nan", "vertex-pos-infinity",
+         "vertex-pos-nan"],
 )
 def test_decode_graph_shape_names_the_field(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

@@ -947,7 +947,7 @@ def _layout_graph(rng, kind: str) -> DefectGraph:
     """
     base = _random_decoding_graph(rng, LAYOUTS[kind])
     vertices, edges = list(base.vertices), list(base.edges)
-    virtual = {v.id for v in base.virtual_vertices}
+    virtual = {v.id for v in base.vertices if v.is_virtual_boundary}
     if kind == "own-sparse":
         edges = [
             e for e in edges
@@ -975,7 +975,7 @@ def test_matching_names_the_edge_each_pair_paid(kind):
     for seed in range(60):
         rng = np.random.default_rng(7000 + seed)
         g = _layout_graph(rng, kind)
-        virtual = {v.id for v in g.virtual_vertices}
+        virtual = {v.id for v in g.vertices if v.is_virtual_boundary}
         last = {frozenset((e.u, e.v)): k for k, e in enumerate(g.edges)}
         raw = edge_terms(g, RAW)
         positions = {key: k for key, k in last.items() if not raw[k][2]}

@@ -20,6 +20,7 @@ from wplzx.masd import (
     masd_decode,
     sample_surface_code,
 )
+from wplzx.masd.graph import defect_arrays
 from wplzx.masd.surface import _bfs_tables
 
 
@@ -427,7 +428,7 @@ def test_instance_tables_agree_with_bfs_tables(d):
 
 def test_shared_edges_keep_caches_per_graph():
     """Two samples of one syndrome share every edge object, yet decoding one
-    leaves the other's lambda-independent cache empty."""
+    leaves the lambda-independent cache of the other's array form empty."""
     code = build_code(5)
     model = WindingModel(kind="two-sector")
     sample, graph = sample_surface_code(5, 0.1, seed=3, trial=0, winding=model, code=code)
@@ -435,7 +436,19 @@ def test_shared_edges_keep_caches_per_graph():
     assert sample.syndrome and graph is not twin
     assert all(a is b for a, b in zip(twin.edges, graph.edges, strict=True))
     masd_decode(graph, 0.3)
-    assert graph._cache and twin._cache == {}
+    assert defect_arrays(graph)._cache and defect_arrays(twin)._cache == {}
+
+
+def test_sampled_graph_vertex_lookup_before_its_tuples_exist():
+    """``vertex()`` on a sampled graph whose vertices and edges were never
+    read finds every vertex, virtual partners included."""
+    code = build_code(5)
+    for t in range(10):
+        sample, fresh = sample_surface_code(5, 0.1, seed=3, trial=t, code=code)
+        _, read = sample_surface_code(5, 0.1, seed=3, trial=t, code=code)
+        for v in read.vertices:
+            assert fresh.vertex(v.id) == v
+        assert fresh.serialize() == read.serialize()
 
 
 @pytest.mark.parametrize("d", (3, 5, 7))
@@ -465,3 +478,33 @@ def test_sample_rejects_code_of_another_distance():
         sample_surface_code(3, 0.2, 5, trial=1, code=build_code(7))
     sample, _ = sample_surface_code(3, 0.2, 5, trial=1, code=build_code(3))
     assert sample == sample_surface_code(3, 0.2, 5, trial=1)[0]
+
+
+@pytest.mark.parametrize("d, p", [(3, 0.1), (5, 0.08), (7, 0.12)])
+def test_sampled_and_file_array_forms_decode_alike(d, p):
+    """The sampler's array form and the one ``defect_arrays`` converts from
+    the same graph read back from its file give equal ``Matching`` and
+    ``RiskReport`` fields (compared by ``repr``) at every lambda, for every
+    winding model and both modes.  An ascending and a shuffled grid make
+    the matcher's certificate both fire and refuse on both forms."""
+    code = build_code(d)
+    grids = ([0.0, 0.1, 0.2, 0.3, 1.5], [0.3, 0.0, 1.5, 0.1, 0.2])
+    kept = solved = 0
+    for kind in ("two-sector", "uniform", "constant"):
+        model = WindingModel(kind=kind)
+        for mode in ("raw", "normalized"):
+            for grid in grids:
+                for t in range(12):
+                    _, sampled = sample_surface_code(d, p, seed=61, trial=t, winding=model, code=code)
+                    # Decoded before its tuples exist, as in a sweep.
+                    got = [masd_decode(sampled, lam, mode=mode) for lam in grid]
+                    read = DefectGraph.deserialize(sampled.serialize())
+                    assert defect_arrays(read) is not defect_arrays(sampled)
+                    for lam, (matching, report) in zip(grid, got):
+                        want = masd_decode(read, lam, mode=mode)
+                        assert repr((matching, report)) == repr(want), (kind, t, lam)
+                    if sampled.vertices:
+                        for a, b in zip(got, got[1:]):
+                            kept += a[0] is b[0]
+                            solved += a[0] is not b[0]
+    assert kept > 50 and solved > 50, (kept, solved)
