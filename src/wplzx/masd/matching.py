@@ -14,10 +14,13 @@ with an infinite retirement cost, so there each pair needs an edge and pays
 its weight.
 
 The matcher reads a graph's array form (``graph.DefectArrays``): the
-sampler's graphs carry theirs, and any other graph is converted once and
-keeps the form.  Weights arrive as one float per edge, in ``g.edges`` order
-(see ``graph.edge_weights``), and the form's rows are the graph's first
-edges, so the same positions serve both.  Which layout applies, the DP
+sampler's graphs carry theirs, built from per-code arrays, and any other
+graph is converted once and keeps the form.  A sampled graph builds its
+vertex and edge tuples only when a caller first reads them; ``masd_decode``
+hands the matcher the form itself, so a sweep never builds them.  Weights
+arrive as one float per edge, in ``g.edges`` order (see
+``graph.edge_weights``), and the form's rows are the graph's first edges,
+so the same positions serve both.  Which layout applies, the DP
 vertex order, each real defect's retirement candidates and ``edge_at``,
 the row of the last edge joining each two DP vertices (-1 for none), are
 part of the form; each call reads that call's weights through them into
