@@ -52,6 +52,61 @@ real's candidates: the same argument) and the leftover virtual pairing are
 all unchanged.  This holds for either virtual layout, +inf edges and
 parallel edges; a NaN weight never certifies, since ``>=`` is false on it.
 The length, odd-count and cap checks run first on every call.
+
+A pair that costs more than retiring both its ends is never worth taking,
+so from :data:`PRUNE_MIN` DP vertices on, ``_prune`` sets such a pair's
+``w[i][j]`` to +inf before the DP runs, and the DP's ``isfinite`` test then
+skips every mask that only such pairs reach.  Over the 4,800 decodes of
+the benchmark's seed-7 sweep-d7 pass, each solved without the certificate,
+36% of pairs go and 53% of masks stay reachable.  The result is the
+unpruned solve's, bit for bit.  Write u = 2^-53, n for the DP size, b_i
+for the retirement costs, beta = max b_i and B = sum b_i <= n beta, S(M)
+for the exact sum of a cover M's move costs and S^(M) for their float sum,
+added in move order (lead order) from 0.0.
+
+Preconditions, all checked before any entry changes; if one fails, that
+solve is not pruned.  No weight is negative or NaN, so every entry the DP
+reads is >= 0 or +inf.  Every b_i is below 2^1018, hence finite, and
+B < 2^1023, so no sum below overflows.  Only the own-boundary layout can
+pass: any other retires at +inf.
+
+(1) The chain uses no pair with exact gap g = w_ij - b_i - b_j above
+G = 2(n-1)uB / (1 - 2(n-1)u).  Float addition is monotone, so ``dp[mask]``
+is the least S^ over the move paths that reach the mask.  A cover's moves
+come in lead order, so it is one path, and the returned cover M* has
+S^(M*) = ``dp[full]``.  A cover has at most n moves, so its sum has at most
+n - 1 roundings, and |S^(M) - S(M)| <= gamma S(M) with
+gamma = (n-1)u / (1 - (n-1)u) (Higham, Accuracy and Stability of Numerical
+Algorithms, section 4.2).  Retiring every vertex is a cover, so
+``dp[full]`` <= (1 + gamma)B.  Let a cover M hold a pair ij with g > G, and
+let M' be M with ij swapped for the two retirements: a cover with
+S(M') = S(M) - g.  If S^(M) > (1 + gamma)B, then S^(M) > ``dp[full]``.
+Otherwise S(M) <= B(1 + gamma)/(1 - gamma), so
+S^(M) - S^(M') >= (1 - gamma)S(M) - (1 + gamma)(S(M) - g)
+>= (1 + gamma)(g - 2 gamma B/(1 - gamma)) = (1 + gamma)(g - G) > 0, and
+``dp[full]`` <= S^(M') < S^(M).  Either way M is not M*.
+
+(2) Every pruned pair has g > G.  ``_prune`` computes the margin
+mu = fl(fl(K beta) + 2^-1074) with K = (2n^2 + 1)u, an exact float.  Then
+mu >= (1 - u)K beta: when K beta is normal, fl(K beta) >= (1 - u)K beta
+and adding the least subnormal cannot lower it; when K beta underflows,
+fl(K beta) >= K beta - 2^-1075 and that addition, exact there, lifts it
+above K beta.  The pair goes when w_ij > t with
+t = fl(fl(b_i + mu) + b_j) >= (1 - u)^2 (b_i + b_j + mu), and the
+comparison itself is exact.  So g > (1 - 2u)mu - 2u(b_i + b_j)
+>= (1 - 3u)K beta - 2un beta = ((1 - 3u)(2n^2 + 1) - 2n)u beta, which for
+n <= 24 is at least 2n(n - 1)u beta / (1 - 2(n - 1)u) >= G, because
+3u(2n^2 + 1) + 4n(n - 1)^2 u / (1 - 2(n - 1)u) < 10^-11 < 1.
+
+(3) The chain's values and choices stay.  Pruning turns candidates into
++inf, so by induction over masks every pruned ``dp`` entry is >= the
+unpruned one.  Along M*'s reconstruct chain every move is kept, by (1)
+and (2), and the certificate's argument applies: the chosen candidate
+keeps its value, the ones processed before it were strictly greater and
+can only have grown, and later ones still lose the strict ``<``.  So
+``dp`` and ``choice`` along the chain, ``reconstruct``, the cost, the
+retirement owner, the leftover virtual pairs and the kept certificate
+(read from ``weights``, which ``_prune`` leaves alone) are unchanged.
 """
 
 from __future__ import annotations
@@ -66,6 +121,19 @@ from . import _dp
 from .graph import DefectArrays, DefectGraph, VertexId, defect_arrays
 
 DP_VERTEX_CAP = 24
+
+# Fewest DP vertices at which ``_prune`` runs.  On sampled d = 7 instances
+# at lambda = 0.1 (30 per size, best of 5 timings, 2-CPU Xeon VM) it costs
+# 3.2 us at n = 7 and saves 2.0 us of the kernel's 7.7 us; at n = 8 it
+# costs 3.8 us and saves 4.1 us of 13.1 us; at n = 12 it costs 7 us and
+# saves 55 us of 121 us.
+PRUNE_MIN = 8
+# Rounding constants of ``_prune``'s margin (see the module docstring): the
+# unit roundoff, a bound on retirement costs that keeps every sum finite,
+# and the least subnormal.
+_U = 2.0**-53
+_CEILING = 2.0**1018
+_TINY = 5e-324
 
 # The kernel module under the name profilers and tests patch ``solve_dense`` on.
 _kernel = _dp
@@ -133,6 +201,8 @@ def min_weight_perfect_matching(
 
     padded = [*weights, math.inf]  # position -1 reads +inf: no edge
     w = [list(map(padded.__getitem__, row)) for row in edge_at]
+    if n >= PRUNE_MIN:
+        _prune(w, boundary, weights)
     cost, choice = _dp.solve_dense(w, boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
@@ -156,3 +226,24 @@ def min_weight_perfect_matching(
     matching = Matching(tuple(pairs), cost, exact=True, edges=tuple(edges))
     arrays._cache["matching"] = (paid, paid(weights), list(weights), matching)
     return matching
+
+
+def _prune(w: list, boundary: list, weights: Sequence[float]) -> None:
+    """Set ``w[i][j]``, i < j, to +inf wherever the pair costs more than
+    retiring both ends plus a rounding margin.  Nothing changes unless
+    every retirement cost is below 2^1018 (so finite) and every entry of
+    ``weights``, which ``w`` and ``boundary`` are read from, is >= 0 and not
+    NaN.  The module docstring proves that the solve's result stays the
+    same, bit for bit."""
+    n = len(boundary)
+    beta = max(boundary)
+    # With no NaN in weights (their sum would be NaN), ``min`` sees every one.
+    if not (beta < _CEILING and not math.isnan(sum(weights)) and min(weights) >= 0.0):
+        return
+    margin = (2 * n * n + 1) * _U * beta + _TINY
+    inf = math.inf
+    for i in range(n - 1):
+        row, lead = w[i], boundary[i] + margin
+        for j in range(i + 1, n):
+            if row[j] > lead + boundary[j]:
+                row[j] = inf

@@ -48,11 +48,15 @@ from . import surface
 
 # Fewest trials per worker.  A worker costs about 5 ms on a 2-CPU Xeon VM
 # with numpy and wplzx loaded: the fork, copy-on-write faults in both
-# processes and the child's exit.  At d = 7, p = 0.15 over a 4-point lambda
-# grid, about 0.7 ms a trial, two workers break even near 40 trials; cheaper
-# trials need larger blocks (about 70 trials at d = 5, p = 0.05, and more
-# than 250 at d = 3, p = 0.05).
-MIN_BLOCK = 20
+# processes and the child's exit.  Over a 4-point lambda grid, in one
+# process, a trial costs about 0.37 ms at d = 7, p = 0.15, 0.07 ms at d = 5,
+# p = 0.05 and 0.036 ms at d = 3, p = 0.05, and two busy processes on that
+# VM run little faster than one.  Two workers ran slower than one at 40
+# trials of d = 7 (relative throughput 60.2 against 64.5 on the benchmark's
+# sweep-d7) and at 100 trials of d = 3 (11.6 against 6.1 ms a call), and
+# faster at 250 trials of d = 5 (1.24x on sweep-d5).  So calls of 40 and
+# 100 trials run in one process, and a call of 250 forks.
+MIN_BLOCK = 100
 
 
 def usable_cpus() -> int:

@@ -483,10 +483,8 @@ def logical_failure(
     syndrome-free by construction; failure is odd overlap with the logical
     Z row (an odd number of lattice crossings).
     """
-    if graph is None:
-        correction = _correction(code, matching, sample.syndrome)
-    else:
-        correction = _mask(correction_from_matching(code, matching, graph))
+    reals = sample.syndrome if graph is None else defect_arrays(graph).real_vertices
+    correction = _correction(code, matching, reals)
     composite = correction ^ _mask(sample.x_errors)
     assert not code._syndrome_of(_bits(composite)), "correction left residual syndrome"
     return (composite & code.logical_z_mask).bit_count() % 2 == 1

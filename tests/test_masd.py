@@ -32,13 +32,20 @@ from wplzx.masd import (
     drg_toy,
     edge_weight,
     edge_weights,
+    lambda_sweep,
     masd_decode,
     min_weight_perfect_matching,
     winding_difference,
 )
 from wplzx.masd import _dp
+from wplzx.masd import matching as matching_module
 from wplzx.masd.graph import edge_terms
-from wplzx.masd.surface import SUPPORTED_DISTANCES, build_code, sample_surface_code
+from wplzx.masd.surface import (
+    SUPPORTED_DISTANCES,
+    WindingModel,
+    build_code,
+    sample_surface_code,
+)
 
 
 def vert(vid, a, k, virtual=False, pos=(0.0, 0.0)):
@@ -1097,6 +1104,164 @@ def test_certified_repeat_makes_no_kernel_call(monkeypatch):
                 again = None
             assert (again is first) == (want == 0)
             assert len(calls) == want
+
+
+@pytest.fixture
+def pruning(monkeypatch):
+    """Switch ``matching._prune`` on (``state["on"]``, the default) or to a
+    no-op, and count its calls and the pair entries it changed."""
+    real = matching_module._prune
+    state = {"on": True, "calls": 0, "pruned": 0}
+
+    def switched(w, boundary, weights):
+        if state["on"]:
+            before = [row[:] for row in w]
+            real(w, boundary, weights)
+            state["calls"] += 1
+            state["pruned"] += sum(a is not b for r0, r1 in zip(before, w) for a, b in zip(r0, r1))
+
+    monkeypatch.setattr(matching_module, "_prune", switched)
+    return state
+
+
+def _own_instance(b: list, w: dict) -> tuple[DefectGraph, list]:
+    """Reals 0..n-1, each with its own virtual, every real pair joined:
+    the own-boundary layout, with retirement costs ``b`` and pair costs
+    ``w[(i, j)]`` as the weight list."""
+    n = len(b)
+    vertices = [vert(i, 1, 0) for i in range(n)] + [vert(f"b{i}", 1, 0, virtual=True) for i in range(n)]
+    edges, weights = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            edges.append(DefectEdge(i, j, 1.0))
+            weights.append(w[(i, j)])
+        edges.append(DefectEdge(i, f"b{i}", 1.0))
+        weights.append(b[i])
+    return DefectGraph(tuple(vertices), tuple(edges)), weights
+
+
+def _pruned_against_plain(pruning, g: DefectGraph, weights) -> tuple[str, str, int]:
+    """(the matching's ``repr`` with ``_prune`` on, the same with it a
+    no-op, the pair entries pruned); each solve on a fresh copy of g, so no
+    certified matching is reused."""
+
+    def outcome():
+        try:
+            return repr(min_weight_perfect_matching(DefectGraph(g.vertices, g.edges), weights))
+        except OddVertexCount:
+            return "OddVertexCount"
+
+    pruned = pruning["pruned"]
+    pruning["on"] = True
+    got = outcome()
+    pruning["on"] = False
+    want = outcome()
+    pruning["on"] = True
+    return got, want, pruning["pruned"] - pruned
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _prune_case(kind: str, rng: random.Random, n: int) -> tuple[list, dict]:
+    """Retirement and pair costs for one of the near-tie families."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "integer":
+        b = [float(rng.randint(0, 3)) for _ in range(n)]
+        return b, {p: float(rng.randint(0, 7)) for p in pairs}
+    if kind == "zero":
+        b = [rng.choice([0.0, 0.0, 0.5, 1.5]) for _ in range(n)]
+        return b, {p: rng.choice([0.0, 0.5, 1.0, 3.0]) for p in pairs}
+    # Retirement costs over several binades, so sums round.
+    b = [rng.uniform(0.1, 1.0) * 2.0 ** rng.randint(0, 6) for _ in range(n)]
+    w = {}
+    for i, j in pairs:
+        tie = b[i] + b[j]
+        if kind == "exact-tie":
+            w[(i, j)] = rng.choice([tie, tie, rng.uniform(0.5, 2.0) * tie])
+        elif kind == "ulp-tie":
+            w[(i, j)] = _ulps(tie, rng.randint(-2, 2))
+        else:  # "scale-1e-6", "scale-1e6": any costs, scaled
+            w[(i, j)] = rng.uniform(0.3, 1.6) * tie
+    if kind.startswith("scale"):
+        scale = 1e-6 if kind == "scale-1e-6" else 1e6
+        b = [x * scale for x in b]
+        w = {p: x * scale for p, x in w.items()}
+    return b, w
+
+
+@pytest.mark.parametrize(
+    "kind", ["integer", "zero", "exact-tie", "ulp-tie", "scale-1e-6", "scale-1e6"]
+)
+def test_pruning_keeps_the_matching(kind, pruning):
+    """Own-boundary graphs of 8 to 16 defects whose pairs tie, or nearly
+    tie, with retiring both ends: each matching, cost bits included, is the
+    one the unpruned DP returns, and every instance prunes some pair."""
+    rng = random.Random(f"prune-{kind}")
+    sizes = [8, 9, 10, 11, 12] * 24 + [13, 14, 16]
+    for case, n in enumerate(sizes):
+        b, w = _prune_case(kind, rng, n)
+        w[(0, n - 1)] = (b[0] + b[n - 1]) * 3.0 + 1.0  # one pair surely dominated
+        got, want, pruned = _pruned_against_plain(pruning, *_own_instance(b, w))
+        assert got == want, (kind, case, n)
+        assert pruned > 0, (kind, case, n)
+
+
+def test_pruning_skips_solves_that_fail_a_precondition(pruning):
+    """A negative weight, a NaN weight, a +inf retirement cost and an
+    arbitrary virtual layout each leave every pair in place; the matching
+    is still the unpruned one."""
+    rng = random.Random("prune-refused")
+    n = 10
+    instances = []
+    for bad in ("negative", "nan", "inf-retirement"):
+        for _ in range(4):
+            b = [rng.uniform(0.5, 2.0) for _ in range(n)]
+            w = {(i, j): rng.uniform(0.5, 6.0) for i in range(n) for j in range(i + 1, n)}
+            i, j = sorted(rng.sample(range(n), 2))
+            if bad == "negative":
+                w[(i, j)] = -0.25
+            elif bad == "nan":
+                w[(i, j)] = math.nan
+            else:
+                b[i] = math.inf
+            instances.append(_own_instance(b, w))
+    # Six reals and two virtuals, every pair joined: a virtual has six real
+    # neighbours, so all eight vertices enter the DP and none retires.
+    reals = [vert(i, 1, 0) for i in range(6)]
+    virts = [vert(f"b{i}", 1, 0, virtual=True) for i in range(2)]
+    arbitrary = complete_graph(reals + virts, lambda u, v: rng.uniform(0.5, 6.0))
+    instances.append((arbitrary, [e.d for e in arbitrary.edges]))
+    for g, weights in instances:
+        calls = pruning["calls"]
+        got, want, pruned = _pruned_against_plain(pruning, g, weights)
+        assert got == want
+        assert pruned == 0
+        assert pruning["calls"] == calls + 1
+
+
+@pytest.mark.parametrize("winding", ["two-sector", "uniform"])
+def test_lambda_sweep_rows_do_not_depend_on_pruning(winding, pruning):
+    """d = 7 sweeps at p = 0.15 and 0.25, in both modes: the rows with
+    ``_prune`` a no-op equal the real ones, and some pairs were pruned."""
+    code = build_code(7)
+    model = WindingModel(kind=winding)
+    lams = [0.0, 0.1, 0.3]
+    for p in (0.15, 0.25):
+        for mode in (RAW, NORMALIZED):
+            rows = []
+            for on in (True, False):
+                pruning["on"] = on
+                instances = [
+                    sample_surface_code(7, p, 5, trial=t, winding=model, code=code)
+                    for t in range(12)
+                ]
+                rows.append(lambda_sweep(instances, lams, mode=mode, code=code))
+            assert rows[0] == rows[1], (p, mode)
+    assert pruning["pruned"] > 0
 
 
 def test_defect_graph_serialization_roundtrip():

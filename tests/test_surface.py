@@ -163,18 +163,18 @@ def test_logical_failure_rejects_residual_syndrome(code3, monkeypatch):
     one qubit leaves a syndrome, and logical_failure's check must fire."""
     from wplzx.masd import surface
 
-    full = surface.correction_from_matching
+    full = surface._correction
 
-    def drop_one(code, matching, graph):
-        corr = full(code, matching, graph)
-        return corr - {min(corr)}
+    def drop_one(code, matching, reals):
+        corr = full(code, matching, reals)
+        return corr & (corr - 1)  # the lowest qubit dropped
 
-    monkeypatch.setattr(surface, "correction_from_matching", drop_one)
+    monkeypatch.setattr(surface, "_correction", drop_one)
     fired = 0
     for trial in range(40):
         sample, graph = sample_surface_code(3, 0.12, seed=77, trial=trial)
         matching, _ = masd_decode(graph, 0.2)
-        if not full(code3, matching, graph):
+        if not full(code3, matching, sample.syndrome):
             continue
         with pytest.raises(AssertionError, match="residual syndrome"):
             logical_failure(code3, sample, matching, graph)
