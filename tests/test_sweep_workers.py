@@ -70,20 +70,28 @@ def serial_csv(trials: int) -> bytes:
     return cli._csv(rows, cli.SWEEP_COLUMNS).encode()
 
 
+# The block size the worker-count cases run at.  The split does not depend
+# on the size, and a small one keeps each case to a few dozen trials.
+BLOCK = 20
+
+
 @pytest.mark.parametrize(
     "n_cpus, trials, workers",
     [
-        (1, 3 * MIN_BLOCK, 1),
-        (2, 2 * MIN_BLOCK - 1, 1),  # just below the threshold: serial
-        (2, 2 * MIN_BLOCK, 2),
-        (2, 2 * MIN_BLOCK + 1, 2),  # blocks of unequal size
-        (3, 3 * MIN_BLOCK - 1, 2),
-        (3, 3 * MIN_BLOCK, 3),
-        (3, 3 * MIN_BLOCK + 2, 3),
-        (64, 3 * MIN_BLOCK + 1, 3),  # capped by the trial count
+        (1, 3 * BLOCK, 1),
+        (2, 2 * BLOCK - 1, 1),  # just below the threshold: serial
+        (2, 2 * BLOCK, 2),
+        (2, 2 * BLOCK + 1, 2),  # blocks of unequal size
+        (3, 3 * BLOCK - 1, 2),
+        (3, 3 * BLOCK, 3),
+        (3, 3 * BLOCK + 2, 3),
+        (64, 3 * BLOCK + 1, 3),  # capped by the trial count
     ],
 )
-def test_csv_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, cpus, n_cpus, trials, workers):
+def test_csv_bytes_do_not_depend_on_the_worker_count(
+    tmp_path, capsys, cpus, monkeypatch, n_cpus, trials, workers
+):
+    monkeypatch.setattr(parallel, "MIN_BLOCK", BLOCK)
     cpus(n_cpus)
     assert sweep(tmp_path, trials) == (0, serial_csv(trials))
     plural = "s" if workers > 1 else ""
