@@ -15,7 +15,6 @@ from .matching import DP_VERTEX_CAP, kernel_name, min_weight_perfect_matching
 from .surface import (
     WindingModel,
     build_code,
-    correction_from_matching,
     lambda_sweep,
     logical_failure,
     sample_surface_code,
@@ -30,7 +29,6 @@ __all__ = [
     "DefectVertex",
     "WindingModel",
     "build_code",
-    "correction_from_matching",
     "drg_pm",
     "drg_toy",
     "edge_weight",

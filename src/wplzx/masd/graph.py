@@ -16,16 +16,16 @@ the exact values (``label_slopes``, the one place a winding gap becomes a
 slope).
 
 The decoder reads one array form of an instance, a ``DefectArrays``: the
-DP vertex ids (a sampled instance's sorted defect checks), their (a, k)
-labels, one row (d, raw slope, normalized slope) per edge the matcher may
-read, and the matcher's layout over those rows.  Its weight format is a
-list aligned with the rows, d + lam * slope per row (``edge_weights``), so
-a lambda grid does the integer winding arithmetic once per instance.  Two
-builders make the form.  The surface-code sampler builds it directly from
-per-code arrays (pair distances, boundary distances, one slope per label
-pair; see ``surface``), and wraps it in a ``DefectGraph`` that builds its
-vertex and edge tuples, virtual-virtual clique included, only when a caller
-reads them.  Any other graph (a file, a constructor call) is converted by
+DP vertex ids (a sampled instance's sorted defect checks), one row (d, raw
+slope, normalized slope) per edge the matcher may read, and the matcher's
+layout over those rows.  Its weight format is a list aligned with the
+rows, d + lam * slope per row (``edge_weights``), so a lambda grid does the
+integer winding arithmetic once per instance.  Two builders make the form.
+The surface-code sampler builds it directly from per-code arrays (pair
+distances, boundary distances, one slope per label pair; see ``surface``),
+and wraps it in a ``DefectGraph`` that builds its vertex and edge tuples,
+virtual-virtual clique included, from those rows only when a caller reads
+them.  Any other graph (a file, a constructor call) is converted by
 ``defect_arrays`` once, in one pass over its edges, and the form is cached
 on the graph.  Row k of a form is edge k of its graph either way, so a
 matching names the edges it paid by their ``g.edges`` positions.  The
@@ -33,8 +33,7 @@ form also keeps the decoder's lambda-independent terms (DRG_pm slope) and
 the matcher's last solve: since slope >= 0, a larger lambda only raises
 weights, and a matching that paid only unchanged weights is returned again
 without a new solve (see ``matching``).  Vertices and edges are frozen and
-hold no cache, so graphs may share them: a sampled graph takes every edge
-and virtual vertex from per-code tables.
+hold no cache.
 
 Serialized form (JSON)::
 
@@ -137,10 +136,6 @@ class DefectGraph:
 
     def vertex(self, vid: VertexId) -> DefectVertex:
         return self._by_id[vid]
-
-    @property
-    def real_vertices(self) -> tuple[DefectVertex, ...]:
-        return tuple(v for v in self.vertices if not v.is_virtual_boundary)
 
     def to_json_obj(self) -> dict:
         return {
@@ -261,12 +256,13 @@ class DefectArrays:
     """The array form of one decoding instance: what the decoder reads.
 
     ``ids`` are the DP vertices in DP order (a sampled instance's sorted
-    defect checks), ``labels`` their (a, k), and ``real_vertices`` the ids
-    of the real defects.  ``edges`` holds one row (d, raw slope, normalized
-    slope) per edge the matcher may read, in the order of its graph's
-    edges: row k is the graph's edge k.  A sampled graph has more edges
-    after the rows, its free virtual-virtual clique, which the matcher
-    never reads; a converted file graph has one row per edge.
+    defect checks), and ``real_vertices`` the ids of the real defects (the
+    benchmark's defect histogram reads them).  ``edges`` holds one row (d,
+    raw slope, normalized slope) per edge the matcher may read, in the
+    order of its graph's edges: row k is the graph's edge k.  A sampled
+    graph has more edges after the rows, its free virtual-virtual clique,
+    which the matcher never reads; a converted file graph has one row per
+    edge.
     ``virtual_rows`` holds the rows joining two virtuals, which the DRG
     metrics skip.  The matcher's layout (see ``matching``): ``virtuals``,
     the virtual ids left to pair among themselves in ``repr`` order;
@@ -278,7 +274,6 @@ class DefectArrays:
     """
 
     ids: tuple
-    labels: tuple
     real_vertices: tuple
     edges: tuple
     virtual_rows: frozenset
@@ -350,7 +345,6 @@ def _convert(g: DefectGraph) -> DefectArrays:
             edge_at[i][j] = edge_at[j][i] = k
     return DefectArrays(
         ids=tuple(vertices[p].id for p in dp),
-        labels=tuple((vertices[p].a, vertices[p].k) for p in dp),
         real_vertices=tuple(vertices[p].id for p in reals),
         edges=tuple(rows),
         virtual_rows=frozenset(virtual_rows),
@@ -361,38 +355,25 @@ def _convert(g: DefectGraph) -> DefectArrays:
     )
 
 
-def edge_terms(g: DefectGraph | DefectArrays, mode: str) -> list:
-    """(d, slope, both ends virtual) for every edge of the defect graph g,
-    in edge order, or for every row of an array form; the weight at lambda
-    is d + lambda * slope, with slope = delta_k (raw) or delta_k / L
-    (normalized).  Read from g's array form; a graph's edges after the
-    form's rows are free virtual-virtual edges."""
-    col = slope_column(mode)
-    arrays = defect_arrays(g)
-    skip = arrays.virtual_rows
-    terms = [(row[0], row[col], k in skip) for k, row in enumerate(arrays.edges)]
-    terms += [(e.d, 0.0, True) for e in g.edges[len(terms) :]]
-    return terms
-
-
 def edge_weight(
     g: DefectGraph, e: DefectEdge, lam: float, mode: str = NORMALIZED
 ) -> float:
     """MASD cost of the edge e of g, d + lam * delta_k (raw) or
     d + lam * delta_k / L (normalized); lam = 0 recovers the plain distance
     d.  ValueError when e is not one of g's edges."""
-    check_lambda(lam)
-    d, slope, _ = edge_terms(g, mode)[g.edges.index(e)]
-    return d + lam * slope
+    return edge_weights(g, lam, mode)[g.edges.index(e)]
 
 
 def edge_weights(
     g: DefectGraph | DefectArrays, lam: float, mode: str = NORMALIZED
 ) -> list[float]:
     """The MASD weight d + lam * slope of every edge of the defect graph g,
-    in g.edges order, or of every row of an array form."""
+    in g.edges order, or of every row of an array form, with slope =
+    delta_k (raw) or delta_k / L (normalized).  Read from g's array form;
+    a graph's edges after the form's rows are free virtual-virtual edges."""
     check_lambda(lam)
-    if isinstance(g, DefectArrays):
-        col = slope_column(mode)
-        return [row[0] + lam * row[col] for row in g.edges]
-    return [d + lam * slope for d, slope, _ in edge_terms(g, mode)]
+    col = slope_column(mode)
+    weights = [row[0] + lam * row[col] for row in defect_arrays(g).edges]
+    if not isinstance(g, DefectArrays):
+        weights += [e.d for e in g.edges[len(weights) :]]
+    return weights

@@ -20,18 +20,17 @@ with bit q for data qubit q, and the per-code arrays the sampler builds each
 trial's array form from (``graph.DefectArrays``): pair and boundary
 distances and boundary-partner ids by check index, plus one cached slope
 per pair of winding labels.  ``defect_graph_for`` draws the real defects'
-labels and builds only that form: the sorted defect checks, their labels,
-and one (d, raw slope, normalized slope) row per defect pair and per
-boundary edge, with a row layout shared by every instance of the same size.
-A sweep trial builds no edge or vertex object, no virtual-virtual clique
-and no id lookup; its graph builds them, from per-code tables of shared
-``DefectEdge`` and virtual ``DefectVertex`` objects made on first use, only
+labels and builds only that form: the sorted defect checks and one (d, raw
+slope, normalized slope) row per defect pair and per boundary edge, with a
+row layout shared by every instance of the same size.  A sweep trial builds
+no edge or vertex object, no virtual-virtual clique and no id lookup; its
+graph builds them from its rows, its labels and the checks' centers only
 when a caller reads its vertices or edges (``serialize``, a file, a test).
-Corrections and the logical parity read check indices and qubit masks: XORs
-and ``int.bit_count()``.  Only the decoded sector is kept: ``build_code``
-builds the X checks and the logical X column to assert the layout (check
-counts, X-Z commutation, the logicals' commutation with the other sector's
-checks and with each other), then drops them.
+Corrections and the logical parity read the sample's syndrome checks and
+qubit masks: XORs and ``int.bit_count()``.  Only the decoded sector is
+kept: ``build_code`` builds the X checks and the logical X column to assert
+the layout (check counts, X-Z commutation, the logicals' commutation with
+the other sector's checks and with each other), then drops them.
 
 Syndromes are read per flipped qubit, not per check: ``qubit_checks[q]`` is
 the bitmask of the Z checks that contain qubit q, so the syndrome of a set
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +59,6 @@ from .graph import (
     DefectEdge,
     DefectGraph,
     DefectVertex,
-    defect_arrays,
     label_slopes,
 )
 from .matching import Matching
@@ -136,40 +134,6 @@ class RotatedSurfaceCode:
     boundary_distance: tuple = field(compare=False, repr=False, default=None)
     virtual_id: tuple = field(compare=False, repr=False, default=None)
     slopes: dict = field(compare=False, repr=False, default_factory=dict)
-
-    # Shared defect-graph parts, indexed by Z check and built on first use
-    # (only a sampled graph whose tuples are read needs them): for u < v the
-    # edges (u, v) and ("b<u>", "b<v>") are pair_edge[u][v - u - 1] and
-    # virtual_pair_edge[u][v - u - 1]; boundary_edge[u] and
-    # virtual_vertex[u] are check u's edge to its boundary partner "b<u>"
-    # and that partner.
-    @cached_property
-    def pair_edge(self) -> tuple:
-        n = len(self.z_checks)
-        return tuple(
-            tuple(DefectEdge(u, v, self.pair_distance[u][v]) for v in range(u + 1, n))
-            for u in range(n)
-        )
-
-    @cached_property
-    def virtual_pair_edge(self) -> tuple:
-        ids, n = self.virtual_id, len(self.z_checks)
-        return tuple(
-            tuple(DefectEdge(ids[u], ids[v], 0.0) for v in range(u + 1, n)) for u in range(n)
-        )
-
-    @cached_property
-    def boundary_edge(self) -> tuple:
-        return tuple(
-            DefectEdge(u, self.virtual_id[u], d) for u, d in enumerate(self.boundary_distance)
-        )
-
-    @cached_property
-    def virtual_vertex(self) -> tuple:
-        return tuple(
-            DefectVertex(self.virtual_id[p.index], p.center, 1, 0, is_virtual_boundary=True)
-            for p in self.z_checks
-        )
 
     @property
     def n_data(self) -> int:
@@ -354,10 +318,9 @@ def defect_graph_for(
     partner, then the virtual-virtual edges.
 
     Only the array form is built here, from ``code``'s per-code arrays:
-    the sorted defect checks, their labels (drawn in check order) and one
-    (d, raw slope, normalized slope) row per pair and per boundary edge.
-    The graph's tuples come from ``code``'s shared tables when a caller
-    first reads them.
+    the sorted defect checks and one (d, raw slope, normalized slope) row
+    per pair and per boundary edge, from labels drawn in check order.  The
+    graph's tuples are built from these when a caller first reads them.
     """
     checks = tuple(sorted(syndrome))
     midline = (code.distance - 1) / 2.0
@@ -377,7 +340,6 @@ def defect_graph_for(
     names = [code.virtual_id[u] for u in checks]
     arrays = DefectArrays(
         ids=checks,
-        labels=labels,
         real_vertices=checks,
         edges=tuple(rows),
         virtual_rows=frozenset(),
@@ -386,25 +348,26 @@ def defect_graph_for(
         retire=tuple(zip(range(len(checks)), names, boundary_rows)),
         edge_at=edge_at,
     )
-    return DefectGraph.from_arrays(arrays, partial(_graph_parts, code, arrays))
+    return DefectGraph.from_arrays(arrays, partial(_graph_parts, code, arrays, labels))
 
 
-def _graph_parts(code: RotatedSurfaceCode, arrays: DefectArrays) -> tuple[tuple, tuple]:
+def _graph_parts(
+    code: RotatedSurfaceCode, arrays: DefectArrays, labels: tuple
+) -> tuple[tuple, tuple]:
     """The (vertices, edges) of the sampled graph whose array form is
-    ``arrays``; every part but the real vertices is shared from ``code``."""
-    checks = arrays.ids
+    ``arrays`` and whose defects drew ``labels``: edge k takes row k's
+    distance, and the virtual-virtual clique follows the rows."""
+    checks, names = arrays.ids, code.virtual_id
     vertices: list[DefectVertex] = []
-    edges: list[DefectEdge] = []
-    for u, (a, k) in zip(checks, arrays.labels):
-        vertices.append(DefectVertex(u, code.z_checks[u].center, a, k))
-        vertices.append(code.virtual_vertex[u])
-    for i, u in enumerate(checks):
-        row = code.pair_edge[u]
-        edges.extend([row[v - u - 1] for v in checks[i + 1 :]])
-        edges.append(code.boundary_edge[u])
-    for i, u in enumerate(checks):
-        row = code.virtual_pair_edge[u]
-        edges.extend([row[v - u - 1] for v in checks[i + 1 :]])
+    for u, (a, k) in zip(checks, labels):
+        center = code.z_checks[u].center
+        vertices.append(DefectVertex(u, center, a, k))
+        vertices.append(DefectVertex(names[u], center, 1, 0, is_virtual_boundary=True))
+    ends = [(u, v) for i, u in enumerate(checks) for v in (*checks[i + 1 :], names[u])]
+    edges = [DefectEdge(u, v, row[0]) for (u, v), row in zip(ends, arrays.edges, strict=True)]
+    edges += [
+        DefectEdge(names[u], names[v], 0.0) for i, u in enumerate(checks) for v in checks[i + 1 :]
+    ]
     return tuple(vertices), tuple(edges)
 
 
@@ -443,18 +406,6 @@ def sample_surface_code(
     return sample, graph
 
 
-def correction_from_matching(
-    code: RotatedSurfaceCode, matching: Matching, graph: DefectGraph | DefectArrays
-) -> set[int]:
-    """Error chain realizing the matched pairing (XOR of witness paths), as
-    a set of data qubits.
-
-    ``graph`` is the decoded defect graph (or its array form); its real
-    vertices tell which end of a pair is a boundary partner.
-    """
-    return set(_bits(_correction(code, matching, defect_arrays(graph).real_vertices)))
-
-
 def _correction(code: RotatedSurfaceCode, matching: Matching, reals: tuple) -> int:
     """The matched pairing's error chain as a qubit mask: a pair of two
     real defects (Z-check indices in ``reals``) takes its pair chain, a real
@@ -468,23 +419,16 @@ def _correction(code: RotatedSurfaceCode, matching: Matching, reals: tuple) -> i
     return correction
 
 
-def logical_failure(
-    code: RotatedSurfaceCode,
-    sample: SurfaceSample,
-    matching: Matching,
-    graph: DefectGraph | DefectArrays | None = None,
-) -> bool:
+def logical_failure(code: RotatedSurfaceCode, sample: SurfaceSample, matching: Matching) -> bool:
     """True when error + correction flips the logical operator.
 
-    ``graph`` is the defect graph the matching was decoded on (or its array
-    form).  Without it the real defects are the sample's syndrome checks, as
-    in every graph ``sample_surface_code`` builds, and the correction is
-    read from the check indices and qubit masks alone.  The composite is
-    syndrome-free by construction; failure is odd overlap with the logical
-    Z row (an odd number of lattice crossings).
+    The real defects are the sample's syndrome checks, as in every graph
+    ``sample_surface_code`` builds, and the correction is read from the
+    check indices and qubit masks alone.  The composite is syndrome-free by
+    construction; failure is odd overlap with the logical Z row (an odd
+    number of lattice crossings).
     """
-    reals = sample.syndrome if graph is None else defect_arrays(graph).real_vertices
-    correction = _correction(code, matching, reals)
+    correction = _correction(code, matching, sample.syndrome)
     composite = correction ^ _mask(sample.x_errors)
     assert not code._syndrome_of(_bits(composite)), "correction left residual syndrome"
     return (composite & code.logical_z_mask).bit_count() % 2 == 1
@@ -542,8 +486,8 @@ def decode_grid(
     optimal), its failure verdict is reused: ``logical_failure`` already
     checked that matching.  An ascending grid gets the most reuse; any other
     order only gets less, with the same values.  Each graph is decoded
-    through its array form, and its failure check reads its array form's
-    real defects.
+    through its array form, and its failure check reads its sample's
+    syndrome.
     """
     # Per instance: the matching decoded at the previous lambda and its verdict.
     verdicts: list[tuple] = [(None, False)] * len(instances)
@@ -554,7 +498,7 @@ def decode_grid(
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
             kept, failed = verdicts[index]
             if matching is not kept:
-                failed = logical_failure(code, sample, matching, graph)
+                failed = logical_failure(code, sample, matching)
                 verdicts[index] = matching, failed
             values.append((failed, report.drg_toy, report.drg_pm, report.total_cost))
         grid.append(values)

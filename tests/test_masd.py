@@ -39,7 +39,7 @@ from wplzx.masd import (
 )
 from wplzx.masd import _dp
 from wplzx.masd import matching as matching_module
-from wplzx.masd.graph import edge_terms
+from wplzx.masd.graph import defect_arrays
 from wplzx.masd.surface import (
     SUPPORTED_DISTANCES,
     WindingModel,
@@ -156,14 +156,14 @@ def _random_labelled_graph(rng, n):
 
 
 def test_edge_terms_match_rational_slopes_bit_for_bit():
+    """Row k of a graph's array form is (d, raw slope, normalized slope) of
+    edge k, the slopes the correctly rounded exact values, and k is in
+    ``virtual_rows`` exactly when both ends are virtual."""
     rng = random.Random("integer-winding-terms")
     edges = 0
     for _ in range(150):
         g = _random_labelled_graph(rng, rng.randint(2, 9))
         copies = (g, DefectGraph(g.vertices, g.edges))
-        # Fill one copy's cold cache from each mode first; both must agree.
-        edge_terms(copies[0], RAW)
-        edge_terms(copies[1], NORMALIZED)
         for k, e in enumerate(g.edges):
             u, v = g.vertex(e.u), g.vertex(e.v)
             raw = norm = 0.0
@@ -173,11 +173,12 @@ def test_edge_terms_match_rational_slopes_bit_for_bit():
                 assert type(winding_difference(u, v)) is int
                 raw, norm = float(dk), float(Fraction(dk, L))
             for graph in copies:
-                for mode, want in ((RAW, raw), (NORMALIZED, norm)):
-                    d, slope, vv = edge_terms(graph, mode)[k]
-                    assert d == e.d
-                    assert vv == (u.is_virtual_boundary and v.is_virtual_boundary)
-                    assert slope.hex() == want.hex()
+                arrays = defect_arrays(graph)
+                d, raw_slope, norm_slope = arrays.edges[k]
+                assert d == e.d
+                vv = k in arrays.virtual_rows
+                assert vv == (u.is_virtual_boundary and v.is_virtual_boundary)
+                assert raw_slope.hex() == raw.hex() and norm_slope.hex() == norm.hex()
             lam = rng.uniform(0.0, 2.0)
             assert edge_weight(g, e, lam, RAW).hex() == (e.d + lam * raw).hex()
             assert edge_weight(g, e, lam, NORMALIZED).hex() == (e.d + lam * norm).hex()
@@ -199,7 +200,7 @@ def test_edge_terms_grid_overflow_message():
     message = "lcm(1048576, 3) = 3145728 exceeds grid-order cap 1048576"
     for mode in (RAW, NORMALIZED, RAW):  # nothing is cached after a failure
         with pytest.raises(GridOverflow) as exc:
-            edge_terms(g, mode)
+            edge_weights(g, 0.0, mode)
         assert str(exc.value) == message
     with pytest.raises(GridOverflow, match=r"^lcm\(1048576, 3\) = 3145728 "):
         winding_difference(vs[1], vs[2])
@@ -984,8 +985,9 @@ def test_matching_names_the_edge_each_pair_paid(kind):
         g = _layout_graph(rng, kind)
         virtual = {v.id for v in g.vertices if v.is_virtual_boundary}
         last = {frozenset((e.u, e.v)): k for k, e in enumerate(g.edges)}
-        raw = edge_terms(g, RAW)
-        positions = {key: k for key, k in last.items() if not raw[k][2]}
+        arrays = defect_arrays(g)
+        raw = arrays.edges
+        positions = {key: k for key, k in last.items() if k not in arrays.virtual_rows}
         for mode in (RAW, NORMALIZED):
             for lam in (0.0, 0.5, 1.5):
                 weights = edge_weights(g, lam, mode)
@@ -1025,7 +1027,7 @@ def _two_partner_graph(rng) -> DefectGraph:
     retirement candidates."""
     g = _layout_graph(rng, "own")
     extra = [vert("x0", 1, 0, virtual=True), vert("x1", 1, 0, virtual=True)]
-    reals = [v.id for v in g.real_vertices]
+    reals = [v.id for v in g.vertices if not v.is_virtual_boundary]
     edges = [DefectEdge(reals[int(rng.integers(0, len(reals)))], x.id, float(rng.uniform(0.2, 4.0)))
              for x in extra]
     return DefectGraph(g.vertices + tuple(extra), g.edges + tuple(edges))

@@ -41,8 +41,6 @@ def test_no_tracked_file_is_ignored():
 # tests reaches them, each with its reason.
 REACH_ALLOWLIST = {
     "diagram_to_circuit": "the only producer of optimized circuits for `metrics --opt`",
-    "correction_from_matching": "`wplzx.masd`'s correction as a qubit set; "
-    "`logical_failure` reads the mask form `_correction` directly",
 }
 
 

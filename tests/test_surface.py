@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,14 +15,14 @@ from wplzx.masd import (
     DefectGraph,
     WindingModel,
     build_code,
-    correction_from_matching,
     lambda_sweep,
     logical_failure,
     masd_decode,
     sample_surface_code,
 )
 from wplzx.masd.graph import defect_arrays
-from wplzx.masd.surface import _bfs_tables
+from wplzx.masd.surface import SurfaceSample, _bfs_tables, _correction, defect_graph_for
+from wplzx.rng import trial_stream
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +114,7 @@ def test_bfs_distances_match_manhattan_in_bulk():
             u1, v1 = (i1 + j1) / 2, (i1 - j1) / 2
             u2, v2 = (i2 + j2) / 2, (i2 - j2) / 2
             manhattan = abs(u1 - u2) + abs(v1 - v2)
-            u, v = sorted((a.index, b.index))
-            bfs = code.pair_edge[u][v - u - 1].d
+            bfs = code.pair_distance[a.index][b.index]
             assert bfs <= manhattan + 1e-9
             if manhattan <= 2:  # no boundary shortcut can undercut here
                 assert bfs == int(round(manhattan))
@@ -151,7 +151,7 @@ def test_correction_clears_syndrome(code3):
     for trial in range(80):
         sample, graph = sample_surface_code(3, 0.12, seed=77, trial=trial)
         matching, _ = masd_decode(graph, 0.2)
-        corr = correction_from_matching(code3, matching, graph)
+        corr = _bits(_correction(code3, matching, sample.syndrome))
         composite = set(sample.x_errors) ^ corr
         assert _parity_syndrome(code3, composite) == ()
         # logical_failure runs its own residual assertion internally
@@ -177,7 +177,7 @@ def test_logical_failure_rejects_residual_syndrome(code3, monkeypatch):
         if not full(code3, matching, sample.syndrome):
             continue
         with pytest.raises(AssertionError, match="residual syndrome"):
-            logical_failure(code3, sample, matching, graph)
+            logical_failure(code3, sample, matching)
         fired += 1
     assert fired > 0
 
@@ -210,10 +210,8 @@ def test_correction_reads_virtual_flags_not_id_types():
         m_twin, _ = masd_decode(twin, 0.25)
         assert m_twin.total_cost == m.total_cost
         assert real_pairs(m_twin, twin) == real_pairs(m, graph)
-        assert correction_from_matching(code, m_twin, twin) == correction_from_matching(
-            code, m, graph
-        )
-        assert logical_failure(code, sample, m_twin, twin) == logical_failure(code, sample, m)
+        assert _correction(code, m_twin, sample.syndrome) == _correction(code, m, sample.syndrome)
+        assert logical_failure(code, sample, m_twin) == logical_failure(code, sample, m)
     lams = [0.0, 0.25]
     assert lambda_sweep(twins, lams, code=code) == lambda_sweep(instances, lams, code=code)
 
@@ -223,9 +221,6 @@ def test_single_error_always_corrected(code3):
     model = WindingModel(kind="constant")
     for q in range(9):
         syndrome = _parity_syndrome(code3, {q})
-        from wplzx.masd.surface import SurfaceSample, defect_graph_for
-        from wplzx.rng import trial_stream
-
         graph = defect_graph_for(code3, syndrome, model, trial_stream(0, 0))
         sample = SurfaceSample(3, 0.0, 0, 0, (q,), syndrome)
         matching, _ = masd_decode(graph, 0.0)
@@ -234,9 +229,6 @@ def test_single_error_always_corrected(code3):
 
 def test_two_sector_winding_assignment(code3):
     model = WindingModel(kind="two-sector", a=8, k_left=0, k_right=3)
-    from wplzx.masd.surface import defect_graph_for
-    from wplzx.rng import trial_stream
-
     syndrome = tuple(p.index for p in code3.z_checks)
     g = defect_graph_for(code3, syndrome, model, trial_stream(0, 0))
     reals = [v for v in g.vertices if not v.is_virtual_boundary]
@@ -407,18 +399,14 @@ def test_instance_tables_agree_with_bfs_tables(d):
     for u, path in boundary_path.items():
         assert boundary_mask[u] == sum(1 << q for q in path)
         assert code._syndrome_of(path) == (u,)
+    assert len(code.pair_distance) == len(code.boundary_distance) == len(code.virtual_id) == n
     for u in range(n):
-        assert len(code.pair_edge[u]) == len(code.virtual_pair_edge[u]) == n - u - 1
-        for v in range(u + 1, n):
-            edge = code.pair_edge[u][v - u - 1]
-            virtual = code.virtual_pair_edge[u][v - u - 1]
-            assert (edge.u, edge.v, edge.d) == (u, v, pair_distance[(u, v)])
-            assert (virtual.u, virtual.v, virtual.d) == (f"b{u}", f"b{v}", 0.0)
-        edge = code.boundary_edge[u]
-        assert (edge.u, edge.v, edge.d) == (u, f"b{u}", boundary_distance[u])
-        vertex = code.virtual_vertex[u]
-        assert vertex.id == f"b{u}" and vertex.is_virtual_boundary
-        assert vertex.position == code.z_checks[u].center
+        assert len(code.pair_distance[u]) == n and code.pair_distance[u][u] == 0.0
+        for v in range(n):
+            if v != u:
+                assert code.pair_distance[u][v] == pair_distance[(u, v)]
+        assert code.boundary_distance[u] == boundary_distance[u]
+        assert code.virtual_id[u] == f"b{u}"
     # bitmask syndromes against frozenset parity on random errors
     rng = np.random.default_rng(d)
     for _ in range(50):
@@ -427,14 +415,14 @@ def test_instance_tables_agree_with_bfs_tables(d):
 
 
 def test_shared_edges_keep_caches_per_graph():
-    """Two samples of one syndrome share every edge object, yet decoding one
-    leaves the lambda-independent cache of the other's array form empty."""
+    """Two samples of one syndrome have equal edges, yet decoding one leaves
+    the lambda-independent cache of the other's array form empty."""
     code = build_code(5)
     model = WindingModel(kind="two-sector")
     sample, graph = sample_surface_code(5, 0.1, seed=3, trial=0, winding=model, code=code)
     _, twin = sample_surface_code(5, 0.1, seed=3, trial=0, winding=model, code=code)
     assert sample.syndrome and graph is not twin
-    assert all(a is b for a, b in zip(twin.edges, graph.edges, strict=True))
+    assert twin.edges == graph.edges
     masd_decode(graph, 0.3)
     assert defect_arrays(graph)._cache and defect_arrays(twin)._cache == {}
 
@@ -508,3 +496,95 @@ def test_sampled_and_file_array_forms_decode_alike(d, p):
                             kept += a[0] is b[0]
                             solved += a[0] is not b[0]
     assert kept > 50 and solved > 50, (kept, solved)
+
+
+def _lightest_errors(code) -> dict[int, tuple[int, ...]]:
+    """A lightest error (its flipped qubits) behind each syndrome, keyed by
+    the syndrome's check bitmask: a BFS over syndromes from the empty one,
+    where a step flips one qubit q, XORing in ``qubit_checks[q]``."""
+    lightest, frontier = {0: ()}, [0]
+    while frontier:
+        nxt = []
+        for syndrome in frontier:
+            for q, checks in enumerate(code.qubit_checks):
+                if syndrome ^ checks not in lightest:
+                    lightest[syndrome ^ checks] = lightest[syndrome] + (q,)
+                    nxt.append(syndrome ^ checks)
+        frontier = nxt
+    return lightest
+
+
+@pytest.mark.parametrize("d", (3, 5))
+def test_lambda_zero_decodes_every_syndrome_at_minimum_weight(d):
+    """At lambda = 0 the whole chain (defect graph, BFS distances, matcher,
+    correction, failure check) is a minimum-weight decoder: for every error
+    pattern at d = 3 and every syndrome at d = 5, the matching's cost and
+    the correction's weight both equal the fewest flips behind the
+    syndrome, and the correction clears it."""
+    code = build_code(d)
+    lightest = _lightest_errors(code)
+    assert len(lightest) == 2 ** len(code.z_checks)  # every syndrome is reachable
+    if d == 3:
+        errors = [tuple(sorted(_bits(e))) for e in range(2**code.n_data)]
+    else:
+        errors = [tuple(sorted(e)) for e in lightest.values()]
+    model, rng = WindingModel(kind="constant"), trial_stream(0, 0)
+    for error in errors:
+        syndrome = code._syndrome_of(error)
+        least = len(lightest[sum(1 << u for u in syndrome)])
+        graph = defect_graph_for(code, syndrome, model, rng)
+        matching, report = masd_decode(graph, 0.0)
+        assert report.total_cost == least, error
+        assert _correction(code, matching, syndrome).bit_count() == least, error
+        logical_failure(code, SurfaceSample(d, 0.0, 0, 0, error, syndrome), matching)
+
+
+def _wilson(failures: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+    """The 95% Wilson score interval of a failure rate."""
+    center = (failures + z * z / 2) / (trials + z * z)
+    half = z * math.sqrt(failures * (trials - failures) / trials + z * z / 4) / (trials + z * z)
+    return center - half, center + half
+
+
+@pytest.mark.parametrize("p, trials, larger", [(0.05, 8000, 3), (0.2, 1000, 7)])
+def test_lambda_zero_error_rates_cross_between_distances(p, trials, larger):
+    """Below the code-capacity threshold (about 10%) the d = 7 logical error
+    rate at lambda = 0 lies below the d = 3 rate, and above it the order
+    flips, with disjoint 95% Wilson intervals at seed 99.  The margins
+    between the intervals are 0.015 at p = 0.05 and 0.069 at p = 0.2."""
+    intervals = {}
+    for d in (3, 7):
+        code = build_code(d)
+        instances = [sample_surface_code(d, p, 99, trial=t, code=code) for t in range(trials)]
+        rate = lambda_sweep(instances, [0.0], code=code)[0]["logical_error_rate"]
+        intervals[d] = _wilson(round(rate * trials), trials)
+    smaller = 10 - larger
+    assert intervals[larger][0] > intervals[smaller][1], intervals
+
+
+@pytest.mark.parametrize("n_cpus, workers", [(1, 1), (2, 2)])
+def test_sweeps_never_build_a_sampled_graphs_tuples(capfd, monkeypatch, n_cpus, workers):
+    """A sweep decodes every trial through its array form: with the builder
+    of a sampled graph's vertex and edge tuples made to raise, ``wplzx
+    sweep`` still prints the serial CSV, in one process and on forked
+    workers."""
+    from wplzx import cli
+    from wplzx.masd import parallel, surface
+
+    def unbuilt(*args):
+        raise AssertionError("a sweep built a sampled graph's tuples")
+
+    monkeypatch.setattr(surface, "_graph_parts", unbuilt)
+    monkeypatch.setattr(parallel, "MIN_BLOCK", 20)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n_cpus)
+    lambdas = [0.0, 0.1, 0.3]
+    code = build_code(7)
+    instances = [sample_surface_code(7, 0.15, 5, trial=t, code=code) for t in range(40)]
+    serial = cli._csv(lambda_sweep(instances, lambdas, code=code), cli.SWEEP_COLUMNS)
+    argv = ["sweep", "--distance", "7", "--p", "0.15", "--seed", "5", "--trials", "40",
+            "--lambdas", ",".join(map(str, lambdas))]
+    assert cli.main(argv) == 0
+    plural = "s" if workers > 1 else ""
+    assert capfd.readouterr() == (
+        serial, f"swept {len(lambdas)} lambda values over 40 trials on {workers} worker{plural}\n"
+    )
