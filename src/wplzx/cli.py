@@ -29,20 +29,8 @@ from .masd import (
     sample_surface_code,
 )
 from .masd import parallel
-from .masd.surface import CONSTANT, TWO_SECTOR, UNIFORM, build_code
+from .masd.surface import CONSTANT, SWEEP_COLUMNS, TWO_SECTOR, UNIFORM, build_code
 from .phase import snap_to_grid
-
-SWEEP_COLUMNS = [
-    "lambda",
-    "p_phys",
-    "distance",
-    "trials",
-    "logical_error_rate",
-    "drg_toy_mean",
-    "drg_pm_mean",
-    "mean_cost",
-    "mode",
-]
 
 METRIC_COLUMNS = ["seed", "n_qubits", "n_spiders", "pqvr", "csc_total", "csc_cnot", "fp"]
 

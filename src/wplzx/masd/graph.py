@@ -277,7 +277,6 @@ class DefectArrays:
     real_vertices: tuple
     edges: tuple
     virtual_rows: frozenset
-    n_vertices: int
     virtuals: tuple
     retire: tuple
     edge_at: Sequence
@@ -348,7 +347,6 @@ def _convert(g: DefectGraph) -> DefectArrays:
         real_vertices=tuple(vertices[p].id for p in reals),
         edges=tuple(rows),
         virtual_rows=frozenset(virtual_rows),
-        n_vertices=len(vertices),
         virtuals=tuple(virtuals),
         retire=tuple((index[real], vertices[p].id, k) for real, p, k in candidates),
         edge_at=edge_at,

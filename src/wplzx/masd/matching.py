@@ -158,8 +158,7 @@ class Matching:
     edges: tuple[int | None, ...]
 
 
-# The matching of every graph with no vertices: one object, so ``lambda_sweep``
-# sees it repeat along the grid.
+# The matching of every graph with no vertices, built once.
 _EMPTY = Matching((), 0.0, exact=True, edges=())
 
 
@@ -179,12 +178,12 @@ def min_weight_perfect_matching(
     arrays = defect_arrays(g)
     if len(weights) != len(g.edges):
         raise ValueError(f"{len(weights)} weights for {len(g.edges)} edges")
-    if arrays.n_vertices % 2 != 0:
-        raise OddVertexCount(f"{arrays.n_vertices} vertices cannot be perfectly matched")
-    if not arrays.n_vertices:
-        return _EMPTY
     ids, virts, retire, edge_at = arrays.ids, arrays.virtuals, arrays.retire, arrays.edge_at
-    n = len(ids)
+    n, n_vertices = len(ids), len(ids) + len(virts)
+    if n_vertices % 2 != 0:
+        raise OddVertexCount(f"{n_vertices} vertices cannot be perfectly matched")
+    if not n_vertices:
+        return _EMPTY
     if n > DP_VERTEX_CAP:
         raise MatchingOverflow(f"{n} DP vertices exceed cap {DP_VERTEX_CAP}")
     kept = arrays._cache.get("matching")

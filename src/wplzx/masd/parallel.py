@@ -6,7 +6,7 @@ its own.  ``forked_sweep`` splits the trials into contiguous blocks, one per
 worker.  This process samples and decodes the first block; each other block
 runs in a child made by ``os.fork``, which samples its own trials, decodes
 them at every lambda and sends back, through a pipe, the per-(lambda, trial)
-values that ``surface.sweep_row`` averages.  The rows are built from those
+values that ``surface.sweep_rows`` averages.  The rows are built from those
 values merged in trial order, so they equal ``lambda_sweep``'s rows over all
 trials, float for float, whatever the worker count.
 
@@ -101,10 +101,7 @@ def forked_sweep(
     for values in results:
         for row, part in zip(merged, values):
             row.extend(part)
-    return [
-        surface.sweep_row(lam, p_phys, code.distance, mode, row)
-        for lam, row in zip(lambdas, merged)
-    ]
+    return surface.sweep_rows(lambdas, p_phys, code.distance, mode, merged)
 
 
 def _sweep_block(code, p_phys, seed, winding, lambdas, mode, beta, block: range):

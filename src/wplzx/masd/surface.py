@@ -69,6 +69,19 @@ UNIFORM = "uniform"
 TWO_SECTOR = "two-sector"
 CONSTANT = "constant"
 
+# The sweep CSV's columns, in order: the keys of every ``sweep_rows`` row.
+SWEEP_COLUMNS = [
+    "lambda",
+    "p_phys",
+    "distance",
+    "trials",
+    "logical_error_rate",
+    "drg_toy_mean",
+    "drg_pm_mean",
+    "mean_cost",
+    "mode",
+]
+
 
 @dataclass(frozen=True)
 class WindingModel:
@@ -343,7 +356,6 @@ def defect_graph_for(
         real_vertices=checks,
         edges=tuple(rows),
         virtual_rows=frozenset(),
-        n_vertices=2 * len(checks),
         virtuals=tuple(sorted(names, key=repr)),
         retire=tuple(zip(range(len(checks)), names, boundary_rows)),
         edge_at=edge_at,
@@ -447,7 +459,7 @@ def lambda_sweep(
     order of ``lambdas``; results are deterministic given the instances.  All
     instances must share one distance and one p_phys (the row labels), and
     ``code``, when given, must have that distance.  ``decode_grid`` decodes
-    and ``sweep_row`` aggregates.
+    and ``sweep_rows`` aggregates.
     """
     lambdas = list(lambdas)
     if not instances or not lambdas:
@@ -464,10 +476,8 @@ def lambda_sweep(
         raise ConfigInvalid(
             f"code distance {code.distance} does not match instance distance {first.distance}"
         )
-    return [
-        sweep_row(lam, first.p_phys, first.distance, mode, values)
-        for lam, values in zip(lambdas, decode_grid(instances, lambdas, mode, beta, code))
-    ]
+    grid = decode_grid(instances, lambdas, mode, beta, code)
+    return sweep_rows(lambdas, first.p_phys, first.distance, mode, grid)
 
 
 def decode_grid(
@@ -481,15 +491,14 @@ def decode_grid(
     grid, holding one (failed, drg_toy, drg_pm, total_cost) per instance, in
     order.
 
-    When an instance's decode returns the same ``Matching`` object as at the
-    lambda before (the matcher certified that the raised weights leave it
-    optimal), its failure verdict is reused: ``logical_failure`` already
-    checked that matching.  An ascending grid gets the most reuse; any other
-    order only gets less, with the same values.  Each graph is decoded
-    through its array form, and its failure check reads its sample's
-    syndrome.
+    When an instance's decode matches the same pairs as at the lambda
+    before, its failure verdict is reused: ``logical_failure`` reads
+    nothing of a matching but its pairs, and it already checked these.  An
+    ascending grid gets the most reuse; any other order only gets less,
+    with the same values.  Each graph is decoded through its array form,
+    and its failure check reads its sample's syndrome.
     """
-    # Per instance: the matching decoded at the previous lambda and its verdict.
+    # Per instance: the pairs matched at the previous lambda and their verdict.
     verdicts: list[tuple] = [(None, False)] * len(instances)
     grid = []
     for lam in lambdas:
@@ -497,28 +506,24 @@ def decode_grid(
         for index, (sample, graph) in enumerate(instances):
             matching, report = masd_decode(graph, lam, mode=mode, beta=beta)
             kept, failed = verdicts[index]
-            if matching is not kept:
+            if matching.pairs != kept:
                 failed = logical_failure(code, sample, matching)
-                verdicts[index] = matching, failed
+                verdicts[index] = matching.pairs, failed
             values.append((failed, report.drg_toy, report.drg_pm, report.total_cost))
         grid.append(values)
     return grid
 
 
-def sweep_row(
-    lam: float, p_phys: float, distance: int, mode: str, outcomes: Sequence[tuple]
-) -> dict:
-    """The sweep row of one lambda from its instances' ``decode_grid``
-    values, in instance order."""
-    trials = len(outcomes)
-    return {
-        "lambda": lam,
-        "p_phys": p_phys,
-        "distance": distance,
-        "trials": trials,
-        "logical_error_rate": sum(o[0] for o in outcomes) / trials,
-        "drg_toy_mean": float(np.mean([o[1] for o in outcomes])),
-        "drg_pm_mean": float(np.mean([o[2] for o in outcomes])),
-        "mean_cost": float(np.mean([o[3] for o in outcomes])),
-        "mode": mode,
-    }
+def sweep_rows(
+    lambdas: Sequence[float], p_phys: float, distance: int, mode: str, grid: Sequence
+) -> list[dict]:
+    """The sweep rows, keyed by ``SWEEP_COLUMNS``, one per lambda, from the
+    ``decode_grid`` values of each lambda's instances, in instance order."""
+    rows = []
+    for lam, outcomes in zip(lambdas, grid):
+        trials = len(outcomes)
+        failed, *risks = zip(*outcomes)  # risks: drg_toy, drg_pm, total_cost
+        means = [float(np.mean(column)) for column in risks]
+        values = [lam, p_phys, distance, trials, sum(failed) / trials, *means, mode]
+        rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
+    return rows

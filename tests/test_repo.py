@@ -4,8 +4,8 @@ there is one that nothing reads, no default parameter of a public function
 is one that no caller sets, no module-level constant is one that nothing
 reads, no package re-exports a name that nothing imports through it, the exact engine imports without numpy, the sources
 parse with the oldest Python grammar pyproject.toml accepts, README lists
-every flag of every command, every function the benchmark harness wraps
-still exists, and the harness's own tests pass."""
+every flag of every command and the columns of every CSV, every function
+the benchmark harness wraps still exists, and the harness's own tests pass."""
 
 from __future__ import annotations
 
@@ -466,6 +466,32 @@ def test_readme_documents_every_flag():
     assert "`-h`" in preamble and "`--config FILE`" in preamble
     for name in parser.commands:
         assert re.search(rf"\b{name}\b", parser.description), f"--help omits {name}"
+
+
+def test_readme_gives_the_columns_each_csv_prints(capsys):
+    """The columns README's ``sweep``, ``metrics`` and ``curvature``
+    subsections give are the header each command prints: a one-trial
+    sweep and a one-point curvature landscape are run, and ``metrics``'
+    header is ``METRIC_COLUMNS``."""
+    from wplzx import cli
+
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Commands\n(.*?)(?=^## )", readme, re.M | re.S).group(1)
+    _, *parts = re.split(r"^### (\S+)\n", section, flags=re.M)
+    listed = {
+        name: re.findall(r"columns\s+`([^`]*)`", body)
+        for name, body in zip(parts[::2], parts[1::2])
+    }
+    printed = {"metrics": ",".join(cli.METRIC_COLUMNS)}
+    runs = {
+        "sweep": ["sweep", "--lambdas", "0", "--trials", "1"],
+        "curvature": ["curvature", "--points", "1"],
+    }
+    for name, argv in runs.items():
+        assert cli.main(argv) == 0
+        printed[name] = capsys.readouterr().out.split("\n", 1)[0]
+    for name, header in printed.items():
+        assert listed[name] == [header], f"README's {name} columns"
 
 
 def test_benchmark_harness_names_exist(monkeypatch):

@@ -304,12 +304,16 @@ def test_lambda_sweep_rows_follow_the_grid_order():
 
 def test_lambda_sweep_reuses_certified_matchings(monkeypatch):
     """A seeded d = 7 slice: every (instance, lambda) is decoded, but the
-    kernel and the failure check run only where the matching changed.  The
-    counts are pinned; solving every non-empty instance at every lambda
-    would take 4 * 80 = 320 kernel calls."""
+    kernel runs only where the matcher cannot certify its kept matching,
+    and the failure check only where an instance's matched pairs change.
+    Solving every non-empty instance at every lambda would take 4 * 80 =
+    320 kernel calls.  The failure count is pinned, and also derived from
+    the decodes: each instance's first lambda, plus each lambda whose pairs
+    differ from the lambda before's."""
     from wplzx.masd import _dp, surface
 
     counts = {"kernel": 0, "failure": 0, "decode": 0}
+    pairs = collections.defaultdict(list)  # graph id -> its pairs, lambda by lambda
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -317,9 +321,16 @@ def test_lambda_sweep_reuses_certified_matchings(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    decode = counting("decode", surface.masd_decode)
+
+    def recording(graph, *args, **kwargs):
+        matching, report = decode(graph, *args, **kwargs)
+        pairs[id(graph)].append(matching.pairs)
+        return matching, report
+
     monkeypatch.setattr(_dp, "solve_dense", counting("kernel", _dp.solve_dense))
     monkeypatch.setattr(surface, "logical_failure", counting("failure", surface.logical_failure))
-    monkeypatch.setattr(surface, "masd_decode", counting("decode", surface.masd_decode))
+    monkeypatch.setattr(surface, "masd_decode", recording)
     code = build_code(7)
     instances = [
         sample_surface_code(7, 0.15, seed=seed, trial=t, code=code)
@@ -327,7 +338,40 @@ def test_lambda_sweep_reuses_certified_matchings(monkeypatch):
     ]
     assert sum(1 for _, g in instances if g.vertices) == 80
     lambda_sweep(instances, [0.0, 0.1, 0.2, 0.3], code=code)
-    assert counts == {"kernel": 171, "failure": 171, "decode": 320}
+    assert counts == {"kernel": 171, "failure": 92, "decode": 320}
+    changes = sum(
+        1 + sum(a != b for a, b in zip(seq, seq[1:])) for seq in pairs.values()
+    )
+    assert len(pairs) == 80 and changes == counts["failure"]
+
+
+def test_lambda_sweep_keys_verdicts_on_the_matched_pairs(monkeypatch):
+    """A descending grid lowers weights, so the matcher cannot certify its
+    kept matching and solves again.  For trial 0 of seed 3 at d = 5 the
+    solve at lambda = 0 returns the pairs of lambda = 0.5 as a new
+    ``Matching``, and the failure check runs once, not twice."""
+    from wplzx.masd import surface
+
+    matchings, failures = [], []
+    decode, failure = surface.masd_decode, surface.logical_failure
+
+    def recording(*args, **kwargs):
+        matching, report = decode(*args, **kwargs)
+        matchings.append(matching)
+        return matching, report
+
+    def checking(*args):
+        failures.append(failure(*args))
+        return failures[-1]
+
+    monkeypatch.setattr(surface, "masd_decode", recording)
+    monkeypatch.setattr(surface, "logical_failure", checking)
+    instance = sample_surface_code(5, 0.1, seed=3, trial=0)
+    rows = lambda_sweep([instance], [0.5, 0.0])
+    high, low = matchings
+    assert high is not low and high.pairs == low.pairs
+    assert len(failures) == 1
+    assert [row["logical_error_rate"] for row in rows] == [float(failures[0])] * 2
 
 
 def _bits(mask: int) -> set[int]:
