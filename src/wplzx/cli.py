@@ -30,9 +30,8 @@ from .masd import (
 )
 from .masd import parallel
 from .masd.surface import CONSTANT, SWEEP_COLUMNS, TWO_SECTOR, UNIFORM, build_code
+from .metrics import METRIC_COLUMNS
 from .phase import snap_to_grid
-
-METRIC_COLUMNS = ["seed", "n_qubits", "n_spiders", "pqvr", "csc_total", "csc_cnot", "fp"]
 
 
 def log(msg: str) -> None:
@@ -143,12 +142,8 @@ def cmd_verify(args) -> int:
         how = "normalization"
     # Exact check: both matrices' residues mod two primes, compared up to one
     # n-th root of unity.  Only a resource cap leaves the question open.
-    n = semantics.phase_order(d, candidate)
     try:
-        primes = semantics.exact_primes(n)
-        ring = semantics.Residues(primes)
-        before = semantics.evaluate(d, primes=ring)
-        after = semantics.evaluate(candidate, primes=ring)
+        primes, n, (before, after) = semantics.exact_residues(d, candidate)
     except ResourceCapError as exc:
         sys.stdout.write(f"verdict INCONCLUSIVE\nmethod {how}\n")
         log(f"resource cap: {exc}")
@@ -192,13 +187,11 @@ def _state_of(d: diagram.Diagram) -> np.ndarray | None:
 
 
 def _proven_state_of(d: diagram.Diagram) -> np.ndarray | None:
-    """``_state_of(d)`` when d's |0..0> column is proven nonzero: its exact
-    residues under ``exact_primes(phase_order(d))`` are not all zero.  None
-    when they are all zero, when no such primes exist or past a resource
-    cap."""
+    """``_state_of(d)`` when d's |0..0> column is proven nonzero: its
+    ``exact_residues`` are not all zero.  None when they are all zero, when
+    no primes exist for d or past a resource cap."""
     try:
-        ring = semantics.Residues(semantics.exact_primes(semantics.phase_order(d)))
-        residues = semantics.evaluate(d, primes=ring)
+        _, _, (residues,) = semantics.exact_residues(d)
     except ResourceCapError:
         return None
     if not any(r[:, 0].any() for r in residues):
@@ -215,48 +208,22 @@ def _metric_row(idx: int, raw_path: Path, opt_path: Path, grid: int) -> dict:
     if raw_path.suffix == ".txt" or raw_path.name.endswith(".circuit.txt"):
         raw_c = datasets.parse_circuit(raw_path.read_text(encoding="utf-8"))
         opt_c = datasets.parse_circuit(opt_path.read_text(encoding="utf-8"))
-        raw_phases, snapped = datasets.snapped_phases(raw_c, lambda q: grid)
+        phases, snapped = datasets.snapped_phases(raw_c, lambda q: grid)
         raw_d = datasets.circuit_to_diagram(raw_c)
         opt_d = datasets.circuit_to_diagram(opt_c)
-        rep = metrics.report(
-            raw_phases,
-            snapped,
-            raw_c.gate_count,
-            opt_c.gate_count,
-            raw_c.cnot_count,
-            opt_c.cnot_count,
-            _state_of(raw_d),
-            _state_of(opt_d),
-        )
-        n_qubits = raw_c.n_qubits
-        n_spiders = len(raw_d.spiders)
+        counts = (raw_c.gate_count, opt_c.gate_count, raw_c.cnot_count, opt_c.cnot_count)
+        state_of = _state_of
     else:
         raw_d = diagram.deserialize(raw_path.read_text(encoding="utf-8"))
         opt_d = diagram.deserialize(opt_path.read_text(encoding="utf-8"))
-        thetas = [rewrite.node_total_angle(n).radians() for n in raw_d.spiders]
+        phases = [rewrite.node_total_angle(n).radians() for n in raw_d.spiders]
         grids = [n.label.grid for n in raw_d.spiders]
-        snapped = [snap_to_grid(t, a).radians() for t, a in zip(thetas, grids)]
-        rep = metrics.report(
-            thetas,
-            snapped,
-            len(raw_d.spiders),
-            len(opt_d.spiders),
-            0,
-            0,
-            _proven_state_of(raw_d),
-            _proven_state_of(opt_d),
-        )
-        n_qubits = raw_d.n_inputs
-        n_spiders = len(raw_d.spiders)
-    return {
-        "seed": seed,
-        "n_qubits": n_qubits,
-        "n_spiders": n_spiders,
-        "pqvr": rep.pqvr,
-        "csc_total": rep.csc_total,
-        "csc_cnot": rep.csc_cnot,
-        "fp": rep.fp,
-    }
+        snapped = [snap_to_grid(t, a).radians() for t, a in zip(phases, grids)]
+        counts = (len(raw_d.spiders), len(opt_d.spiders), 0, 0)
+        state_of = _proven_state_of
+    row = dict(zip(METRIC_COLUMNS, (seed, raw_d.n_inputs, len(raw_d.spiders))))
+    row.update(metrics.report(phases, snapped, *counts, state_of(raw_d), state_of(opt_d)))
+    return row
 
 
 def cmd_metrics(args) -> int:
@@ -267,15 +234,14 @@ def cmd_metrics(args) -> int:
         _metric_row(i, rp, op, args.grid) for i, (rp, op) in enumerate(pairs)
     ]
     text = _csv(rows, METRIC_COLUMNS)
-    numeric = ["pqvr", "csc_total", "csc_cnot", "fp"]
-    footer_mean = {"seed": "mean", "n_qubits": "", "n_spiders": ""}
-    footer_std = {"seed": "stddev", "n_qubits": "", "n_spiders": ""}
-    for col in numeric:
-        vals = [row[col] for row in rows if not np.isnan(row[col])]
-        footer_mean[col] = float(np.mean(vals)) if vals else float("nan")
-        footer_std[col] = statistics.pstdev(vals) if vals else float("nan")
-    text += ",".join(_fmt(footer_mean[c]) for c in METRIC_COLUMNS) + "\n"
-    text += ",".join(_fmt(footer_std[c]) for c in METRIC_COLUMNS) + "\n"
+    # Footer rows: a label under the seed, blanks under the sizes, and each
+    # report column's statistic over its non-nan values.
+    for label, stat in (("mean", lambda v: float(np.mean(v))), ("stddev", statistics.pstdev)):
+        cells = [label, "", ""]
+        for col in METRIC_COLUMNS[3:]:
+            vals = [row[col] for row in rows if not np.isnan(row[col])]
+            cells.append(stat(vals) if vals else float("nan"))
+        text += ",".join(map(_fmt, cells)) + "\n"
     _write_text(args.out, text)
     log(f"metrics over {len(rows)} pairs")
     return 0

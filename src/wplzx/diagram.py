@@ -295,12 +295,6 @@ def _adjacency(d: Diagram) -> dict[int, set[int]]:
     return adjacent
 
 
-def same_color_neighbours(d: Diagram) -> dict[NodeId, set[NodeId]]:
-    """Each spider's id -> the other spiders of its color wired to it."""
-    nodes = d.nodes
-    return {nodes[i].id: {nodes[j].id for j in near} for i, near in _adjacency(d).items()}
-
-
 def region_orders(d: Diagram) -> list[list[NodeId]]:
     """Each monochrome region's spiders, regions by smallest id r.
 

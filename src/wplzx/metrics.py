@@ -4,25 +4,20 @@ PQVR measures how much phase variance survives grid alignment, CSC the
 relative reduction in gate count, FP the fidelity between final states.
 Angular residuals are wrapped to (-pi, pi] before taking the (population)
 variance, since a plain variance of circular differences is ill-defined.
+``METRIC_COLUMNS`` lists the columns of ``metrics``' CSV: three that name
+the pair, then the four that ``report`` gives, keyed by those names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVariance, EmptyBaseline
 from .semantics import fidelity as _fidelity
 
-
-@dataclass(frozen=True)
-class MetricReport:
-    pqvr: float
-    csc_total: float
-    csc_cnot: float
-    fp: float
+METRIC_COLUMNS = ["seed", "n_qubits", "n_spiders", "pqvr", "csc_total", "csc_cnot", "fp"]
 
 
 def wrap_angle(x: float) -> float:
@@ -75,8 +70,9 @@ def report(
     opt_cnots: int,
     raw_state: np.ndarray | None,
     opt_state: np.ndarray | None,
-) -> MetricReport:
-    """Assemble a MetricReport, tolerating degenerate inputs.
+) -> dict[str, float]:
+    """PQVR, both CSCs and FP, keyed by their columns in ``METRIC_COLUMNS``,
+    tolerating degenerate inputs.
 
     PQVR falls back to 1.0 when there are too few phases or zero raw variance
     (nothing to misalign); csc_cnot falls back to 0.0 for CNOT-free baselines;
@@ -92,4 +88,4 @@ def report(
         f = float("nan")
     else:
         f = fp(raw_state, opt_state)
-    return MetricReport(p, c_total, c_cnot, f)
+    return dict(zip(METRIC_COLUMNS[3:], (p, c_total, c_cnot, f)))

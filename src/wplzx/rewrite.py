@@ -20,7 +20,11 @@ recorded, pairwise, in a replayable trace.
 Replay (``apply_trace``) batches the same way: each run of consecutive
 ``fuse`` and ``normalize-label`` entries becomes one group fusion and one
 ``build``, so replay is linear in the trace, while every entry is still
-checked on its own against the state the entries before it left.
+checked on its own against the state the entries before it left.  A run
+keeps one member list per surviving spider, in absorption order: the
+connectivity check reads it, and so does the group fusion.  A ``fuse`` or
+``normalize-label`` entry must also record in ``produced`` the spider it
+leaves.
 
 Every rule reads the diagram's port tables (``far`` and ``first``; see
 ``diagram``) and hands ``build`` its new wiring as port-id pairs of
@@ -388,24 +392,27 @@ class _FusionRun:
     step at a time and applied together with one ``_fuse_groups`` call and
     one ``build``.
 
+    Each survivor keeps its group's members in absorption order (itself,
+    then each absorbed group's list in turn), and each absorbed spider its
+    survivor, so one list serves the connectivity check and the fusion.
     Each step is checked against the state the steps before it left, so it
     fails exactly where stepwise rewriting would: an absorbed spider is
     gone, a survivor is wired to whatever its group is wired to, and its lcm
-    grid is folded under the cap as each spider joins.  A relabelled spider
-    must not be fused later in the same run; start a new run instead.
+    grid is folded under the cap as each spider joins.  A step that fails
+    leaves the run as it was.  A relabelled spider must not be fused later
+    in the same run; start a new run instead.
     """
 
     def __init__(self, d: Diagram) -> None:
         self.d = d
-        self.absorbed: dict = {}  # survivor -> spiders it absorbed, in order
+        self.adjacent = dg._adjacency(d)  # position -> same-color neighbours' positions
+        self.groups: dict = {}  # survivor -> its group's members, in absorption order
+        self.survivor: dict = {}  # absorbed spider -> the survivor of its group
         self.grid: dict = {}  # survivor -> lcm grid of its group
-        self.gone: set = set()
         self.labels: dict = {}  # node id -> replacement label
-        # survivor -> same-color survivors wired to its group
-        self.wired = dg.same_color_neighbours(d)
 
     def _alive(self, nid) -> bool:
-        return nid not in self.gone and self.d.has_node(nid)
+        return self.d.has_node(nid) and self.survivor.get(nid, nid) == nid
 
     def fuse(self, u, v) -> None:
         """Absorb v's group into u's group."""
@@ -416,45 +423,32 @@ class _FusionRun:
             raise ColorMismatch("fusion applies to spiders only")
         if nu.kind != nv.kind:
             raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
-        if v not in self.wired[u]:
+        nodes, index = self.d.nodes, self.d.index
+        group = self.groups.get(v, [v])
+        if not any(
+            self.survivor.get(nodes[j].id, nodes[j].id) == u
+            for m in group
+            for j in self.adjacent[index[m]]
+        ):
             raise NotConnected(f"{u!r} and {v!r} share no wire")
         self.grid[u] = lcm_order(self.grid.get(u, nu.label.grid), self.grid.get(v, nv.label.grid))
-        # The wires between the two groups are consumed; v's other
-        # neighbours now neighbour u.
-        wired_u, wired_v = self.wired[u], self.wired.pop(v)
-        wired_u.discard(v)
-        wired_v.discard(u)
-        for w in wired_v:
-            self.wired[w].discard(v)
-            self.wired[w].add(u)
-        wired_u |= wired_v
-        self.absorbed.setdefault(u, []).append(v)
-        self.gone.add(v)
+        self.groups.pop(v, None)
+        self.groups.setdefault(u, [u]).extend(group)
+        for m in group:
+            self.survivor[m] = u
 
     def relabel(self, nid, label: SpiderLabel) -> None:
         """Replace a live node's label."""
-        if nid in self.gone:
+        if not self._alive(nid):
             raise KeyError(nid)  # as Diagram.node does for an id it lacks
         node = self.d.node(nid)
         Node(nid, node.kind, label, node.ins, node.outs)  # rejects Hadamard nodes
         self.labels[nid] = label
 
     def diagram(self) -> Diagram:
-        if not (self.absorbed or self.labels):
+        if not (self.groups or self.labels):
             return self.d
-        groups = []
-        for root in self.absorbed:
-            if root in self.gone:
-                continue
-            # A spider's group is itself, then each group it absorbed, in
-            # order: the member order pairwise fusion leaves its legs in.
-            order, stack = [], [root]
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                stack.extend(reversed(self.absorbed.get(u, ())))
-            groups.append(order)
-        nodes, wires = _fuse_groups(self.d, groups)
+        nodes, wires = _fuse_groups(self.d, list(self.groups.values()))
         nodes = [
             Node(n.id, n.kind, self.labels[n.id], n.ins, n.outs) if n.id in self.labels else n
             for n in nodes
@@ -471,9 +465,10 @@ def apply_trace(d: Diagram, trace: RewriteTrace) -> Diagram:
     the run starts a new run, so it sees the new label.  ``identity-removal``
     and ``color-change`` apply one entry at a time.  Every entry is checked
     in trace order against the state all earlier entries left: a ``fuse``
-    needs two live spiders of one color whose groups share a wire and whose
-    lcm grid stays under GRID_ORDER_CAP; a ``normalize-label`` needs a live
-    node that accepts the label.  The first entry that fails raises
+    of [u, v] must produce [u] and needs two live spiders of one color whose
+    groups share a wire and whose lcm grid stays under GRID_ORDER_CAP; a
+    ``normalize-label`` must produce what it consumes and needs a live node
+    that accepts the label.  The first entry that fails raises
     TraceReplayError naming it, or, when it passes a resource cap, the cap's
     own error (GridOverflow) with the same message.
     """
@@ -482,11 +477,15 @@ def apply_trace(d: Diagram, trace: RewriteTrace) -> Diagram:
         try:
             if entry.rule == "fuse":
                 u, v = entry.consumed
+                if entry.produced != (u,):
+                    raise ValueError(f"a fuse produces {[u]}")
                 if u in run.labels or v in run.labels:
                     run = _FusionRun(run.diagram())
                 run.fuse(u, v)
             elif entry.rule == "normalize-label":
                 (nid,) = entry.consumed
+                if entry.produced != (nid,):
+                    raise ValueError(f"a normalize-label produces {[nid]}")
                 run.relabel(nid, SpiderLabel.from_json(entry.detail["label"]))
             elif entry.rule == "identity-removal":
                 (nid,) = entry.consumed

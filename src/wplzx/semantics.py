@@ -6,7 +6,9 @@ complex double precision.  Only the total angle of a spider label is visible
 here.  When every total angle's denominator divides M, the matrix entries lie
 in Z[zeta_M, 1/sqrt 2], and for a prime p = 1 (mod lcm(M, 8)) reduction mod p
 is a ring map into F_p: ``evaluate(primes=...)`` computes these residues
-exactly, along the same contraction schedule, for ``verify``.  One pass
+exactly, along the same contraction schedule.  ``exact_residues`` is the
+exact oracle that ``verify`` and ``metrics`` call: it picks the primes from
+the phase order of all its diagrams and evaluates each mod them.  One pass
 carries every prime: each tensor has a leading batch axis, one slice per
 prime, and the complex ring is a batch of one.  A ring supplies its
 arithmetic, H and the phase factors; ``_spider_tensor`` builds every other
@@ -385,15 +387,28 @@ def evaluate(d: dg.Diagram, *, primes: Residues | None = None):
     Without ``primes``, a complex matrix in double precision.  With a
     ``Residues`` ring, a list of int64 matrices, the exact matrix's residues
     mod each of the ring's primes; every p must be 1 mod 8 and mod each
-    total-angle denominator of d, as ``exact_primes(phase_order(d))`` picks
-    them.  One ring serves every diagram contracted mod the same primes.
-    The contraction schedule (see ``_schedule``) is planned once, and one
+    total-angle denominator of d, as ``exact_residues`` picks them.  One
+    ring serves every diagram contracted mod the same primes.  The
+    contraction schedule (see ``_schedule``) is planned once, and one
     pass along it carries every prime.
     """
     plan = _schedule(d)
     if primes is None:
         return _contract(d, plan, _Complex)[0]
     return list(_contract(d, plan, primes))
+
+
+def exact_residues(*diagrams: dg.Diagram) -> tuple[tuple[int, int], int, list]:
+    """The exact oracle: (primes, n, residues), with n the ``phase_order`` of
+    all the diagrams, primes its ``exact_primes`` and residues one
+    ``evaluate`` list per diagram, in order, all mod those primes.
+    GridOverflow when no two primes exist; DimensionOverflow, as
+    ``evaluate`` raises it, past the tensor cap.
+    """
+    n = phase_order(*diagrams)
+    primes = exact_primes(n)
+    ring = Residues(primes)
+    return primes, n, [evaluate(d, primes=ring) for d in diagrams]
 
 
 # --- comparison predicates ---

@@ -239,6 +239,30 @@ def test_verify_past_the_tensor_cap_exits_3_before_any_arithmetic(tmp_path, caps
     )
 
 
+def test_verify_past_the_intermediate_cap_exits_3_before_any_arithmetic(
+    tmp_path, capsys, monkeypatch
+):
+    # 16 open wires fit the cap, but this 8-qubit, 20-layer circuit's plan
+    # needs a 2^25-entry intermediate: the smallest circuit known to overflow
+    from wplzx import datasets, semantics
+    from wplzx.diagram import serialize
+
+    def no_arithmetic(*args):
+        raise AssertionError("built a tensor of a plan past the tensor cap")
+
+    c = datasets.gen_hea(datasets.preset("d2-main", seed=1, qubits=8, layers=20), instance=0)
+    d = datasets.circuit_to_diagram(c, grid_map=lambda q: [1, 2, 3, 4, 6, 8][q % 6], snap=True)
+    src = tmp_path / "hetero.diagram.json"
+    src.write_text(serialize(d))
+    monkeypatch.setattr(semantics, "_spider_tensor", no_arithmetic)
+    assert run(["verify", "--input", str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "verdict INCONCLUSIVE\nmethod normalization\n"
+    assert captured.err == (
+        "resource cap: intermediate tensor of 33554432 entries exceeds cap 16777216\n"
+    )
+
+
 def test_verify_takes_no_size_flag():
     # the tensor cap is the oracle's only size limit, and no flag moves it
     from wplzx.cli import build_parser
@@ -880,6 +904,33 @@ def test_verify_trace_grid_overflow_exit_3(tmp_path, capsys):
     assert captured.err.startswith("resource cap: trace entry ")
     assert captured.err.rstrip().endswith(
         "failed: lcm(1045504, 3) = 3136512 exceeds grid-order cap 1048576"
+    )
+
+
+@pytest.mark.parametrize("rule", ["fuse", "normalize-label"])
+def test_verify_trace_with_a_wrong_produced_exits_1(tmp_path, capsys, rule):
+    # a fuse of [u, v] produces [u] and a normalize-label what it consumes;
+    # anything else is a corrupted trace, although the replay would be sound
+    from wplzx.rewrite import TraceEntry
+
+    gen_dir = tmp_path / "g"
+    assert run(["gen", "--preset", "d1-main", "--seed", "7", "--count", "3",
+                "--out", str(gen_dir)]) == 0
+    src = gen_dir / "d1-main-s7-002.diagram.json"
+    norm = tmp_path / "n"
+    assert run(["normalize", "--input", str(src), "--out", str(norm)]) == 0
+    trace = norm / "trace.jsonl"
+    entries = [json.loads(line) for line in trace.read_text().splitlines()]
+    victim = next(e for e in entries if e["rule"] == rule)
+    victim["produced"] = ["nonsense"]
+    trace.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    capsys.readouterr()
+    assert run(["verify", "--input", str(src), "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: trace entry {TraceEntry.from_json(victim)} failed: "
+        f"a {rule} produces {victim['consumed'][:1]}\n"
     )
 
 

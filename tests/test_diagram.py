@@ -253,6 +253,13 @@ def _port_table_cases():
     yield chain(spider("in", dg.Z), Node("out", dg.H, None, 1, 1), spider(0, dg.X))
 
 
+def _same_color_neighbours(d):
+    """Each spider's id -> the ids of the other spiders of its color wired
+    to it, read from ``diagram._adjacency``."""
+    ids = [n.id for n in d.nodes]
+    return {ids[i]: {ids[j] for j in near} for i, near in dg._adjacency(d).items()}
+
+
 def test_port_table_matches_wire_scan():
     for d in _port_table_cases():
         # a spider is never its own neighbour, not even through a self-loop
@@ -263,7 +270,7 @@ def test_port_table_matches_wire_scan():
                 if u.kind == v.kind != dg.H:
                     near[u.id].add(v.id)
                     near[v.id].add(u.id)
-        assert dg.same_color_neighbours(d) == near
+        assert _same_color_neighbours(d) == near
         ids = [n.id for n in d.nodes] + ["missing", 99]
         for u in ids:
             for v in ids:
@@ -285,7 +292,7 @@ def _d1_main_diagrams():
 
 
 def test_port_tables_match_a_scan_of_the_wire_list():
-    """wires_between and same_color_neighbours, read from the port tables,
+    """wires_between and _adjacency, read from the port tables,
     against one scan of the serialized wire list."""
     import json
 
@@ -308,7 +315,7 @@ def test_port_tables_match_a_scan_of_the_wire_list():
                     near[v].add(u)
         ends = {tuple(sorted(e.items())) for w in obj["wires"] for e in w}
         assert len(ends) == 2 * len(obj["wires"]) == d.first[-1] + d.n_inputs + d.n_outputs
-        assert dg.same_color_neighbours(d) == near
+        assert _same_color_neighbours(d) == near
         for u in kind:
             for v in kind:
                 if u != v:

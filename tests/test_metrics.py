@@ -83,7 +83,8 @@ def test_fp_symmetric():
 
 def test_report_handles_degenerate_and_cnot_free():
     rep = report([0.5, 0.5], [0.5, 0.5], 10, 7, 0, 0, None, None)
-    assert rep.pqvr == 1.0
-    assert rep.csc_total == pytest.approx(0.3)
-    assert rep.csc_cnot == 0.0
-    assert math.isnan(rep.fp)
+    assert list(rep) == ["pqvr", "csc_total", "csc_cnot", "fp"]
+    assert rep["pqvr"] == 1.0
+    assert rep["csc_total"] == pytest.approx(0.3)
+    assert rep["csc_cnot"] == 0.0
+    assert math.isnan(rep["fp"])

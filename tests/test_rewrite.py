@@ -704,12 +704,11 @@ def _random_trace(d, seed, steps=16) -> RewriteTrace:
     r = np.random.default_rng(seed)
     cur, entries = d, []
     for _ in range(steps):
-        key = dg._id_key
-        wired = dg.same_color_neighbours(cur)
-        pairs = sorted(
-            {(u, v) for u, near in wired.items() for v in near if key(u) < key(v)},
-            key=lambda p: (key(p[0]), key(p[1])),
-        )
+        # positions in cur.nodes are in id order, so sorted position pairs
+        # list the wired pairs by id
+        near = dg._adjacency(cur)
+        ids = [n.id for n in cur.nodes]
+        pairs = [(ids[i], ids[j]) for i in sorted(near) for j in sorted(near[i]) if i < j]
         spiders = cur.spiders
         roll = r.random()
         if pairs and roll < 0.55:
@@ -862,6 +861,15 @@ def test_replay_fails_on_the_same_entry_as_reference(d, steps, bad):
     assert str(got.value) == str(want.value)
     if steps[bad][0] != "bogus":
         assert str(got.value).startswith(f"trace entry {trace.entries[bad]} failed: ")
+
+
+def test_a_group_wired_only_inside_itself_shares_no_wire():
+    # after fuse(1, 2), member 1 is wired to member 2 of its own group, but
+    # nothing in the group is wired to spider 5
+    trace = _trace(("fuse", 1, 2), ("fuse", 5, 1))
+    for replay in (_replay_stepwise, apply_trace):
+        with pytest.raises(TraceReplayError, match="5 and 1 share no wire"):
+            replay(_mixed_chain(), trace)
 
 
 def test_replay_builds_once_per_run(monkeypatch):
