@@ -49,17 +49,17 @@ class RiskReport:
 
 def drg_toy(pairs, lam: float) -> float:
     """Mean relative inflation (1/N) sum (w_lam - w_0)/w_0 over (d, delta_k)
-    pairs, with w_lam = d + lam |delta_k| (raw convention)."""
+    pairs, or rows that start with them, with w_lam = d + lam |delta_k| (raw
+    convention)."""
     check_lambda(lam)
-    pairs = list(pairs)
-    if not pairs:
-        return 0.0
-    acc = 0.0
-    for d, dk in pairs:
+    acc, count = 0.0, 0
+    for pair in pairs:
+        d = pair[0]
         if not d > 0.0:
             raise ZeroDistance(f"DRG_toy needs positive distances, got {d}")
-        acc += lam * abs(float(dk)) / d
-    return acc / len(pairs)
+        acc += lam * abs(float(pair[1])) / d
+        count += 1
+    return acc / count if count else 0.0
 
 
 def drg_pm(g: DefectGraph | DefectArrays, lam: float, beta: float, mode: str = RAW) -> float:
@@ -114,12 +114,9 @@ def masd_decode(
     matching = min_weight_perfect_matching(arrays, weights)
 
     rows, skip = arrays.edges, arrays.virtual_rows
-    toy_pairs = []
-    for k in matching.edges:
-        if k is not None and rows[k][0] and k not in skip:
-            toy_pairs.append(rows[k][:2])
+    paid = (rows[k] for k in matching.edges if k is not None and rows[k][0] and k not in skip)
     report = RiskReport(
-        drg_toy=drg_toy(toy_pairs, lam),
+        drg_toy=drg_toy(paid, lam),
         drg_pm=drg_pm(g, lam, beta, mode),
         total_cost=matching.total_cost,
     )

@@ -28,12 +28,13 @@ virtual-virtual clique included, from those rows only when a caller reads
 them.  Any other graph (a file, a constructor call) is converted by
 ``defect_arrays`` once, in one pass over its edges, and the form is cached
 on the graph.  Row k of a form is edge k of its graph either way, so a
-matching names the edges it paid by their ``g.edges`` positions.  The
-form also keeps the decoder's lambda-independent terms (DRG_pm slope) and
-the matcher's last solve: since slope >= 0, a larger lambda only raises
-weights, and a matching that paid only unchanged weights is returned again
-without a new solve (see ``matching``).  Vertices and edges are frozen and
-hold no cache.
+matching names the edges it paid by their ``g.edges`` positions.  A
+sampled form's rows are also the DP kernel's slots (``_dp``), and a
+converted one maps slots to rows.  The form also keeps the decoder's
+lambda-independent terms (DRG_pm slope) and the matcher's last solve:
+since slope >= 0, a larger lambda only raises weights, and a matching that
+paid only unchanged weights is returned again without a new solve (see
+``matching``).  Vertices and edges are frozen and hold no cache.
 
 Serialized form (JSON)::
 
@@ -50,6 +51,7 @@ from typing import Sequence, Union
 
 from ..errors import NegativeLambda, ParseError
 from ..phase import check_grid_order, json_int, json_number, lcm_order
+from ._dp import slot
 
 VertexId = Union[int, str]
 
@@ -267,10 +269,10 @@ class DefectArrays:
     metrics skip.  The matcher's layout (see ``matching``): ``virtuals``,
     the virtual ids left to pair among themselves in ``repr`` order;
     ``retire``, (DP index, virtual id, row) per retirement candidate in
-    virtual order; and ``edge_at[i][j]``, the last row joining DP vertices
-    i and j, or -1 where none does.  ``_cache`` keeps the decoder's
-    lambda-independent terms: the DRG_pm slope per (mode, beta) and the
-    matcher's last solve.
+    virtual order; and ``slot_rows``, the row of each of the DP's slots
+    (``_dp.slot``), -1 where none, or None when row k is slot k (a sampled
+    form).  ``_cache`` keeps the decoder's lambda-independent terms: the
+    DRG_pm slope per (mode, beta) and the matcher's last solve.
     """
 
     ids: tuple
@@ -279,7 +281,7 @@ class DefectArrays:
     virtual_rows: frozenset
     virtuals: tuple
     retire: tuple
-    edge_at: Sequence
+    slot_rows: Sequence | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -304,17 +306,17 @@ def _convert(g: DefectGraph) -> DefectArrays:
     grids overflow, and nothing is cached then.  Only the reals enter the
     DP unless there are fewer virtuals than reals or a virtual has more
     than one edge to a real: then the layout is arbitrary, every vertex
-    enters the DP and none retires.
+    enters the DP and none retires.  A pair's slot maps to the last edge
+    joining it, and no boundary slot maps to an edge.
     """
     vertices = g.vertices
     position = {v.id: p for p, v in enumerate(vertices)}
     reals = [p for p, v in enumerate(vertices) if not v.is_virtual_boundary]
     attached: dict[int, list] = {p: [] for p, v in enumerate(vertices) if v.is_virtual_boundary}
-    rows, virtual_rows, ends = [], set(), []
+    rows, virtual_rows = [], set()
     slopes: dict[tuple, tuple[float, float]] = {}
     for k, e in enumerate(g.edges):
         p, q = position[e.u], position[e.v]
-        ends.append((p, q))
         u, v = vertices[p], vertices[q]
         if u.is_virtual_boundary or v.is_virtual_boundary:
             rows.append((e.d, 0.0, 0.0))
@@ -336,12 +338,12 @@ def _convert(g: DefectGraph) -> DefectArrays:
         dp = reals
         virtuals = sorted((vertices[p].id for p in attached), key=repr)
         candidates = [(real, p, k) for p, cands in attached.items() for real, k in cands]
-    index = {p: i for i, p in enumerate(dp)}
-    edge_at = [[-1] * len(dp) for _ in dp]
-    for k, (p, q) in enumerate(ends):
-        i, j = index.get(p), index.get(q)
+    index, n = {p: i for i, p in enumerate(dp)}, len(dp)
+    slot_rows = [-1] * (n * (n + 1) // 2)
+    for k, e in enumerate(g.edges):
+        i, j = index.get(position[e.u]), index.get(position[e.v])
         if i is not None and j is not None:
-            edge_at[i][j] = edge_at[j][i] = k
+            slot_rows[slot(min(i, j), max(i, j), n)] = k
     return DefectArrays(
         ids=tuple(vertices[p].id for p in dp),
         real_vertices=tuple(vertices[p].id for p in reals),
@@ -349,7 +351,7 @@ def _convert(g: DefectGraph) -> DefectArrays:
         virtual_rows=frozenset(virtual_rows),
         virtuals=tuple(virtuals),
         retire=tuple((index[real], vertices[p].id, k) for real, p, k in candidates),
-        edge_at=edge_at,
+        slot_rows=slot_rows,
     )
 
 

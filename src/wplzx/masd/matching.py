@@ -20,14 +20,15 @@ vertex and edge tuples only when a caller first reads them; ``masd_decode``
 hands the matcher the form itself, so a sweep never builds them.  Weights
 arrive as one float per edge, in ``g.edges`` order (see
 ``graph.edge_weights``), and the form's rows are the graph's first edges,
-so the same positions serve both.  Which layout applies, the DP
-vertex order, each real defect's retirement candidates and ``edge_at``,
-the row of the last edge joining each two DP vertices (-1 for none), are
-part of the form; each call reads that call's weights through them into
-Python lists for the pure-Python kernel in ``_dp``.  The same positions
-name, in ``Matching.edges``, the edge whose weight each pair paid:
-``None`` marks exactly the free virtual pairs.  A graph with no vertices
-skips the kernel.
+so the same positions serve both.  Which layout applies, the DP vertex
+order, each real defect's retirement candidates and the row of each of the
+kernel's slots are part of the form.  The slots (``_dp``) list, for each DP
+vertex, its pairs with the later ones, then its boundary.  A sampled form's
+rows are its slots, so its weights go to the pure-Python kernel as they
+are; a converted form reads each call's weights through its slot -> row map
+into a Python list, a missing pair at +inf.  The same positions name, in
+``Matching.edges``, the edge whose weight each pair paid: ``None`` marks
+exactly the free virtual pairs.  A graph with no vertices skips the kernel.
 
 A lambda grid raises weights (the penalty lambda * slope has slope >= 0),
 and often leaves the optimum where it was.  So each form keeps the weights
@@ -54,9 +55,9 @@ parallel edges; a NaN weight never certifies, since ``>=`` is false on it.
 The length, odd-count and cap checks run first on every call.
 
 A pair that costs more than retiring both its ends is never worth taking,
-so from :data:`PRUNE_MIN` DP vertices on, ``_prune`` sets such a pair's
-``w[i][j]`` to +inf before the DP runs, and the DP's ``isfinite`` test then
-skips every mask that only such pairs reach.  Over the 4,800 decodes of
+so from :data:`PRUNE_MIN` DP vertices on, ``_prune`` gives the DP a copy
+of its pair costs with such a pair at +inf, and the DP's ``isfinite`` test
+then skips every mask that only such pairs reach.  Over the 4,800 decodes of
 the benchmark's seed-7 sweep-d7 pass, each solved without the certificate,
 36% of pairs go and 53% of masks stay reachable.  The result is the
 unpruned solve's, bit for bit.  Write u = 2^-53, n for the DP size, b_i
@@ -123,10 +124,10 @@ from .graph import DefectArrays, DefectGraph, VertexId, defect_arrays
 DP_VERTEX_CAP = 24
 
 # Fewest DP vertices at which ``_prune`` runs.  On sampled d = 7 instances
-# at lambda = 0.1 (30 per size, best of 5 timings, 2-CPU Xeon VM) it costs
-# 3.2 us at n = 7 and saves 2.0 us of the kernel's 7.7 us; at n = 8 it
-# costs 3.8 us and saves 4.1 us of 13.1 us; at n = 12 it costs 7 us and
-# saves 55 us of 121 us.
+# at lambda = 0.1 (30 per size, best of 7 timings, 2-CPU Xeon VM), with the
+# copy it writes into, it costs 3.4 us at n = 7 and saves 1.7 us of the
+# kernel's 7.6 us; at n = 8 it costs 4.2 us and saves 4.0 us of 13.3 us;
+# at n = 12 it costs 7.5 us and saves 43 us of 121 us.
 PRUNE_MIN = 8
 # Rounding constants of ``_prune``'s margin (see the module docstring): the
 # unit roundoff, a bound on retirement costs that keeps every sum finite,
@@ -178,7 +179,7 @@ def min_weight_perfect_matching(
     arrays = defect_arrays(g)
     if len(weights) != len(g.edges):
         raise ValueError(f"{len(weights)} weights for {len(g.edges)} edges")
-    ids, virts, retire, edge_at = arrays.ids, arrays.virtuals, arrays.retire, arrays.edge_at
+    ids, virts, retire, slot_rows = arrays.ids, arrays.virtuals, arrays.retire, arrays.slot_rows
     n, n_vertices = len(ids), len(ids) + len(virts)
     if n_vertices % 2 != 0:
         raise OddVertexCount(f"{n_vertices} vertices cannot be perfectly matched")
@@ -198,11 +199,12 @@ def min_weight_perfect_matching(
         if owner[i] is None or cost < boundary[i]:
             boundary[i], owner[i] = cost, (virt, k)
 
-    padded = [*weights, math.inf]  # position -1 reads +inf: no edge
-    w = [list(map(padded.__getitem__, row)) for row in edge_at]
+    w = [weights]  # the kernel's pair costs, as the one item ``_prune`` may replace
+    if slot_rows is not None:  # a pair no edge joins (row -1) costs +inf
+        w[0] = [weights[k] if k >= 0 else math.inf for k in slot_rows]
     if n >= PRUNE_MIN:
         _prune(w, boundary, weights)
-    cost, choice = _dp.solve_dense(w, boundary)
+    cost, choice = _dp.solve_dense(w[0], boundary)
     if not math.isfinite(cost):
         raise OddVertexCount("graph admits no finite-cost perfect matching")
     pairs: list[tuple[VertexId, VertexId]] = []
@@ -213,7 +215,8 @@ def min_weight_perfect_matching(
             mate, k = owner[i]
             retired.add(mate)
         else:
-            mate, k = ids[j], edge_at[i][j]
+            k = _dp.slot(i, j, n)
+            mate, k = ids[j], (k if slot_rows is None else slot_rows[k])
         pairs.append((ids[i], mate))
         edges.append(k)
     # Every pair so far paid an edge (a finite cost reads no -1 position).
@@ -228,12 +231,12 @@ def min_weight_perfect_matching(
 
 
 def _prune(w: list, boundary: list, weights: Sequence[float]) -> None:
-    """Set ``w[i][j]``, i < j, to +inf wherever the pair costs more than
-    retiring both ends plus a rounding margin.  Nothing changes unless
-    every retirement cost is below 2^1018 (so finite) and every entry of
-    ``weights``, which ``w`` and ``boundary`` are read from, is >= 0 and not
-    NaN.  The module docstring proves that the solve's result stays the
-    same, bit for bit."""
+    """Replace ``w``'s one item, pair costs in slot layout, by a copy with
+    +inf wherever the pair costs more than retiring both ends plus a margin.
+    Nothing changes unless every retirement cost is below 2^1018 (so finite)
+    and every entry of ``weights``, which the costs are read from, is >= 0
+    and not NaN; the cost list replaced is never written.  The module
+    docstring proves that the solve's result stays the same, bit for bit."""
     n = len(boundary)
     beta = max(boundary)
     # With no NaN in weights (their sum would be NaN), ``min`` sees every one.
@@ -241,8 +244,11 @@ def _prune(w: list, boundary: list, weights: Sequence[float]) -> None:
         return
     margin = (2 * n * n + 1) * _U * beta + _TINY
     inf = math.inf
+    costs = w[0]
+    w[0] = pruned = list(costs)
     for i in range(n - 1):
-        row, lead = w[i], boundary[i] + margin
+        lead, k = boundary[i] + margin, _dp.slot(i, i + 1, n)  # k: the slot of (i, j)
         for j in range(i + 1, n):
-            if row[j] > lead + boundary[j]:
-                row[j] = inf
+            if costs[k] > lead + boundary[j]:
+                pruned[k] = inf
+            k += 1

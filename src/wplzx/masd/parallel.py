@@ -49,13 +49,17 @@ from . import surface
 # Fewest trials per worker.  A worker costs about 5 ms on a 2-CPU Xeon VM
 # with numpy and wplzx loaded: the fork, copy-on-write faults in both
 # processes and the child's exit.  Over a 4-point lambda grid, in one
-# process, a trial costs about 0.37 ms at d = 7, p = 0.15, 0.07 ms at d = 5,
-# p = 0.05 and 0.036 ms at d = 3, p = 0.05, and two busy processes on that
-# VM run little faster than one.  Two workers ran slower than one at 40
-# trials of d = 7 (relative throughput 60.2 against 64.5 on the benchmark's
-# sweep-d7) and at 100 trials of d = 3 (11.6 against 6.1 ms a call), and
-# faster at 250 trials of d = 5 (1.24x on sweep-d5).  So calls of 40 and
-# 100 trials run in one process, and a call of 250 forks.
+# process, a trial costs about 0.21 ms at d = 7, p = 0.15, 0.061 ms at
+# d = 5, p = 0.05 and 0.035 ms at d = 3, p = 0.05, and two busy processes on
+# that VM run little faster than one.  A forked block also runs slower than
+# its share: a 20-trial d = 7 block took 7.2-8.2 ms in the parent and
+# 6.3-7.3 ms in the child against 5.4-6.0 ms serial, with about 580 more
+# minor (copy-on-write) faults per process (``ru_minflt``).  Two workers
+# ran slower than one at 40 trials of d = 7 (relative throughput 60.2
+# against 64.5 on the benchmark's sweep-d7) and at 100 trials of d = 3
+# (11.6 against 6.1 ms a call), and faster at 250 trials of d = 5 (1.24x on
+# sweep-d5).  So calls of 40 and 100 trials run in one process, and a call
+# of 250 forks.
 MIN_BLOCK = 100
 
 

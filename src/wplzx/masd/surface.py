@@ -21,11 +21,12 @@ trial's array form from (``graph.DefectArrays``): pair and boundary
 distances and boundary-partner ids by check index, plus one cached slope
 per pair of winding labels.  ``defect_graph_for`` draws the real defects'
 labels and builds only that form: the sorted defect checks and one (d, raw
-slope, normalized slope) row per defect pair and per boundary edge, with a
-row layout shared by every instance of the same size.  A sweep trial builds
-no edge or vertex object, no virtual-virtual clique and no id lookup; its
-graph builds them from its rows, its labels and the checks' centers only
-when a caller reads its vertices or edges (``serialize``, a file, a test).
+slope, normalized slope) row per defect pair and per boundary edge, in the
+matching kernel's slot layout, so the matcher reads its weights as they
+are.  A sweep trial builds no edge or vertex object, no virtual-virtual
+clique and no id lookup; its graph builds them from its rows, its labels
+and the checks' centers only when a caller reads its vertices or edges
+(``serialize``, a file, a test).
 Corrections and the logical parity read the sample's syndrome checks and
 qubit masks: XORs and ``int.bit_count()``.  Only the decoded sector is
 kept: ``build_code`` builds the X checks and the logical X column to assert
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -301,24 +302,6 @@ class SurfaceSample:
     syndrome: tuple[int, ...]
 
 
-@cache
-def _row_layout(n: int) -> tuple[tuple, tuple]:
-    """(edge_at, boundary rows) of the sampler's rows for n defects, shared
-    by every instance of that size.  The rows follow its graph's edge order
-    without the trailing virtual clique: for each defect i in check order,
-    its rows to the later defects j, then its boundary row."""
-    edge_at = [[-1] * n for _ in range(n)]
-    boundary_rows = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            edge_at[i][j] = edge_at[j][i] = k
-            k += 1
-        boundary_rows.append(k)
-        k += 1
-    return tuple(map(tuple, edge_at)), tuple(boundary_rows)
-
-
 def defect_graph_for(
     code: RotatedSurfaceCode,
     syndrome: Iterable[int],
@@ -339,7 +322,7 @@ def defect_graph_for(
     midline = (code.distance - 1) / 2.0
     labels = tuple(winding.assign(code.z_checks[u].center, midline, rng) for u in checks)
     pair_distance, slopes = code.pair_distance, code.slopes
-    rows = []
+    rows, boundary_rows = [], []  # boundary_rows[i]: defect i's boundary row
     for i, u in enumerate(checks):
         distance, lu = pair_distance[u], labels[i]
         for j in range(i + 1, len(checks)):
@@ -348,8 +331,8 @@ def defect_graph_for(
             if pair is None:
                 pair = slopes[(lu, lv)] = label_slopes(*lu, *lv)
             rows.append((distance[checks[j]], *pair))
+        boundary_rows.append(len(rows))
         rows.append((code.boundary_distance[u], 0.0, 0.0))
-    edge_at, boundary_rows = _row_layout(len(checks))
     names = [code.virtual_id[u] for u in checks]
     arrays = DefectArrays(
         ids=checks,
@@ -358,7 +341,6 @@ def defect_graph_for(
         virtual_rows=frozenset(),
         virtuals=tuple(sorted(names, key=repr)),
         retire=tuple(zip(range(len(checks)), names, boundary_rows)),
-        edge_at=edge_at,
     )
     return DefectGraph.from_arrays(arrays, partial(_graph_parts, code, arrays, labels))
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import diagram as dg
@@ -392,27 +393,31 @@ class _FusionRun:
     step at a time and applied together with one ``_fuse_groups`` call and
     one ``build``.
 
-    Each survivor keeps its group's members in absorption order (itself,
-    then each absorbed group's list in turn), and each absorbed spider its
-    survivor, so one list serves the connectivity check and the fusion.
-    Each step is checked against the state the steps before it left, so it
-    fails exactly where stepwise rewriting would: an absorbed spider is
-    gone, a survivor is wired to whatever its group is wired to, and its lcm
-    grid is folded under the cap as each spider joins.  A step that fails
-    leaves the run as it was.  A relabelled spider must not be fused later
-    in the same run; start a new run instead.
+    Each group keeps its members in absorption order (its survivor, then
+    each absorbed group's list in turn) in one deque, which each fused
+    spider maps to, so one list serves the connectivity check and the
+    fusion.  A
+    fusion scans the smaller group and moves its members into the larger
+    one's deque (to the front when the absorbed group is the larger), so m
+    fusions move O(m log m) members however the groups grow.  Each step is
+    checked against the state the steps before it left, so it fails exactly
+    where stepwise rewriting would: an absorbed spider is gone, a survivor
+    is wired to whatever its group is wired to, and its lcm grid is folded
+    under the cap as each spider joins.  A step that fails leaves the run as
+    it was.  A relabelled spider must not be fused later in the same run;
+    start a new run instead.
     """
 
     def __init__(self, d: Diagram) -> None:
         self.d = d
         self.adjacent = dg._adjacency(d)  # position -> same-color neighbours' positions
-        self.groups: dict = {}  # survivor -> its group's members, in absorption order
-        self.survivor: dict = {}  # absorbed spider -> the survivor of its group
+        self.group_of: dict = {}  # fused spider -> its group's members, in absorption order
         self.grid: dict = {}  # survivor -> lcm grid of its group
         self.labels: dict = {}  # node id -> replacement label
 
     def _alive(self, nid) -> bool:
-        return self.d.has_node(nid) and self.survivor.get(nid, nid) == nid
+        group = self.group_of.get(nid)
+        return self.d.has_node(nid) and (group is None or group[0] == nid)
 
     def fuse(self, u, v) -> None:
         """Absorb v's group into u's group."""
@@ -423,19 +428,24 @@ class _FusionRun:
             raise ColorMismatch("fusion applies to spiders only")
         if nu.kind != nv.kind:
             raise ColorMismatch(f"color mismatch: {nu.kind} vs {nv.kind}")
-        nodes, index = self.d.nodes, self.d.index
-        group = self.groups.get(v, [v])
+        nodes, index, group_of = self.d.nodes, self.d.index, self.group_of
+        gu, gv = group_of.get(u, (u,)), group_of.get(v, (v,))  # a lone spider: a tuple
+        small, other, large = (gu, v, gv) if len(gu) <= len(gv) else (gv, u, gu)
         if not any(
-            self.survivor.get(nodes[j].id, nodes[j].id) == u
-            for m in group
+            nodes[j].id == other or group_of.get(nodes[j].id) is large
+            for m in small
             for j in self.adjacent[index[m]]
         ):
             raise NotConnected(f"{u!r} and {v!r} share no wire")
         self.grid[u] = lcm_order(self.grid.get(u, nu.label.grid), self.grid.get(v, nv.label.grid))
-        self.groups.pop(v, None)
-        self.groups.setdefault(u, [u]).extend(group)
-        for m in group:
-            self.survivor[m] = u
+        merged = large if isinstance(large, deque) else deque(large)
+        if small is gu:
+            merged.extendleft(reversed(gu))
+        else:
+            merged.extend(gv)
+        for m in small:
+            group_of[m] = merged
+        group_of[u] = group_of[v] = merged
 
     def relabel(self, nid, label: SpiderLabel) -> None:
         """Replace a live node's label."""
@@ -446,9 +456,10 @@ class _FusionRun:
         self.labels[nid] = label
 
     def diagram(self) -> Diagram:
-        if not (self.groups or self.labels):
+        if not (self.group_of or self.labels):
             return self.d
-        nodes, wires = _fuse_groups(self.d, list(self.groups.values()))
+        groups = {g[0]: g for g in self.group_of.values()}  # survivor -> its members
+        nodes, wires = _fuse_groups(self.d, list(groups.values()))
         nodes = [
             Node(n.id, n.kind, self.labels[n.id], n.ins, n.outs) if n.id in self.labels else n
             for n in nodes

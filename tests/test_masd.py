@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -626,6 +627,20 @@ KERNEL_GOLDEN = [
 ]
 
 
+def _slot_layout(n):
+    """(i, j) -> slot, enumerated: for each vertex i, its pairs (i, j > i),
+    then its boundary slot (i, n)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    return {pair: k for k, pair in enumerate(pairs)}
+
+
+def _slot_list(w, boundary):
+    """A matrix instance's pair costs ``w[i][j]``, i < j, as the kernel's
+    flat slot list, each boundary slot holding its retirement cost."""
+    n = len(boundary)
+    return [w[i][j] if j < n else boundary[i] for i, j in _slot_layout(n)]
+
+
 # The j of a boundary retirement in a move code (i << 32) | j.
 RETIRE = 0xFFFFFFFF
 
@@ -651,7 +666,7 @@ def _by_mask(choice, n):
 )
 def test_kernel_golden_output(kind, n, seed, cost, choice_sha, moves):
     w, boundary = _kernel_instance(kind, n, seed)
-    got_cost, choice = _dp.solve_dense(w, boundary)
+    got_cost, choice = _dp.solve_dense(_slot_list(w, boundary), boundary)
     assert repr(got_cost) == cost
     spread = [int(c) for c in _by_mask(choice, n)]
     assert hashlib.sha256(repr(spread).encode()).hexdigest() == choice_sha
@@ -694,12 +709,14 @@ def test_kernel_table_lists_the_reachable_masks(n):
     assert len(masks) == _fibonacci(n + 2)
     # The full mask is reached last and has no moves, so it has no row.
     assert masks[-1] == (1 << n) - 1 and len(rows) == len(masks) - 1
+    slot = _slot_layout(n)
+    assert all(_dp.slot(i, j, n) == k for (i, j), k in slot.items())
     for mask, (i, retired, pairs) in zip(masks, rows):
         nm = mask | 1 << i
         assert i == (~mask & (mask + 1)).bit_length() - 1
         assert masks[retired] == nm
         free = [j for j in range(n) if not nm >> j & 1]
-        assert [(j, masks[p]) for j, p in pairs] == [(j, nm | 1 << j) for j in free]
+        assert [(k, masks[p]) for k, p in pairs] == [(slot[i, j], nm | 1 << j) for j in free]
 
 
 def _solve_dense_full_scan(w, boundary):
@@ -739,10 +756,127 @@ def test_kernel_table_matches_full_scan(kind):
     cases = [(n, seed) for n in range(start, 13) for seed in range(4)] + [(14, 0), (16, 0)]
     for n, seed in cases:
         w, boundary = _kernel_instance(kind, n, f"scan-{seed}")
-        cost, choice = _dp.solve_dense(w, boundary)
+        cost, choice = _dp.solve_dense(_slot_list(w, boundary), boundary)
         want_cost, want_choice = _solve_dense_full_scan(w, boundary)
         assert repr(cost) == repr(want_cost)
         assert _by_mask(choice, n) == want_choice
+
+
+def _matrix_oracle(g: DefectGraph, weights):
+    """The matcher's solve as it was before the slot layout, kept as the
+    reference, with the full-scan DP for the kernel: ``edge_at[i][j]``,
+    the last edge joining DP vertices i and j (-1 for none), read into an
+    n x n cost matrix; the first strict minimum among a real's retirement
+    candidates; the move walk; the leftover virtuals paired in order.  The
+    DP vertices, virtuals and candidates are read from g's form.  Returns
+    what ``_solve_outcome`` returns."""
+    arrays = defect_arrays(g)
+    ids, virts, retire = arrays.ids, arrays.virtuals, arrays.retire
+    n = len(ids)
+    assert n <= 12, "the full scan is sized for small graphs"
+    if (n + len(virts)) % 2:
+        return OddVertexCount
+    index = {vid: i for i, vid in enumerate(ids)}
+    edge_at = [[-1] * n for _ in range(n)]
+    for k, e in enumerate(g.edges):
+        i, j = index.get(e.u), index.get(e.v)
+        if i is not None and j is not None:
+            edge_at[i][j] = edge_at[j][i] = k
+    boundary, owner = [math.inf] * n, [None] * n
+    for i, virt, k in retire:
+        cost = float(weights[k])
+        if owner[i] is None or cost < boundary[i]:
+            boundary[i], owner[i] = cost, (virt, k)
+    padded = [*weights, math.inf]
+    cost, choice = _solve_dense_full_scan([[padded[k] for k in row] for row in edge_at], boundary)
+    if not math.isfinite(cost):
+        return OddVertexCount
+    moves, mask = [], (1 << n) - 1
+    while mask:
+        i, j = choice[mask] >> 32, choice[mask] & RETIRE
+        moves.append((i, j))
+        mask ^= 1 << i | (0 if j == RETIRE else 1 << j)
+    pairs, edges, retired = [], [], set()
+    for i, j in reversed(moves):
+        if j == RETIRE:
+            mate, k = owner[i]
+            retired.add(mate)
+        else:
+            mate, k = ids[j], edge_at[i][j]
+        pairs.append((ids[i], mate))
+        edges.append(k)
+    leftover = [v for v in virts if v not in retired]
+    for a in range(0, len(leftover), 2):
+        pairs.append((leftover[a], leftover[a + 1]))
+        edges.append(None)
+    return tuple(pairs), repr(cost), True, tuple(edges)
+
+
+def _converted_case(rng: random.Random, layout: str, flavour: str):
+    """A file-style graph and a weight list.  "own": 1 to 3 virtual
+    candidates per real, so 1 to 12 reals enter the DP; "arbitrary": some
+    virtual joined to two reals, so all of at most 12 vertices enter it.
+    Real-real pairs go missing at random, random edges get a parallel copy
+    (either orientation, anywhere in the list; in "own" only edges whose
+    ends are both real or both virtual), and a few virtual-virtual
+    edges are added.  Weights: "plain" positive floats, "ties" small
+    integers, "special" with NaN, negative, +inf and -inf sprinkled in."""
+    if layout == "own":
+        reals = [vert(i, 1, 0) for i in range(rng.randint(1, 12))]
+        virts, edges = [], []
+        for r in reals:
+            for c in range(rng.randint(1, 3)):
+                virts.append(vert(f"b{r.id}-{c}", 1, 0, virtual=True))
+                edges.append(DefectEdge(r.id, virts[-1].id, 1.0))
+        if (len(reals) + len(virts)) % 2:
+            virts.append(vert("spare", 1, 0, virtual=True))
+    else:
+        reals = [vert(i, 1, 0) for i in range(rng.randint(1, 9))]
+        virts = [vert(f"x{c}", 1, 0, virtual=True) for c in range(rng.randint(1, 11 - len(reals)))]
+        edges = [DefectEdge(r.id, x.id, 1.0) for x in virts for r in reals if rng.random() < 0.6]
+        if len(virts) >= len(reals):  # make sure some virtual has two reals
+            edges += [DefectEdge(r.id, virts[0].id, 1.0) for r in (reals[0], reals[-1])]
+        if (len(reals) + len(virts)) % 2:
+            virts.append(vert("spare", 1, 0, virtual=True))
+            edges += [DefectEdge(r.id, "spare", 1.0) for r in reals]
+    pairs = itertools.combinations(reals, 2)
+    edges += [DefectEdge(u.id, v.id, 1.0) for u, v in pairs if rng.random() < 0.75]
+    pairs = itertools.combinations(virts, 2)
+    edges += [DefectEdge(u.id, v.id, 0.0) for u, v in pairs if rng.random() < 0.2]
+    rng.shuffle(edges)
+    # A second edge from a virtual to a real would make the layout arbitrary.
+    virtual = {v.id for v in virts}
+    copyable = [e for e in edges if layout == "arbitrary" or (e.u in virtual) == (e.v in virtual)]
+    for e in rng.sample(copyable, min(len(copyable), rng.randint(0, 6))):
+        copy = DefectEdge(e.v, e.u, e.d) if rng.random() < 0.5 else e
+        edges.insert(rng.randrange(len(edges) + 1), copy)
+    g = DefectGraph(tuple(reals + virts), tuple(edges))
+    if flavour == "ties":
+        weights = [float(rng.randint(0, 3)) for _ in edges]
+    else:
+        weights = [rng.uniform(0.1, 6.0) for _ in edges]
+    if flavour == "special":
+        for k in rng.sample(range(len(edges)), min(len(edges), 4)):
+            weights[k] = rng.choice([math.nan, -0.75, -3.0, math.inf, -math.inf])
+    return g, weights
+
+
+@pytest.mark.parametrize("layout", ["own", "arbitrary"])
+@pytest.mark.parametrize("flavour", ["plain", "ties", "special"])
+def test_converted_forms_match_like_the_matrix_oracle(layout, flavour):
+    """File-style graphs of at most 12 DP vertices, each layout with missing
+    pairs, parallel edges and the given weights: the matcher, which reads a
+    converted form's weights through its slot -> row map, returns the
+    matrix oracle's pairs, edges and cost bits, or fails where it fails."""
+    rng = random.Random(f"converted-{layout}-{flavour}")
+    sizes = collections.Counter()
+    for case in range(60):
+        g, weights = _converted_case(rng, layout, flavour)
+        assert bool(defect_arrays(g).retire) == (layout == "own")
+        want = _matrix_oracle(g, weights)
+        assert _solve_outcome(g, weights) == want, case
+        sizes[len(defect_arrays(g).ids) >= matching_module.PRUNE_MIN, want is OddVertexCount] += 1
+    assert sizes[True, False] and sizes[False, False], sizes
 
 
 # --- decode and risk metrics ---

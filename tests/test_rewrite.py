@@ -778,6 +778,35 @@ def test_replay_matches_stepwise_reference_on_random_traces():
         _assert_replays_like_reference(d, trace)
 
 
+def test_replay_absorbs_grown_groups_like_stepwise_fusion():
+    """On a 200-spider path, the trace fuse(1, 0), fuse(2, 1), ... absorbs
+    an ever larger group into a single spider; random fusion-only traces on
+    paths and cliques grow groups on both sides of a fusion.  Each replays
+    as stepwise fusion does."""
+    grids = itertools.cycle((1, 2, 3, 4, 6))
+    d = path_region([SpiderLabel(a, RA(1, a), RA(1)) for a in itertools.islice(grids, 200)])
+    _assert_replays_like_reference(d, _trace(*(("fuse", i, i - 1) for i in range(1, 200))))
+    rng = random.Random("grown-groups")
+    for case in range(24):
+        labels = [SpiderLabel(a, RA(rng.randrange(a), a), RA(rng.randrange(3))) for a in
+                  (rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(2, 30 if case % 2 else 8)))]
+        d = path_region(labels) if case % 2 else clique_region(labels)
+        cur, steps = d, []
+        while True:
+            near = dg._adjacency(cur)
+            ids = [n.id for n in cur.nodes]
+            pairs = sorted((ids[i], ids[j]) for i in near for j in near[i] if i < j)
+            if not pairs:
+                break
+            u, v = rng.choice(pairs)
+            if rng.random() < 0.5:
+                u, v = v, u
+            steps.append(("fuse", u, v))
+            cur = fuse_pair(cur, u, v)
+        assert len(steps) == len(labels) - 1
+        _assert_replays_like_reference(d, _trace(*steps))
+
+
 def _mixed_chain():
     # in -> Z0 -> Z1 -> Z2 -> X3 -> X4 -> Z5 -> H -> Z6 -> out
     return chain(
